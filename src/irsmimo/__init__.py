@@ -11,7 +11,7 @@ from .cs_est import CsEstConfig, CsEstResult, cs_est
 from .harness import (ExperimentConfig, TrialRecord, nmse, parse_config,
                       pnr_to_sigma2, run_trial, sweep)
 from .manifold import CgOptions, CirclePoint, FixedRankPoint, cg_minimize
-from .mo_est import MoEstConfig, MoEstResult, mo_est, tune_mu
+from .mo_est import MoEstConfig, MoEstResult, mo_est
 from .wmmse import (BeamformingSolution, DownlinkScenario, alt_wmmse,
                     spectral_efficiency)
 
@@ -25,5 +25,5 @@ __all__ = [
     "build_dictionaries", "cascaded", "cg_minimize", "cs_est",
     "effective_channel", "make_pilots", "mo_est", "nmse", "parse_config",
     "pnr_to_sigma2", "run_trial", "sample_paths", "simulate_uplink",
-    "spectral_efficiency", "sweep", "tune_mu",
+    "spectral_efficiency", "sweep",
 ]

@@ -83,6 +83,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sweep_axis {self.sweep_axis!r}")
         if len(self.sweep_values) == 0:
             raise ConfigError("sweep_values must be non-empty")
+        if self.sweep_axis in ("T", "K_hat") and not all(
+                float(v).is_integer() for v in self.sweep_values):
+            raise ConfigError(f"{self.sweep_axis} sweep values must be "
+                              "integers")
+        if self.sweep_axis == "K_hat" and min(self.sweep_values) < 1:
+            raise ConfigError("K_hat sweep values must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.threads < 1:

@@ -2,7 +2,13 @@
 matrices of fixed rank r (factored as u @ diag(s) @ v^H) and the complex
 circle (vectors with unit-modulus entries).
 
-Gradient convention: callbacks return the conjugate Wirtinger gradient
+Problem contract: `cg_minimize` takes one callback, cost_grad(x) ->
+(f, egrad). f is the real cost at x; egrad is a zero-argument callable
+returning the gradient at x, so it can reuse the forward pass of the cost.
+The solver evaluates cost_grad once per trial point and calls egrad only
+at accepted points.
+
+Gradient convention: egrad returns the conjugate Wirtinger gradient
 J = df/d(conj(X)), so the directional derivative of the real cost along a
 tangent t is 2 * Re<J, t>. The Riemannian gradient is the tangent
 projection of J and line-search slopes carry the factor 2.
@@ -149,11 +155,6 @@ def project_tangent(x: FixedRankPoint, j: np.ndarray) -> TangentVector:
     return TangentVector(m_core, u_p, v_p, x)
 
 
-def riemannian_grad(x: FixedRankPoint, egrad: np.ndarray) -> TangentVector:
-    """Tangent projection of the conjugate Euclidean gradient."""
-    return project_tangent(x, egrad)
-
-
 def transport(d_prev: TangentVector, x_new: FixedRankPoint) -> TangentVector:
     """Vector transport by projection onto the tangent space at x_new."""
     if x_new is d_prev.anchor:
@@ -246,8 +247,8 @@ class CircleManifold:
         return float(np.vdot(t1, t2).real)
 
 
-def _line_search(manifold, cost, x, f0, d, slope, step0, opts):
-    """Armijo backtracking; returns (x_new, f_new, step) or None."""
+def _line_search(manifold, cost_grad, x, f0, d, slope, step0, opts):
+    """Armijo backtracking; returns (x_new, f_new, egrad_new, step) or None."""
     step = step0
     for _ in range(opts.max_backtracks):
         try:
@@ -255,34 +256,37 @@ def _line_search(manifold, cost, x, f0, d, slope, step0, opts):
         except DegenerateStep:
             step *= opts.contraction
             continue
-        f_new = cost(x_new)
+        f_new, egrad = cost_grad(x_new)
         if f_new <= f0 + opts.sufficient_decrease * step * slope:
-            return x_new, f_new, step
+            return x_new, f_new, egrad, step
         step *= opts.contraction
     return None
 
 
-def cg_minimize(manifold, cost, egrad, x0, opts: CgOptions) -> CgResult:
+def cg_minimize(manifold, cost_grad, x0, opts: CgOptions) -> CgResult:
     """Riemannian conjugate gradient with Polak-Ribiere+ directions.
 
     Args:
         manifold: ops object with project/retract/transport/inner.
-        cost: point -> real objective value.
-        egrad: point -> conjugate Euclidean gradient (ambient array).
+        cost_grad: point -> (real objective value, egrad), where egrad()
+            returns the conjugate Euclidean gradient (ambient array) at
+            that point. Called once per trial point of the line search;
+            egrad is called only at x0 and at accepted points.
         x0: starting point on the manifold.
         opts: line-search and termination settings.
 
     Returns:
-        CgResult; trace[0] is cost(x0), trace is non-increasing. Stops when
-        the per-iteration decrease drops to opts.epsilon or below, the
+        CgResult; trace[0] is the cost at x0, trace is non-increasing. Stops
+        when the per-iteration decrease drops to opts.epsilon or below, the
         gradient vanishes, or max_iters is reached. A failed line search
         retries along steepest descent once, then sets stalled.
     """
     x = x0
-    f = float(cost(x))
+    f, egrad = cost_grad(x)
+    f = float(f)
     if not np.isfinite(f):
         raise ValueError("cost not finite at the starting point")
-    g = manifold.project(x, egrad(x))
+    g = manifold.project(x, egrad())
     d = -g
     trace = [f]
     step_init = opts.initial_step
@@ -300,16 +304,17 @@ def cg_minimize(manifold, cost, egrad, x0, opts: CgOptions) -> CgResult:
         if slope >= 0.0:
             d = -g
             slope = -2.0 * gnorm2
-        hit = _line_search(manifold, cost, x, f, d, slope, step_init, opts)
+        hit = _line_search(manifold, cost_grad, x, f, d, slope, step_init,
+                           opts)
         if hit is None and manifold.inner(x, d + g, d + g) > 0:
             d = -g
-            hit = _line_search(manifold, cost, x, f, d, -2.0 * gnorm2,
+            hit = _line_search(manifold, cost_grad, x, f, d, -2.0 * gnorm2,
                                step_init, opts)
         if hit is None:
             stalled = True
             break
-        x_new, f_new, step = hit
-        g_new = manifold.project(x_new, egrad(x_new))
+        x_new, f_new, egrad, step = hit
+        g_new = manifold.project(x_new, egrad())
         g_old_t = manifold.transport(x_new, g)
         eta = max(0.0, manifold.inner(x_new, g_new, g_new + (-1.0) * g_old_t)
                   / gnorm2)
@@ -331,12 +336,4 @@ def random_fixed_rank(n: int, m: int, r: int,
     a = (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
     b = (rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m)))
     u, s, v = truncated_svd(a @ b / np.sqrt(2.0 * n), r)
-    return FixedRankPoint(u, s, v)
-
-
-def from_dense(a: np.ndarray, r: int) -> FixedRankPoint:
-    """Best rank-r point approximating a dense matrix."""
-    u, s, v = truncated_svd(a, r)
-    if s[r - 1] <= 1e-12 * s[0]:
-        raise ValueError(f"matrix has numerical rank below {r}")
     return FixedRankPoint(u, s, v)

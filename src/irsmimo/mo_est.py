@@ -15,7 +15,7 @@ reported trace is the objective of the normalized problem, c^-2 times the
 physical objective.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,32 +104,49 @@ def objective_f(g_hat, h_hat, pilots: PilotBlock, dicts: Dictionaries,
     return val
 
 
+def _fit_l1(x: np.ndarray, resid: np.ndarray, back, mu: float,
+            a: np.ndarray, b: np.ndarray):
+    """Subproblem cost ||resid||_F^2 + mu ||vec(a^H x b)||_1 and a callable
+    for its conjugate Euclidean gradient back(resid) + (mu/2) a y b^H, with
+    y the phase of a^H x b. The gradient reuses resid and a^H x b."""
+    z = a.conj().T @ x @ b
+    cost = float(np.sum(np.abs(resid) ** 2)) + mu * float(np.sum(np.abs(z)))
+
+    def egrad() -> np.ndarray:
+        grad = back(resid)
+        if mu > 0:
+            grad = grad + 0.5 * mu * (a @ _phase(z) @ b.conj().T)
+        return grad
+
+    return cost, egrad
+
+
+def _cost_grad_g(x: np.ndarray, r_mat: np.ndarray, f_mat: np.ndarray,
+                 mu_g: float, dicts: Dictionaries):
+    return _fit_l1(x, x @ f_mat - r_mat, lambda e: e @ f_mat.conj().T,
+                   mu_g, dicts.a_bs, dicts.a_i)
+
+
+def _cost_grad_h(h_hat: np.ndarray, g_hat: np.ndarray, pilots: PilotBlock,
+                 mu_h: float, dicts: Dictionaries):
+    s, v = pilots.s, pilots.v
+    return _fit_l1(h_hat, g_hat @ (v * (h_hat @ s)) - pilots.r,
+                   lambda e: (v.conj() * (g_hat.conj().T @ e)) @ s.conj().T,
+                   mu_h, dicts.a_i, dicts.a_ue)
+
+
 def egrad_g(x: np.ndarray, r_mat: np.ndarray, f_mat: np.ndarray,
             mu_g: float, dicts: Dictionaries) -> np.ndarray:
     """Conjugate Euclidean gradient of the g-subproblem objective
     ||r_mat - x f_mat||_F^2 + mu_g ||vec(a_bs^H x a_i)||_1."""
-    grad = (x @ f_mat - r_mat) @ f_mat.conj().T
-    if mu_g > 0:
-        y = _phase(dicts.a_bs.conj().T @ x @ dicts.a_i)
-        grad = grad + 0.5 * mu_g * (dicts.a_bs @ y @ dicts.a_i.conj().T)
-    return grad
+    return _cost_grad_g(x, r_mat, f_mat, mu_g, dicts)[1]()
 
 
 def egrad_h(h_hat: np.ndarray, g_hat: np.ndarray, pilots: PilotBlock,
             mu_h: float, dicts: Dictionaries) -> np.ndarray:
     """Conjugate Euclidean gradient of the h-subproblem objective
     sum_t ||r_t - g diag(v_t) h s_t||^2 + mu_h ||vec(a_i^H h a_ue)||_1."""
-    s, v = pilots.s, pilots.v
-    resid = g_hat @ (v * (h_hat @ s)) - pilots.r
-    grad = (v.conj() * (g_hat.conj().T @ resid)) @ s.conj().T
-    if mu_h > 0:
-        y = _phase(dicts.a_i.conj().T @ h_hat @ dicts.a_ue)
-        grad = grad + 0.5 * mu_h * (dicts.a_i @ y @ dicts.a_ue.conj().T)
-    return grad
-
-
-def _l1(a: np.ndarray) -> float:
-    return float(np.sum(np.abs(a)))
+    return _cost_grad_h(h_hat, g_hat, pilots, mu_h, dicts)[1]()
 
 
 def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
@@ -149,89 +166,40 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
     c = float(np.linalg.norm(pilots.r)) / np.sqrt(t)
     if c == 0.0:
         c = 1.0
-    r_norm = pilots.r / c
-    norm_pilots = PilotBlock(pilots.s, pilots.v, r_norm,
-                             pilots.sigma2 / c ** 2, pilots.p_tr)
     sigma2n = pilots.sigma2 / c ** 2
+    norm_pilots = PilotBlock(pilots.s, pilots.v, pilots.r / c, sigma2n,
+                             pilots.p_tr)
     mu_g = 1e-2 * sigma2n * t if cfg.mu_g is None else cfg.mu_g / c
     mu_h = 1e-2 * sigma2n * t if cfg.mu_h is None else cfg.mu_h / c ** 2
+    norm_cfg = replace(cfg, mu_g=mu_g, mu_h=mu_h)
 
     g_hat = random_fixed_rank(n_bs, m, cfg.p_hat, rng)
     h_hat = random_fixed_rank(m, n_ue, cfg.q_hat, rng)
     inner_opts = CgOptions(epsilon=cfg.eps_inner, max_iters=cfg.max_inner)
 
-    def full_objective(g: FixedRankPoint, h: FixedRankPoint) -> float:
-        resid = r_norm - g.dense @ (pilots.v * (h.dense @ pilots.s))
-        return (float(np.sum(np.abs(resid) ** 2))
-                + mu_g * _l1(dicts.a_bs.conj().T @ g.dense @ dicts.a_i)
-                + mu_h * _l1(dicts.a_i.conj().T @ h.dense @ dicts.a_ue))
-
-    trace = [full_objective(g_hat, h_hat)]
+    trace = [objective_f(g_hat, h_hat, norm_pilots, dicts, norm_cfg)]
     stalled = False
     iters = 0
     for iters in range(1, cfg.max_outer + 1):
         f_mat = pilots.v * (h_hat.dense @ pilots.s)
-
-        def cost_g(x: FixedRankPoint) -> float:
-            return (float(np.sum(np.abs(r_norm - x.dense @ f_mat) ** 2))
-                    + mu_g * _l1(dicts.a_bs.conj().T @ x.dense @ dicts.a_i))
-
         res: CgResult = cg_minimize(
-            FixedRankManifold, cost_g,
-            lambda x: egrad_g(x.dense, r_norm, f_mat, mu_g, dicts),
+            FixedRankManifold,
+            lambda x: _cost_grad_g(x.dense, norm_pilots.r, f_mat, mu_g, dicts),
             g_hat, inner_opts)
         g_hat = res.x
         stalled = stalled or res.stalled
 
-        def cost_h(h: FixedRankPoint) -> float:
-            resid = r_norm - g_hat.dense @ (pilots.v * (h.dense @ pilots.s))
-            return (float(np.sum(np.abs(resid) ** 2))
-                    + mu_h * _l1(dicts.a_i.conj().T @ h.dense @ dicts.a_ue))
-
         res = cg_minimize(
-            FixedRankManifold, cost_h,
-            lambda h: egrad_h(h.dense, g_hat.dense, norm_pilots, mu_h, dicts),
+            FixedRankManifold,
+            lambda h: _cost_grad_h(h.dense, g_hat.dense, norm_pilots, mu_h,
+                                   dicts),
             h_hat, inner_opts)
         h_hat = res.x
         stalled = stalled or res.stalled
 
-        trace.append(full_objective(g_hat, h_hat))
+        trace.append(objective_f(g_hat, h_hat, norm_pilots, dicts, norm_cfg))
         if trace[-2] - trace[-1] <= cfg.eps_outer:
             break
 
     g_phys = FixedRankPoint(g_hat.u, c * g_hat.s, g_hat.v)
     return MoEstResult(g_phys, h_hat, trace, iters, stalled)
-
-
-def tune_mu(pilots: PilotBlock, dicts: Dictionaries,
-            grid: list[tuple[float, float]], cfg: MoEstConfig,
-            rng: np.random.Generator) -> tuple[float, float]:
-    """Pick the (mu_g, mu_h) pair with the lowest held-out residual.
-
-    Trains on the first 75% of slots and scores the unregularized fit on
-    the remainder; ties resolve to the earliest grid entry, and every pair
-    starts from the same rng state.
-    """
-    if len(grid) == 0:
-        raise ValueError("empty mu grid")
-    t = pilots.t
-    t_train = max(1, min(t - 1, int(np.ceil(0.75 * t))))
-    train = PilotBlock(pilots.s[:, :t_train], pilots.v[:, :t_train],
-                       pilots.r[:, :t_train], pilots.sigma2, pilots.p_tr)
-    s_out, v_out, r_out = (pilots.s[:, t_train:], pilots.v[:, t_train:],
-                           pilots.r[:, t_train:])
-    seed = int(rng.integers(2 ** 63))
-
-    best = None
-    best_val = np.inf
-    for mu_g, mu_h in grid:
-        run_cfg = MoEstConfig(cfg.p_hat, cfg.q_hat, mu_g, mu_h,
-                              cfg.eps_inner, cfg.eps_outer,
-                              cfg.max_outer, cfg.max_inner)
-        res = mo_est(train, dicts, run_cfg, np.random.default_rng(seed))
-        resid = r_out - res.g_hat.dense @ (v_out * (res.h_hat.dense @ s_out))
-        val = float(np.sum(np.abs(resid) ** 2))
-        if val < best_val:
-            best_val = val
-            best = (mu_g, mu_h)
-    return best

@@ -122,31 +122,34 @@ def update_f(h_e: np.ndarray, w: np.ndarray, omega: np.ndarray,
     return f_tilde / norm, False
 
 
-def _t_matrix(h_e: np.ndarray, f: np.ndarray, omega: np.ndarray,
-              sigma2_d: float) -> np.ndarray:
+def _g1_cost_grad(v_d, h_c: np.ndarray, f: np.ndarray, omega_inv: np.ndarray,
+                  scen: DownlinkScenario):
+    """(g1, egrad) at v_d for cg_minimize; see g1_objective and egrad_v.
+    egrad() reuses h_e f and t^{-1} from the cost."""
+    h_e = effective_channel(h_c, _as_vector(v_d), scen.geom)
     hf = h_e @ f
-    omega_inv = np.linalg.inv(omega)
-    return omega_inv + (omega_inv @ hf.conj().T @ hf) / sigma2_d
+    t_inv = np.linalg.inv(omega_inv + (omega_inv @ hf.conj().T @ hf)
+                          / scen.sigma2_d)
+
+    def egrad() -> np.ndarray:
+        inner = hf @ t_inv @ t_inv @ omega_inv @ f.conj().T
+        return -(h_c.T @ vec(inner.T)) / scen.sigma2_d
+
+    return float(np.trace(t_inv).real), egrad
 
 
 def g1_objective(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
                  scen: DownlinkScenario) -> float:
     """Reduced weighted-MSE objective tr(t^{-1}) with the receive filter
     eliminated; t = omega^{-1} + omega^{-1} f^H h_e^H h_e f / sigma2_d."""
-    h_e = effective_channel(h_c, _as_vector(v_d), scen.geom)
-    t = _t_matrix(h_e, f, omega, scen.sigma2_d)
-    return float(np.trace(np.linalg.inv(t)).real)
+    return _g1_cost_grad(v_d, h_c, f, np.linalg.inv(omega), scen)[0]
 
 
 def egrad_v(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
             scen: DownlinkScenario) -> np.ndarray:
     """Conjugate gradient of g1 with respect to the reflection vector:
     -(1/sigma2_d) * h_c.T @ vec((h_e f t^{-2} omega^{-1} f^H).T)."""
-    h_e = effective_channel(h_c, _as_vector(v_d), scen.geom)
-    t = _t_matrix(h_e, f, omega, scen.sigma2_d)
-    t_inv = np.linalg.inv(t)
-    inner = h_e @ f @ t_inv @ t_inv @ np.linalg.inv(omega) @ f.conj().T
-    return -(h_c.T @ vec(inner.T)) / scen.sigma2_d
+    return _g1_cost_grad(v_d, h_c, f, np.linalg.inv(omega), scen)[1]()
 
 
 def wmmse_objective(h_e: np.ndarray, f: np.ndarray, w: np.ndarray,
@@ -187,10 +190,10 @@ def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
     iters = 0
     for iters in range(1, max_outer + 1):
         if optimize_v:
+            omega_inv = np.linalg.inv(omega)
             res = cg_minimize(
                 CircleManifold,
-                lambda p: g1_objective(p, scen.h_c, f, omega, scen),
-                lambda p: egrad_v(p, scen.h_c, f, omega, scen),
+                lambda p: _g1_cost_grad(p, scen.h_c, f, omega_inv, scen),
                 v, opts)
             v = res.x
             stalled = stalled or res.stalled

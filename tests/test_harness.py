@@ -55,6 +55,8 @@ class TestConfig:
         "algorithm = genie", "sweep_axis = D",
         "sweep_values = ", "trials = 0", "threads = 0", "k_true = 0",
         "t = 3000", "d_bi = 0",
+        "sweep_values = 20.7", "sweep_axis = K_hat\nsweep_values = 2.5",
+        "sweep_axis = K_hat\nsweep_values = 0",
     ])
     def test_bad_configs_rejected(self, text):
         with pytest.raises(ConfigError):

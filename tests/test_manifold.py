@@ -14,9 +14,9 @@ from conftest import cgauss
 from irsmimo.manifold import (CgOptions, CircleManifold, CirclePoint,
                               DegenerateStep, FixedRankManifold,
                               FixedRankPoint, TangentVector, cg_minimize,
-                              circle_project, circle_retract, from_dense,
+                              circle_project, circle_retract,
                               project_tangent, random_fixed_rank, retract,
-                              riemannian_grad, transport)
+                              transport)
 from irsmimo.numerics import random_unit_modulus, truncated_svd
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -160,7 +160,7 @@ def test_riemannian_grad_directional_derivative():
     def cost(pt):
         return float(np.linalg.norm(pt - a) ** 2)
 
-    grad = riemannian_grad(x, x.dense - a)
+    grad = project_tangent(x, x.dense - a)
     t = project_tangent(x, cgauss(rng, (8, 6)))
     eps = 1e-6
     fd = (cost(x.dense + eps * t.embed())
@@ -196,12 +196,16 @@ def test_circle_retract_cases():
         circle_retract(v, -v.v, 1.0)
 
 
+def _sq_dist(b):
+    """cost_grad of ||X - b||_F^2 on the fixed-rank manifold."""
+    return lambda p: (float(np.linalg.norm(p.dense - b) ** 2),
+                      lambda: p.dense - b)
+
+
 def test_cg_converges_to_rank_r_target():
     rng = np.random.default_rng(11)
     target = random_fixed_rank(8, 6, 2, rng).dense
-    res = cg_minimize(FixedRankManifold,
-                      lambda p: float(np.linalg.norm(p.dense - target) ** 2),
-                      lambda p: p.dense - target,
+    res = cg_minimize(FixedRankManifold, _sq_dist(target),
                       random_fixed_rank(8, 6, 2, rng),
                       CgOptions(epsilon=1e-12, max_iters=300))
     assert res.trace[-1] < 1e-8
@@ -214,9 +218,7 @@ def test_cg_reaches_eckart_young_floor():
         b = cgauss(rng, (6, 5))
         sig = np.linalg.svd(b, compute_uv=False)
         floor = float(np.sum(sig[2:] ** 2))
-        res = cg_minimize(FixedRankManifold,
-                          lambda p: float(np.linalg.norm(p.dense - b) ** 2),
-                          lambda p: p.dense - b,
+        res = cg_minimize(FixedRankManifold, _sq_dist(b),
                           random_fixed_rank(6, 5, 2, rng),
                           CgOptions(epsilon=1e-14, max_iters=500))
         assert abs(res.trace[-1] - floor) < 1e-6
@@ -228,12 +230,10 @@ def test_cg_trace_monotone_many_seeds():
         b = cgauss(rng, (7, 5))
         x0 = random_fixed_rank(7, 5, 2, rng)
 
-        def cost(p):
-            return float(np.linalg.norm(p.dense - b) ** 2)
-
-        res = cg_minimize(FixedRankManifold, cost, lambda p: p.dense - b,
-                          x0, CgOptions(epsilon=1e-10, max_iters=100))
-        assert res.trace[0] == cost(x0)
+        cost_grad = _sq_dist(b)
+        res = cg_minimize(FixedRankManifold, cost_grad, x0,
+                          CgOptions(epsilon=1e-10, max_iters=100))
+        assert res.trace[0] == cost_grad(x0)[0]
         assert all(a >= b_ - 1e-12 for a, b_ in zip(res.trace, res.trace[1:]))
         assert len(res.trace) == res.iters + 1
 
@@ -242,8 +242,8 @@ def test_cg_on_circle_manifold():
     rng = np.random.default_rng(12)
     y = random_unit_modulus(10, rng)
     res = cg_minimize(CircleManifold,
-                      lambda p: float(np.linalg.norm(p.v - y) ** 2),
-                      lambda p: p.v - y,
+                      lambda p: (float(np.linalg.norm(p.v - y) ** 2),
+                                 lambda: p.v - y),
                       CirclePoint(random_unit_modulus(10, rng)),
                       CgOptions(epsilon=1e-12, max_iters=200))
     assert res.trace[-1] < 1e-8
@@ -253,9 +253,7 @@ def test_cg_on_circle_manifold():
 def test_cg_epsilon_stops_early():
     rng = np.random.default_rng(13)
     b = cgauss(rng, (6, 4))
-    res = cg_minimize(FixedRankManifold,
-                      lambda p: float(np.linalg.norm(p.dense - b) ** 2),
-                      lambda p: p.dense - b,
+    res = cg_minimize(FixedRankManifold, _sq_dist(b),
                       random_fixed_rank(6, 4, 2, rng),
                       CgOptions(epsilon=1e12, max_iters=100))
     assert res.iters == 1
@@ -265,8 +263,9 @@ def test_cg_rejects_nonfinite_start():
     rng = np.random.default_rng(14)
     x0 = random_fixed_rank(4, 4, 1, rng)
     with pytest.raises(ValueError):
-        cg_minimize(FixedRankManifold, lambda p: float("nan"),
-                    lambda p: p.dense, x0, CgOptions())
+        cg_minimize(FixedRankManifold,
+                    lambda p: (float("nan"), lambda: p.dense), x0,
+                    CgOptions())
 
 
 def test_cg_options_validation():
@@ -278,13 +277,31 @@ def test_cg_options_validation():
         CgOptions(sufficient_decrease=0.9)
 
 
-def test_from_dense():
-    rng = np.random.default_rng(15)
-    a = cgauss(rng, (6, 5))
-    x = from_dense(a, 3)
-    x.validate()
-    u, s, v = truncated_svd(a, 3)
-    np.testing.assert_allclose(x.dense, (u * s) @ v.conj().T, atol=1e-12)
-    rank2 = cgauss(rng, (6, 2)) @ cgauss(rng, (2, 5))
-    with pytest.raises(ValueError):
-        from_dense(rank2, 3)
+def test_cg_evaluates_each_point_once():
+    rng = np.random.default_rng(16)
+    b = cgauss(rng, (7, 5))
+    calls = {"cost_grad": 0, "egrad": 0, "retract": 0}
+
+    def cost_grad(p):
+        calls["cost_grad"] += 1
+
+        def egrad():
+            calls["egrad"] += 1
+            return p.dense - b
+
+        return float(np.linalg.norm(p.dense - b) ** 2), egrad
+
+    class CountingManifold(FixedRankManifold):
+        @staticmethod
+        def retract(x, d, step):
+            x_new = retract(x, d, step)  # a DegenerateStep is not counted
+            calls["retract"] += 1
+            return x_new
+
+    # initial_step 4 overshoots, so line searches reject trial points.
+    res = cg_minimize(CountingManifold, cost_grad,
+                      random_fixed_rank(7, 5, 2, rng),
+                      CgOptions(epsilon=1e-10, max_iters=60,
+                                initial_step=4.0))
+    assert calls["egrad"] == len(res.trace) < calls["cost_grad"]
+    assert calls["cost_grad"] == calls["retract"] + 1

@@ -6,10 +6,9 @@ import pytest
 from irsmimo.channel import (PilotBlock, SystemGeometry, build_dictionaries,
                              make_pilots, sample_paths, simulate_uplink,
                              synth_channels)
-from irsmimo.manifold import from_dense, project_tangent, riemannian_grad
-from irsmimo.mo_est import (MoEstConfig, egrad_g, egrad_h, mo_est,
-                            objective_f, tune_mu)
-from irsmimo.numerics import khatri_rao
+from irsmimo.manifold import FixedRankPoint, project_tangent
+from irsmimo.mo_est import MoEstConfig, egrad_g, egrad_h, mo_est, objective_f
+from irsmimo.numerics import khatri_rao, truncated_svd
 
 from conftest import cgauss
 
@@ -135,8 +134,8 @@ class TestEuclideanGradients:
         mu_g = 0.3
         cfg = MoEstConfig(3, 2, mu_g, 0.0)
         f_mat = pil.v * (h0 @ pil.s)
-        x = from_dense(g0, 3)
-        grad = riemannian_grad(x, egrad_g(x.dense, pil.r, f_mat, mu_g,
+        x = FixedRankPoint(*truncated_svd(g0, 3))
+        grad = project_tangent(x, egrad_g(x.dense, pil.r, f_mat, mu_g,
                                           SMALL_DICTS))
         ge = grad.embed()
         eps = 1e-6
@@ -211,52 +210,6 @@ class TestEstimator:
         with pytest.raises(ValueError, match="unitary"):
             mo_est(pil, dicts, MoEstConfig(2, 2, 0.0, 0.0),
                    np.random.default_rng(0))
-
-
-class TestTuneMu:
-    GRID = [(0.0, 0.0), (1e-10, 1e-10), (1e-6, 1e-6)]
-
-    def test_matches_heldout_reimplementation(self):
-        ch, pil = _physical_problem(seed=5, t=40, sigma2=1e-12, geom=SMALL)
-        cfg = MoEstConfig(2, 2)
-        pick = tune_mu(pil, SMALL_DICTS, self.GRID, cfg,
-                       np.random.default_rng(7))
-
-        t_train = max(1, min(pil.t - 1, int(np.ceil(0.75 * pil.t))))
-        train = PilotBlock(pil.s[:, :t_train], pil.v[:, :t_train],
-                           pil.r[:, :t_train], pil.sigma2, pil.p_tr)
-        seed = int(np.random.default_rng(7).integers(2 ** 63))
-        vals = []
-        for mu_g, mu_h in self.GRID:
-            res = mo_est(train, SMALL_DICTS, MoEstConfig(2, 2, mu_g, mu_h),
-                         np.random.default_rng(seed))
-            resid = (pil.r[:, t_train:]
-                     - res.g_hat.dense @ (pil.v[:, t_train:]
-                                          * (res.h_hat.dense
-                                             @ pil.s[:, t_train:])))
-            vals.append(float(np.sum(np.abs(resid) ** 2)))
-        assert pick == self.GRID[int(np.argmin(vals))]
-
-    def test_deterministic_given_rng_seed(self):
-        ch, pil = _physical_problem(seed=6, t=24, sigma2=1e-12, geom=SMALL)
-        cfg = MoEstConfig(2, 2)
-        first = tune_mu(pil, SMALL_DICTS, self.GRID, cfg,
-                        np.random.default_rng(21))
-        second = tune_mu(pil, SMALL_DICTS, self.GRID, cfg,
-                         np.random.default_rng(21))
-        assert first == second
-
-    def test_singleton_grid_returned(self):
-        ch, pil = _physical_problem(seed=7, t=16, sigma2=1e-12, geom=SMALL)
-        pick = tune_mu(pil, SMALL_DICTS, [(0.25, 0.5)], MoEstConfig(2, 2),
-                       np.random.default_rng(0))
-        assert pick == (0.25, 0.5)
-
-    def test_empty_grid_rejected(self):
-        ch, pil = _physical_problem(seed=8, t=16, sigma2=1e-12, geom=SMALL)
-        with pytest.raises(ValueError, match="empty"):
-            tune_mu(pil, SMALL_DICTS, [], MoEstConfig(2, 2),
-                    np.random.default_rng(0))
 
 
 class TestConfig:
