@@ -8,6 +8,11 @@ and reassembles
 
     h_c_hat = kron(conj(a_ue_bar), a_bs_bar) @ lam_mat @ a_i.T
 
+The stage-3 sensing matrix has Kronecker-structured row blocks, so it is
+never formed: KronSensing applies its adjoint as a contraction of the
+factors and builds only the columns OMP selects. Its size is therefore
+not capped.
+
 All dictionary/gain scale factors are absorbed by the least-squares refits,
 so only atom identities matter in stages 1-2.
 """
@@ -42,15 +47,13 @@ class FlopCounter:
 class CsEstConfig:
     """Protocol and sparsity settings.
 
-    t1 of None resolves to ceil(t/4) at run time. Grid resolutions travel
-    with the Dictionaries object. max_sense_cols bounds the stage-3 sensing
-    matrix width (g_i * p_hat * q_hat columns are materialized densely).
+    t1 of None resolves to ceil(t/4) at run time (see resolve_t1). Grid
+    resolutions travel with the Dictionaries object.
     """
 
     p_hat: int = 3
     q_hat: int = 3
     t1: int | None = None
-    max_sense_cols: int = 100_000
 
     def __post_init__(self):
         if self.p_hat < 1 or self.q_hat < 1:
@@ -85,7 +88,65 @@ class CsEstResult:
     flops: dict[str, float] = field(default_factory=dict)
 
 
-def omp_mmv(theta: np.ndarray, obs: np.ndarray, k: int,
+class KronSensing:
+    """Stage-3 sensing matrix, never formed.
+
+    Row block t (n_bs rows) is kron(c_all[:, t], kron(su[t], a_bs_bar)), so
+    column gi*kk + q*p_hat + p, with kk = q_hat*p_hat, holds
+    c_all[gi, t] * su[t, q] * a_bs_bar[:, p] in block t.
+
+    Args:
+        c_all: (g_i, t) IRS-grid responses a_i.T @ v.
+        su: (t, q_hat) pilot responses s.T @ conj(a_ue_bar).
+        a_bs_bar: (n_bs, p_hat) selected BS atoms.
+    """
+
+    def __init__(self, c_all: np.ndarray, su: np.ndarray,
+                 a_bs_bar: np.ndarray):
+        self.c_all, self.su, self.a_bs_bar = c_all, su, a_bs_bar
+        n_bs, p_hat = a_bs_bar.shape
+        g_i, t = c_all.shape
+        self.shape = (n_bs * t, g_i * su.shape[1] * p_hat)
+
+    def adjoint(self, res: np.ndarray, cnt: FlopCounter) -> np.ndarray:
+        """theta^H res for res of shape (rows, L), as (cols, L)."""
+        n_bs, p_hat = self.a_bs_bar.shape
+        g_i, t = self.c_all.shape
+        kk = self.su.shape[1] * p_hat
+        n_obs = res.shape[1]
+        y = self.a_bs_bar.conj().T @ res.reshape(t, n_bs, n_obs)
+        cnt.add(p_hat, n_bs, t * n_obs)                        # (t, p, L)
+        z = self.su.conj()[:, :, None, None] * y[:, None]       # (t, q, p, L)
+        cnt.add(t * kk, 1, n_obs)
+        psi = cnt.mm(self.c_all.conj(), z.reshape(t, kk * n_obs))
+        return psi.reshape(g_i * kk, n_obs)
+
+    def columns(self, idx: list[int], cnt: FlopCounter) -> np.ndarray:
+        """The selected columns, multiplied in np.kron's order so they are
+        bit-identical to the columns of the formed matrix."""
+        p_hat = self.a_bs_bar.shape[1]
+        gi, qp = np.divmod(idx, self.su.shape[1] * p_hat)
+        q, p = np.divmod(qp, p_hat)
+        b = self.su[:, None, q] * self.a_bs_bar[None, :, p]    # (t, n_bs, k)
+        cols = self.c_all[gi].T[:, None, :] * b
+        cnt.add(self.shape[0], 1, len(idx))
+        return cols.reshape(self.shape[0], len(idx))
+
+
+class _DenseSensing:
+    """A formed sensing matrix behind the operations omp_mmv uses."""
+
+    def __init__(self, theta: np.ndarray):
+        self.theta, self.shape = theta, theta.shape
+
+    def adjoint(self, res: np.ndarray, cnt: FlopCounter) -> np.ndarray:
+        return cnt.mm(self.theta.conj().T, res)
+
+    def columns(self, idx: list[int], cnt: FlopCounter) -> np.ndarray:
+        return self.theta[:, idx]
+
+
+def omp_mmv(theta: np.ndarray | KronSensing, obs: np.ndarray, k: int,
             counter: FlopCounter | None = None) -> OmpResult:
     """Orthogonal matching pursuit with multiple measurement vectors.
 
@@ -94,10 +155,16 @@ def omp_mmv(theta: np.ndarray, obs: np.ndarray, k: int,
     index), then refits all selected atoms against the original
     observation by least squares.
 
+    theta is a dense array or an operator with `shape`, `adjoint(res,
+    cnt)` (theta^H res) and `columns(idx, cnt)` (theta[:, idx]); OMP
+    touches the sensing matrix only through these two operations.
+
     Raises:
         np.linalg.LinAlgError: selected atoms are numerically collinear
             (Gram condition number above GRAM_COND_LIMIT).
     """
+    if isinstance(theta, np.ndarray):
+        theta = _DenseSensing(theta)
     if obs.ndim == 1:
         obs = obs[:, None]
     if theta.shape[0] != obs.shape[0]:
@@ -111,11 +178,11 @@ def omp_mmv(theta: np.ndarray, obs: np.ndarray, k: int,
     res_trace = [float(np.linalg.norm(obs))]
     coeffs = np.zeros((0, obs.shape[1]), dtype=complex)
     for _ in range(k):
-        psi = cnt.mm(theta.conj().T, res)
+        psi = theta.adjoint(res, cnt)
         metric = np.sum(np.abs(psi) ** 2, axis=1)
         metric[support] = -1.0
         support.append(int(np.argmax(metric)))
-        sel = theta[:, support]
+        sel = theta.columns(support, cnt)
         gram = cnt.mm(sel.conj().T, sel)
         if np.linalg.cond(gram) > GRAM_COND_LIMIT:
             raise np.linalg.LinAlgError(
@@ -135,7 +202,7 @@ def stage1_ue_aods(pilots: PilotBlock, dicts: Dictionaries, cfg: CsEstConfig,
     for one common row-sparse gamma, so omp_mmv on (s^H a_ue, r^H) finds
     the q_hat active columns of a_ue.
     """
-    t1 = _resolve_t1(cfg, pilots.t)
+    t1 = resolve_t1(cfg.t1, pilots.t)
     cnt = counter if counter is not None else FlopCounter()
     s1 = pilots.s[:, :t1]
     theta = cnt.mm(s1.conj().T, dicts.a_ue)
@@ -181,35 +248,23 @@ def stage3_gains(pilots: PilotBlock, a_ue_bar: np.ndarray,
     """Sparse recovery of the cascaded gains on the IRS grid.
 
     Slot t contributes r_t = (kron(c_t.T, b_t)) lam with c_t = a_i.T v_t
-    and b_t = kron(s_t.T conj(a_ue_bar), a_bs_bar); the slots are stacked
-    into one tall system solved by omp_mmv with k = p_hat * q_hat.
+    and b_t = kron(s_t.T conj(a_ue_bar), a_bs_bar); the slots stack into
+    one tall system, held as a KronSensing operator and never formed,
+    solved by omp_mmv with k = p_hat * q_hat.
 
     Returns (lam, h_c_hat, omp_result).
-
-    Raises:
-        ValueError: sensing matrix wider than cfg.max_sense_cols.
     """
     cnt = counter if counter is not None else FlopCounter()
-    n_bs, t = pilots.r.shape
     g_i = dicts.a_i.shape[1]
     kk = a_ue_bar.shape[1] * a_bs_bar.shape[1]
-    n_cols = g_i * kk
-    if n_cols > cfg.max_sense_cols:
-        raise ValueError(
-            f"stage-3 sensing matrix has {n_cols} columns, above the "
-            f"max_sense_cols budget {cfg.max_sense_cols}")
 
     c_all = cnt.mm(dicts.a_i.T, pilots.v)                      # (g_i, t)
     su = cnt.mm(pilots.s.T, a_ue_bar.conj())                   # (t, q_hat)
-    theta = np.empty((n_bs * t, n_cols), dtype=complex)
-    for ti in range(t):
-        b_t = np.kron(su[ti], a_bs_bar)                        # (n_bs, kk)
-        theta[ti * n_bs:(ti + 1) * n_bs] = np.kron(c_all[:, ti], b_t)
-        cnt.add(n_bs, 1, n_cols)
+    theta = KronSensing(c_all, su, a_bs_bar)
     obs = pilots.r.reshape(-1, order="F")
 
     res = omp_mmv(theta, obs, kk, cnt)
-    lam = np.zeros(n_cols, dtype=complex)
+    lam = np.zeros(theta.shape[1], dtype=complex)
     lam[res.support] = res.coeffs[:, 0]
     lam_mat = mat(lam, kk, g_i)
     h_c_hat = cnt.mm(cnt.mm(np.kron(a_ue_bar.conj(), a_bs_bar), lam_mat),
@@ -243,8 +298,13 @@ def cs_est(pilots: PilotBlock, dicts: Dictionaries,
                        stage_ms, flops)
 
 
-def _resolve_t1(cfg: CsEstConfig, t: int) -> int:
-    t1 = int(np.ceil(t / 4)) if cfg.t1 is None else cfg.t1
+def resolve_t1(t1: int | None, t: int) -> int:
+    """Stage-1 slot count: t1, or ceil(t/4) when None.
+
+    Raises:
+        ValueError: the count lies outside [1, t].
+    """
+    t1 = int(np.ceil(t / 4)) if t1 is None else t1
     if not 1 <= t1 <= t:
         raise ValueError(f"t1={t1} outside [1, {t}]")
     return t1

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import (SystemGeometry, build_dictionaries, effective_channel,
                       make_pilots, sample_paths, simulate_uplink,
                       synth_channels)
-from .cs_est import CsEstConfig, cs_est
+from .cs_est import CsEstConfig, cs_est, resolve_t1
 from .mo_est import MoEstConfig, mo_est
 from .numerics import khatri_rao
 from .wmmse import DownlinkScenario, alt_wmmse, spectral_efficiency
@@ -87,8 +87,9 @@ class ExperimentConfig:
                 float(v).is_integer() for v in self.sweep_values):
             raise ConfigError(f"{self.sweep_axis} sweep values must be "
                               "integers")
-        if self.sweep_axis == "K_hat" and min(self.sweep_values) < 1:
-            raise ConfigError("K_hat sweep values must be >= 1")
+        if self.sweep_axis == "T" and not all(
+                0 <= v < self.t_tot for v in self.sweep_values):
+            raise ConfigError("T sweep values must lie in [0, t_tot)")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.threads < 1:
@@ -101,9 +102,25 @@ class ExperimentConfig:
         if self.k_true < 1:
             raise ConfigError("k_true must be >= 1")
         try:
-            self.geometry()
+            geom = self.geometry()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if not 1 <= self.n_s <= min(self.n_bs, self.n_ue):
+            raise ConfigError("n_s must lie in [1, min(n_bs, n_ue)]")
+        k_max = {"mo_est": min(self.n_bs, self.n_ue, geom.m),
+                 "cs_est": min(self.g_bs, self.g_ue)}.get(self.algorithm)
+        for point in range(len(self.sweep_values)):
+            t, _, _, k_hat = _point_params(self, point)
+            if k_hat < 1:
+                raise ConfigError("K_hat must be >= 1")
+            if k_max is not None and k_hat > k_max:
+                raise ConfigError(f"K_hat={k_hat} above {k_max}, the most "
+                                  f"paths {self.algorithm} can resolve")
+            if self.algorithm == "cs_est" and t > 0:
+                try:
+                    resolve_t1(self.t1, t)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -267,9 +284,8 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
     sigma2_d = pnr_to_sigma2(snr_db, cfg.d_bi, cfg.d_iu, 1.0)
 
     if t > 0:
-        t1 = int(np.ceil(t / 4)) if cfg.t1 is None else cfg.t1
-        s, v = make_pilots(geom, t, rng_pilot, cfg.p_tr,
-                           hold_v=t1 if cfg.algorithm == "cs_est" else 0)
+        hold_v = resolve_t1(cfg.t1, t) if cfg.algorithm == "cs_est" else 0
+        s, v = make_pilots(geom, t, rng_pilot, cfg.p_tr, hold_v=hold_v)
         pilots = simulate_uplink(ch, s, v, sigma2, rng_pilot, cfg.p_tr)
     elif cfg.algorithm in _ESTIMATORS:
         raise ValueError("estimators need at least one training slot")

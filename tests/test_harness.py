@@ -57,6 +57,11 @@ class TestConfig:
         "t = 3000", "d_bi = 0",
         "sweep_values = 20.7", "sweep_axis = K_hat\nsweep_values = 2.5",
         "sweep_axis = K_hat\nsweep_values = 0",
+        "sweep_values = -5", "sweep_values = 2000",
+        "k_hat = 0", "k_hat = 9", "sweep_axis = K_hat\nsweep_values = 9",
+        "algorithm = cs_est\ng_ue = 8\nk_hat = 9",
+        "algorithm = cs_est\nsweep_values = 20\nt1 = 30",
+        "algorithm = cs_est\nt1 = 0", "n_s = 9", "n_s = 0",
     ])
     def test_bad_configs_rejected(self, text):
         with pytest.raises(ConfigError):
