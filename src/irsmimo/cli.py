@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 configuration/usage error, 2 numerical failure.
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -57,9 +56,11 @@ def _cmd_sweep(args) -> int:
     records, failures = harness.sweep(cfg)
     Path(args.out).write_text(harness.to_csv(records), encoding="utf-8",
                               newline="\n")
-    for row in harness.summarize(records):
-        print(f"{row['algorithm']} t={row['t']} pnr={row['pnr_db']} "
-              f"snr={row['snr_db']}: median nmse {row['median_nmse']:.4g}, "
+    n = cfg.trials
+    for point, value in enumerate(cfg.sweep_values):
+        (row,) = harness.summarize(records[point * n:(point + 1) * n])
+        print(f"{row['algorithm']} {cfg.sweep_axis}={value:g}: "
+              f"median nmse {row['median_nmse']:.4g}, "
               f"median se {row['median_se']:.4g} ({row['n']} ok)")
     if failures:
         print(f"{failures} trial(s) failed", file=sys.stderr)
@@ -158,9 +159,12 @@ def _selftest_checks():
     def check_harness():
         cfg = ExperimentConfig(algorithm="cs_est", trials=2,
                                sweep_values=(20.0,), t=20, t1=8, on_grid=True)
-        rec1, _ = harness.sweep(cfg)
-        rec2, _ = harness.sweep(dataclasses.replace(cfg, threads=2))
-        assert harness.to_csv(rec1) == harness.to_csv(rec2)
+        records, _ = harness.sweep(cfg)
+        keys = [(0, seed) for seed in range(cfg.trials)]
+        backwards = {key: harness.run_trial(cfg, *key)
+                     for key in reversed(keys)}
+        assert harness.to_csv(records) == harness.to_csv(
+            [backwards[key] for key in keys])
 
     return [("numerics identities", check_numerics),
             ("channel synthesis", check_channel),

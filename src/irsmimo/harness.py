@@ -3,15 +3,17 @@ pipeline (channel, training, estimation, beamforming, metrics), sweep
 execution, and CSV serialization.
 
 Determinism contract: a (config, master_seed) pair yields byte-identical
-CSV output regardless of thread count or completion order. Every trial
-derives its generators from SeedSequence(master_seed, spawn_key=(point,
-seed)) and splits them per pipeline phase, so paired-seed comparisons
-across algorithms see identical channels, pilots, and initial reflection
-vectors. Wall-clock columns are written as 0.0 unless timings=true.
+CSV output, and each row is independent of the order in which trials
+run. Every trial derives its generators from SeedSequence(master_seed,
+spawn_key=(point, seed)) and splits them per pipeline phase, so
+paired-seed comparisons across algorithms see identical channels, pilots,
+and initial reflection vectors. Wall-clock columns are written as 0.0
+unless timings=true.
 """
 
-import concurrent.futures
+import itertools
 import time
+import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -63,7 +65,6 @@ class ExperimentConfig:
     n_s: int = 3
     on_grid: bool = False
     master_seed: int = 0
-    threads: int = 1
     timings: bool = False
     mu_g: float | None = None
     mu_h: float | None = None
@@ -92,8 +93,6 @@ class ExperimentConfig:
             raise ConfigError("T sweep values must lie in [0, t_tot)")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if not 0 <= self.t < self.t_tot:
             raise ConfigError("need 0 <= t < t_tot")
         if self.algorithm in _ESTIMATORS and self.sweep_axis != "T" \
@@ -150,19 +149,22 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
 
-def _coerce(name: str, kind, raw: str):
+def _parse_value(name: str, kind, raw: str):
+    """Parse one raw config value by the type its field declares."""
     raw = raw.strip()
     if kind is bool:
         if raw.lower() not in _BOOL_WORDS:
-            raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
+            raise ValueError(f"{name}: expected a boolean, got {raw!r}")
         return _BOOL_WORDS[raw.lower()]
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    if kind is str:
-        return raw
-    raise ConfigError(f"{name}: unsupported field type")
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return tuple(_parse_value(name, args[0], v) for v in raw.split(","))
+    if type(None) in args:
+        if raw.lower() in ("none", ""):
+            return None
+        (kind,) = (a for a in args if a is not type(None))
+        return _parse_value(name, kind, raw)
+    return kind(raw)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -185,23 +187,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in kinds:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
         try:
-            if key == "sweep_values":
-                values[key] = tuple(float(v) for v in raw.split(","))
-            elif key in ("t1", "k_hat"):
-                raw = raw.strip()
-                values[key] = None if raw.lower() in ("none", "") else int(raw)
-            elif key in ("mu_g", "mu_h"):
-                raw = raw.strip()
-                values[key] = None if raw.lower() in ("none", "") else float(raw)
-            elif key in ("on_grid", "timings"):
-                values[key] = _coerce(key, bool, raw)
-            elif key in ("algorithm", "sweep_axis"):
-                values[key] = raw.strip()
-            else:
-                base = ExperimentConfig.__dataclass_fields__[key].default
-                values[key] = _coerce(key, type(base), raw)
-        except ConfigError:
-            raise
+            values[key] = _parse_value(key, kinds[key], raw)
         except ValueError as exc:
             raise ConfigError(f"line {ln}: {exc}") from exc
     cfg = ExperimentConfig(**values)
@@ -330,26 +316,20 @@ def _failed_record(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
 
 
 def sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], int]:
-    """All (point, seed) trials in deterministic order.
+    """All (point, seed) trials in (point-major, seed-minor) order.
 
-    Trials run on a thread pool of cfg.threads workers; output order is
-    always (point-major, seed-minor) regardless of completion order.
     Failed trials become nan rows. Returns (records, failure count).
     """
     cfg.validate()
-    keys = [(p, s) for p in range(len(cfg.sweep_values))
-            for s in range(cfg.trials)]
-    results: dict[tuple[int, int], TrialRecord] = {}
-    failures = 0
-    with concurrent.futures.ThreadPoolExecutor(cfg.threads) as pool:
-        futures = [pool.submit(run_trial, cfg, *key) for key in keys]
-        for key, fut in zip(keys, futures):
-            try:
-                results[key] = fut.result()
-            except Exception:
-                failures += 1
-                results[key] = _failed_record(cfg, *key)
-    return [results[key] for key in keys], failures
+    records, failures = [], 0
+    for point, seed in itertools.product(range(len(cfg.sweep_values)),
+                                         range(cfg.trials)):
+        try:
+            records.append(run_trial(cfg, point, seed))
+        except Exception:
+            failures += 1
+            records.append(_failed_record(cfg, point, seed))
+    return records, failures
 
 
 def to_csv(records: list[TrialRecord]) -> str:

@@ -41,6 +41,23 @@ k_true = 2
 on_grid = true
 """
 
+K_HAT_SWEEP = """
+algorithm = perfect_csi
+sweep_axis = K_hat
+sweep_values = 2,3
+trials = 2
+t = 20
+n_bs = 16
+n_ue = 8
+m_y = 4
+m_z = 4
+g_bs = 16
+g_ue = 8
+g_y = 4
+g_z = 4
+k_true = 2
+"""
+
 FAILING_SWEEP = """
 algorithm = mo_est
 sweep_values = 0
@@ -98,6 +115,15 @@ class TestSweep:
         records = harness.parse_csv(data.decode())
         assert len(records) == 2
         assert "median nmse" in capsys.readouterr().out
+
+    def test_summary_line_per_sweep_point(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "k_hat.cfg", K_HAT_SWEEP)
+        out = tmp_path / "k_hat.csv"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == \
+            ["perfect_csi K_hat=2", "perfect_csi K_hat=3"]
+        assert all(line.endswith("(2 ok)") for line in lines)
 
     def test_trial_failures_exit_two_with_nan_rows(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "bad.cfg", FAILING_SWEEP)

@@ -31,7 +31,8 @@ class TestConfig:
     def test_text_roundtrip(self):
         cfg = ExperimentConfig(algorithm="cs_est", sweep_axis="PNR",
                                sweep_values=(0.0, 10.0), trials=3, t1=25,
-                               on_grid=True, mu_g=1e-3, timings=True)
+                               k_hat=4, on_grid=True, mu_g=1e-3, mu_h=2e-3,
+                               timings=True)
         assert parse_config(config_text(cfg)) == cfg
 
     def test_comments_blanks_and_optional_fields(self):
@@ -53,7 +54,8 @@ class TestConfig:
         "bogus_key = 3",
         "trials", "trials = many", "timings = sometimes",
         "algorithm = genie", "sweep_axis = D",
-        "sweep_values = ", "trials = 0", "threads = 0", "k_true = 0",
+        "sweep_values = ", "trials = 0", "threads = 0", "threads = 1",
+        "k_true = 0",
         "t = 3000", "d_bi = 0",
         "sweep_values = 20.7", "sweep_axis = K_hat\nsweep_values = 2.5",
         "sweep_axis = K_hat\nsweep_values = 0",
@@ -236,12 +238,13 @@ class TestSweep:
         assert [(r.t, r.seed) for r in records] == \
             [(0, 0), (0, 1), (5, 0), (5, 1)]
 
-    def test_thread_count_does_not_change_bytes(self):
+    def test_trial_order_does_not_change_bytes(self):
         cfg = ExperimentConfig(algorithm="cs_est", t=20, t1=8, trials=3,
                                sweep_values=(20.0,), **SMALL_KW)
-        solo, _ = sweep(cfg)
-        pooled, _ = sweep(dataclasses.replace(cfg, threads=3))
-        assert to_csv(solo) == to_csv(pooled)
+        records, _ = sweep(cfg)
+        keys = [(0, seed) for seed in range(cfg.trials)]
+        backwards = {key: run_trial(cfg, *key) for key in reversed(keys)}
+        assert to_csv(records) == to_csv([backwards[key] for key in keys])
 
     def test_failed_trials_become_nan_rows(self):
         cfg = ExperimentConfig(algorithm="mo_est", sweep_values=(0.0,),
