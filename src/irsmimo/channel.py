@@ -143,22 +143,31 @@ class PilotBlock:
         return self.s.shape[1]
 
 
-def steering_ula(u: float, n: int) -> np.ndarray:
+def steering_ula(u: float | np.ndarray, n: int) -> np.ndarray:
     """Unit-norm ULA response for spatial frequency u: entries
-    exp(j*pi*k*u)/sqrt(n), k = 0..n-1."""
-    return np.exp(1j * np.pi * u * np.arange(n)) / np.sqrt(n)
+    exp(j*pi*k*u)/sqrt(n), k = 0..n-1. An array of frequencies gives one
+    column per frequency, shape (n, len(u))."""
+    phase = np.multiply.outer(np.arange(n), 1j * np.pi * np.asarray(u))
+    return np.exp(phase) / np.sqrt(n)
+
+
+def _irs_freqs(ang: np.ndarray) -> np.ndarray:
+    """IRS frequency pairs (sin(az)sin(el), cos(el)) for ang = (az, el)."""
+    return np.array([np.sin(ang[0]) * np.sin(ang[1]), np.cos(ang[1])])
+
+
+def _steering_irs_uv(u: np.ndarray, m_y: int, m_z: int) -> np.ndarray:
+    """IRS response kron(f(u_y, m_y), f(u_z, m_z)) for frequency pair
+    u = (u_y, u_z), or one column per row of u (k, 2)."""
+    a_y = steering_ula(u[..., 0], m_y)
+    a_z = steering_ula(u[..., 1], m_z)
+    return (a_y[:, None] * a_z[None, :]).reshape((m_y * m_z,) + a_y.shape[1:])
 
 
 def steering_irs(theta: float, phi: float, m_y: int, m_z: int) -> np.ndarray:
     """Unit-norm planar-array response kron(f(sin(theta)sin(phi), m_y),
     f(cos(phi), m_z))."""
-    return kron(steering_ula(np.sin(theta) * np.sin(phi), m_y),
-                steering_ula(np.cos(phi), m_z))
-
-
-def _steering_irs_uv(u_y: float, u_z: float, m_y: int, m_z: int) -> np.ndarray:
-    """IRS response from the spatial-frequency pair directly."""
-    return kron(steering_ula(u_y, m_y), steering_ula(u_z, m_z))
+    return _steering_irs_uv(_irs_freqs(np.array([theta, phi])).T, m_y, m_z)
 
 
 def pathloss(d: float) -> float:
@@ -171,27 +180,27 @@ def _grid(g: int) -> np.ndarray:
     return -1.0 + 2.0 * np.arange(g) / g
 
 
-def _snap(u: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Snap frequencies to the g-point grid; returns (values, indices)."""
+def _snap(u: np.ndarray,
+          g: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Snap frequencies to the g-point grid; returns (values, indices),
+    values = _grid(g)[indices]. An array g holds one grid per column of u."""
     idx = np.round((np.asarray(u) + 1.0) * g / 2.0).astype(int) % g
-    return _grid(g)[idx], idx
+    return -1.0 + 2.0 * idx / g, idx
 
 
-def _circdist(i: np.ndarray, j: np.ndarray, g: int) -> np.ndarray:
-    d = np.abs(np.asarray(i) - np.asarray(j)) % g
-    return np.minimum(d, g - d)
-
-
-def _min_separation(idx: np.ndarray, g: int) -> int:
-    """Smallest pairwise circular index distance (g if fewer than 2)."""
-    k = len(idx)
-    if k < 2:
-        return g
-    best = g
-    for a in range(k):
-        for b in range(a + 1, k):
-            best = min(best, int(_circdist(idx[a], idx[b], g)))
-    return best
+def _separated(u: np.ndarray, sizes: np.ndarray, grids: np.ndarray,
+               on_grid: bool) -> bool:
+    """Whether every two of the frequency rows u (k, axes) are apart on at
+    least one axis: by 1e-6 off grid, and on grid by a circular distance of
+    their snapped indices of one orthogonality period, ceil(grid / size)."""
+    if on_grid:
+        _, idx = _snap(u, grids)
+        d = np.abs(idx[:, None] - idx[None, :]) % grids
+        apart = np.minimum(d, grids - d) >= -(-grids // sizes)
+    else:
+        apart = np.abs(u[:, None] - u[None, :]) >= 1e-6
+    # A row is never apart from itself, so k*(k-1) ordered pairs must be.
+    return np.count_nonzero(apart.any(axis=2)) == len(u) * (len(u) - 1)
 
 
 def _gains(k: int, tau: float, rng: np.random.Generator) -> np.ndarray:
@@ -202,8 +211,11 @@ def _gains(k: int, tau: float, rng: np.random.Generator) -> np.ndarray:
                                  + 1j * rng.standard_normal(k))
 
 
+_MAX_TRIES = 2000
+
+
 def sample_paths(geom: SystemGeometry, k: int, rng: np.random.Generator,
-                 on_grid: bool = False, max_tries: int = 2000) -> PathSet:
+                 on_grid: bool = False) -> PathSet:
     """Draw k paths per hop with angles uniform on (0, 2pi].
 
     Spatial frequencies of distinct paths are kept separated so the
@@ -216,57 +228,42 @@ def sample_paths(geom: SystemGeometry, k: int, rng: np.random.Generator,
 
     Raises:
         ValueError: k violates the rank preconditions, or separation could
-            not be met within max_tries redraws.
+            not be met within 2000 redraws.
     """
-    m = geom.m
-    if k > min(geom.n_bs, m) or k > min(geom.n_ue, m):
+    if k > min(geom.n_bs, geom.n_ue, geom.m):
         raise ValueError(f"k={k} exceeds min array dimension")
 
-    def draw_scalar(n_ant: int, g: int) -> tuple[np.ndarray, np.ndarray]:
-        sep = max(1, int(np.ceil(g / n_ant))) if on_grid else 1
-        for _ in range(max_tries):
-            ang = rng.uniform(0.0, 2.0 * np.pi, k)
-            u = np.cos(ang)
-            if on_grid:
-                u, idx = _snap(u, g)
-                if _min_separation(idx, g) >= sep:
-                    return ang, u
-            else:
-                if k < 2 or np.min(np.abs(np.subtract.outer(u, u))
-                                   [~np.eye(k, dtype=bool)]) >= 1e-6:
-                    return ang, u
+    def draw(freqs, sizes, grids) -> tuple[np.ndarray, np.ndarray]:
+        """Angles (axes, k) and frequency rows (k, axes) of one kind."""
+        sizes, grids = np.array(sizes), np.array(grids)
+        for _ in range(_MAX_TRIES):
+            ang = rng.uniform(0.0, 2.0 * np.pi, (len(sizes), k))
+            u = freqs(ang).T
+            if _separated(u, sizes, grids, on_grid):
+                return ang, _snap(u, grids)[0] if on_grid else u
         raise ValueError("could not draw separated path frequencies")
 
-    def draw_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        sep_y = max(1, int(np.ceil(geom.g_y / geom.m_y))) if on_grid else 1
-        sep_z = max(1, int(np.ceil(geom.g_z / geom.m_z))) if on_grid else 1
-        for _ in range(max_tries):
-            az = rng.uniform(0.0, 2.0 * np.pi, k)
-            el = rng.uniform(0.0, 2.0 * np.pi, k)
-            uy = np.sin(az) * np.sin(el)
-            uz = np.cos(el)
-            if on_grid:
-                uy, iy = _snap(uy, geom.g_y)
-                uz, iz = _snap(uz, geom.g_z)
-                ok = all(_circdist(iy[a], iy[b], geom.g_y) >= sep_y
-                         or _circdist(iz[a], iz[b], geom.g_z) >= sep_z
-                         for a in range(k) for b in range(a + 1, k))
-            else:
-                ok = all(max(abs(uy[a] - uy[b]), abs(uz[a] - uz[b])) >= 1e-6
-                         for a in range(k) for b in range(a + 1, k))
-            if ok:
-                return az, el, np.column_stack([uy, uz])
-        raise ValueError("could not draw separated path frequencies")
-
-    theta_r, u_bs = draw_scalar(geom.n_bs, geom.g_bs)
-    theta_t, phi_t, u_irs_aod = draw_pair()
-    psi_r, phi_r, u_irs_aoa = draw_pair()
-    psi_t, u_ue = draw_scalar(geom.n_ue, geom.g_ue)
+    irs = (_irs_freqs, (geom.m_y, geom.m_z), (geom.g_y, geom.g_z))
+    (theta_r,), u_bs = draw(np.cos, (geom.n_bs,), (geom.g_bs,))
+    (theta_t, phi_t), u_irs_aod = draw(*irs)
+    (psi_r, phi_r), u_irs_aoa = draw(*irs)
+    (psi_t,), u_ue = draw(np.cos, (geom.n_ue,), (geom.g_ue,))
 
     alpha = _gains(k, pathloss(geom.d_bi), rng)
     beta = _gains(k, pathloss(geom.d_iu), rng)
     return PathSet(alpha, theta_r, theta_t, phi_t, beta, psi_r, phi_r, psi_t,
-                   u_bs, u_irs_aod, u_irs_aoa, u_ue)
+                   u_bs[:, 0], u_irs_aod, u_irs_aoa, u_ue[:, 0])
+
+
+def _sum_of_paths(gains: np.ndarray, a_rx: np.ndarray,
+                  a_tx: np.ndarray) -> np.ndarray:
+    """sqrt(rows*cols/k) * sum_k gains[k] a_rx[:, k] a_tx[:, k]^H, adding
+    the paths in path order (a matmul or a pairwise sum would reorder the
+    additions and change the rounding)."""
+    terms = gains[:, None, None] * (a_rx.T[:, :, None]
+                                    * a_tx.T.conj()[:, None, :])
+    rows, cols = a_rx.shape[0], a_tx.shape[0]
+    return np.add.accumulate(terms)[-1] * np.sqrt(rows * cols / len(gains))
 
 
 def synth_channels(geom: SystemGeometry, paths: PathSet) -> ChannelRealization:
@@ -275,43 +272,27 @@ def synth_channels(geom: SystemGeometry, paths: PathSet) -> ChannelRealization:
         g = sqrt(n_bs*m/p) * sum_p alpha_p a_bs(theta_r) a_irs(aod)^H
         h = sqrt(n_ue*m/q) * sum_q beta_q a_irs(aoa) a_ue(psi_t)^H
     """
-    m = geom.m
-    g = np.zeros((geom.n_bs, m), dtype=complex)
-    for p in range(paths.p):
-        a_rx = steering_ula(paths.u_bs[p], geom.n_bs)
-        a_tx = _steering_irs_uv(*paths.u_irs_aod[p], geom.m_y, geom.m_z)
-        g += paths.alpha[p] * np.outer(a_rx, a_tx.conj())
-    g *= np.sqrt(geom.n_bs * m / paths.p)
-
-    h = np.zeros((m, geom.n_ue), dtype=complex)
-    for q in range(paths.q):
-        a_rx = _steering_irs_uv(*paths.u_irs_aoa[q], geom.m_y, geom.m_z)
-        a_tx = steering_ula(paths.u_ue[q], geom.n_ue)
-        h += paths.beta[q] * np.outer(a_rx, a_tx.conj())
-    h *= np.sqrt(geom.n_ue * m / paths.q)
+    g = _sum_of_paths(paths.alpha, steering_ula(paths.u_bs, geom.n_bs),
+                      _steering_irs_uv(paths.u_irs_aod, geom.m_y, geom.m_z))
+    h = _sum_of_paths(paths.beta,
+                      _steering_irs_uv(paths.u_irs_aoa, geom.m_y, geom.m_z),
+                      steering_ula(paths.u_ue, geom.n_ue))
     return ChannelRealization(g, h, paths)
 
 
 def build_dictionaries(geom: SystemGeometry) -> Dictionaries:
     """Steering dictionaries on the uniform frequency grids; unitary (up to
     scaling exact) whenever the resolution equals the array size."""
+    banks, grids = [], []
     for res, size, name in ((geom.g_bs, geom.n_bs, "g_bs"),
                             (geom.g_ue, geom.n_ue, "g_ue"),
                             (geom.g_y, geom.m_y, "g_y"),
                             (geom.g_z, geom.m_z, "g_z")):
         if res < size:
             raise ValueError(f"{name}={res} below array size {size}")
-
-    def bank(n: int, g: int) -> np.ndarray:
-        return np.column_stack([steering_ula(u, n) for u in _grid(g)])
-
-    a_bs = bank(geom.n_bs, geom.g_bs)
-    a_ue = bank(geom.n_ue, geom.g_ue)
-    a_y = bank(geom.m_y, geom.g_y)
-    a_z = bank(geom.m_z, geom.g_z)
-    return Dictionaries(a_bs, a_ue, a_y, a_z, kron(a_y, a_z),
-                        _grid(geom.g_bs), _grid(geom.g_ue),
-                        _grid(geom.g_y), _grid(geom.g_z))
+        grids.append(_grid(res))
+        banks.append(steering_ula(grids[-1], size))
+    return Dictionaries(*banks, kron(banks[2], banks[3]), *grids)
 
 
 def angular_coefficients(ch: ChannelRealization,
@@ -353,11 +334,9 @@ def make_pilots(geom: SystemGeometry, t: int, rng: np.random.Generator,
     and unit-modulus reflection vectors. The first hold_v slots share the
     reflection vector of slot 0 (the fixed-reflection training protocol).
     """
-    s = np.column_stack([random_unit_modulus(geom.n_ue, rng) for _ in range(t)])
-    s *= np.sqrt(p_tr / geom.n_ue)
-    v = np.column_stack([random_unit_modulus(geom.m, rng) for _ in range(t)])
-    for j in range(1, min(hold_v, t)):
-        v[:, j] = v[:, 0]
+    s = random_unit_modulus((t, geom.n_ue), rng).T * np.sqrt(p_tr / geom.n_ue)
+    v = random_unit_modulus((t, geom.m), rng).T
+    v[:, 1:hold_v] = v[:, :1]
     return s, v
 
 

@@ -78,6 +78,11 @@ class ExperimentConfig:
                               self.d_bi, self.d_iu)
 
     def validate(self) -> None:
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if float in (f.type, *typing.get_args(f.type)) \
+                    and val is not None and not np.all(np.isfinite(val)):
+                raise ConfigError(f"{f.name} must be finite")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.sweep_axis not in SWEEP_AXES:
@@ -100,6 +105,8 @@ class ExperimentConfig:
             raise ConfigError("estimators need t >= 1")
         if self.k_true < 1:
             raise ConfigError("k_true must be >= 1")
+        if self.p_tr <= 0:
+            raise ConfigError("p_tr must be positive")
         try:
             geom = self.geometry()
         except ValueError as exc:
@@ -115,11 +122,12 @@ class ExperimentConfig:
             if k_max is not None and k_hat > k_max:
                 raise ConfigError(f"K_hat={k_hat} above {k_max}, the most "
                                   f"paths {self.algorithm} can resolve")
-            if self.algorithm == "cs_est" and t > 0:
-                try:
+            try:
+                _estimator_config(self, k_hat)
+                if self.algorithm == "cs_est" and t > 0:
                     resolve_t1(self.t1, t)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from exc
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -244,6 +252,18 @@ def _point_params(cfg: ExperimentConfig, point: int):
     return t, pnr_db, snr_db, k_hat
 
 
+def _estimator_config(cfg: ExperimentConfig,
+                      k_hat: int) -> MoEstConfig | CsEstConfig | None:
+    """The configured estimator's settings for k_hat assumed paths per hop
+    (None for the CSI-free arms)."""
+    if cfg.algorithm == "mo_est":
+        return MoEstConfig(k_hat, k_hat, cfg.mu_g, cfg.mu_h, cfg.eps_inner,
+                           cfg.eps_outer)
+    if cfg.algorithm == "cs_est":
+        return CsEstConfig(k_hat, k_hat, cfg.t1)
+    return None
+
+
 def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
     """One seeded trial of the configured pipeline.
 
@@ -278,15 +298,12 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
 
     if cfg.algorithm == "mo_est":
         dicts = build_dictionaries(geom.unitary())
-        res = mo_est(pilots, dicts,
-                     MoEstConfig(k_hat, k_hat, cfg.mu_g, cfg.mu_h,
-                                 cfg.eps_inner, cfg.eps_outer),
-                     rng_est)
+        res = mo_est(pilots, dicts, _estimator_config(cfg, k_hat), rng_est)
         h_c_hat = khatri_rao(res.h_hat.dense.T, res.g_hat.dense)
         iters = res.iterations
     elif cfg.algorithm == "cs_est":
         dicts = build_dictionaries(geom)
-        res = cs_est(pilots, dicts, CsEstConfig(k_hat, k_hat, cfg.t1))
+        res = cs_est(pilots, dicts, _estimator_config(cfg, k_hat))
         h_c_hat = res.h_c_hat
         iters = (len(res.support_ue) + len(res.support_bs)
                  + len(res.support_gain))

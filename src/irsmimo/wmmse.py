@@ -160,10 +160,13 @@ def wmmse_objective(h_e: np.ndarray, f: np.ndarray, w: np.ndarray,
     return float(np.trace(omega @ e).real - sign.real * logdet)
 
 
+_INNER_OPTS = CgOptions(epsilon=1e-3, max_iters=100)
+
+
 def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
               eps3: float = 1e-3, max_outer: int = 50,
-              optimize_v: bool = True, v0: np.ndarray | None = None,
-              inner_opts: CgOptions | None = None) -> BeamformingSolution:
+              optimize_v: bool = True,
+              v0: np.ndarray | None = None) -> BeamformingSolution:
     """Alternating minimization of the weighted-MSE objective.
 
     Per outer iteration: conjugate-gradient descent of v_d on the circle
@@ -182,8 +185,6 @@ def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
     _, _, vh = np.linalg.svd(h_e, full_matrices=False)
     f = vh[:scen.n_s].conj().T / np.sqrt(scen.n_s)
     w, omega = update_w_omega(h_e, f, scen)
-    opts = inner_opts if inner_opts is not None else CgOptions(
-        epsilon=1e-3, max_iters=100)
 
     g_trace = [wmmse_objective(h_e, f, w, omega, scen)]
     stalled = False
@@ -194,7 +195,7 @@ def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
             res = cg_minimize(
                 CircleManifold,
                 lambda p: _g1_cost_grad(p, scen.h_c, f, omega_inv, scen),
-                v, opts)
+                v, _INNER_OPTS)
             v = res.x
             stalled = stalled or res.stalled
             h_e = effective_channel(scen.h_c, v.v, geom)

@@ -2,7 +2,9 @@
 
 Oracles: closed-form steering entries, the path-loss law evaluated
 independently, Monte-Carlo moments for the gain profile and noise power,
-and direct per-slot recomputation of the training model.
+and direct per-slot recomputation of the training model. The per-atom,
+per-path and per-slot loops that the array code replaced are kept here as
+bit-exact references.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import cgauss
 from irsmimo.channel import (ChannelRealization, PathSet, SystemGeometry,
-                             _gains, _grid, _min_separation, _snap,
+                             _gains, _grid, _snap,
                              angular_coefficients, build_dictionaries,
                              cascaded, effective_channel, make_pilots,
                              pathloss, sample_paths, simulate_uplink,
@@ -20,6 +22,40 @@ from irsmimo.channel import (ChannelRealization, PathSet, SystemGeometry,
 from irsmimo.numerics import kron, random_unit_modulus
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+def _ula_loop(u, n):
+    """Scalar ULA response, one frequency per call."""
+    return np.exp(1j * np.pi * u * np.arange(n)) / np.sqrt(n)
+
+
+def _synth_loop(geom, paths):
+    """Sum-of-paths channels built one np.outer term per path."""
+    def irs(u):
+        return np.kron(_ula_loop(u[0], geom.m_y), _ula_loop(u[1], geom.m_z))
+
+    g = np.zeros((geom.n_bs, geom.m), dtype=complex)
+    for p in range(paths.p):
+        g += paths.alpha[p] * np.outer(_ula_loop(paths.u_bs[p], geom.n_bs),
+                                       irs(paths.u_irs_aod[p]).conj())
+    g *= np.sqrt(geom.n_bs * geom.m / paths.p)
+    h = np.zeros((geom.m, geom.n_ue), dtype=complex)
+    for q in range(paths.q):
+        a_tx = _ula_loop(paths.u_ue[q], geom.n_ue)
+        h += paths.beta[q] * np.outer(irs(paths.u_irs_aoa[q]), a_tx.conj())
+    h *= np.sqrt(geom.n_ue * geom.m / paths.q)
+    return g, h
+
+
+def _pilots_loop(geom, t, rng, p_tr, hold_v):
+    """Training pilots drawn one slot at a time."""
+    s = np.column_stack([random_unit_modulus(geom.n_ue, rng)
+                         for _ in range(t)])
+    s *= np.sqrt(p_tr / geom.n_ue)
+    v = np.column_stack([random_unit_modulus(geom.m, rng) for _ in range(t)])
+    for j in range(1, min(hold_v, t)):
+        v[:, j] = v[:, 0]
+    return s, v
 
 
 def _single_path_set(rng, geom):
@@ -60,6 +96,15 @@ def test_steering_ula_frozen():
 def test_steering_ula_unit_norm(u, n):
     np.testing.assert_allclose(np.linalg.norm(steering_ula(u, n)), 1.0,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("n, u", [
+    (1, np.array([0.3])), (4, _grid(4)), (7, _grid(16)),
+    (16, np.random.default_rng(1).uniform(-1.0, 1.0, 5))])
+def test_steering_ula_array_matches_scalar_calls(n, u):
+    ref = np.column_stack([_ula_loop(x, n) for x in u])
+    assert np.array_equal(steering_ula(u, n), ref)
+    assert np.array_equal(steering_ula(u[0], n), _ula_loop(u[0], n))
 
 
 def test_steering_irs_is_kron():
@@ -116,10 +161,20 @@ def test_sample_paths_on_grid():
             assert np.all(np.isin(u, _grid(g)))
         assert np.all(np.isin(paths.u_irs_aod[:, 0], _grid(geom.g_y)))
         assert np.all(np.isin(paths.u_irs_aod[:, 1], _grid(geom.g_z)))
-        _, idx = _snap(paths.u_bs, geom.g_bs)
-        assert _min_separation(idx, geom.g_bs) >= 4
-        _, idx = _snap(paths.u_ue, geom.g_ue)
-        assert _min_separation(idx, geom.g_ue) >= 8
+        for u, g, sep in ((paths.u_bs, geom.g_bs, 4),
+                          (paths.u_ue, geom.g_ue, 8)):
+            _, idx = _snap(u, g)
+            for a in range(3):
+                for b in range(a + 1, 3):
+                    d = abs(int(idx[a]) - int(idx[b])) % g
+                    assert min(d, g - d) >= sep
+
+
+def test_sample_paths_separation_unreachable():
+    # A 5-point BS grid with separation ceil(5/4) = 2 holds at most 2 paths.
+    geom = SystemGeometry(4, 4, 2, 2, 5, 4, 2, 2)
+    with pytest.raises(ValueError, match="could not draw separated"):
+        sample_paths(geom, 3, np.random.default_rng(0), on_grid=True)
 
 
 def test_synth_single_path_matches_outer_product():
@@ -135,23 +190,27 @@ def test_synth_single_path_matches_outer_product():
     np.testing.assert_allclose(ch.g, g_ref, atol=1e-14)
 
 
+@pytest.mark.parametrize("on_grid", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_synth_matches_per_path_loop(k, on_grid):
+    # Bit-exact: the paths must be added in path order for k >= 4 too.
+    geom = SystemGeometry(16, 8, 4, 4, 16, 8, 4, 4)
+    rng = np.random.default_rng(100 + k)
+    for _ in range(5):
+        paths = sample_paths(geom, k, rng, on_grid=on_grid)
+        ch = synth_channels(geom, paths)
+        g_ref, h_ref = _synth_loop(geom, paths)
+        assert np.array_equal(ch.g, g_ref)
+        assert np.array_equal(ch.h, h_ref)
+
+
 def test_synth_frobenius_matches_term_oracle():
     # Independent recomputation with explicit exponential loops.
     geom = SystemGeometry()
     rng = np.random.default_rng(6)
     paths = sample_paths(geom, 3, rng)
     ch = synth_channels(geom, paths)
-
-    def ula(u, n):
-        return np.exp(1j * np.pi * u * np.arange(n)) / np.sqrt(n)
-
-    g_ref = np.zeros((geom.n_bs, geom.m), complex)
-    for p in range(3):
-        tx = np.kron(ula(paths.u_irs_aod[p, 0], geom.m_y),
-                     ula(paths.u_irs_aod[p, 1], geom.m_z))
-        g_ref += paths.alpha[p] * np.outer(ula(paths.u_bs[p], geom.n_bs),
-                                           tx.conj())
-    g_ref *= np.sqrt(geom.n_bs * geom.m / 3)
+    g_ref, _ = _synth_loop(geom, paths)
     np.testing.assert_allclose(np.linalg.norm(ch.g), np.linalg.norm(g_ref),
                                rtol=1e-12)
     np.testing.assert_allclose(ch.g, g_ref, atol=1e-12 * np.abs(g_ref).max())
@@ -278,6 +337,16 @@ def test_make_pilots_power_and_hold():
     for j in range(5):
         assert np.array_equal(v[:, j], v[:, 0])
     assert not np.array_equal(v[:, 5], v[:, 0])
+
+
+@pytest.mark.parametrize("hold_v", [0, 3, 20])
+def test_make_pilots_matches_per_slot_loop(hold_v):
+    geom = SystemGeometry()
+    s, v = make_pilots(geom, 12, np.random.default_rng(16), 2.0, hold_v)
+    s_ref, v_ref = _pilots_loop(geom, 12, np.random.default_rng(16), 2.0,
+                                hold_v)
+    assert np.array_equal(s, s_ref)
+    assert np.array_equal(v, v_ref)
 
 
 def test_make_pilots_hold_does_not_shift_rng():

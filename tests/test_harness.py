@@ -64,6 +64,11 @@ class TestConfig:
         "algorithm = cs_est\ng_ue = 8\nk_hat = 9",
         "algorithm = cs_est\nsweep_values = 20\nt1 = 30",
         "algorithm = cs_est\nt1 = 0", "n_s = 9", "n_s = 0",
+        "algorithm = cs_est\npnr_db = nan",
+        "sweep_axis = SNR\nsweep_values = nan",
+        "sweep_axis = SNR\nsweep_values = inf",
+        "algorithm = mo_est\neps_inner = 0", "algorithm = mo_est\nmu_g = -1",
+        "algorithm = cs_est\np_tr = 0", "d_iu = nan",
     ])
     def test_bad_configs_rejected(self, text):
         with pytest.raises(ConfigError):
