@@ -39,10 +39,10 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if not 0 <= args.point < len(cfg.sweep_values):
         raise ConfigError(f"point {args.point} outside sweep_values")
+    if args.seed < 0:
+        raise ConfigError(f"seed {args.seed} must be >= 0")
     try:
         rec = harness.run_trial(cfg, args.point, args.seed)
-    except ConfigError:
-        raise
     except Exception as exc:
         print(f"trial failed: {exc}", file=sys.stderr)
         return 2
@@ -223,10 +223,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

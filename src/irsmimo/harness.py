@@ -14,7 +14,7 @@ unless timings=true.
 import itertools
 import time
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,17 +103,21 @@ class ExperimentConfig:
         if self.algorithm in _ESTIMATORS and self.sweep_axis != "T" \
                 and self.t < 1:
             raise ConfigError("estimators need t >= 1")
-        if self.k_true < 1:
-            raise ConfigError("k_true must be >= 1")
-        if self.p_tr <= 0:
-            raise ConfigError("p_tr must be positive")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
+        for name in ("p_tr", "eps3"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         try:
             geom = self.geometry()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        k_paths = min(self.n_bs, self.n_ue, geom.m)
+        if not 1 <= self.k_true <= k_paths:
+            raise ConfigError("k_true must lie in [1, min(n_bs, n_ue, m)]")
         if not 1 <= self.n_s <= min(self.n_bs, self.n_ue):
             raise ConfigError("n_s must lie in [1, min(n_bs, n_ue)]")
-        k_max = {"mo_est": min(self.n_bs, self.n_ue, geom.m),
+        k_max = {"mo_est": k_paths,
                  "cs_est": min(self.g_bs, self.g_ue)}.get(self.algorithm)
         for point in range(len(self.sweep_values)):
             t, _, _, k_hat = _point_params(self, point)
@@ -317,9 +321,8 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
     if iters < 0:
         iters = sol.iterations
 
-    scen_true = replace(scen, h_c=ch.h_c)
     h_e_true = effective_channel(ch.h_c, sol.v_d.v, geom)
-    se = spectral_efficiency(h_e_true, sol.f, scen_true)
+    se = spectral_efficiency(h_e_true, sol.f, scen)
     err = 0.0 if cfg.algorithm not in _ESTIMATORS else nmse(ch.h_c, h_c_hat)
     wall = 1e3 * (time.perf_counter() - tic) if cfg.timings else 0.0
     return TrialRecord(seed, cfg.algorithm, t, pnr_db, snr_db, err, se,

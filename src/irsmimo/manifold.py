@@ -112,24 +112,23 @@ class CirclePoint:
         return len(self.v)
 
 
+# Armijo backtracking line-search constants.
+_CONTRACTION = 0.5
+_SUFFICIENT_DECREASE = 1e-4
+_INITIAL_STEP = 1.0
+_MAX_BACKTRACKS = 50
+
+
 @dataclass(frozen=True)
 class CgOptions:
-    """Conjugate-gradient settings (Armijo backtracking line search)."""
+    """Conjugate-gradient termination settings."""
 
     epsilon: float = 1e-3
     max_iters: int = 200
-    contraction: float = 0.5
-    sufficient_decrease: float = 1e-4
-    initial_step: float = 1.0
-    max_backtracks: int = 50
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if not 0.0 < self.contraction < 1.0:
-            raise ValueError("contraction must lie in (0, 1)")
-        if not 0.0 < self.sufficient_decrease <= 0.5:
-            raise ValueError("sufficient_decrease must lie in (0, 0.5]")
 
 
 @dataclass
@@ -247,19 +246,19 @@ class CircleManifold:
         return float(np.vdot(t1, t2).real)
 
 
-def _line_search(manifold, cost_grad, x, f0, d, slope, step0, opts):
+def _line_search(manifold, cost_grad, x, f0, d, slope, step0):
     """Armijo backtracking; returns (x_new, f_new, egrad_new, step) or None."""
     step = step0
-    for _ in range(opts.max_backtracks):
+    for _ in range(_MAX_BACKTRACKS):
         try:
             x_new = manifold.retract(x, d, step)
         except DegenerateStep:
-            step *= opts.contraction
+            step *= _CONTRACTION
             continue
         f_new, egrad = cost_grad(x_new)
-        if f_new <= f0 + opts.sufficient_decrease * step * slope:
+        if f_new <= f0 + _SUFFICIENT_DECREASE * step * slope:
             return x_new, f_new, egrad, step
-        step *= opts.contraction
+        step *= _CONTRACTION
     return None
 
 
@@ -273,7 +272,7 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions) -> CgResult:
             that point. Called once per trial point of the line search;
             egrad is called only at x0 and at accepted points.
         x0: starting point on the manifold.
-        opts: line-search and termination settings.
+        opts: termination settings.
 
     Returns:
         CgResult; trace[0] is the cost at x0, trace is non-increasing. Stops
@@ -289,7 +288,7 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions) -> CgResult:
     g = manifold.project(x, egrad())
     d = -g
     trace = [f]
-    step_init = opts.initial_step
+    step_init = _INITIAL_STEP
     stalled = False
     iters = 0
 
@@ -304,12 +303,11 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions) -> CgResult:
         if slope >= 0.0:
             d = -g
             slope = -2.0 * gnorm2
-        hit = _line_search(manifold, cost_grad, x, f, d, slope, step_init,
-                           opts)
+        hit = _line_search(manifold, cost_grad, x, f, d, slope, step_init)
         if hit is None and manifold.inner(x, d + g, d + g) > 0:
             d = -g
             hit = _line_search(manifold, cost_grad, x, f, d, -2.0 * gnorm2,
-                               step_init, opts)
+                               step_init)
         if hit is None:
             stalled = True
             break
@@ -322,7 +320,7 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions) -> CgResult:
         decrease = f - f_new
         x, f, g = x_new, f_new, g_new
         trace.append(f)
-        step_init = min(opts.initial_step, 2.0 * step)
+        step_init = min(_INITIAL_STEP, 2.0 * step)
         if decrease <= opts.epsilon:
             break
 

@@ -27,6 +27,8 @@ from .manifold import (CgOptions, CgResult, FixedRankManifold, FixedRankPoint,
 # the l1 phase matrix.
 DELTA0 = 1e-9
 
+_MAX_INNER = 50
+
 
 @dataclass(frozen=True)
 class MoEstConfig:
@@ -43,7 +45,6 @@ class MoEstConfig:
     eps_inner: float = 1e-3
     eps_outer: float = 1e-3
     max_outer: int = 30
-    max_inner: int = 50
 
     def __post_init__(self):
         for name in ("mu_g", "mu_h"):
@@ -175,7 +176,7 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
 
     g_hat = random_fixed_rank(n_bs, m, cfg.p_hat, rng)
     h_hat = random_fixed_rank(m, n_ue, cfg.q_hat, rng)
-    inner_opts = CgOptions(epsilon=cfg.eps_inner, max_iters=cfg.max_inner)
+    inner_opts = CgOptions(epsilon=cfg.eps_inner, max_iters=_MAX_INNER)
 
     trace = [objective_f(g_hat, h_hat, norm_pilots, dicts, norm_cfg)]
     stalled = False

@@ -7,7 +7,6 @@ Conventions used throughout the package:
 """
 
 import numpy as np
-from scipy.linalg import khatri_rao as _scipy_khatri_rao
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -30,7 +29,8 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
         raise ValueError(
             f"column-count mismatch: {a.shape[1]} vs {b.shape[1]}")
-    return _scipy_khatri_rao(a, b)
+    return (a[:, None, :] * b[None, :, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1])
 
 
 def vec(a: np.ndarray) -> np.ndarray:

@@ -1,7 +1,13 @@
 """Tests for the command-line front end (exit codes and outputs)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import irsmimo
 from irsmimo import harness
 from irsmimo.cli import main
 
@@ -143,6 +149,11 @@ class TestConfigErrors:
         missing = str(tmp_path / "nope.cfg")
         assert main(["simulate", "--config", missing]) == 1
 
+    def test_negative_seed(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "trial.cfg", FAST_TRIAL)
+        assert main(["simulate", "--config", cfg_path, "--seed", "-1"]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_usage_errors(self, capsys):
         assert main(["unknown-subcommand"]) == 1
         assert main(["sweep"]) == 1
@@ -163,3 +174,16 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert out.count("[PASS]") == 7
+
+    def test_passes_without_scipy(self):
+        # None in sys.modules makes every `import scipy` raise ImportError.
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from irsmimo.cli import main; sys.exit(main(['selftest']))")
+        src = str(Path(irsmimo.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.count("[PASS]") == 7

@@ -69,6 +69,9 @@ class TestConfig:
         "sweep_axis = SNR\nsweep_values = inf",
         "algorithm = mo_est\neps_inner = 0", "algorithm = mo_est\nmu_g = -1",
         "algorithm = cs_est\np_tr = 0", "d_iu = nan",
+        "algorithm = perfect_csi\nmaster_seed = -1",
+        "algorithm = perfect_csi\nk_true = 9",
+        "algorithm = perfect_csi\neps3 = -1",
     ])
     def test_bad_configs_rejected(self, text):
         with pytest.raises(ConfigError):

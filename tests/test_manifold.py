@@ -271,10 +271,6 @@ def test_cg_rejects_nonfinite_start():
 def test_cg_options_validation():
     with pytest.raises(ValueError):
         CgOptions(epsilon=0.0)
-    with pytest.raises(ValueError):
-        CgOptions(contraction=1.0)
-    with pytest.raises(ValueError):
-        CgOptions(sufficient_decrease=0.9)
 
 
 def test_cg_evaluates_each_point_once():
@@ -287,9 +283,9 @@ def test_cg_evaluates_each_point_once():
 
         def egrad():
             calls["egrad"] += 1
-            return p.dense - b
+            return 10.0 * (p.dense - b)
 
-        return float(np.linalg.norm(p.dense - b) ** 2), egrad
+        return 10.0 * float(np.linalg.norm(p.dense - b) ** 2), egrad
 
     class CountingManifold(FixedRankManifold):
         @staticmethod
@@ -298,10 +294,10 @@ def test_cg_evaluates_each_point_once():
             calls["retract"] += 1
             return x_new
 
-    # initial_step 4 overshoots, so line searches reject trial points.
+    # The 10x curvature makes unit steps overshoot, so line searches
+    # reject trial points.
     res = cg_minimize(CountingManifold, cost_grad,
                       random_fixed_rank(7, 5, 2, rng),
-                      CgOptions(epsilon=1e-10, max_iters=60,
-                                initial_step=4.0))
+                      CgOptions(epsilon=1e-10, max_iters=60))
     assert calls["egrad"] == len(res.trace) < calls["cost_grad"]
     assert calls["cost_grad"] == calls["retract"] + 1
