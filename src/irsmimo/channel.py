@@ -129,14 +129,13 @@ class PilotBlock:
 
     Column t of s/v/r holds the pilot vector, reflection vector, and
     received vector of slot t. All reflection entries are unit modulus and
-    every pilot satisfies ||s_t||^2 = p_tr.
+    every pilot has unit power, ||s_t||^2 = 1.
     """
 
     s: np.ndarray              # (n_ue, t)
     v: np.ndarray              # (m, t)
     r: np.ndarray              # (n_bs, t)
     sigma2: float
-    p_tr: float = 1.0
 
     @property
     def t(self) -> int:
@@ -329,20 +328,19 @@ def effective_channel(h_c: np.ndarray, v: np.ndarray,
 
 
 def make_pilots(geom: SystemGeometry, t: int, rng: np.random.Generator,
-                p_tr: float = 1.0, hold_v: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Random training pilots: unit-modulus entries scaled so ||s_t||^2=p_tr,
+                hold_v: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Random training pilots: unit-modulus entries scaled so ||s_t||^2=1,
     and unit-modulus reflection vectors. The first hold_v slots share the
     reflection vector of slot 0 (the fixed-reflection training protocol).
     """
-    s = random_unit_modulus((t, geom.n_ue), rng).T * np.sqrt(p_tr / geom.n_ue)
+    s = random_unit_modulus((t, geom.n_ue), rng).T * np.sqrt(1.0 / geom.n_ue)
     v = random_unit_modulus((t, geom.m), rng).T
     v[:, 1:hold_v] = v[:, :1]
     return s, v
 
 
 def simulate_uplink(ch: ChannelRealization, s: np.ndarray, v: np.ndarray,
-                    sigma2: float, rng: np.random.Generator,
-                    p_tr: float = 1.0) -> PilotBlock:
+                    sigma2: float, rng: np.random.Generator) -> PilotBlock:
     """Received training block r_t = g diag(v_t) h s_t + z_t with
     z_t ~ CN(0, sigma2 I); sigma2=0 gives the exact noiseless model."""
     if s.shape[1] != v.shape[1]:
@@ -352,4 +350,4 @@ def simulate_uplink(ch: ChannelRealization, s: np.ndarray, v: np.ndarray,
         n_bs, t = r.shape
         r = r + np.sqrt(sigma2 / 2.0) * (rng.standard_normal((n_bs, t))
                                          + 1j * rng.standard_normal((n_bs, t)))
-    return PilotBlock(s, v, r, sigma2, p_tr)
+    return PilotBlock(s, v, r, sigma2)

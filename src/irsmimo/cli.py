@@ -27,11 +27,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
-    if path is None:
-        cfg = ExperimentConfig()
-        cfg.validate()
-        return cfg
-    text = Path(path).read_text(encoding="utf-8")
+    text = "" if path is None else Path(path).read_text(encoding="utf-8")
     return harness.parse_config(text)
 
 

@@ -61,16 +61,12 @@ class ExperimentConfig:
     t_tot: int = 2000
     k_true: int = 3
     k_hat: int | None = None
-    p_tr: float = 1.0
     n_s: int = 3
     on_grid: bool = False
     master_seed: int = 0
     timings: bool = False
     mu_g: float | None = None
     mu_h: float | None = None
-    eps_inner: float = 1e-3
-    eps_outer: float = 1e-3
-    eps3: float = 1e-3
 
     def geometry(self) -> SystemGeometry:
         return SystemGeometry(self.n_bs, self.n_ue, self.m_y, self.m_z,
@@ -105,9 +101,6 @@ class ExperimentConfig:
             raise ConfigError("estimators need t >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
-        for name in ("p_tr", "eps3"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
         try:
             geom = self.geometry()
         except ValueError as exc:
@@ -220,14 +213,14 @@ def config_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pnr_to_sigma2(pnr_db: float, d_bi: float, d_iu: float,
-                  p_tr: float = 1.0) -> float:
+def pnr_to_sigma2(pnr_db: float, d_bi: float, d_iu: float) -> float:
     """Noise power giving the requested pilot-to-noise ratio
-    p_tr * tau_bi * tau_iu / sigma2 (tau from the path-loss law)."""
+    tau_bi * tau_iu / sigma2 for unit-power pilots (tau from the
+    path-loss law)."""
     from .channel import pathloss
     if d_bi <= 0 or d_iu <= 0:
         raise ValueError("distances must be positive")
-    return p_tr * pathloss(d_bi) * pathloss(d_iu) / 10.0 ** (pnr_db / 10.0)
+    return pathloss(d_bi) * pathloss(d_iu) / 10.0 ** (pnr_db / 10.0)
 
 
 def nmse(h_c_true: np.ndarray, h_c_hat: np.ndarray) -> float:
@@ -261,8 +254,7 @@ def _estimator_config(cfg: ExperimentConfig,
     """The configured estimator's settings for k_hat assumed paths per hop
     (None for the CSI-free arms)."""
     if cfg.algorithm == "mo_est":
-        return MoEstConfig(k_hat, k_hat, cfg.mu_g, cfg.mu_h, cfg.eps_inner,
-                           cfg.eps_outer)
+        return MoEstConfig(k_hat, k_hat, cfg.mu_g, cfg.mu_h)
     if cfg.algorithm == "cs_est":
         return CsEstConfig(k_hat, k_hat, cfg.t1)
     return None
@@ -290,13 +282,13 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
 
     ch = synth_channels(geom, sample_paths(geom, cfg.k_true, rng_chan,
                                            on_grid=cfg.on_grid))
-    sigma2 = pnr_to_sigma2(pnr_db, cfg.d_bi, cfg.d_iu, cfg.p_tr)
-    sigma2_d = pnr_to_sigma2(snr_db, cfg.d_bi, cfg.d_iu, 1.0)
+    sigma2 = pnr_to_sigma2(pnr_db, cfg.d_bi, cfg.d_iu)
+    sigma2_d = pnr_to_sigma2(snr_db, cfg.d_bi, cfg.d_iu)
 
     if t > 0:
         hold_v = resolve_t1(cfg.t1, t) if cfg.algorithm == "cs_est" else 0
-        s, v = make_pilots(geom, t, rng_pilot, cfg.p_tr, hold_v=hold_v)
-        pilots = simulate_uplink(ch, s, v, sigma2, rng_pilot, cfg.p_tr)
+        s, v = make_pilots(geom, t, rng_pilot, hold_v=hold_v)
+        pilots = simulate_uplink(ch, s, v, sigma2, rng_pilot)
     elif cfg.algorithm in _ESTIMATORS:
         raise ValueError("estimators need at least one training slot")
 
@@ -316,7 +308,7 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
         iters = -1
 
     scen = DownlinkScenario(geom, h_c_hat, sigma2_d, cfg.n_s, t, cfg.t_tot)
-    sol = alt_wmmse(scen, rng_bf, cfg.eps3,
+    sol = alt_wmmse(scen, rng_bf,
                     optimize_v=cfg.algorithm != "random_phase_baseline")
     if iters < 0:
         iters = sol.iterations
@@ -358,13 +350,18 @@ def to_csv(records: list[TrialRecord]) -> str:
 
 
 def parse_csv(text: str) -> list[TrialRecord]:
-    """Inverse of to_csv; validates the header."""
+    """Inverse of to_csv; validates the header and each row's field
+    count."""
     lines = text.strip("\n").split("\n")
     if lines[0] != CSV_HEADER:
         raise ValueError("unexpected CSV header")
+    n_cols = CSV_HEADER.count(",") + 1
     out = []
-    for line in lines[1:]:
+    for ln, line in enumerate(lines[1:], start=2):
         f = line.split(",")
+        if len(f) != n_cols:
+            raise ValueError(f"line {ln}: expected {n_cols} fields, "
+                             f"got {len(f)}")
         out.append(TrialRecord(int(f[0]), f[1], int(f[2]), float(f[3]),
                                float(f[4]), float(f[5]), float(f[6]),
                                int(f[7]), float(f[8])))

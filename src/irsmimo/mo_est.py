@@ -28,6 +28,7 @@ from .manifold import (CgOptions, CgResult, FixedRankManifold, FixedRankPoint,
 DELTA0 = 1e-9
 
 _MAX_INNER = 50
+_EPS_INNER = _EPS_OUTER = 1e-3
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,6 @@ class MoEstConfig:
     q_hat: int = 3
     mu_g: float | None = None
     mu_h: float | None = None
-    eps_inner: float = 1e-3
-    eps_outer: float = 1e-3
     max_outer: int = 30
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class MoEstConfig:
             val = getattr(self, name)
             if val is not None and val < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.eps_inner <= 0 or self.eps_outer <= 0:
-            raise ValueError("thresholds must be positive")
         if self.p_hat < 1 or self.q_hat < 1:
             raise ValueError("assumed ranks must be >= 1")
 
@@ -156,7 +153,7 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
 
     Starts from random rank-(p_hat, q_hat) points, solves the g-subproblem
     then the h-subproblem each outer round, and stops when the outer
-    objective decrease drops to eps_outer or below.
+    objective decrease drops to _EPS_OUTER or below.
     """
     _check_dicts(dicts)
     n_bs, t = pilots.r.shape
@@ -168,15 +165,14 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
     if c == 0.0:
         c = 1.0
     sigma2n = pilots.sigma2 / c ** 2
-    norm_pilots = PilotBlock(pilots.s, pilots.v, pilots.r / c, sigma2n,
-                             pilots.p_tr)
+    norm_pilots = PilotBlock(pilots.s, pilots.v, pilots.r / c, sigma2n)
     mu_g = 1e-2 * sigma2n * t if cfg.mu_g is None else cfg.mu_g / c
     mu_h = 1e-2 * sigma2n * t if cfg.mu_h is None else cfg.mu_h / c ** 2
     norm_cfg = replace(cfg, mu_g=mu_g, mu_h=mu_h)
 
     g_hat = random_fixed_rank(n_bs, m, cfg.p_hat, rng)
     h_hat = random_fixed_rank(m, n_ue, cfg.q_hat, rng)
-    inner_opts = CgOptions(epsilon=cfg.eps_inner, max_iters=_MAX_INNER)
+    inner_opts = CgOptions(epsilon=_EPS_INNER, max_iters=_MAX_INNER)
 
     trace = [objective_f(g_hat, h_hat, norm_pilots, dicts, norm_cfg)]
     stalled = False
@@ -199,7 +195,7 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
         stalled = stalled or res.stalled
 
         trace.append(objective_f(g_hat, h_hat, norm_pilots, dicts, norm_cfg))
-        if trace[-2] - trace[-1] <= cfg.eps_outer:
+        if trace[-2] - trace[-1] <= _EPS_OUTER:
             break
 
     g_phys = FixedRankPoint(g_hat.u, c * g_hat.s, g_hat.v)

@@ -11,7 +11,7 @@ objective g1 (receive filter eliminated in closed form), then w and omega,
 then f, each block-optimal, so the recorded g trace never increases.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,11 +161,11 @@ def wmmse_objective(h_e: np.ndarray, f: np.ndarray, w: np.ndarray,
 
 
 _INNER_OPTS = CgOptions(epsilon=1e-3, max_iters=100)
+_EPS3 = 1e-3
 
 
 def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
-              eps3: float = 1e-3, max_outer: int = 50,
-              optimize_v: bool = True,
+              max_outer: int = 50, optimize_v: bool = True,
               v0: np.ndarray | None = None) -> BeamformingSolution:
     """Alternating minimization of the weighted-MSE objective.
 
@@ -176,7 +176,7 @@ def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
     update, where it equals n_s + ln|e_mmse|; recording there (rather than
     after the f update, whose normalization re-scales the implicit
     receiver) is what makes the trace provably non-increasing. Stops when
-    the decrease drops to eps3 or below.
+    the decrease drops to _EPS3 or below.
     """
     geom = scen.geom
     v = CirclePoint(random_unit_modulus(geom.m, rng) if v0 is None
@@ -204,7 +204,7 @@ def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
         f_new, degenerate = update_f(h_e, w, omega, scen)
         if not degenerate:
             f = f_new
-        if g_trace[-2] - g_trace[-1] <= eps3:
+        if g_trace[-2] - g_trace[-1] <= _EPS3:
             break
 
     w, omega = update_w_omega(h_e, f, scen)

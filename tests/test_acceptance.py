@@ -5,7 +5,6 @@ conftest hook repeats all lines after the run. Statistical thresholds
 derive from pre-registered oracle runs stored in fixtures/thresholds.json.
 """
 
-import itertools
 import json
 import time
 from contextlib import contextmanager
@@ -59,7 +58,7 @@ def test_criterion_1_gradient_suite():
             s = cgauss(rng, (4, 10))
             v = np.exp(2j * np.pi * rng.random((8, 10)))
             r = cgauss(rng, (8, 10))
-            pil = PilotBlock(s, v, r, 0.0, 4.0)
+            pil = PilotBlock(s, v, r, 0.0)
             g0 = cgauss(rng, (8, 8))
             h0 = cgauss(rng, (8, 4))
             assert np.abs(dicts.a_bs.conj().T @ g0 @ dicts.a_i).min() > 1e-3
@@ -209,7 +208,7 @@ def test_criterion_6_mo_est_convergence_accuracy():
         fix = THRESHOLDS["mo_est_accuracy"]
         geom = SystemGeometry()
         dicts = build_dictionaries(geom.unitary())
-        sigma2 = pnr_to_sigma2(fix["pnr_db"], geom.d_bi, geom.d_iu, 1.0)
+        sigma2 = pnr_to_sigma2(fix["pnr_db"], geom.d_bi, geom.d_iu)
         medians = {}
         for t in (50, 150):
             errs = []
@@ -232,7 +231,7 @@ def test_criterion_6_mo_est_convergence_accuracy():
 def test_criterion_7_alt_wmmse():
     with criterion(7, "beamformer descent, gain over random phase", 300.0):
         geom = SystemGeometry()
-        sigma2_d = pnr_to_sigma2(10.0, geom.d_bi, geom.d_iu, 1.0)
+        sigma2_d = pnr_to_sigma2(10.0, geom.d_bi, geom.d_iu)
         wins = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)

@@ -47,11 +47,11 @@ def _synth_loop(geom, paths):
     return g, h
 
 
-def _pilots_loop(geom, t, rng, p_tr, hold_v):
+def _pilots_loop(geom, t, rng, hold_v):
     """Training pilots drawn one slot at a time."""
     s = np.column_stack([random_unit_modulus(geom.n_ue, rng)
                          for _ in range(t)])
-    s *= np.sqrt(p_tr / geom.n_ue)
+    s *= np.sqrt(1.0 / geom.n_ue)
     v = np.column_stack([random_unit_modulus(geom.m, rng) for _ in range(t)])
     for j in range(1, min(hold_v, t)):
         v[:, j] = v[:, 0]
@@ -329,9 +329,8 @@ def test_effective_channel_all_ones_and_errors():
 
 def test_make_pilots_power_and_hold():
     geom = SystemGeometry()
-    s, v = make_pilots(geom, 12, np.random.default_rng(12), p_tr=2.0,
-                       hold_v=5)
-    np.testing.assert_allclose(np.sum(np.abs(s) ** 2, axis=0), 2.0,
+    s, v = make_pilots(geom, 12, np.random.default_rng(12), hold_v=5)
+    np.testing.assert_allclose(np.sum(np.abs(s) ** 2, axis=0), 1.0,
                                atol=1e-12)
     np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-12)
     for j in range(5):
@@ -342,9 +341,8 @@ def test_make_pilots_power_and_hold():
 @pytest.mark.parametrize("hold_v", [0, 3, 20])
 def test_make_pilots_matches_per_slot_loop(hold_v):
     geom = SystemGeometry()
-    s, v = make_pilots(geom, 12, np.random.default_rng(16), 2.0, hold_v)
-    s_ref, v_ref = _pilots_loop(geom, 12, np.random.default_rng(16), 2.0,
-                                hold_v)
+    s, v = make_pilots(geom, 12, np.random.default_rng(16), hold_v=hold_v)
+    s_ref, v_ref = _pilots_loop(geom, 12, np.random.default_rng(16), hold_v)
     assert np.array_equal(s, s_ref)
     assert np.array_equal(v, v_ref)
 

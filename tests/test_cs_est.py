@@ -161,7 +161,7 @@ class TestStage1:
         perm = np.random.default_rng(9).permutation(20)
         idx = np.concatenate([perm, np.arange(20, pil.t)])
         shuffled = PilotBlock(pil.s[:, idx], pil.v[:, idx], pil.r[:, idx],
-                              pil.sigma2, pil.p_tr)
+                              pil.sigma2)
         _, res_p = stage1_ue_aods(shuffled, DICTS_UE16, self.CFG)
         assert sorted(res_p.support) == sorted(res.support)
 
@@ -291,7 +291,7 @@ class TestStage3:
 
     def test_zero_observation_gives_zero_reconstruction(self):
         ch, pil, a_ue_bar, a_bs_bar = self._exact_stage12(seed=2)
-        quiet = PilotBlock(pil.s, pil.v, np.zeros_like(pil.r), 0.0, pil.p_tr)
+        quiet = PilotBlock(pil.s, pil.v, np.zeros_like(pil.r), 0.0)
         lam, h_c_hat, _ = stage3_gains(quiet, a_ue_bar, a_bs_bar, DICTS_UNI,
                                        self.CFG)
         np.testing.assert_array_equal(lam, 0)

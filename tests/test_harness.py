@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from irsmimo.channel import (SystemGeometry, effective_channel, pathloss,
-                             sample_paths, synth_channels)
+from irsmimo.channel import pathloss, sample_paths, synth_channels
 from irsmimo.harness import (CSV_HEADER, ConfigError, DESK_PRESET,
                              ExperimentConfig, PAPER_PRESET, PRESETS,
                              TrialRecord, config_text, nmse, parse_config,
@@ -72,6 +71,8 @@ class TestConfig:
         "algorithm = perfect_csi\nmaster_seed = -1",
         "algorithm = perfect_csi\nk_true = 9",
         "algorithm = perfect_csi\neps3 = -1",
+        "p_tr = 1", "eps_inner = 0.001", "eps_outer = 0.001",
+        "eps3 = 0.001",
     ])
     def test_bad_configs_rejected(self, text):
         with pytest.raises(ConfigError):
@@ -89,17 +90,13 @@ class TestConfig:
 
 class TestMetrics:
     def test_pnr_definition_at_zero_db(self):
-        assert pnr_to_sigma2(0.0, 150.0, 10.0, 1.0) == pytest.approx(
+        assert pnr_to_sigma2(0.0, 150.0, 10.0) == pytest.approx(
             pathloss(150.0) * pathloss(10.0), rel=1e-15)
 
     def test_ten_db_divides_noise_by_ten(self):
         lo = pnr_to_sigma2(0.0, 150.0, 10.0)
         hi = pnr_to_sigma2(10.0, 150.0, 10.0)
         assert lo / hi == pytest.approx(10.0, rel=1e-12)
-
-    def test_pilot_power_scales_noise(self):
-        assert pnr_to_sigma2(5.0, 80.0, 20.0, 4.0) == pytest.approx(
-            4.0 * pnr_to_sigma2(5.0, 80.0, 20.0, 1.0), rel=1e-15)
 
     def test_distances_checked(self):
         with pytest.raises(ValueError):
@@ -144,6 +141,15 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             parse_csv("wrong,header\n1,2\n")
 
+    @pytest.mark.parametrize("row", [
+        "0,mo_est,100,0.0,10.0,0.25,12.5,7,0.0,extra",
+        "0,mo_est,100,0.0,10.0,0.25,12.5",
+    ])
+    def test_row_field_count_validated(self, row):
+        text = to_csv(self.RECORDS) + row + "\n"
+        with pytest.raises(ValueError, match="line 4"):
+            parse_csv(text)
+
     def test_summarize_groups_and_skips_failures(self):
         nan = float("nan")
         recs = [
@@ -177,10 +183,10 @@ class TestRunTrial:
         geom = cfg.geometry()
         ch = synth_channels(geom, sample_paths(geom, cfg.k_true, rng_chan,
                                                on_grid=True))
-        sigma2_d = pnr_to_sigma2(10.0, cfg.d_bi, cfg.d_iu, 1.0)
+        sigma2_d = pnr_to_sigma2(10.0, cfg.d_bi, cfg.d_iu)
         scen = DownlinkScenario(geom, ch.h_c, sigma2_d, cfg.n_s, 0,
                                 cfg.t_tot)
-        sol = alt_wmmse(scen, rng_bf, cfg.eps3)
+        sol = alt_wmmse(scen, rng_bf)
         assert rec.se_bits_s_hz == sol.se
         assert rec.nmse == 0.0
         assert rec.outer_iters == sol.iterations

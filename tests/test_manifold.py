@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import cgauss
 from irsmimo.manifold import (CgOptions, CircleManifold, CirclePoint,
                               DegenerateStep, FixedRankManifold,
-                              FixedRankPoint, TangentVector, cg_minimize,
+                              FixedRankPoint, cg_minimize,
                               circle_project, circle_retract,
                               project_tangent, random_fixed_rank, retract,
                               transport)

@@ -21,7 +21,7 @@ def _random_problem(rng, t=10):
     s = cgauss(rng, (SMALL.n_ue, t))
     v = np.exp(2j * np.pi * rng.random((SMALL.m, t)))
     r = cgauss(rng, (SMALL.n_bs, t))
-    pil = PilotBlock(s, v, r, 0.0, float(SMALL.n_ue))
+    pil = PilotBlock(s, v, r, 0.0)
     g0 = cgauss(rng, (SMALL.n_bs, SMALL.m))
     h0 = cgauss(rng, (SMALL.m, SMALL.n_ue))
     assert np.abs(SMALL_DICTS.a_bs.conj().T @ g0 @ SMALL_DICTS.a_i).min() > 1e-3
@@ -216,7 +216,5 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             MoEstConfig(mu_g=-1.0)
-        with pytest.raises(ValueError):
-            MoEstConfig(eps_outer=0.0)
         with pytest.raises(ValueError):
             MoEstConfig(p_hat=0)

@@ -8,10 +8,9 @@ from irsmimo.channel import (SystemGeometry, effective_channel, sample_paths,
 from irsmimo.harness import pnr_to_sigma2
 from irsmimo.manifold import CirclePoint, circle_project
 from irsmimo.numerics import random_unit_modulus
-from irsmimo.wmmse import (BeamformingSolution, DownlinkScenario, alt_wmmse,
-                           egrad_v, g1_objective, mse_matrix,
-                           spectral_efficiency, update_f, update_w_omega,
-                           wmmse_objective)
+from irsmimo.wmmse import (DownlinkScenario, alt_wmmse, egrad_v,
+                           g1_objective, mse_matrix, spectral_efficiency,
+                           update_f, update_w_omega, wmmse_objective)
 
 from conftest import cgauss
 
@@ -164,7 +163,7 @@ class TestReducedObjective:
 
 
 GEOM_DESK = SystemGeometry()
-SIGMA2_D = pnr_to_sigma2(10.0, GEOM_DESK.d_bi, GEOM_DESK.d_iu, 1.0)
+SIGMA2_D = pnr_to_sigma2(10.0, GEOM_DESK.d_bi, GEOM_DESK.d_iu)
 
 
 def _desk_scenario(seed, n_s=3):
