@@ -27,7 +27,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
-    text = "" if path is None else Path(path).read_text(encoding="utf-8")
+    try:
+        text = "" if path is None else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
     return harness.parse_config(text)
 
 
@@ -49,9 +52,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"cannot write {out}: not a file in an existing "
+                          "directory")
     records, failures = harness.sweep(cfg)
-    Path(args.out).write_text(harness.to_csv(records), encoding="utf-8",
-                              newline="\n")
+    out.write_text(harness.to_csv(records), encoding="utf-8", newline="\n")
     n = cfg.trials
     for point, value in enumerate(cfg.sweep_values):
         (row,) = harness.summarize(records[point * n:(point + 1) * n])
@@ -219,7 +225,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import SystemGeometry, effective_channel
 from .manifold import (CgOptions, CircleManifold, CirclePoint, cg_minimize)
-from .numerics import random_unit_modulus, vec
+from .numerics import random_unit_modulus
 
 
 @dataclass(frozen=True)
@@ -122,18 +122,30 @@ def update_f(h_e: np.ndarray, w: np.ndarray, omega: np.ndarray,
     return f_tilde / norm, False
 
 
-def _g1_cost_grad(v_d, h_c: np.ndarray, f: np.ndarray, omega_inv: np.ndarray,
-                  scen: DownlinkScenario):
+def _reduced_channel(h_c: np.ndarray, f: np.ndarray,
+                     geom: SystemGeometry) -> np.ndarray:
+    """(n_ue*n_s, m) matrix p with p @ v = h_e f, stacked by rows, for the
+    effective channel h_e of every reflection vector v:
+    p[u*n_s + s, :] = sum_b conj(h_c[b + u*n_bs, :]) f[b, s]."""
+    h = h_c.conj().reshape(geom.n_ue, geom.n_bs, geom.m)
+    return (f.T @ h).reshape(geom.n_ue * f.shape[1], geom.m)
+
+
+def _g1_cost_grad(v_d, p: np.ndarray, omega_inv: np.ndarray,
+                  sigma2_d: float):
     """(g1, egrad) at v_d for cg_minimize; see g1_objective and egrad_v.
+
+    p is _reduced_channel(h_c, f), built once for a fixed f, so the cost
+    needs only h_e f = p @ v_d and the gradient is
+    -(1/sigma2_d) * p^H @ (h_e f t^{-2} omega^{-1}) stacked by rows.
     egrad() reuses h_e f and t^{-1} from the cost."""
-    h_e = effective_channel(h_c, _as_vector(v_d), scen.geom)
-    hf = h_e @ f
+    hf = (p @ _as_vector(v_d)).reshape(-1, omega_inv.shape[0])
     t_inv = np.linalg.inv(omega_inv + (omega_inv @ hf.conj().T @ hf)
-                          / scen.sigma2_d)
+                          / sigma2_d)
 
     def egrad() -> np.ndarray:
-        inner = hf @ t_inv @ t_inv @ omega_inv @ f.conj().T
-        return -(h_c.T @ vec(inner.T)) / scen.sigma2_d
+        g = hf @ t_inv @ t_inv @ omega_inv
+        return -(p.conj().T @ g.reshape(-1)) / sigma2_d
 
     return float(np.trace(t_inv).real), egrad
 
@@ -142,14 +154,18 @@ def g1_objective(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
                  scen: DownlinkScenario) -> float:
     """Reduced weighted-MSE objective tr(t^{-1}) with the receive filter
     eliminated; t = omega^{-1} + omega^{-1} f^H h_e^H h_e f / sigma2_d."""
-    return _g1_cost_grad(v_d, h_c, f, np.linalg.inv(omega), scen)[0]
+    return _g1_cost_grad(v_d, _reduced_channel(h_c, f, scen.geom),
+                         np.linalg.inv(omega), scen.sigma2_d)[0]
 
 
 def egrad_v(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
             scen: DownlinkScenario) -> np.ndarray:
     """Conjugate gradient of g1 with respect to the reflection vector:
-    -(1/sigma2_d) * h_c.T @ vec((h_e f t^{-2} omega^{-1} f^H).T)."""
-    return _g1_cost_grad(v_d, h_c, f, np.linalg.inv(omega), scen)[1]()
+    -(1/sigma2_d) * h_c.T @ vec((h_e f t^{-2} omega^{-1} f^H).T), computed
+    as -(1/sigma2_d) * p^H @ (h_e f t^{-2} omega^{-1}) stacked by rows with
+    p = _reduced_channel(h_c, f)."""
+    return _g1_cost_grad(v_d, _reduced_channel(h_c, f, scen.geom),
+                         np.linalg.inv(omega), scen.sigma2_d)[1]()
 
 
 def wmmse_objective(h_e: np.ndarray, f: np.ndarray, w: np.ndarray,
@@ -177,6 +193,12 @@ def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
     after the f update, whose normalization re-scales the implicit
     receiver) is what makes the trace provably non-increasing. Stops when
     the decrease drops to _EPS3 or below.
+
+    f is fixed during the CG, so each CG call first folds h_c and f into
+    the (n_ue*n_s, m) matrix p = _reduced_channel(h_c, f); every trial
+    point then costs one product p @ v instead of rebuilding h_e from
+    h_c. effective_channel runs once per outer iteration, for the closed
+    forms.
     """
     geom = scen.geom
     v = CirclePoint(random_unit_modulus(geom.m, rng) if v0 is None
@@ -192,9 +214,10 @@ def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
     for iters in range(1, max_outer + 1):
         if optimize_v:
             omega_inv = np.linalg.inv(omega)
+            p = _reduced_channel(scen.h_c, f, geom)
             res = cg_minimize(
                 CircleManifold,
-                lambda p: _g1_cost_grad(p, scen.h_c, f, omega_inv, scen),
+                lambda x: _g1_cost_grad(x, p, omega_inv, scen.sigma2_d),
                 v, _INNER_OPTS)
             v = res.x
             stalled = stalled or res.stalled

@@ -149,6 +149,26 @@ class TestConfigErrors:
         missing = str(tmp_path / "nope.cfg")
         assert main(["simulate", "--config", missing]) == 1
 
+    @pytest.mark.parametrize("command", [["simulate"],
+                                         ["sweep", "--out", "x.csv"]])
+    def test_unreadable_config(self, tmp_path, capsys, command):
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"\xff\xfe")
+        for path in (str(tmp_path), str(binary)):
+            args = command[:1] + ["--config", path] + command[1:]
+            assert main(args) == 1
+            assert "config error" in capsys.readouterr().err
+
+    def test_sweep_output_not_writable_fails_before_running(
+            self, tmp_path, capsys, monkeypatch):
+        cfg_path = _write(tmp_path, "trial.cfg", FAST_TRIAL)
+        monkeypatch.setattr(harness, "sweep", None)  # must not be reached
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert main(["sweep", "--config", cfg_path,
+                         "--out", str(out)]) == 1
+            assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
     def test_negative_seed(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "trial.cfg", FAST_TRIAL)
         assert main(["simulate", "--config", cfg_path, "--seed", "-1"]) == 1

@@ -162,6 +162,48 @@ class TestReducedObjective:
                                         rel=1e-10)
 
 
+def _g1_via_effective_channel(v, h_c, f, omega, scen):
+    """Cost and gradient of g1 through the full (n_ue, n_bs) effective
+    channel, with h_e[u, b] = conj(h_c[b + u*n_bs]) @ v and the gradient's
+    sum over h_c rows written as loops."""
+    geom = scen.geom
+    h_e = np.empty((geom.n_ue, geom.n_bs), dtype=complex)
+    for u in range(geom.n_ue):
+        for b in range(geom.n_bs):
+            h_e[u, b] = h_c[b + u * geom.n_bs].conj() @ v
+    hf = h_e @ f
+    omega_inv = np.linalg.inv(omega)
+    t_inv = np.linalg.inv(omega_inv
+                          + omega_inv @ hf.conj().T @ hf / scen.sigma2_d)
+    inner = hf @ t_inv @ t_inv @ omega_inv @ f.conj().T
+    grad = np.zeros(geom.m, dtype=complex)
+    for u in range(geom.n_ue):
+        for b in range(geom.n_bs):
+            grad += h_c[b + u * geom.n_bs] * inner[u, b]
+    return np.trace(t_inv).real, -grad / scen.sigma2_d
+
+
+@pytest.mark.parametrize("n_s", [1, 3])
+@pytest.mark.parametrize("geom", [SystemGeometry(16, 8, 4, 4),
+                                  SystemGeometry(36, 16, 6, 6)],
+                         ids=["desk", "paper"])
+def test_reduced_form_matches_effective_channel(geom, n_s):
+    # n_bs != n_ue, so a swap of the two inside the reduced form fails.
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        h_c = cgauss(rng, (geom.n_bs * geom.n_ue, geom.m))
+        v = random_unit_modulus(geom.m, rng)
+        f = cgauss(rng, (geom.n_bs, n_s))
+        f /= np.linalg.norm(f)
+        omega = _random_omega(rng, n_s)
+        scen = DownlinkScenario(geom, h_c, 0.7, n_s)
+        cost, grad = _g1_via_effective_channel(v, h_c, f, omega, scen)
+        assert g1_objective(v, h_c, f, omega, scen) == pytest.approx(
+            cost, rel=1e-12)
+        got = egrad_v(v, h_c, f, omega, scen)
+        assert np.linalg.norm(got - grad) <= 1e-12 * np.linalg.norm(grad)
+
+
 GEOM_DESK = SystemGeometry()
 SIGMA2_D = pnr_to_sigma2(10.0, GEOM_DESK.d_bi, GEOM_DESK.d_iu)
 
