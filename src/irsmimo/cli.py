@@ -53,9 +53,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     out = Path(args.out)
-    if out.is_dir() or not out.parent.is_dir():
-        raise ConfigError(f"cannot write {out}: not a file in an existing "
-                          "directory")
+    # Append mode creates the file without truncating it, so an unwritable
+    # path fails here (OSError, exit 1) before any trial runs.
+    with out.open("a", encoding="utf-8"):
+        pass
     records, failures = harness.sweep(cfg)
     out.write_text(harness.to_csv(records), encoding="utf-8", newline="\n")
     n = cfg.trials

@@ -6,7 +6,9 @@ Problem contract: `cg_minimize` takes one callback, cost_grad(x) ->
 (f, egrad). f is the real cost at x; egrad is a zero-argument callable
 returning the gradient at x, so it can reuse the forward pass of the cost.
 The solver evaluates cost_grad once per trial point and calls egrad only
-at accepted points.
+at x0 and at each accepted point the search continues from; a point that
+meets the decrease test or the iteration cap is returned without its
+gradient.
 
 Gradient convention: egrad returns the conjugate Wirtinger gradient
 J = df/d(conj(X)), so the directional derivative of the real cost along a
@@ -70,12 +72,23 @@ class TangentVector:
 
     Embeds as u @ m_core @ v^H + u_p @ v^H + u @ v_p^H with u_p^H u = 0
     and v_p^H v = 0, so factored inner products need no cross terms.
+    Arithmetic returns new vectors; the arrays are not mutated in place,
+    which keeps the cached QR factors valid.
     """
 
     m_core: np.ndarray         # (r, r)
     u_p: np.ndarray            # (n, r)
     v_p: np.ndarray            # (m, r)
     anchor: FixedRankPoint
+    _qr: tuple | None = field(default=None, repr=False)
+
+    @property
+    def qr(self) -> tuple:
+        """(q_u, r_u, q_v, r_v): reduced QR factors of u_p and v_p,
+        computed on first use and shared by every retraction along self."""
+        if self._qr is None:
+            self._qr = (*np.linalg.qr(self.u_p), *np.linalg.qr(self.v_p))
+        return self._qr
 
     def embed(self) -> np.ndarray:
         x = self.anchor
@@ -129,6 +142,8 @@ class CgOptions:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -165,7 +180,11 @@ def retract(x: FixedRankPoint, d: TangentVector, step: float) -> FixedRankPoint:
     """Best rank-r approximation of x.dense + step * d.embed().
 
     Computed from the factors: QR of u_p and v_p extends the bases, an SVD
-    of the 2r x 2r core supplies the new singular values.
+    of the 2r x 2r core supplies the new singular values. The QR factors
+    are d's cached ones, scaled by step: Householder QR commutes exactly
+    with scaling by a power of two, so for such steps (every step
+    cg_minimize tries) the result is bit-identical to factoring
+    step * u_p and step * v_p afresh.
 
     Raises:
         DegenerateStep: the stepped matrix has numerical rank below r
@@ -176,12 +195,11 @@ def retract(x: FixedRankPoint, d: TangentVector, step: float) -> FixedRankPoint:
     if step == 0.0:
         return x
     r = x.r
-    q_u, r_u = np.linalg.qr(step * d.u_p)
-    q_v, r_v = np.linalg.qr(step * d.v_p)
+    q_u, r_u, q_v, r_v = d.qr
     core = np.zeros((2 * r, 2 * r), dtype=complex)
     core[:r, :r] = np.diag(x.s) + step * d.m_core
-    core[:r, r:] = r_v.conj().T
-    core[r:, :r] = r_u
+    core[:r, r:] = (step * r_v).conj().T
+    core[r:, :r] = step * r_u
     w, sig, zh = np.linalg.svd(core)
     if sig[r - 1] <= 1e-12 * sig[0]:
         raise DegenerateStep(f"rank drop: sigma_r={sig[r - 1]:.3e}")
@@ -203,6 +221,8 @@ def circle_retract(v: CirclePoint, t: np.ndarray, step: float) -> CirclePoint:
     Raises:
         DegenerateStep: an entry of v + step * t vanishes.
     """
+    if step < 0:
+        raise ValueError("step must be non-negative")
     if step == 0.0:
         return v
     w = v.v + step * t
@@ -270,7 +290,9 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions) -> CgResult:
         cost_grad: point -> (real objective value, egrad), where egrad()
             returns the conjugate Euclidean gradient (ambient array) at
             that point. Called once per trial point of the line search;
-            egrad is called only at x0 and at accepted points.
+            egrad is called only at x0 and at each accepted point the
+            search continues from; a point that meets the decrease test
+            or the iteration cap is returned without its gradient.
         x0: starting point on the manifold.
         opts: termination settings.
 
@@ -312,17 +334,17 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions) -> CgResult:
             stalled = True
             break
         x_new, f_new, egrad, step = hit
+        trace.append(f_new)
+        if f - f_new <= opts.epsilon or iters == opts.max_iters:
+            x = x_new
+            break
         g_new = manifold.project(x_new, egrad())
         g_old_t = manifold.transport(x_new, g)
         eta = max(0.0, manifold.inner(x_new, g_new, g_new + (-1.0) * g_old_t)
                   / gnorm2)
         d = -g_new + eta * manifold.transport(x_new, d)
-        decrease = f - f_new
         x, f, g = x_new, f_new, g_new
-        trace.append(f)
         step_init = min(_INITIAL_STEP, 2.0 * step)
-        if decrease <= opts.epsilon:
-            break
 
     return CgResult(x, trace, stalled, iters)
 

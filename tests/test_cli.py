@@ -163,7 +163,12 @@ class TestConfigErrors:
             self, tmp_path, capsys, monkeypatch):
         cfg_path = _write(tmp_path, "trial.cfg", FAST_TRIAL)
         monkeypatch.setattr(harness, "sweep", None)  # must not be reached
-        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        dangling = tmp_path / "dangling.csv"
+        dangling.symlink_to(tmp_path / "missing" / "x.csv")
+        # The last two fail even when the tests run as root: a 300-character
+        # name (ENAMETOOLONG), and a link into a missing directory.
+        for out in (tmp_path / "missing" / "x.csv", tmp_path,
+                    tmp_path / ("x" * 300 + ".csv"), dangling):
             assert main(["sweep", "--config", cfg_path,
                          "--out", str(out)]) == 1
             assert "config error" in capsys.readouterr().err

@@ -144,6 +144,47 @@ def test_retract_zero_step_and_svd_oracle():
         retract(x, d, -1.0)
 
 
+def _retract_per_step_qr(x, d, step):
+    """Reference retraction: QR-factors step * u_p and step * v_p on every
+    call instead of scaling the factors cached on d."""
+    if step == 0.0:
+        return x
+    r = x.r
+    q_u, r_u = np.linalg.qr(step * d.u_p)
+    q_v, r_v = np.linalg.qr(step * d.v_p)
+    core = np.zeros((2 * r, 2 * r), dtype=complex)
+    core[:r, :r] = np.diag(x.s) + step * d.m_core
+    core[:r, r:] = r_v.conj().T
+    core[r:, :r] = r_u
+    w, sig, zh = np.linalg.svd(core)
+    u_new = np.hstack([x.u, q_u]) @ w[:, :r]
+    v_new = np.hstack([x.v, q_v]) @ zh[:r].conj().T
+    return FixedRankPoint(u_new, sig[:r], v_new)
+
+
+@pytest.mark.parametrize("n,m,r", [(8, 6, 2), (16, 36, 3), (36, 16, 4)])
+def test_retract_cached_qr_matches_per_step_qr(n, m, r):
+    rng = np.random.default_rng(n + m + r)
+    x = random_fixed_rank(n, m, r, rng)
+    j = cgauss(rng, (n, m))
+    reused = project_tangent(x, j)
+    for k in range(58):
+        step = 2.0 ** -k
+        ref = _retract_per_step_qr(x, reused, step)
+        # A fresh vector factors on this call; the reused one factored on
+        # its first call, at another step.
+        for d in (project_tangent(x, j), reused):
+            y = retract(x, d, step)
+            assert np.array_equal(y.u, ref.u)
+            assert np.array_equal(y.s, ref.s)
+            assert np.array_equal(y.v, ref.v)
+    for d in (project_tangent(x, j), reused):
+        np.testing.assert_allclose(retract(x, d, 0.3).dense,
+                                   _retract_per_step_qr(x, d, 0.3).dense,
+                                   atol=1e-12)
+    assert (reused + reused)._qr is None and (2.0 * reused)._qr is None
+
+
 def test_retract_rank_collapse_raises():
     # Step exactly cancels the smallest singular direction, dropping the
     # rank to r-1 while sigma_1 stays healthy.
@@ -194,6 +235,8 @@ def test_circle_retract_cases():
     assert 30 < err[1e-3] / err[1e-4] < 300
     with pytest.raises(DegenerateStep):
         circle_retract(v, -v.v, 1.0)
+    with pytest.raises(ValueError):
+        circle_retract(v, t, -0.5)
 
 
 def _sq_dist(b):
@@ -269,13 +312,26 @@ def test_cg_rejects_nonfinite_start():
 
 
 def test_cg_options_validation():
-    with pytest.raises(ValueError):
-        CgOptions(epsilon=0.0)
+    for kwargs in ({"epsilon": 0.0}, {"max_iters": 0}, {"max_iters": -3}):
+        with pytest.raises(ValueError):
+            CgOptions(**kwargs)
 
 
-def test_cg_evaluates_each_point_once():
+# stop -> (full-rank target, opts, cost evaluations before the cost turns
+# infinite, egrad calls minus len(trace)).
+_STOPS = {
+    "max_iters": (True, CgOptions(epsilon=1e-10, max_iters=60), None, -1),
+    "decrease": (True, CgOptions(epsilon=1.0, max_iters=60), None, -1),
+    "zero_grad": (False, CgOptions(epsilon=1e-300, max_iters=500), None, 0),
+    "stalled": (True, CgOptions(epsilon=1e-10, max_iters=60), 12, 0),
+}
+
+
+def _check_evaluation_counts(stop):
+    full_rank, opts, finite_evals, offset = _STOPS[stop]
     rng = np.random.default_rng(16)
-    b = cgauss(rng, (7, 5))
+    b = cgauss(rng, (7, 5)) if full_rank else random_fixed_rank(
+        7, 5, 2, rng).dense
     calls = {"cost_grad": 0, "egrad": 0, "retract": 0}
 
     def cost_grad(p):
@@ -285,6 +341,8 @@ def test_cg_evaluates_each_point_once():
             calls["egrad"] += 1
             return 10.0 * (p.dense - b)
 
+        if finite_evals is not None and calls["cost_grad"] > finite_evals:
+            return float("inf"), egrad
         return 10.0 * float(np.linalg.norm(p.dense - b) ** 2), egrad
 
     class CountingManifold(FixedRankManifold):
@@ -297,7 +355,58 @@ def test_cg_evaluates_each_point_once():
     # The 10x curvature makes unit steps overshoot, so line searches
     # reject trial points.
     res = cg_minimize(CountingManifold, cost_grad,
-                      random_fixed_rank(7, 5, 2, rng),
-                      CgOptions(epsilon=1e-10, max_iters=60))
-    assert calls["egrad"] == len(res.trace) < calls["cost_grad"]
-    assert calls["cost_grad"] == calls["retract"] + 1
+                      random_fixed_rank(7, 5, 2, rng), opts)
+    last_decrease = res.trace[-2] - res.trace[-1]
+    observed = {
+        "max_iters": res.iters == opts.max_iters,
+        "decrease": res.iters < opts.max_iters and not res.stalled
+        and last_decrease <= opts.epsilon,
+        "zero_grad": res.iters < opts.max_iters and not res.stalled
+        and last_decrease > opts.epsilon,
+        "stalled": res.stalled,
+    }
+    assert [k for k, hit in observed.items() if hit] == [stop]
+    assert len(res.trace) > 2, stop
+    assert calls["egrad"] == len(res.trace) + offset < calls["cost_grad"], stop
+    assert calls["cost_grad"] == calls["retract"] + 1, stop
+
+
+def test_cg_evaluates_each_point_once():
+    for stop in sorted(_STOPS):
+        _check_evaluation_counts(stop)
+
+
+@pytest.mark.parametrize("opts,iters", [
+    (CgOptions(epsilon=1e12, max_iters=100), 1),  # decrease test
+    (CgOptions(epsilon=1e-10, max_iters=3), 3),   # iteration cap
+])
+def test_cg_does_no_work_at_the_final_point(opts, iters):
+    rng = np.random.default_rng(18)
+    b = cgauss(rng, (7, 5))
+    seen = []  # (operation, point it ran at)
+
+    def cost_grad(p):
+        def egrad():
+            seen.append(("egrad", p))
+            return p.dense - b
+
+        return float(np.linalg.norm(p.dense - b) ** 2), egrad
+
+    class CountingManifold(FixedRankManifold):
+        @staticmethod
+        def project(x, j):
+            seen.append(("project", x))
+            return project_tangent(x, j)
+
+        @staticmethod
+        def transport(x_new, t):
+            seen.append(("transport", x_new))
+            return transport(t, x_new)
+
+    res = cg_minimize(CountingManifold, cost_grad,
+                      random_fixed_rank(7, 5, 2, rng), opts)
+    assert res.iters == iters and len(res.trace) == iters + 1
+    assert not res.stalled and res.trace[-2] - res.trace[-1] > 0
+    assert [op for op, p in seen if p is res.x] == []
+    # Every earlier point, x0 included, had its gradient taken once.
+    assert sum(op == "egrad" for op, _ in seen) == res.iters
