@@ -59,9 +59,7 @@ def _cmd_sweep(args) -> int:
         pass
     records, failures = harness.sweep(cfg)
     out.write_text(harness.to_csv(records), encoding="utf-8", newline="\n")
-    n = cfg.trials
-    for point, value in enumerate(cfg.sweep_values):
-        (row,) = harness.summarize(records[point * n:(point + 1) * n])
+    for value, row in zip(cfg.sweep_values, harness.summarize(records)):
         print(f"{row['algorithm']} {cfg.sweep_axis}={value:g}: "
               f"median nmse {row['median_nmse']:.4g}, "
               f"median se {row['median_se']:.4g} ({row['n']} ok)")

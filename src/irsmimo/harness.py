@@ -26,7 +26,7 @@ from .mo_est import MoEstConfig, mo_est
 from .numerics import khatri_rao
 from .wmmse import DownlinkScenario, alt_wmmse, spectral_efficiency
 
-CSV_HEADER = "seed,algorithm,T,pnr_db,snr_db,nmse,se_bits_s_hz,outer_iters,wall_ms"
+CSV_HEADER = "seed,algorithm,T,pnr_db,snr_db,k_hat,nmse,se_bits_s_hz,outer_iters,wall_ms"
 ALGORITHMS = ("mo_est", "cs_est", "perfect_csi", "random_phase_baseline")
 SWEEP_AXES = ("T", "PNR", "SNR", "K_hat")
 _ESTIMATORS = ("mo_est", "cs_est")
@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sweep_axis {self.sweep_axis!r}")
         if len(self.sweep_values) == 0:
             raise ConfigError("sweep_values must be non-empty")
+        if len(set(self.sweep_values)) != len(self.sweep_values):
+            raise ConfigError("sweep_values must be distinct")
         if self.sweep_axis in ("T", "K_hat") and not all(
                 float(v).is_integer() for v in self.sweep_values):
             raise ConfigError(f"{self.sweep_axis} sweep values must be "
@@ -129,25 +131,24 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One CSV row; float fields are nan when the trial failed."""
+    """One CSV row, columns in field order; (t, pnr_db, snr_db, k_hat)
+    name the sweep point. nmse and se_bits_s_hz are nan when the trial
+    failed."""
 
     seed: int
     algorithm: str
     t: int
     pnr_db: float
     snr_db: float
+    k_hat: int
     nmse: float
     se_bits_s_hz: float
     outer_iters: int
     wall_ms: float
 
     def to_csv_row(self) -> str:
-        return ",".join([
-            str(int(self.seed)), self.algorithm, str(int(self.t)),
-            str(float(self.pnr_db)), str(float(self.snr_db)),
-            str(float(self.nmse)), str(float(self.se_bits_s_hz)),
-            str(int(self.outer_iters)), str(float(self.wall_ms)),
-        ])
+        return ",".join(str(f.type(getattr(self, f.name)))
+                        for f in fields(self))
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
@@ -317,14 +318,8 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
     se = spectral_efficiency(h_e_true, sol.f, scen)
     err = 0.0 if cfg.algorithm not in _ESTIMATORS else nmse(ch.h_c, h_c_hat)
     wall = 1e3 * (time.perf_counter() - tic) if cfg.timings else 0.0
-    return TrialRecord(seed, cfg.algorithm, t, pnr_db, snr_db, err, se,
-                       iters, wall)
-
-
-def _failed_record(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
-    t, pnr_db, snr_db, _ = _point_params(cfg, point)
-    return TrialRecord(seed, cfg.algorithm, t, pnr_db, snr_db,
-                       float("nan"), float("nan"), 0, 0.0)
+    return TrialRecord(seed, cfg.algorithm, t, pnr_db, snr_db, k_hat, err,
+                       se, iters, wall)
 
 
 def sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], int]:
@@ -340,7 +335,9 @@ def sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], int]:
             records.append(run_trial(cfg, point, seed))
         except Exception:
             failures += 1
-            records.append(_failed_record(cfg, point, seed))
+            records.append(TrialRecord(seed, cfg.algorithm,
+                                       *_point_params(cfg, point),
+                                       float("nan"), float("nan"), 0, 0.0))
     return records, failures
 
 
@@ -355,25 +352,25 @@ def parse_csv(text: str) -> list[TrialRecord]:
     lines = text.strip("\n").split("\n")
     if lines[0] != CSV_HEADER:
         raise ValueError("unexpected CSV header")
-    n_cols = CSV_HEADER.count(",") + 1
+    cols = fields(TrialRecord)
     out = []
     for ln, line in enumerate(lines[1:], start=2):
-        f = line.split(",")
-        if len(f) != n_cols:
-            raise ValueError(f"line {ln}: expected {n_cols} fields, "
-                             f"got {len(f)}")
-        out.append(TrialRecord(int(f[0]), f[1], int(f[2]), float(f[3]),
-                               float(f[4]), float(f[5]), float(f[6]),
-                               int(f[7]), float(f[8])))
+        row = line.split(",")
+        if len(row) != len(cols):
+            raise ValueError(f"line {ln}: expected {len(cols)} fields, "
+                             f"got {len(row)}")
+        out.append(TrialRecord(*(f.type(x) for f, x in zip(cols, row))))
     return out
 
 
 def summarize(records: list[TrialRecord]) -> list[dict]:
-    """Median/mean NMSE and SE grouped by (algorithm, t, pnr_db, snr_db),
-    in first-appearance order; nan trials are excluded per group."""
+    """Median/mean NMSE and SE grouped by algorithm and sweep point
+    (t, pnr_db, snr_db, k_hat), in first-appearance order; nan trials are
+    excluded per group."""
+    point = ("algorithm", "t", "pnr_db", "snr_db", "k_hat")
     groups: dict[tuple, list[TrialRecord]] = {}
     for rec in records:
-        groups.setdefault((rec.algorithm, rec.t, rec.pnr_db, rec.snr_db),
+        groups.setdefault(tuple(getattr(rec, name) for name in point),
                           []).append(rec)
     out = []
     for key, recs in groups.items():
@@ -381,8 +378,7 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
         se = np.array([r.se_bits_s_hz for r in recs])
         ok = ~np.isnan(err) & ~np.isnan(se)
         out.append({
-            "algorithm": key[0], "t": key[1], "pnr_db": key[2],
-            "snr_db": key[3], "n": int(ok.sum()),
+            **dict(zip(point, key)), "n": int(ok.sum()),
             "median_nmse": float(np.median(err[ok])) if ok.any() else float("nan"),
             "mean_nmse": float(np.mean(err[ok])) if ok.any() else float("nan"),
             "median_se": float(np.median(se[ok])) if ok.any() else float("nan"),

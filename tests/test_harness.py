@@ -73,6 +73,7 @@ class TestConfig:
         "algorithm = perfect_csi\neps3 = -1",
         "p_tr = 1", "eps_inner = 0.001", "eps_outer = 0.001",
         "eps3 = 0.001",
+        "sweep_values = 100,100", "sweep_axis = SNR\nsweep_values = 0,-0.0",
     ])
     def test_bad_configs_rejected(self, text):
         with pytest.raises(ConfigError):
@@ -119,13 +120,17 @@ class TestMetrics:
 
 class TestCsv:
     RECORDS = [
-        TrialRecord(0, "mo_est", 100, 0.0, 10.0, 0.25, 12.5, 7, 0.0),
-        TrialRecord(1, "cs_est", 60, -5.0, 7.5, 1e-11, 3.25, 6, 1.5),
+        TrialRecord(0, "mo_est", 100, 0.0, 10.0, 3, 0.25, 12.5, 7, 0.0),
+        TrialRecord(1, "cs_est", 60, -5.0, 7.5, 4, 1e-11, 3.25, 6, 1.5),
     ]
 
     def test_row_format(self):
         assert self.RECORDS[0].to_csv_row() == \
-            "0,mo_est,100,0.0,10.0,0.25,12.5,7,0.0"
+            "0,mo_est,100,0.0,10.0,3,0.25,12.5,7,0.0"
+
+    def test_header_has_one_column_per_field(self):
+        assert len(CSV_HEADER.split(",")) == \
+            len(dataclasses.fields(TrialRecord))
 
     def test_header_and_lf_endings(self):
         text = to_csv(self.RECORDS)
@@ -142,7 +147,7 @@ class TestCsv:
             parse_csv("wrong,header\n1,2\n")
 
     @pytest.mark.parametrize("row", [
-        "0,mo_est,100,0.0,10.0,0.25,12.5,7,0.0,extra",
+        "0,mo_est,100,0.0,10.0,3,0.25,12.5,7,0.0,extra",
         "0,mo_est,100,0.0,10.0,0.25,12.5",
     ])
     def test_row_field_count_validated(self, row):
@@ -153,10 +158,10 @@ class TestCsv:
     def test_summarize_groups_and_skips_failures(self):
         nan = float("nan")
         recs = [
-            TrialRecord(0, "mo_est", 100, 0.0, 10.0, 0.2, 10.0, 5, 0.0),
-            TrialRecord(1, "mo_est", 100, 0.0, 10.0, 0.4, 12.0, 5, 0.0),
-            TrialRecord(2, "mo_est", 100, 0.0, 10.0, nan, nan, 0, 0.0),
-            TrialRecord(0, "mo_est", 150, 0.0, 10.0, 0.1, 11.0, 5, 0.0),
+            TrialRecord(0, "mo_est", 100, 0.0, 10.0, 3, 0.2, 10.0, 5, 0.0),
+            TrialRecord(1, "mo_est", 100, 0.0, 10.0, 3, 0.4, 12.0, 5, 0.0),
+            TrialRecord(2, "mo_est", 100, 0.0, 10.0, 3, nan, nan, 0, 0.0),
+            TrialRecord(0, "mo_est", 150, 0.0, 10.0, 3, 0.1, 11.0, 5, 0.0),
         ]
         rows = summarize(recs)
         assert [row["t"] for row in rows] == [100, 150]
@@ -270,6 +275,16 @@ class TestSweep:
         assert [r.seed for r in records] == [0, 1]
         reparsed = parse_csv(to_csv(records))
         assert all(math.isnan(r.nmse) for r in reparsed)
+        assert [(r.t, r.k_hat) for r in reparsed] == [(0, 2), (0, 2)]
+
+    def test_summarize_keeps_k_hat_points_apart(self):
+        cfg = ExperimentConfig(algorithm="perfect_csi", sweep_axis="K_hat",
+                               sweep_values=(2.0, 3.0), t=0, trials=2,
+                               **SMALL_KW)
+        records, _ = sweep(cfg)
+        rows = summarize(records)
+        assert [row["k_hat"] for row in rows] == [2, 3]
+        assert [row["n"] for row in rows] == [2, 2]
 
     def test_sparse_estimator_error_floor_flattens_at_high_pnr(self):
         cfg = ExperimentConfig(algorithm="cs_est", sweep_axis="PNR",
