@@ -10,7 +10,7 @@ from .channel import (ChannelRealization, Dictionaries, PathSet, PilotBlock,
 from .cs_est import CsEstConfig, CsEstResult, cs_est
 from .harness import (ExperimentConfig, TrialRecord, nmse, parse_config,
                       pnr_to_sigma2, run_trial, sweep)
-from .manifold import CgOptions, CirclePoint, FixedRankPoint, cg_minimize
+from .manifold import CgOptions, FixedRankPoint, cg_minimize
 from .mo_est import MoEstConfig, MoEstResult, mo_est
 from .wmmse import (BeamformingSolution, DownlinkScenario, alt_wmmse,
                     spectral_efficiency)
@@ -18,12 +18,11 @@ from .wmmse import (BeamformingSolution, DownlinkScenario, alt_wmmse,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamformingSolution", "CgOptions", "ChannelRealization", "CirclePoint",
-    "CsEstConfig", "CsEstResult", "Dictionaries", "DownlinkScenario",
-    "ExperimentConfig", "FixedRankPoint", "MoEstConfig", "MoEstResult",
-    "PathSet", "PilotBlock", "SystemGeometry", "TrialRecord", "alt_wmmse",
-    "build_dictionaries", "cascaded", "cg_minimize", "cs_est",
-    "effective_channel", "make_pilots", "mo_est", "nmse", "parse_config",
-    "pnr_to_sigma2", "run_trial", "sample_paths", "simulate_uplink",
-    "spectral_efficiency", "sweep",
+    "BeamformingSolution", "CgOptions", "ChannelRealization", "CsEstConfig",
+    "CsEstResult", "Dictionaries", "DownlinkScenario", "ExperimentConfig",
+    "FixedRankPoint", "MoEstConfig", "MoEstResult", "PathSet", "PilotBlock",
+    "SystemGeometry", "TrialRecord", "alt_wmmse", "build_dictionaries",
+    "cascaded", "cg_minimize", "cs_est", "effective_channel", "make_pilots",
+    "mo_est", "nmse", "parse_config", "pnr_to_sigma2", "run_trial",
+    "sample_paths", "simulate_uplink", "spectral_efficiency", "sweep",
 ]

@@ -229,8 +229,8 @@ def sample_paths(geom: SystemGeometry, k: int, rng: np.random.Generator,
         ValueError: k violates the rank preconditions, or separation could
             not be met within 2000 redraws.
     """
-    if k > min(geom.n_bs, geom.n_ue, geom.m):
-        raise ValueError(f"k={k} exceeds min array dimension")
+    if not 1 <= k <= min(geom.n_bs, geom.n_ue, geom.m):
+        raise ValueError(f"k={k} outside [1, min array dimension]")
 
     def draw(freqs, sizes, grids) -> tuple[np.ndarray, np.ndarray]:
         """Angles (axes, k) and frequency rows (k, axes) of one kind."""

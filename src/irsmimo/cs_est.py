@@ -75,11 +75,8 @@ class OmpResult:
 
 @dataclass
 class CsEstResult:
-    """Selected atoms, sparse gain vector, reconstruction, and run metrics."""
+    """Reconstruction, selected supports, and run metrics."""
 
-    a_ue_bar: np.ndarray
-    a_bs_bar: np.ndarray
-    lam: np.ndarray
     h_c_hat: np.ndarray
     support_ue: list[int]
     support_bs: list[int]
@@ -287,15 +284,14 @@ def cs_est(pilots: PilotBlock, dicts: Dictionaries,
     stage_ms["stage2"] = 1e3 * (time.perf_counter() - tic)
 
     tic = time.perf_counter()
-    lam, h_c_hat, omp_gain = stage3_gains(pilots, a_ue_bar, a_bs_bar, dicts,
-                                          cfg, counters["stage3"])
+    _, h_c_hat, omp_gain = stage3_gains(pilots, a_ue_bar, a_bs_bar, dicts,
+                                        cfg, counters["stage3"])
     stage_ms["stage3"] = 1e3 * (time.perf_counter() - tic)
 
     flops = {name: c.total for name, c in counters.items()}
     flops["total"] = sum(flops.values())
-    return CsEstResult(a_ue_bar, a_bs_bar, lam, h_c_hat,
-                       omp_ue.support, omp_bs.support, omp_gain.support,
-                       stage_ms, flops)
+    return CsEstResult(h_c_hat, omp_ue.support, omp_bs.support,
+                       omp_gain.support, stage_ms, flops)
 
 
 def resolve_t1(t1: int | None, t: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channel import (SystemGeometry, build_dictionaries, effective_channel,
-                      make_pilots, sample_paths, simulate_uplink,
+                      make_pilots, pathloss, sample_paths, simulate_uplink,
                       synth_channels)
 from .cs_est import CsEstConfig, cs_est, resolve_t1
 from .mo_est import MoEstConfig, mo_est
@@ -218,7 +218,6 @@ def pnr_to_sigma2(pnr_db: float, d_bi: float, d_iu: float) -> float:
     """Noise power giving the requested pilot-to-noise ratio
     tau_bi * tau_iu / sigma2 for unit-power pilots (tau from the
     path-loss law)."""
-    from .channel import pathloss
     if d_bi <= 0 or d_iu <= 0:
         raise ValueError("distances must be positive")
     return pathloss(d_bi) * pathloss(d_iu) / 10.0 ** (pnr_db / 10.0)
@@ -314,7 +313,7 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
     if iters < 0:
         iters = sol.iterations
 
-    h_e_true = effective_channel(ch.h_c, sol.v_d.v, geom)
+    h_e_true = effective_channel(ch.h_c, sol.v_d, geom)
     se = spectral_efficiency(h_e_true, sol.f, scen)
     err = 0.0 if cfg.algorithm not in _ESTIMATORS else nmse(ch.h_c, h_c_hat)
     wall = 1e3 * (time.perf_counter() - tic) if cfg.timings else 0.0

@@ -110,21 +110,6 @@ class TangentVector:
         return self * -1.0
 
 
-@dataclass(frozen=True)
-class CirclePoint:
-    """Vector with unit-modulus entries."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        if np.abs(np.abs(self.v) - 1.0).max() > 1e-9:
-            raise ValueError("entries must have unit modulus")
-
-    @property
-    def n(self) -> int:
-        return len(self.v)
-
-
 # Armijo backtracking line-search constants.
 _CONTRACTION = 0.5
 _SUFFICIENT_DECREASE = 1e-4
@@ -208,14 +193,14 @@ def retract(x: FixedRankPoint, d: TangentVector, step: float) -> FixedRankPoint:
     return FixedRankPoint(u_new, sig[:r], v_new)
 
 
-def circle_project(v: CirclePoint, egrad: np.ndarray) -> np.ndarray:
+def circle_project(v: np.ndarray, egrad: np.ndarray) -> np.ndarray:
     """Tangent projection t = egrad - Re(egrad * conj(v)) * v."""
-    if egrad.shape != v.v.shape:
+    if egrad.shape != v.shape:
         raise ValueError("shape mismatch")
-    return egrad - np.real(egrad * v.v.conj()) * v.v
+    return egrad - np.real(egrad * v.conj()) * v
 
 
-def circle_retract(v: CirclePoint, t: np.ndarray, step: float) -> CirclePoint:
+def circle_retract(v: np.ndarray, t: np.ndarray, step: float) -> np.ndarray:
     """Entrywise normalization of v + step * t back onto the circle.
 
     Raises:
@@ -225,11 +210,11 @@ def circle_retract(v: CirclePoint, t: np.ndarray, step: float) -> CirclePoint:
         raise ValueError("step must be non-negative")
     if step == 0.0:
         return v
-    w = v.v + step * t
+    w = v + step * t
     mag = np.abs(w)
     if np.any(mag < 1e-14):
         raise DegenerateStep("entry collapsed to zero")
-    return CirclePoint(w / mag)
+    return w / mag
 
 
 class FixedRankManifold:
@@ -258,11 +243,11 @@ class CircleManifold:
     retract = staticmethod(circle_retract)
 
     @staticmethod
-    def transport(x_new: CirclePoint, t: np.ndarray) -> np.ndarray:
+    def transport(x_new: np.ndarray, t: np.ndarray) -> np.ndarray:
         return circle_project(x_new, t)
 
     @staticmethod
-    def inner(x: CirclePoint, t1: np.ndarray, t2: np.ndarray) -> float:
+    def inner(x: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> float:
         return float(np.vdot(t1, t2).real)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemGeometry, effective_channel
-from .manifold import (CgOptions, CircleManifold, CirclePoint, cg_minimize)
+from .manifold import CgOptions, CircleManifold, cg_minimize
 from .numerics import random_unit_modulus
 
 
@@ -51,17 +51,11 @@ class BeamformingSolution:
     """Converged beamformers plus the objective trace and resulting rate."""
 
     f: np.ndarray
-    v_d: CirclePoint
-    w: np.ndarray
-    omega: np.ndarray
+    v_d: np.ndarray
     g_trace: list[float]
     se: float
     iterations: int
     stalled: bool = False
-
-
-def _as_vector(v_d) -> np.ndarray:
-    return v_d.v if isinstance(v_d, CirclePoint) else np.asarray(v_d)
 
 
 def spectral_efficiency(h_e: np.ndarray, f: np.ndarray,
@@ -139,7 +133,7 @@ def _g1_cost_grad(v_d, p: np.ndarray, omega_inv: np.ndarray,
     needs only h_e f = p @ v_d and the gradient is
     -(1/sigma2_d) * p^H @ (h_e f t^{-2} omega^{-1}) stacked by rows.
     egrad() reuses h_e f and t^{-1} from the cost."""
-    hf = (p @ _as_vector(v_d)).reshape(-1, omega_inv.shape[0])
+    hf = (p @ v_d).reshape(-1, omega_inv.shape[0])
     t_inv = np.linalg.inv(omega_inv + (omega_inv @ hf.conj().T @ hf)
                           / sigma2_d)
 
@@ -181,11 +175,12 @@ _EPS3 = 1e-3
 
 
 def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
-              max_outer: int = 50, optimize_v: bool = True,
-              v0: np.ndarray | None = None) -> BeamformingSolution:
+              max_outer: int = 50,
+              optimize_v: bool = True) -> BeamformingSolution:
     """Alternating minimization of the weighted-MSE objective.
 
-    Per outer iteration: conjugate-gradient descent of v_d on the circle
+    rng draws the starting reflection vector and nothing else, so the
+    seed picks the start. Per outer iteration: conjugate-gradient descent of v_d on the circle
     manifold (skipped when optimize_v is False, leaving the initial random
     reflection in place), then the (w, omega) and f closed forms. The
     objective is recorded once per iteration right after the (w, omega)
@@ -201,9 +196,8 @@ def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
     forms.
     """
     geom = scen.geom
-    v = CirclePoint(random_unit_modulus(geom.m, rng) if v0 is None
-                    else np.asarray(v0, dtype=complex))
-    h_e = effective_channel(scen.h_c, v.v, geom)
+    v = random_unit_modulus(geom.m, rng)
+    h_e = effective_channel(scen.h_c, v, geom)
     _, _, vh = np.linalg.svd(h_e, full_matrices=False)
     f = vh[:scen.n_s].conj().T / np.sqrt(scen.n_s)
     w, omega = update_w_omega(h_e, f, scen)
@@ -221,7 +215,7 @@ def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
                 v, _INNER_OPTS)
             v = res.x
             stalled = stalled or res.stalled
-            h_e = effective_channel(scen.h_c, v.v, geom)
+            h_e = effective_channel(scen.h_c, v, geom)
         w, omega = update_w_omega(h_e, f, scen)
         g_trace.append(wmmse_objective(h_e, f, w, omega, scen))
         f_new, degenerate = update_f(h_e, w, omega, scen)
@@ -230,6 +224,5 @@ def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
         if g_trace[-2] - g_trace[-1] <= _EPS3:
             break
 
-    w, omega = update_w_omega(h_e, f, scen)
     se = spectral_efficiency(h_e, f, scen)
-    return BeamformingSolution(f, v, w, omega, g_trace, se, iters, stalled)
+    return BeamformingSolution(f, v, g_trace, se, iters, stalled)

@@ -148,8 +148,9 @@ def test_sample_paths_angle_range_and_distinct():
         assert np.all(ang > 0) and np.all(ang <= 2 * np.pi)
     diff = np.abs(np.subtract.outer(paths.u_bs, paths.u_bs))
     assert diff[~np.eye(3, dtype=bool)].min() >= 1e-6
-    with pytest.raises(ValueError):
-        sample_paths(geom, geom.n_ue + 1, rng)
+    for k in (0, geom.n_ue + 1):
+        with pytest.raises(ValueError):
+            sample_paths(geom, k, rng)
 
 
 def test_sample_paths_on_grid():
