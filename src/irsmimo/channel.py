@@ -56,21 +56,16 @@ class SystemGeometry:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Path gains, angles, and spatial frequencies for both hops.
+    """Path gains and spatial frequencies for both hops.
 
-    Angles are the raw draws in (0, 2pi]; the u_* arrays hold the spatial
-    frequencies actually used for synthesis (snapped to the dictionary grid
-    when drawn with on_grid=True, otherwise the exact trig values).
+    The frequencies are trig functions of angles uniform on [0, 2pi): BS
+    AoA theta_r, IRS AoD (theta_t, phi_t) and AoA (psi_r, phi_r) as
+    (azimuth, elevation), and UE AoD psi_t. Drawn with on_grid=True, they
+    are snapped to the dictionary grid.
     """
 
     alpha: np.ndarray          # (p,) BS-IRS gains
-    theta_r: np.ndarray        # (p,) BS AoA
-    theta_t: np.ndarray        # (p,) IRS AoD azimuth
-    phi_t: np.ndarray          # (p,) IRS AoD elevation
     beta: np.ndarray           # (q,) IRS-UE gains
-    psi_r: np.ndarray          # (q,) IRS AoA azimuth
-    phi_r: np.ndarray          # (q,) IRS AoA elevation
-    psi_t: np.ndarray          # (q,) UE AoD
     u_bs: np.ndarray           # (p,) cos(theta_r)
     u_irs_aod: np.ndarray      # (p, 2) [sin(theta_t)sin(phi_t), cos(phi_t)]
     u_irs_aoa: np.ndarray      # (q, 2) [sin(psi_r)sin(phi_r), cos(phi_r)]
@@ -87,11 +82,10 @@ class PathSet:
 
 @dataclass
 class ChannelRealization:
-    """Dense channel pair plus the generating paths."""
+    """Dense channel pair; the cascaded channel is built on first use."""
 
     g: np.ndarray              # (n_bs, m)
     h: np.ndarray              # (m, n_ue)
-    paths: PathSet
     _h_c: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -111,10 +105,6 @@ class Dictionaries:
     a_y: np.ndarray            # (m_y, g_y)
     a_z: np.ndarray            # (m_z, g_z)
     a_i: np.ndarray            # (m_y*m_z, g_y*g_z) = kron(a_y, a_z)
-    grid_bs: np.ndarray
-    grid_ue: np.ndarray
-    grid_y: np.ndarray
-    grid_z: np.ndarray
 
     @property
     def unitary(self) -> bool:
@@ -215,7 +205,7 @@ _MAX_TRIES = 2000
 
 def sample_paths(geom: SystemGeometry, k: int, rng: np.random.Generator,
                  on_grid: bool = False) -> PathSet:
-    """Draw k paths per hop with angles uniform on (0, 2pi].
+    """Draw k paths per hop with angles uniform on [0, 2pi).
 
     Spatial frequencies of distinct paths are kept separated so the
     synthesized channels have exact rank k: off grid any two frequencies
@@ -232,26 +222,24 @@ def sample_paths(geom: SystemGeometry, k: int, rng: np.random.Generator,
     if not 1 <= k <= min(geom.n_bs, geom.n_ue, geom.m):
         raise ValueError(f"k={k} outside [1, min array dimension]")
 
-    def draw(freqs, sizes, grids) -> tuple[np.ndarray, np.ndarray]:
-        """Angles (axes, k) and frequency rows (k, axes) of one kind."""
+    def draw(freqs, sizes, grids) -> np.ndarray:
+        """Frequency rows (k, axes) of one kind."""
         sizes, grids = np.array(sizes), np.array(grids)
         for _ in range(_MAX_TRIES):
-            ang = rng.uniform(0.0, 2.0 * np.pi, (len(sizes), k))
-            u = freqs(ang).T
+            u = freqs(rng.uniform(0.0, 2.0 * np.pi, (len(sizes), k))).T
             if _separated(u, sizes, grids, on_grid):
-                return ang, _snap(u, grids)[0] if on_grid else u
+                return _snap(u, grids)[0] if on_grid else u
         raise ValueError("could not draw separated path frequencies")
 
     irs = (_irs_freqs, (geom.m_y, geom.m_z), (geom.g_y, geom.g_z))
-    (theta_r,), u_bs = draw(np.cos, (geom.n_bs,), (geom.g_bs,))
-    (theta_t, phi_t), u_irs_aod = draw(*irs)
-    (psi_r, phi_r), u_irs_aoa = draw(*irs)
-    (psi_t,), u_ue = draw(np.cos, (geom.n_ue,), (geom.g_ue,))
+    u_bs = draw(np.cos, (geom.n_bs,), (geom.g_bs,))[:, 0]
+    u_irs_aod = draw(*irs)
+    u_irs_aoa = draw(*irs)
+    u_ue = draw(np.cos, (geom.n_ue,), (geom.g_ue,))[:, 0]
 
     alpha = _gains(k, pathloss(geom.d_bi), rng)
     beta = _gains(k, pathloss(geom.d_iu), rng)
-    return PathSet(alpha, theta_r, theta_t, phi_t, beta, psi_r, phi_r, psi_t,
-                   u_bs[:, 0], u_irs_aod, u_irs_aoa, u_ue[:, 0])
+    return PathSet(alpha, beta, u_bs, u_irs_aod, u_irs_aoa, u_ue)
 
 
 def _sum_of_paths(gains: np.ndarray, a_rx: np.ndarray,
@@ -276,22 +264,21 @@ def synth_channels(geom: SystemGeometry, paths: PathSet) -> ChannelRealization:
     h = _sum_of_paths(paths.beta,
                       _steering_irs_uv(paths.u_irs_aoa, geom.m_y, geom.m_z),
                       steering_ula(paths.u_ue, geom.n_ue))
-    return ChannelRealization(g, h, paths)
+    return ChannelRealization(g, h)
 
 
 def build_dictionaries(geom: SystemGeometry) -> Dictionaries:
     """Steering dictionaries on the uniform frequency grids; unitary (up to
     scaling exact) whenever the resolution equals the array size."""
-    banks, grids = [], []
+    banks = []
     for res, size, name in ((geom.g_bs, geom.n_bs, "g_bs"),
                             (geom.g_ue, geom.n_ue, "g_ue"),
                             (geom.g_y, geom.m_y, "g_y"),
                             (geom.g_z, geom.m_z, "g_z")):
         if res < size:
             raise ValueError(f"{name}={res} below array size {size}")
-        grids.append(_grid(res))
-        banks.append(steering_ula(grids[-1], size))
-    return Dictionaries(*banks, kron(banks[2], banks[3]), *grids)
+        banks.append(steering_ula(_grid(res), size))
+    return Dictionaries(*banks, kron(banks[2], banks[3]))
 
 
 def angular_coefficients(ch: ChannelRealization,

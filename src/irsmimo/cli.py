@@ -152,8 +152,8 @@ def _selftest_checks():
         geom = channel.SystemGeometry()
         ch = channel.synth_channels(geom, channel.sample_paths(geom, 3, rng))
         sigma2_d = harness.pnr_to_sigma2(10.0, geom.d_bi, geom.d_iu)
-        scen = wmmse.DownlinkScenario(geom, ch.h_c, sigma2_d, 3, 0, 2000)
-        sol = wmmse.alt_wmmse(scen, rng)
+        scen = wmmse.DownlinkScenario(geom, sigma2_d, 3, 0, 2000)
+        sol = wmmse.alt_wmmse(scen, ch.h_c, rng)
         assert all(a >= b - 1e-9 for a, b in zip(sol.g_trace, sol.g_trace[1:]))
         assert abs(np.linalg.norm(sol.f) - 1.0) < 1e-10
 

@@ -224,7 +224,7 @@ def permutation_l(dicts: Dictionaries, j: int) -> np.ndarray:
     because the frequency grids are closed under subtraction modulo 2,
     which needs both per-axis resolutions to be even.
     """
-    g_y, g_z = len(dicts.grid_y), len(dicts.grid_z)
+    g_y, g_z = dicts.a_y.shape[1], dicts.a_z.shape[1]
     if g_y % 2 or g_z % 2:
         raise ValueError("permutation identity needs even grid resolutions")
     if not 0 <= j < g_y * g_z:

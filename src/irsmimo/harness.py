@@ -91,9 +91,6 @@ class ExperimentConfig:
                 float(v).is_integer() for v in self.sweep_values):
             raise ConfigError(f"{self.sweep_axis} sweep values must be "
                               "integers")
-        if self.sweep_axis == "T" and not all(
-                0 <= v < self.t_tot for v in self.sweep_values):
-            raise ConfigError("T sweep values must lie in [0, t_tot)")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not 0 <= self.t < self.t_tot:
@@ -105,17 +102,17 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be >= 0")
         try:
             geom = self.geometry()
+            if self.algorithm == "cs_est":
+                build_dictionaries(geom)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         k_paths = min(self.n_bs, self.n_ue, geom.m)
         if not 1 <= self.k_true <= k_paths:
             raise ConfigError("k_true must lie in [1, min(n_bs, n_ue, m)]")
-        if not 1 <= self.n_s <= min(self.n_bs, self.n_ue):
-            raise ConfigError("n_s must lie in [1, min(n_bs, n_ue)]")
         k_max = {"mo_est": k_paths,
                  "cs_est": min(self.g_bs, self.g_ue)}.get(self.algorithm)
         for point in range(len(self.sweep_values)):
-            t, _, _, k_hat = _point_params(self, point)
+            t, pnr_db, snr_db, k_hat = _point_params(self, point)
             if k_hat < 1:
                 raise ConfigError("K_hat must be >= 1")
             if k_max is not None and k_hat > k_max:
@@ -125,6 +122,10 @@ class ExperimentConfig:
                 _estimator_config(self, k_hat)
                 if self.algorithm == "cs_est" and t > 0:
                     resolve_t1(self.t1, t)
+                pnr_to_sigma2(pnr_db, self.d_bi, self.d_iu)
+                DownlinkScenario(geom, pnr_to_sigma2(snr_db, self.d_bi,
+                                                     self.d_iu),
+                                 self.n_s, t, self.t_tot)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
 
@@ -217,10 +218,19 @@ def config_text(cfg: ExperimentConfig) -> str:
 def pnr_to_sigma2(pnr_db: float, d_bi: float, d_iu: float) -> float:
     """Noise power giving the requested pilot-to-noise ratio
     tau_bi * tau_iu / sigma2 for unit-power pilots (tau from the
-    path-loss law)."""
+    path-loss law). Raises ValueError unless both distances and the
+    noise power are positive, and the noise power finite."""
     if d_bi <= 0 or d_iu <= 0:
         raise ValueError("distances must be positive")
-    return pathloss(d_bi) * pathloss(d_iu) / 10.0 ** (pnr_db / 10.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        try:
+            sigma2 = pathloss(d_bi) * pathloss(d_iu) / 10.0 ** (pnr_db / 10.0)
+        except OverflowError:
+            sigma2 = 0.0
+    if not 0.0 < sigma2 < np.inf:
+        raise ValueError(f"{pnr_db} dB over {d_bi} m and {d_iu} m gives "
+                         f"noise power {sigma2}")
+    return sigma2
 
 
 def nmse(h_c_true: np.ndarray, h_c_hat: np.ndarray) -> float:
@@ -283,7 +293,8 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
     ch = synth_channels(geom, sample_paths(geom, cfg.k_true, rng_chan,
                                            on_grid=cfg.on_grid))
     sigma2 = pnr_to_sigma2(pnr_db, cfg.d_bi, cfg.d_iu)
-    sigma2_d = pnr_to_sigma2(snr_db, cfg.d_bi, cfg.d_iu)
+    scen = DownlinkScenario(geom, pnr_to_sigma2(snr_db, cfg.d_bi, cfg.d_iu),
+                            cfg.n_s, t, cfg.t_tot)
 
     if t > 0:
         hold_v = resolve_t1(cfg.t1, t) if cfg.algorithm == "cs_est" else 0
@@ -307,8 +318,7 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
         h_c_hat = ch.h_c
         iters = -1
 
-    scen = DownlinkScenario(geom, h_c_hat, sigma2_d, cfg.n_s, t, cfg.t_tot)
-    sol = alt_wmmse(scen, rng_bf,
+    sol = alt_wmmse(scen, h_c_hat, rng_bf,
                     optimize_v=cfg.algorithm != "random_phase_baseline")
     if iters < 0:
         iters = sol.iterations

@@ -16,6 +16,7 @@ physical objective.
 """
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class MoEstConfig:
     q_hat: int = 3
     mu_g: float | None = None
     mu_h: float | None = None
-    max_outer: int = 30
+    max_outer: ClassVar[int] = 30
 
     def __post_init__(self):
         for name in ("mu_g", "mu_h"):

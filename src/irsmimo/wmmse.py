@@ -22,28 +22,27 @@ from .numerics import random_unit_modulus
 
 @dataclass(frozen=True)
 class DownlinkScenario:
-    """Cascaded channel, noise power, stream count, and slot accounting.
+    """One sweep point's geometry, noise power, stream count, and slot
+    accounting; the channel is per-trial data and is passed alongside.
 
     t_used slots of the t_tot-slot block were spent on training; the
     spectral-efficiency prefactor is (1 - t_used / t_tot).
     """
 
     geom: SystemGeometry
-    h_c: np.ndarray
     sigma2_d: float
     n_s: int = 3
     t_used: int = 0
     t_tot: int = 2000
 
     def __post_init__(self):
-        if self.h_c.shape != (self.geom.n_bs * self.geom.n_ue, self.geom.m):
-            raise ValueError(f"h_c shape {self.h_c.shape} inconsistent")
         if self.sigma2_d <= 0:
             raise ValueError("sigma2_d must be positive")
         if not 1 <= self.n_s <= min(self.geom.n_bs, self.geom.n_ue):
             raise ValueError("n_s outside [1, min(n_bs, n_ue)]")
         if not 0 <= self.t_used < self.t_tot:
-            raise ValueError("need 0 <= t_used < t_tot")
+            raise ValueError(f"need 0 <= t_used={self.t_used} < "
+                             f"t_tot={self.t_tot}")
 
 
 @dataclass
@@ -174,10 +173,10 @@ _INNER_OPTS = CgOptions(epsilon=1e-3, max_iters=100)
 _EPS3 = 1e-3
 
 
-def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
-              max_outer: int = 50,
+def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
+              rng: np.random.Generator, max_outer: int = 50,
               optimize_v: bool = True) -> BeamformingSolution:
-    """Alternating minimization of the weighted-MSE objective.
+    """Alternating minimization of the weighted-MSE objective on h_c.
 
     rng draws the starting reflection vector and nothing else, so the
     seed picks the start. Per outer iteration: conjugate-gradient descent of v_d on the circle
@@ -197,7 +196,7 @@ def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
     """
     geom = scen.geom
     v = random_unit_modulus(geom.m, rng)
-    h_e = effective_channel(scen.h_c, v, geom)
+    h_e = effective_channel(h_c, v, geom)
     _, _, vh = np.linalg.svd(h_e, full_matrices=False)
     f = vh[:scen.n_s].conj().T / np.sqrt(scen.n_s)
     w, omega = update_w_omega(h_e, f, scen)
@@ -208,14 +207,14 @@ def alt_wmmse(scen: DownlinkScenario, rng: np.random.Generator,
     for iters in range(1, max_outer + 1):
         if optimize_v:
             omega_inv = np.linalg.inv(omega)
-            p = _reduced_channel(scen.h_c, f, geom)
+            p = _reduced_channel(h_c, f, geom)
             res = cg_minimize(
                 CircleManifold,
                 lambda x: _g1_cost_grad(x, p, omega_inv, scen.sigma2_d),
                 v, _INNER_OPTS)
             v = res.x
             stalled = stalled or res.stalled
-            h_e = effective_channel(scen.h_c, v, geom)
+            h_e = effective_channel(h_c, v, geom)
         w, omega = update_w_omega(h_e, f, scen)
         g_trace.append(wmmse_objective(h_e, f, w, omega, scen))
         f_new, degenerate = update_f(h_e, w, omega, scen)

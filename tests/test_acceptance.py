@@ -88,7 +88,7 @@ def test_criterion_1_gradient_suite():
             f /= np.linalg.norm(f)
             a = cgauss(rng, (2, 2))
             omega = a.conj().T @ a + np.eye(2)
-            scen = DownlinkScenario(geom, h_c, 0.7, 2)
+            scen = DownlinkScenario(geom, 0.7, 2)
             grad = egrad_v(v_d, h_c, f, omega, scen)
             for _ in range(20):
                 tan = circle_project(v_d, cgauss(rng, v_d.shape))
@@ -231,14 +231,16 @@ def test_criterion_7_alt_wmmse():
     with criterion(7, "beamformer descent, gain over random phase", 300.0):
         geom = SystemGeometry()
         sigma2_d = pnr_to_sigma2(10.0, geom.d_bi, geom.d_iu)
+        scen = DownlinkScenario(geom, sigma2_d, 3)
         wins = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
             ch = synth_channels(geom, sample_paths(geom, 2, rng))
-            scen = DownlinkScenario(geom, ch.h_c, sigma2_d, 3)
-            base = alt_wmmse(scen, np.random.default_rng(10_000 + seed),
+            base = alt_wmmse(scen, ch.h_c,
+                             np.random.default_rng(10_000 + seed),
                              optimize_v=False)
-            opt = alt_wmmse(scen, np.random.default_rng(10_000 + seed))
+            opt = alt_wmmse(scen, ch.h_c,
+                            np.random.default_rng(10_000 + seed))
             for sol in (base, opt):
                 for before, after in zip(sol.g_trace, sol.g_trace[1:]):
                     assert after <= before + 1e-9
@@ -246,11 +248,11 @@ def test_criterion_7_alt_wmmse():
         assert wins >= 95
 
         geom1 = SystemGeometry(16, 8, 1, 1, 16, 8, 2, 2)
+        scen = DownlinkScenario(geom1, sigma2_d, 1)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             ch = synth_channels(geom1, sample_paths(geom1, 1, rng))
-            scen = DownlinkScenario(geom1, ch.h_c, sigma2_d, 1)
-            sol = alt_wmmse(scen, np.random.default_rng(500 + seed))
+            sol = alt_wmmse(scen, ch.h_c, np.random.default_rng(500 + seed))
             h_e = effective_channel(ch.h_c, sol.v_d, geom1)
             top = np.linalg.svd(h_e, compute_uv=False)[0]
             closed = float(np.log2(1.0 + top ** 2 / sigma2_d))

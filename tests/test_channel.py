@@ -65,8 +65,7 @@ def _single_path_set(rng, geom):
     psi_t = rng.uniform(0, 2 * np.pi, 1)
     alpha = cgauss(rng, 1)
     beta = cgauss(rng, 1)
-    return PathSet(alpha, theta_r, theta_t, phi_t, beta, psi_r, phi_r, psi_t,
-                   np.cos(theta_r),
+    return PathSet(alpha, beta, np.cos(theta_r),
                    np.column_stack([np.sin(theta_t) * np.sin(phi_t),
                                     np.cos(phi_t)]),
                    np.column_stack([np.sin(psi_r) * np.sin(phi_r),
@@ -143,9 +142,8 @@ def test_sample_paths_angle_range_and_distinct():
     geom = SystemGeometry()
     rng = np.random.default_rng(3)
     paths = sample_paths(geom, 3, rng)
-    for ang in (paths.theta_r, paths.theta_t, paths.phi_t, paths.psi_r,
-                paths.phi_r, paths.psi_t):
-        assert np.all(ang > 0) and np.all(ang <= 2 * np.pi)
+    for u in (paths.u_bs, paths.u_irs_aod, paths.u_irs_aoa, paths.u_ue):
+        assert np.all(np.abs(u) <= 1)
     diff = np.abs(np.subtract.outer(paths.u_bs, paths.u_bs))
     assert diff[~np.eye(3, dtype=bool)].min() >= 1e-6
     for k in (0, geom.n_ue + 1):
@@ -285,7 +283,7 @@ def test_cascaded_structure():
         np.testing.assert_allclose(h_c[:, m], np.kron(ch.h[m, :], ch.g[:, m]),
                                    atol=1e-14)
     scalar = ChannelRealization(np.array([[2.0 + 0j]]),
-                                np.array([[3.0 + 0j]]), ch.paths)
+                                np.array([[3.0 + 0j]]))
     np.testing.assert_allclose(cascaded(scalar), [[6.0]], atol=1e-15)
 
 

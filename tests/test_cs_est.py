@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from irsmimo.channel import (PilotBlock, SystemGeometry, build_dictionaries,
-                             make_pilots, sample_paths, simulate_uplink,
-                             synth_channels)
+from irsmimo.channel import (PilotBlock, SystemGeometry, _grid,
+                             build_dictionaries, make_pilots, sample_paths,
+                             simulate_uplink, synth_channels)
 from irsmimo.cs_est import (CsEstConfig, FlopCounter, KronSensing, cs_est,
                             omp_mmv, permutation_l, stage1_ue_aods,
                             stage2_bs_aoas, stage3_gains)
@@ -245,10 +245,10 @@ class TestPermutation:
     def test_zero_frequency_atom_gives_identity(self):
         geom = SystemGeometry()
         dicts = build_dictionaries(geom)
-        g_y, g_z = len(dicts.grid_y), len(dicts.grid_z)
+        g_y, g_z = dicts.a_y.shape[1], dicts.a_z.shape[1]
         j = (g_y // 2) * g_z + g_z // 2
-        assert dicts.grid_y[g_y // 2] == 0.0
-        assert dicts.grid_z[g_z // 2] == 0.0
+        assert _grid(g_y)[g_y // 2] == 0.0
+        assert _grid(g_z)[g_z // 2] == 0.0
         np.testing.assert_array_equal(permutation_l(dicts, j),
                                       np.eye(g_y * g_z))
 

@@ -74,6 +74,11 @@ class TestConfig:
         "p_tr = 1", "eps_inner = 0.001", "eps_outer = 0.001",
         "eps3 = 0.001",
         "sweep_values = 100,100", "sweep_axis = SNR\nsweep_values = 0,-0.0",
+        "algorithm = cs_est\ng_bs = 8", "algorithm = cs_est\ng_y = 2",
+        "sweep_axis = SNR\nsweep_values = 4000",
+        "sweep_axis = SNR\nsweep_values = -4000",
+        "algorithm = mo_est\nsweep_axis = PNR\nsweep_values = 4000",
+        "algorithm = cs_est\npnr_db = -4000", "d_bi = 1e300",
     ])
     def test_bad_configs_rejected(self, text):
         with pytest.raises(ConfigError):
@@ -189,9 +194,8 @@ class TestRunTrial:
         ch = synth_channels(geom, sample_paths(geom, cfg.k_true, rng_chan,
                                                on_grid=True))
         sigma2_d = pnr_to_sigma2(10.0, cfg.d_bi, cfg.d_iu)
-        scen = DownlinkScenario(geom, ch.h_c, sigma2_d, cfg.n_s, 0,
-                                cfg.t_tot)
-        sol = alt_wmmse(scen, rng_bf)
+        scen = DownlinkScenario(geom, sigma2_d, cfg.n_s, 0, cfg.t_tot)
+        sol = alt_wmmse(scen, ch.h_c, rng_bf)
         assert rec.se_bits_s_hz == sol.se
         assert rec.nmse == 0.0
         assert rec.outer_iters == sol.iterations

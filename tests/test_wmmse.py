@@ -15,7 +15,7 @@ from irsmimo.wmmse import (DownlinkScenario, alt_wmmse, egrad_v,
 from conftest import cgauss
 
 SCALAR_GEOM = SystemGeometry(1, 1, 1, 1, 1, 1, 1, 1)
-SCALAR = DownlinkScenario(SCALAR_GEOM, np.ones((1, 1), dtype=complex), 1.0, 1)
+SCALAR = DownlinkScenario(SCALAR_GEOM, 1.0, 1)
 ONE = np.ones((1, 1), dtype=complex)
 
 
@@ -59,7 +59,7 @@ class TestScalarOracles:
 class TestUpdateWOmega:
     def test_omega_hermitian_inverse_of_error(self):
         rng = np.random.default_rng(0)
-        scen = DownlinkScenario(SCALAR_GEOM, ONE, 0.3, 1)
+        scen = DownlinkScenario(SCALAR_GEOM, 0.3, 1)
         h_e, f = _random_case(rng)
         w, omega = update_w_omega(h_e, f, scen)
         e = mse_matrix(h_e, f, w, scen)
@@ -69,7 +69,7 @@ class TestUpdateWOmega:
 
     def test_receiver_minimizes_error_trace(self):
         rng = np.random.default_rng(1)
-        scen = DownlinkScenario(SCALAR_GEOM, ONE, 0.5, 1)
+        scen = DownlinkScenario(SCALAR_GEOM, 0.5, 1)
         h_e, f = _random_case(rng)
         w, _ = update_w_omega(h_e, f, scen)
         base = np.trace(mse_matrix(h_e, f, w, scen)).real
@@ -81,7 +81,7 @@ class TestUpdateWOmega:
 class TestUpdateF:
     def test_unit_norm_and_scale_corrected_descent(self):
         rng = np.random.default_rng(2)
-        scen = DownlinkScenario(SCALAR_GEOM, ONE, 0.4, 1)
+        scen = DownlinkScenario(SCALAR_GEOM, 0.4, 1)
         for _ in range(20):
             h_e, f_old = _random_case(rng)
             w, omega = update_w_omega(h_e, f_old, scen)
@@ -103,7 +103,7 @@ class TestUpdateF:
             assert after <= before + 1e-9
 
     def test_zero_receiver_flagged_degenerate(self):
-        scen = DownlinkScenario(SCALAR_GEOM, ONE, 1.0, 1)
+        scen = DownlinkScenario(SCALAR_GEOM, 1.0, 1)
         f, degenerate = update_f(np.eye(3, dtype=complex),
                                  np.zeros((3, 2), dtype=complex),
                                  np.eye(2, dtype=complex), scen)
@@ -121,7 +121,7 @@ def _reduced_case(seed, n_s=2):
     f = cgauss(rng, (GEOM_M4.n_bs, n_s))
     f /= np.linalg.norm(f)
     omega = _random_omega(rng, n_s)
-    scen = DownlinkScenario(GEOM_M4, h_c, 0.7, n_s)
+    scen = DownlinkScenario(GEOM_M4, 0.7, n_s)
     return rng, scen, h_c, v, f, omega
 
 
@@ -195,7 +195,7 @@ def test_reduced_form_matches_effective_channel(geom, n_s):
         f = cgauss(rng, (geom.n_bs, n_s))
         f /= np.linalg.norm(f)
         omega = _random_omega(rng, n_s)
-        scen = DownlinkScenario(geom, h_c, 0.7, n_s)
+        scen = DownlinkScenario(geom, 0.7, n_s)
         cost, grad = _g1_via_effective_channel(v, h_c, f, omega, scen)
         assert g1_objective(v, h_c, f, omega, scen) == pytest.approx(
             cost, rel=1e-12)
@@ -205,19 +205,19 @@ def test_reduced_form_matches_effective_channel(geom, n_s):
 
 GEOM_DESK = SystemGeometry()
 SIGMA2_D = pnr_to_sigma2(10.0, GEOM_DESK.d_bi, GEOM_DESK.d_iu)
+DESK = DownlinkScenario(GEOM_DESK, SIGMA2_D)
 
 
-def _desk_scenario(seed, n_s=3):
+def _desk_channel(seed):
     rng = np.random.default_rng(seed)
-    ch = synth_channels(GEOM_DESK, sample_paths(GEOM_DESK, 2, rng))
-    return DownlinkScenario(GEOM_DESK, ch.h_c, SIGMA2_D, n_s)
+    return synth_channels(GEOM_DESK, sample_paths(GEOM_DESK, 2, rng)).h_c
 
 
 class TestAltWmmse:
     def test_trace_monotone_and_contract(self):
         for seed in range(8):
-            scen = _desk_scenario(seed)
-            sol = alt_wmmse(scen, np.random.default_rng(100 + seed))
+            sol = alt_wmmse(DESK, _desk_channel(seed),
+                            np.random.default_rng(100 + seed))
             assert len(sol.g_trace) == sol.iterations + 1
             for before, after in zip(sol.g_trace, sol.g_trace[1:]):
                 assert after <= before + 1e-9
@@ -228,17 +228,17 @@ class TestAltWmmse:
     def test_optimized_reflection_beats_random_phase(self):
         wins = 0
         for seed in range(10):
-            scen = _desk_scenario(seed)
-            base = alt_wmmse(scen, np.random.default_rng(10_000 + seed),
+            h_c = _desk_channel(seed)
+            base = alt_wmmse(DESK, h_c, np.random.default_rng(10_000 + seed),
                              optimize_v=False)
-            opt = alt_wmmse(scen, np.random.default_rng(10_000 + seed))
+            opt = alt_wmmse(DESK, h_c, np.random.default_rng(10_000 + seed))
             wins += opt.se > base.se
         assert wins >= 9
 
     def test_fixed_reflection_left_untouched(self):
-        scen = _desk_scenario(3)
         v0 = random_unit_modulus(GEOM_DESK.m, np.random.default_rng(42))
-        sol = alt_wmmse(scen, np.random.default_rng(42), optimize_v=False)
+        sol = alt_wmmse(DESK, _desk_channel(3), np.random.default_rng(42),
+                        optimize_v=False)
         np.testing.assert_array_equal(sol.v_d, v0)
 
     def test_single_element_reflector_hits_closed_form(self):
@@ -246,32 +246,30 @@ class TestAltWmmse:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             ch = synth_channels(geom, sample_paths(geom, 1, rng))
-            scen = DownlinkScenario(geom, ch.h_c, SIGMA2_D, 1)
-            sol = alt_wmmse(scen, np.random.default_rng(500 + seed))
+            scen = DownlinkScenario(geom, SIGMA2_D, 1)
+            sol = alt_wmmse(scen, ch.h_c, np.random.default_rng(500 + seed))
             h_e = effective_channel(ch.h_c, sol.v_d, geom)
             top = np.linalg.svd(h_e, compute_uv=False)[0]
             closed = float(np.log2(1.0 + top ** 2 / SIGMA2_D))
             assert sol.se == pytest.approx(closed, abs=1e-8)
 
     def test_training_overhead_discounts_rate(self):
-        scen = _desk_scenario(4)
-        sol_full = alt_wmmse(scen, np.random.default_rng(9))
+        h_c = _desk_channel(4)
+        sol_full = alt_wmmse(DESK, h_c, np.random.default_rng(9))
         from dataclasses import replace
-        scen_half = replace(scen, t_used=1000, t_tot=2000)
-        h_e = effective_channel(scen.h_c, sol_full.v_d, GEOM_DESK)
+        scen_half = replace(DESK, t_used=1000, t_tot=2000)
+        h_e = effective_channel(h_c, sol_full.v_d, GEOM_DESK)
         assert spectral_efficiency(h_e, sol_full.f, scen_half) == \
-            pytest.approx(0.5 * spectral_efficiency(h_e, sol_full.f, scen))
+            pytest.approx(0.5 * spectral_efficiency(h_e, sol_full.f, DESK))
 
 
 class TestScenarioValidation:
     def test_shape_and_parameter_checks(self):
-        good = np.ones((GEOM_M4.n_bs * GEOM_M4.n_ue, GEOM_M4.m),
-                       dtype=complex)
-        with pytest.raises(ValueError, match="inconsistent"):
-            DownlinkScenario(GEOM_M4, good.T, 1.0, 1)
+        # The channel's shape is checked by effective_channel, which
+        # test_channel.py covers.
         with pytest.raises(ValueError, match="sigma2_d"):
-            DownlinkScenario(GEOM_M4, good, 0.0, 1)
+            DownlinkScenario(GEOM_M4, 0.0, 1)
         with pytest.raises(ValueError, match="n_s"):
-            DownlinkScenario(GEOM_M4, good, 1.0, 5)
+            DownlinkScenario(GEOM_M4, 1.0, 5)
         with pytest.raises(ValueError, match="t_used"):
-            DownlinkScenario(GEOM_M4, good, 1.0, 1, t_used=2000, t_tot=2000)
+            DownlinkScenario(GEOM_M4, 1.0, 1, t_used=2000, t_tot=2000)
