@@ -9,10 +9,22 @@ by alternating Riemannian CG solves in g (h frozen) and h (g frozen).
 
 The solver internally rescales the observations to unit average slot power
 (r' = r / c, c = ||r||_F / sqrt(t)) and folds c back into the returned
-g_hat. This keeps stopping thresholds on the objective decrease meaningful
-at physical path-loss scales, where raw objective values are ~1e-16. The
-reported trace is the objective of the normalized problem, c^-2 times the
-physical objective.
+g_hat. This keeps the inner CG threshold on the objective decrease
+meaningful at physical path-loss scales, where raw objective values are
+~1e-16. The reported trace is the objective of the normalized problem,
+c^-2 times the physical objective.
+
+The outer loop stops when the cascaded estimate h_c = khatri_rao(h^T, g)
+of the normalized factors settles to the noise level: when its change over
+one outer round is at most _SETTLE * sqrt(sigma2' / t) * ||h_c||_F, with
+sigma2' = sigma2 / c^2 the normalized noise power per entry of r' and t the
+number of training slots (the discrepancy principle: sqrt(sigma2' / t) is
+the noise standard deviation left after averaging over the block). The test
+is free of amplitude scale: scaling r by a and sigma2 by a^2 leaves it
+unchanged. It is not free of the problem's size: c^2 sums the received
+power over the n_bs antennas, so the tolerance tightens as the arrays and
+the block grow. With sigma2 = 0 the tolerance is 0, and the loop runs to
+max_outer unless the estimate stops changing.
 """
 
 from dataclasses import dataclass, replace
@@ -23,13 +35,18 @@ import numpy as np
 from .channel import Dictionaries, PilotBlock
 from .manifold import (CgOptions, CgResult, FixedRankManifold, FixedRankPoint,
                        cg_minimize, random_fixed_rank)
+from .numerics import khatri_rao
 
 # Angular coefficients below this magnitude contribute subgradient zero to
 # the l1 phase matrix.
 DELTA0 = 1e-9
 
 _MAX_INNER = 50
-_EPS_INNER = _EPS_OUTER = 1e-3
+_EPS_INNER = 1e-3
+# Outer rounds stop once one round changes the normalized cascaded estimate
+# h_c by at most _SETTLE * sqrt(sigma2 / (c^2 * t)) * ||h_c||_F, with
+# c = ||r||_F / sqrt(t).
+_SETTLE = 0.9
 
 
 @dataclass(frozen=True)
@@ -153,8 +170,11 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
     """Alternating fixed-rank CG estimation of (g, h) from a pilot block.
 
     Starts from random rank-(p_hat, q_hat) points, solves the g-subproblem
-    then the h-subproblem each outer round, and stops when the outer
-    objective decrease drops to _EPS_OUTER or below.
+    then the h-subproblem each outer round, and stops when the normalized
+    cascaded estimate khatri_rao(h_hat^T, g_hat) moved by at most
+    _SETTLE * sqrt(sigma2 / (c^2 * t)) times its norm in that round (the
+    first round compares against the start point), or after max_outer
+    rounds. With sigma2 = 0 the tolerance is 0.
     """
     _check_dicts(dicts)
     n_bs, t = pilots.r.shape
@@ -176,6 +196,8 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
     inner_opts = CgOptions(epsilon=_EPS_INNER, max_iters=_MAX_INNER)
 
     trace = [objective_f(g_hat, h_hat, norm_pilots, dicts, norm_cfg)]
+    settle = _SETTLE * np.sqrt(sigma2n / t)
+    h_c = khatri_rao(h_hat.dense.T, g_hat.dense)
     stalled = False
     iters = 0
     for iters in range(1, cfg.max_outer + 1):
@@ -196,7 +218,8 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
         stalled = stalled or res.stalled
 
         trace.append(objective_f(g_hat, h_hat, norm_pilots, dicts, norm_cfg))
-        if trace[-2] - trace[-1] <= _EPS_OUTER:
+        h_c_prev, h_c = h_c, khatri_rao(h_hat.dense.T, g_hat.dense)
+        if np.linalg.norm(h_c - h_c_prev) <= settle * np.linalg.norm(h_c):
             break
 
     g_phys = FixedRankPoint(g_hat.u, c * g_hat.s, g_hat.v)

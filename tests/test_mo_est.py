@@ -6,6 +6,7 @@ import pytest
 from irsmimo.channel import (PilotBlock, SystemGeometry, build_dictionaries,
                              make_pilots, sample_paths, simulate_uplink,
                              synth_channels)
+from irsmimo.harness import pnr_to_sigma2
 from irsmimo.manifold import FixedRankPoint, project_tangent
 from irsmimo.mo_est import MoEstConfig, egrad_g, egrad_h, mo_est, objective_f
 from irsmimo.numerics import khatri_rao, truncated_svd
@@ -14,6 +15,8 @@ from conftest import cgauss
 
 SMALL = SystemGeometry(8, 4, 4, 2, 8, 4, 4, 2)
 SMALL_DICTS = build_dictionaries(SMALL)
+DESK = SystemGeometry()
+DESK_DICTS = build_dictionaries(DESK.unitary())
 
 
 def _random_problem(rng, t=10):
@@ -188,6 +191,30 @@ class TestEstimator:
             num = np.linalg.norm(ch.h_c - h_c_hat) ** 2
             errs.append(num / np.linalg.norm(ch.h_c) ** 2)
         assert np.median(errs) < 1e-3
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stops_before_cap_at_noise_level(self, seed):
+        # At PNR 0 dB the objective keeps falling by more than any fixed
+        # small amount, but the estimate settles within a few rounds.
+        ch, pil = _physical_problem(seed=seed, t=100, k=3, geom=DESK,
+                                    sigma2=pnr_to_sigma2(0.0, DESK.d_bi,
+                                                         DESK.d_iu))
+        res = mo_est(pil, DESK_DICTS, MoEstConfig(3, 3),
+                     np.random.default_rng(100 + seed))
+        assert res.iterations < MoEstConfig.max_outer
+
+    @pytest.mark.parametrize("a", [2.0 ** -20, 2.0 ** 20, 2.0 ** 60])
+    def test_stopping_is_scale_free(self, a):
+        sigma2 = pnr_to_sigma2(10.0, DESK.d_bi, DESK.d_iu)
+        ch, pil = _physical_problem(seed=21, t=100, k=3, geom=DESK,
+                                    sigma2=sigma2)
+        scaled = PilotBlock(pil.s, pil.v, a * pil.r, a ** 2 * pil.sigma2)
+        runs = [mo_est(p, DESK_DICTS, MoEstConfig(3, 3),
+                       np.random.default_rng(5)) for p in (pil, scaled)]
+        assert runs[0].iterations == runs[1].iterations
+        h_c, h_c_scaled = (khatri_rao(r.h_hat.dense.T, r.g_hat.dense)
+                           for r in runs)
+        assert np.array_equal(h_c_scaled, a * h_c)
 
     def test_auto_mu_runs_with_noise(self):
         ch, pil = _physical_problem(seed=13, t=30, sigma2=1e-11, geom=SMALL)
