@@ -4,13 +4,17 @@ training observation model for an IRS-assisted BS--IRS--UE link.
 The BS and UE carry half-wavelength ULAs; the IRS is an m_y-by-m_z planar
 array. The BS-IRS channel g is n_bs x m with p paths, the IRS-UE channel h
 is m x n_ue with q paths. Reflection vectors have unit-modulus entries.
+
+Synthesis, the cascaded channel and the effective channel also take
+stacks, arrays with a leading trial axis; each trial of a stacked call is
+bit-identical to the unstacked call on that trial alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import khatri_rao, kron, mat, random_unit_modulus
+from .numerics import khatri_rao, kron, random_unit_modulus
 
 
 @dataclass(frozen=True)
@@ -73,19 +77,27 @@ class PathSet:
 
     @property
     def p(self) -> int:
-        return len(self.alpha)
+        return self.alpha.shape[-1]
 
     @property
     def q(self) -> int:
-        return len(self.beta)
+        return self.beta.shape[-1]
+
+
+def stack_paths(paths: list[PathSet]) -> PathSet:
+    """The path sets of several trials as one PathSet whose arrays carry a
+    leading trial axis, for stacked synthesis."""
+    return PathSet(*(np.stack([getattr(p, f.name) for p in paths])
+                     for f in fields(PathSet)))
 
 
 @dataclass
 class ChannelRealization:
-    """Dense channel pair; the cascaded channel is built on first use."""
+    """Dense channel pair, or a stack of them along a leading trial axis;
+    the cascaded channel is built on first use."""
 
-    g: np.ndarray              # (n_bs, m)
-    h: np.ndarray              # (m, n_ue)
+    g: np.ndarray              # (n_bs, m) or (trials, n_bs, m)
+    h: np.ndarray              # (m, n_ue) or (trials, m, n_ue)
     _h_c: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -135,9 +147,11 @@ class PilotBlock:
 def steering_ula(u: float | np.ndarray, n: int) -> np.ndarray:
     """Unit-norm ULA response for spatial frequency u: entries
     exp(j*pi*k*u)/sqrt(n), k = 0..n-1. An array of frequencies gives one
-    column per frequency, shape (n, len(u))."""
+    column per frequency, shape (n, len(u)), and a stack of them (..., k)
+    gives (..., n, k)."""
     phase = np.multiply.outer(np.arange(n), 1j * np.pi * np.asarray(u))
-    return np.exp(phase) / np.sqrt(n)
+    a = np.exp(phase) / np.sqrt(n)
+    return np.moveaxis(a, 0, -2) if a.ndim > 2 else a
 
 
 def _irs_freqs(ang: np.ndarray) -> np.ndarray:
@@ -146,17 +160,20 @@ def _irs_freqs(ang: np.ndarray) -> np.ndarray:
 
 
 def _steering_irs_uv(u: np.ndarray, m_y: int, m_z: int) -> np.ndarray:
-    """IRS response kron(f(u_y, m_y), f(u_z, m_z)) for frequency pair
-    u = (u_y, u_z), or one column per row of u (k, 2)."""
+    """IRS responses kron(f(u_y, m_y), f(u_z, m_z)), one column per
+    frequency pair (u_y, u_z) in the rows of u (..., k, 2); shape
+    (..., m_y*m_z, k)."""
     a_y = steering_ula(u[..., 0], m_y)
     a_z = steering_ula(u[..., 1], m_z)
-    return (a_y[:, None] * a_z[None, :]).reshape((m_y * m_z,) + a_y.shape[1:])
+    a = a_y[..., :, None, :] * a_z[..., None, :, :]
+    return a.reshape(a.shape[:-3] + (m_y * m_z, a.shape[-1]))
 
 
 def steering_irs(theta: float, phi: float, m_y: int, m_z: int) -> np.ndarray:
     """Unit-norm planar-array response kron(f(sin(theta)sin(phi), m_y),
     f(cos(phi), m_z))."""
-    return _steering_irs_uv(_irs_freqs(np.array([theta, phi])).T, m_y, m_z)
+    return _steering_irs_uv(_irs_freqs(np.array([[theta], [phi]])).T,
+                            m_y, m_z)[:, 0]
 
 
 def pathloss(d: float) -> float:
@@ -246,11 +263,14 @@ def _sum_of_paths(gains: np.ndarray, a_rx: np.ndarray,
                   a_tx: np.ndarray) -> np.ndarray:
     """sqrt(rows*cols/k) * sum_k gains[k] a_rx[:, k] a_tx[:, k]^H, adding
     the paths in path order (a matmul or a pairwise sum would reorder the
-    additions and change the rounding)."""
-    terms = gains[:, None, None] * (a_rx.T[:, :, None]
-                                    * a_tx.T.conj()[:, None, :])
-    rows, cols = a_rx.shape[0], a_tx.shape[0]
-    return np.add.accumulate(terms)[-1] * np.sqrt(rows * cols / len(gains))
+    additions and change the rounding). Stacked gains (..., k) and
+    responses (..., rows, k), (..., cols, k) give (..., rows, cols)."""
+    rx, tx = a_rx.swapaxes(-1, -2), a_tx.swapaxes(-1, -2).conj()
+    terms = gains[..., :, None, None] * (rx[..., :, :, None]
+                                         * tx[..., :, None, :])
+    rows, cols, k = rx.shape[-1], tx.shape[-1], gains.shape[-1]
+    return (np.add.accumulate(terms, axis=-3)[..., -1, :, :]
+            * np.sqrt(rows * cols / k))
 
 
 def synth_channels(geom: SystemGeometry, paths: PathSet) -> ChannelRealization:
@@ -258,6 +278,8 @@ def synth_channels(geom: SystemGeometry, paths: PathSet) -> ChannelRealization:
 
         g = sqrt(n_bs*m/p) * sum_p alpha_p a_bs(theta_r) a_irs(aod)^H
         h = sqrt(n_ue*m/q) * sum_q beta_q a_irs(aoa) a_ue(psi_t)^H
+
+    Paths stacked by stack_paths give channels stacked the same way.
     """
     g = _sum_of_paths(paths.alpha, steering_ula(paths.u_bs, geom.n_bs),
                       _steering_irs_uv(paths.u_irs_aod, geom.m_y, geom.m_z))
@@ -296,22 +318,32 @@ def angular_coefficients(ch: ChannelRealization,
 
 
 def cascaded(ch: ChannelRealization) -> np.ndarray:
-    """Cascaded channel khatri_rao(h.T, g) of shape (n_bs*n_ue, m)."""
-    return khatri_rao(ch.h.T, ch.g)
+    """Cascaded channel khatri_rao(h.T, g) of shape (n_bs*n_ue, m), with
+    the stack axis of a stacked realization in front."""
+    # A C-ordered h.T gives a C-ordered product, which khatri_rao then
+    # reshapes without copying; every trial's h_c is C-ordered whatever
+    # the stack size, so its products run the same BLAS kernels.
+    return khatri_rao(np.ascontiguousarray(ch.h.swapaxes(-1, -2)), ch.g)
 
 
 def effective_channel(h_c: np.ndarray, v: np.ndarray,
                       geom: SystemGeometry) -> np.ndarray:
-    """End-to-end (n_ue, n_bs) channel for reflection vector v.
+    """End-to-end (n_ue, n_bs) channel for reflection vector v; stacked
+    h_c (..., n_bs*n_ue, m) and v (..., m) give (..., n_ue, n_bs).
 
     Equals h^H diag(v) g^H; computed from the cascaded channel as
-    mat(conj(h_c) @ v, n_bs, n_ue).T.
+    mat(conj(h_c) @ v, n_bs, n_ue).T, which is the C-order reshape of
+    conj(h_c) @ v to (n_ue, n_bs). conj(h_c) @ v is taken as
+    conj(h_c @ conj(v)): conjugation only flips signs, which rounding
+    preserves, so the two agree bit for bit, and the channel stack is
+    not copied.
     """
-    if h_c.shape != (geom.n_bs * geom.n_ue, geom.m):
+    if h_c.shape[-2:] != (geom.n_bs * geom.n_ue, geom.m):
         raise ValueError(f"h_c shape {h_c.shape} inconsistent with geometry")
-    if v.shape[0] != geom.m:
+    if v.shape[-1] != geom.m:
         raise ValueError("reflection vector length mismatch")
-    return mat(h_c.conj() @ v, geom.n_bs, geom.n_ue).T
+    return (h_c @ v.conj()[..., None]).conj().reshape(
+        v.shape[:-1] + (geom.n_ue, geom.n_bs))
 
 
 def make_pilots(geom: SystemGeometry, t: int, rng: np.random.Generator,

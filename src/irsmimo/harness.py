@@ -1,26 +1,35 @@
-"""Seeded Monte-Carlo harness: experiment configuration, per-trial
+"""Seeded Monte-Carlo harness: experiment configuration, the trial
 pipeline (channel, training, estimation, beamforming, metrics), sweep
 execution, and CSV serialization.
 
 Determinism contract: a (config, master_seed) pair yields byte-identical
 CSV output, and each row is independent of the order in which trials
-run. Every trial derives its generators from SeedSequence(master_seed,
-spawn_key=(point, seed)) and splits them per pipeline phase, so
-paired-seed comparisons across algorithms see identical channels, pilots,
-and initial reflection vectors. Wall-clock columns are written as 0.0
-unless timings=true.
+run and of which trials share a chunk. Every trial derives its
+generators from SeedSequence(master_seed, spawn_key=(point, seed)) and
+splits them per pipeline phase, so paired-seed comparisons across
+algorithms see identical channels, pilots, and initial reflection
+vectors.
+
+A sweep runs each point's trials in chunks of consecutive seeds, sized so
+the stacked cascaded channels take about _CHUNK_BYTES (16 desk trials, 8
+for the estimator arms, 1 at paper scale). Each trial draws its paths,
+pilots and estimate on its own; channel synthesis, the beamformer's
+closed forms and the rate run once per chunk on arrays with a leading
+trial axis, which numpy computes bit-identically to one call per trial.
+run_trial is a chunk of one. Wall-clock columns are written as 0.0
+unless timings=true; then each row holds its chunk's wall time divided
+by the chunk's trial count.
 """
 
-import itertools
 import time
 import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import (SystemGeometry, build_dictionaries, effective_channel,
-                      make_pilots, pathloss, sample_paths, simulate_uplink,
-                      synth_channels)
+from .channel import (ChannelRealization, SystemGeometry, build_dictionaries,
+                      effective_channel, make_pilots, pathloss, sample_paths,
+                      simulate_uplink, stack_paths, synth_channels)
 from .cs_est import CsEstConfig, cs_est, resolve_t1
 from .mo_est import MoEstConfig, mo_est
 from .numerics import khatri_rao
@@ -30,6 +39,11 @@ CSV_HEADER = "seed,algorithm,T,pnr_db,snr_db,k_hat,nmse,se_bits_s_hz,outer_iters
 ALGORITHMS = ("mo_est", "cs_est", "perfect_csi", "random_phase_baseline")
 SWEEP_AXES = ("T", "PNR", "SNR", "K_hat")
 _ESTIMATORS = ("mo_est", "cs_est")
+# Stacked cascaded channels of one chunk take at most about this many bytes
+# (at least one trial per chunk): 16 desk trials of a CSI-free arm, 8 of an
+# estimator arm, 1 paper-scale trial. Larger chunks gain little and cost
+# peak memory.
+_CHUNK_BYTES = 512 * 1024
 
 
 class ConfigError(ValueError):
@@ -270,8 +284,125 @@ def _estimator_config(cfg: ExperimentConfig,
     return None
 
 
+def _chunk_size(cfg: ExperimentConfig) -> int:
+    """Trials per chunk: as many trials' complex (n_bs*n_ue, m) cascaded
+    channels as fit in _CHUNK_BYTES, and at least one. An estimator arm
+    stacks two per trial, the true and the estimated one."""
+    geom = cfg.geometry()
+    stacks = 2 if cfg.algorithm in _ESTIMATORS else 1
+    return max(1, _CHUNK_BYTES
+               // (16 * geom.n_bs * geom.n_ue * geom.m * stacks))
+
+
+def _run_chunk(cfg: ExperimentConfig, point: int,
+               seeds: list[int]) -> list[TrialRecord | Exception]:
+    """The trials `seeds` of sweep point `point`, one outcome per seed: its
+    record, or the exception that one of its per-trial steps raised. An
+    exception of a stacked step propagates.
+
+    Per trial, in seed order: the generator spawn, the path draw, pilots
+    and uplink, and the estimator. Stacked over the trials still running:
+    channel synthesis, the beamformer (alt_wmmse on a stack) and the rate
+    on the true channel. A trial that fails leaves the stack.
+    """
+    tic = time.perf_counter()
+    t, pnr_db, snr_db, k_hat = _point_params(cfg, point)
+    geom = cfg.geometry()
+    sigma2 = pnr_to_sigma2(pnr_db, cfg.d_bi, cfg.d_iu)
+    scen = DownlinkScenario(geom, pnr_to_sigma2(snr_db, cfg.d_bi, cfg.d_iu),
+                            cfg.n_s, t, cfg.t_tot)
+    est_cfg = _estimator_config(cfg, k_hat)
+    dicts = (build_dictionaries(geom.unitary()) if cfg.algorithm == "mo_est"
+             else build_dictionaries(geom) if cfg.algorithm == "cs_est"
+             else None)
+    outcomes: list = [None] * len(seeds)
+
+    def each(step, trials) -> dict:
+        """step(i) for each trial position i; a trial whose step raises
+        keeps the exception as its outcome and is left out."""
+        done = {}
+        for i in trials:
+            try:
+                done[i] = step(i)
+            except Exception as exc:
+                outcomes[i] = exc
+        return done
+
+    rngs = [[np.random.default_rng(child) for child in np.random.SeedSequence(
+        cfg.master_seed, spawn_key=(point, seed)).spawn(4)] for seed in seeds]
+    paths = each(lambda i: sample_paths(geom, cfg.k_true, rngs[i][0],
+                                        on_grid=cfg.on_grid),
+                 range(len(seeds)))
+    if not paths:
+        return outcomes
+    ch = synth_channels(geom, stack_paths(list(paths.values())))
+    chans = dict(zip(paths, zip(ch.g, ch.h)))          # per-trial views
+
+    def estimate(i) -> tuple[np.ndarray | None, int | None]:
+        """(estimated cascaded channel, estimator iterations), or (None,
+        None) for the CSI-free arms, which design on the true channel."""
+        rng_pilot, rng_est = rngs[i][1:3]
+        if t > 0:
+            hold_v = resolve_t1(cfg.t1, t) if cfg.algorithm == "cs_est" else 0
+            s, v = make_pilots(geom, t, rng_pilot, hold_v=hold_v)
+            pilots = simulate_uplink(ChannelRealization(*chans[i]), s, v,
+                                     sigma2, rng_pilot)
+        elif cfg.algorithm in _ESTIMATORS:
+            raise ValueError("estimators need at least one training slot")
+        if cfg.algorithm == "mo_est":
+            res = mo_est(pilots, dicts, est_cfg, rng_est)
+            return khatri_rao(res.h_hat.dense.T, res.g_hat.dense), \
+                res.iterations
+        if cfg.algorithm == "cs_est":
+            res = cs_est(pilots, dicts, est_cfg)
+            return res.h_c_hat, (len(res.support_ue) + len(res.support_bs)
+                                 + len(res.support_gain))
+        return None, None
+
+    est = each(estimate, paths)
+    if not est:
+        return outcomes
+    live = list(est)
+    pos = dict(zip(live, range(len(live))))            # trial -> stack row
+    # The cascaded channels are built only now, after the estimators.
+    h_c = (ch.h_c if len(live) == len(paths)
+           else ch.h_c[[j for j, i in enumerate(paths) if i in est]])
+    estimated = cfg.algorithm in _ESTIMATORS
+    iters = [est[i][1] for i in live]
+    # pop releases each estimate once it is stacked.
+    design = np.stack([est.pop(i)[0] for i in live]) if estimated else h_c
+    rng_bf = [rngs[i][3] for i in live]
+    optimize_v = cfg.algorithm != "random_phase_baseline"
+    # A single trial goes through the one-trial signature, so the alt_wmmse
+    # call of run_trial returns one BeamformingSolution, whose attributes
+    # the benchmark's tracer (perfbench/tracer.py) reads.
+    sols = (alt_wmmse(scen, design, rng_bf, optimize_v=optimize_v)
+            if len(live) > 1 else
+            [alt_wmmse(scen, design[0], rng_bf[0], optimize_v=optimize_v)])
+
+    # The beamformers are designed from the estimate but rated on the true
+    # channel; the CSI-free arms designed on it, so their rate is sol.se.
+    if estimated:
+        se = spectral_efficiency(
+            effective_channel(h_c, np.stack([s.v_d for s in sols]), geom),
+            np.stack([s.f for s in sols]), scen).tolist()
+        err = each(lambda i: nmse(h_c[pos[i]], design[pos[i]]), live)
+    else:
+        se = [s.se for s in sols]
+        err = dict.fromkeys(live, 0.0)
+        iters = [s.iterations for s in sols]
+    wall = (1e3 * (time.perf_counter() - tic) / len(seeds) if cfg.timings
+            else 0.0)
+    for i, se_i, iters_i in zip(live, se, iters):
+        if i in err:
+            outcomes[i] = TrialRecord(seeds[i], cfg.algorithm, t, pnr_db,
+                                      snr_db, k_hat, err[i], se_i, iters_i,
+                                      wall)
+    return outcomes
+
+
 def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
-    """One seeded trial of the configured pipeline.
+    """One seeded trial of the configured pipeline: a chunk of one.
 
     point indexes cfg.sweep_values and seed is the trial index; together
     with master_seed they determine every random draw. Channel, pilots,
@@ -283,70 +414,43 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
     estimator outer iterations (total greedy selections for cs_est) or,
     for the CSI-free arms, beamformer iterations.
     """
-    tic = time.perf_counter()
-    t, pnr_db, snr_db, k_hat = _point_params(cfg, point)
-    geom = cfg.geometry()
-    ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(point, seed))
-    rng_chan, rng_pilot, rng_est, rng_bf = [
-        np.random.default_rng(child) for child in ss.spawn(4)]
+    (outcome,) = _run_chunk(cfg, point, [seed])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    ch = synth_channels(geom, sample_paths(geom, cfg.k_true, rng_chan,
-                                           on_grid=cfg.on_grid))
-    sigma2 = pnr_to_sigma2(pnr_db, cfg.d_bi, cfg.d_iu)
-    scen = DownlinkScenario(geom, pnr_to_sigma2(snr_db, cfg.d_bi, cfg.d_iu),
-                            cfg.n_s, t, cfg.t_tot)
 
-    if t > 0:
-        hold_v = resolve_t1(cfg.t1, t) if cfg.algorithm == "cs_est" else 0
-        s, v = make_pilots(geom, t, rng_pilot, hold_v=hold_v)
-        pilots = simulate_uplink(ch, s, v, sigma2, rng_pilot)
-    elif cfg.algorithm in _ESTIMATORS:
-        raise ValueError("estimators need at least one training slot")
-
-    if cfg.algorithm == "mo_est":
-        dicts = build_dictionaries(geom.unitary())
-        res = mo_est(pilots, dicts, _estimator_config(cfg, k_hat), rng_est)
-        h_c_hat = khatri_rao(res.h_hat.dense.T, res.g_hat.dense)
-        iters = res.iterations
-    elif cfg.algorithm == "cs_est":
-        dicts = build_dictionaries(geom)
-        res = cs_est(pilots, dicts, _estimator_config(cfg, k_hat))
-        h_c_hat = res.h_c_hat
-        iters = (len(res.support_ue) + len(res.support_bs)
-                 + len(res.support_gain))
-    else:
-        h_c_hat = ch.h_c
-        iters = -1
-
-    sol = alt_wmmse(scen, h_c_hat, rng_bf,
-                    optimize_v=cfg.algorithm != "random_phase_baseline")
-    if iters < 0:
-        iters = sol.iterations
-
-    h_e_true = effective_channel(ch.h_c, sol.v_d, geom)
-    se = spectral_efficiency(h_e_true, sol.f, scen)
-    err = 0.0 if cfg.algorithm not in _ESTIMATORS else nmse(ch.h_c, h_c_hat)
-    wall = 1e3 * (time.perf_counter() - tic) if cfg.timings else 0.0
-    return TrialRecord(seed, cfg.algorithm, t, pnr_db, snr_db, k_hat, err,
-                       se, iters, wall)
+def _outcomes(cfg: ExperimentConfig, point: int,
+              seeds: list[int]) -> list[TrialRecord | Exception]:
+    """_run_chunk's outcomes; when a stacked step raises, the chunk's
+    trials run again one at a time, so the failure lands on its own row."""
+    try:
+        return _run_chunk(cfg, point, seeds)
+    except Exception as exc:
+        if len(seeds) == 1:
+            return [exc]
+        return [out for seed in seeds for out in _outcomes(cfg, point, [seed])]
 
 
 def sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], int]:
-    """All (point, seed) trials in (point-major, seed-minor) order.
+    """All (point, seed) trials in (point-major, seed-minor) order, each
+    point's trials in chunks of _chunk_size consecutive seeds.
 
     Failed trials become nan rows. Returns (records, failure count).
     """
     cfg.validate()
+    chunk = _chunk_size(cfg)
     records, failures = [], 0
-    for point, seed in itertools.product(range(len(cfg.sweep_values)),
-                                         range(cfg.trials)):
-        try:
-            records.append(run_trial(cfg, point, seed))
-        except Exception:
-            failures += 1
-            records.append(TrialRecord(seed, cfg.algorithm,
-                                       *_point_params(cfg, point),
-                                       float("nan"), float("nan"), 0, 0.0))
+    for point in range(len(cfg.sweep_values)):
+        for start in range(0, cfg.trials, chunk):
+            seeds = list(range(start, min(start + chunk, cfg.trials)))
+            for seed, out in zip(seeds, _outcomes(cfg, point, seeds)):
+                if isinstance(out, Exception):
+                    failures += 1
+                    out = TrialRecord(seed, cfg.algorithm,
+                                      *_point_params(cfg, point),
+                                      float("nan"), float("nan"), 0, 0.0)
+                records.append(out)
     return records, failures
 
 

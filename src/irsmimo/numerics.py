@@ -18,19 +18,19 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Column-wise Kronecker product.
 
     Args:
-        a: (ra, n) matrix.
-        b: (rb, n) matrix with the same column count.
+        a: (ra, n) matrix, or a stack (..., ra, n) of them.
+        b: (rb, n) matrix with the same column count, stacked like a.
 
     Returns:
-        (ra * rb, n) matrix whose column j is kron(a[:, j], b[:, j]).
+        (..., ra * rb, n) matrix whose column j is kron(a[:, j], b[:, j]).
     """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("khatri_rao expects 2-D arrays")
-    if a.shape[1] != b.shape[1]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError("khatri_rao expects matrices")
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError(
-            f"column-count mismatch: {a.shape[1]} vs {b.shape[1]}")
-    return (a[:, None, :] * b[None, :, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1])
+            f"column-count mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    return (a[..., :, None, :] * b[..., None, :, :]).reshape(
+        a.shape[:-2] + (a.shape[-2] * b.shape[-2], a.shape[-1]))
 
 
 def vec(a: np.ndarray) -> np.ndarray:

@@ -18,8 +18,9 @@ from irsmimo.channel import (ChannelRealization, PathSet, SystemGeometry,
                              angular_coefficients, build_dictionaries,
                              cascaded, effective_channel, make_pilots,
                              pathloss, sample_paths, simulate_uplink,
-                             steering_irs, steering_ula, synth_channels)
-from irsmimo.numerics import kron, random_unit_modulus
+                             stack_paths, steering_irs, steering_ula,
+                             synth_channels)
+from irsmimo.numerics import kron, mat, random_unit_modulus
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -324,6 +325,27 @@ def test_effective_channel_all_ones_and_errors():
         effective_channel(ch.h_c[:, :2], np.ones(geom.m, complex), geom)
     with pytest.raises(ValueError):
         effective_channel(ch.h_c, np.ones(3, complex), geom)
+
+
+@pytest.mark.parametrize("geom", [SystemGeometry(),
+                                  SystemGeometry(36, 16, 6, 6)],
+                         ids=["desk", "paper"])
+def test_stacked_synthesis_equals_per_trial_calls(geom):
+    rng = np.random.default_rng(21)
+    paths = [sample_paths(geom, 3, rng) for _ in range(5)]
+    stacked = synth_channels(geom, stack_paths(paths))
+    v = np.stack([random_unit_modulus(geom.m, rng) for _ in paths])
+    h_e = effective_channel(stacked.h_c, v, geom)
+    for i, one_paths in enumerate(paths):
+        one = synth_channels(geom, one_paths)
+        assert np.array_equal(stacked.g[i], one.g)
+        assert np.array_equal(stacked.h[i], one.h)
+        assert np.array_equal(stacked.h_c[i], one.h_c)
+        assert np.array_equal(h_e[i], effective_channel(one.h_c, v[i], geom))
+        # The matrix-vector form effective_channel had before it took
+        # stacks.
+        assert np.array_equal(
+            h_e[i], mat(one.h_c.conj() @ v[i], geom.n_bs, geom.n_ue).T)
 
 
 def test_make_pilots_power_and_hold():

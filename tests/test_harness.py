@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from irsmimo import harness
 from irsmimo.channel import pathloss, sample_paths, synth_channels
-from irsmimo.harness import (CSV_HEADER, ConfigError, DESK_PRESET,
+from irsmimo.harness import (ALGORITHMS, CSV_HEADER, ConfigError, DESK_PRESET,
                              ExperimentConfig, PAPER_PRESET, PRESETS,
                              TrialRecord, config_text, nmse, parse_config,
                              parse_csv, pnr_to_sigma2, run_trial, summarize,
@@ -299,3 +300,80 @@ class TestSweep:
         rows = {row["pnr_db"]: row for row in summarize(records)}
         assert rows[30.0]["median_nmse"] < rows[-10.0]["median_nmse"]
         assert rows[50.0]["median_nmse"] > 0.5 * rows[30.0]["median_nmse"]
+
+
+def _seed_of(rng: np.random.Generator) -> int:
+    """The trial index a run_trial child generator was spawned for."""
+    return rng.bit_generator.seed_seq.spawn_key[1]
+
+
+def _raise(paths):
+    raise RuntimeError("injected")
+
+
+def _nan_gains(paths):
+    # A nan channel makes the stacked SVD of alt_wmmse's start raise.
+    return dataclasses.replace(paths, alpha=np.full_like(paths.alpha, np.nan))
+
+
+class TestChunks:
+    BASE = dict(t=20, t1=8, sweep_values=(20.0,), **SMALL_KW)
+
+    def test_chunk_size_follows_array_size(self):
+        sizes = {alg: harness._chunk_size(
+                     dataclasses.replace(DESK_PRESET, algorithm=alg))
+                 for alg in ALGORITHMS}
+        assert sizes == {"mo_est": 8, "cs_est": 8, "perfect_csi": 16,
+                         "random_phase_baseline": 16}
+        assert harness._chunk_size(PAPER_PRESET) == 1
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_chunked_sweep_equals_single_trials(self, algorithm,
+                                                monkeypatch):
+        # Chunks of 3, 3 and 1 trials.
+        stacks = 2 if algorithm in ("mo_est", "cs_est") else 1
+        monkeypatch.setattr(harness, "_CHUNK_BYTES",
+                            3 * stacks * 16 * 128 * 16)
+        cfg = ExperimentConfig(algorithm=algorithm, trials=7, **self.BASE)
+        assert harness._chunk_size(cfg) == 3
+        records, failures = sweep(cfg)
+        assert failures == 0
+        assert to_csv(records) == to_csv([run_trial(cfg, 0, seed)
+                                          for seed in range(cfg.trials)])
+
+    @pytest.mark.parametrize("algorithm",
+                             ["perfect_csi", "random_phase_baseline"])
+    def test_full_chunks_equal_single_trials(self, algorithm):
+        cfg = ExperimentConfig(algorithm=algorithm, trials=17, **self.BASE)
+        records, _ = sweep(cfg)
+        assert to_csv(records) == to_csv([run_trial(cfg, 0, seed)
+                                          for seed in range(cfg.trials)])
+
+    def test_timed_rows_share_their_chunk_time(self):
+        cfg = ExperimentConfig(algorithm="random_phase_baseline", trials=17,
+                               timings=True, **self.BASE)
+        walls = [r.wall_ms for r in sweep(cfg)[0]]
+        assert len(set(walls[:16])) == 1 and walls[0] > 0.0
+        assert walls[16] > 0.0
+
+    @pytest.mark.parametrize("bad", [_raise, _nan_gains],
+                             ids=["per-trial step", "stacked step"])
+    def test_failure_mid_chunk_is_one_nan_row(self, bad, monkeypatch):
+        cfg = ExperimentConfig(algorithm="perfect_csi", trials=5,
+                               **self.BASE)
+        clean, _ = sweep(cfg)
+        real = harness.sample_paths
+
+        def flaky(geom, k, rng, on_grid=False):
+            paths = real(geom, k, rng, on_grid=on_grid)
+            return bad(paths) if _seed_of(rng) == 2 else paths
+
+        monkeypatch.setattr(harness, "sample_paths", flaky)
+        records, failures = sweep(cfg)
+        assert failures == 1
+        assert math.isnan(records[2].se_bits_s_hz)
+        assert [r.seed for r in records] == list(range(5))
+        assert to_csv(records[:2] + records[3:]) == \
+            to_csv(clean[:2] + clean[3:])
+        with pytest.raises((RuntimeError, np.linalg.LinAlgError)):
+            run_trial(cfg, 0, 2)

@@ -8,6 +8,7 @@ from irsmimo.channel import (SystemGeometry, effective_channel, sample_paths,
 from irsmimo.harness import pnr_to_sigma2
 from irsmimo.manifold import circle_project
 from irsmimo.numerics import random_unit_modulus
+from irsmimo import wmmse
 from irsmimo.wmmse import (DownlinkScenario, alt_wmmse, egrad_v,
                            g1_objective, mse_matrix, spectral_efficiency,
                            update_f, update_w_omega, wmmse_objective)
@@ -261,6 +262,82 @@ class TestAltWmmse:
         h_e = effective_channel(h_c, sol_full.v_d, GEOM_DESK)
         assert spectral_efficiency(h_e, sol_full.f, scen_half) == \
             pytest.approx(0.5 * spectral_efficiency(h_e, sol_full.f, DESK))
+
+
+def _update_f_one(h_e, w, omega, scen):
+    """update_f's beamformer as one matrix's formula; np.linalg.norm of a
+    single matrix rounds differently from a norm over the axes of a
+    stack."""
+    psi = np.trace(omega @ w.conj().T @ w).real
+    hw = h_e.conj().T @ w
+    f_tilde = np.linalg.solve(hw @ omega @ hw.conj().T
+                              + scen.sigma2_d * psi * np.eye(h_e.shape[1]),
+                              hw @ omega)
+    return f_tilde / np.linalg.norm(f_tilde)
+
+
+def test_stacked_closed_forms_equal_per_matrix_calls():
+    rng = np.random.default_rng(30)
+    h_c = np.stack([_desk_channel(seed) for seed in range(6)])
+    v = np.stack([random_unit_modulus(GEOM_DESK.m, rng) for _ in h_c])
+    h_e = effective_channel(h_c, v, GEOM_DESK)
+    f = cgauss(rng, (len(h_c), GEOM_DESK.n_bs, DESK.n_s))
+    f /= np.linalg.norm(f, axis=(1, 2), keepdims=True)
+    w, omega = update_w_omega(h_e, f, DESK)
+    g = wmmse_objective(h_e, f, w, omega, DESK)
+    se = spectral_efficiency(h_e, f, DESK)
+    w_zero = w.copy()
+    w_zero[2] = 0.0                 # a degenerate trial inside the stack
+    f_new, degenerate = update_f(h_e, w_zero, omega, DESK)
+    assert degenerate.tolist() == [False, False, True, False, False, False]
+    for i in range(len(h_c)):
+        w_i, omega_i = update_w_omega(h_e[i], f[i], DESK)
+        assert np.array_equal(w_i, w[i])
+        assert np.array_equal(omega_i, omega[i])
+        assert wmmse_objective(h_e[i], f[i], w[i], omega[i], DESK) == g[i]
+        assert spectral_efficiency(h_e[i], f[i], DESK) == se[i]
+        f_i, degenerate_i = update_f(h_e[i], w_zero[i], omega[i], DESK)
+        assert np.array_equal(f_i, f_new[i])
+        assert degenerate_i == degenerate[i]
+        if i != 2:
+            assert np.array_equal(f_new[i], _update_f_one(h_e[i], w[i],
+                                                          omega[i], DESK))
+
+
+@pytest.mark.parametrize("optimize_v", [True, False])
+def test_stacked_alt_wmmse_equals_single_runs(optimize_v):
+    h_c = np.stack([_desk_channel(seed) for seed in range(4)])
+    rngs = [np.random.default_rng(700 + i) for i in range(len(h_c))]
+    stacked = alt_wmmse(DESK, h_c, rngs, optimize_v=optimize_v)
+    for i, sol in enumerate(stacked):
+        one = alt_wmmse(DESK, h_c[i], np.random.default_rng(700 + i),
+                        optimize_v=optimize_v)
+        assert np.array_equal(sol.f, one.f)
+        assert np.array_equal(sol.v_d, one.v_d)
+        assert (sol.g_trace, sol.se, sol.iterations, sol.stalled) == \
+            (one.g_trace, one.se, one.iterations, one.stalled)
+    if optimize_v:
+        # The trials stop after different rounds, so the lock-step loop
+        # drops trials from the stack.
+        assert len({sol.iterations for sol in stacked}) > 1
+
+
+def test_fixed_reflection_takes_the_start_closed_form(monkeypatch):
+    calls = []
+    real = wmmse.update_w_omega
+    monkeypatch.setattr(wmmse, "update_w_omega",
+                        lambda *args: calls.append(1) or real(*args))
+    h_c = _desk_channel(5)
+    sol = alt_wmmse(DESK, h_c, np.random.default_rng(8), optimize_v=False)
+    assert len(calls) == 1
+    v0 = random_unit_modulus(GEOM_DESK.m, np.random.default_rng(8))
+    h_e = effective_channel(h_c, v0, GEOM_DESK)
+    vh = np.linalg.svd(h_e, full_matrices=False)[2]
+    f0 = vh[:DESK.n_s].conj().T / np.sqrt(DESK.n_s)
+    w, omega = real(h_e, f0, DESK)
+    g0 = wmmse_objective(h_e, f0, w, omega, DESK)
+    assert sol.iterations == 1 and sol.g_trace == [g0, g0]
+    assert np.array_equal(sol.f, update_f(h_e, w, omega, DESK)[0])
 
 
 class TestScenarioValidation:
