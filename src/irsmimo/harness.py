@@ -16,9 +16,11 @@ for the estimator arms, 1 at paper scale). Each trial draws its paths,
 pilots and estimate on its own; channel synthesis, the beamformer's
 closed forms and the rate run once per chunk on arrays with a leading
 trial axis, which numpy computes bit-identically to one call per trial.
-run_trial is a chunk of one. Wall-clock columns are written as 0.0
-unless timings=true; then each row holds its chunk's wall time divided
-by the chunk's trial count.
+run_trial is a chunk of one. A chunk in which any step raises runs again
+one trial at a time, and a trial that raises on its own becomes a nan
+row. Wall-clock columns are written as 0.0 unless timings=true; then
+each row holds its chunk's wall time divided by the chunk's trial count
+(a rerun trial is a chunk of one, a nan row 0.0).
 """
 
 import time
@@ -295,15 +297,15 @@ def _chunk_size(cfg: ExperimentConfig) -> int:
 
 
 def _run_chunk(cfg: ExperimentConfig, point: int,
-               seeds: list[int]) -> list[TrialRecord | Exception]:
-    """The trials `seeds` of sweep point `point`, one outcome per seed: its
-    record, or the exception that one of its per-trial steps raised. An
-    exception of a stacked step propagates.
+               seeds: list[int]) -> list[TrialRecord]:
+    """The records of trials `seeds` of sweep point `point`, in seed order.
+    The first exception of any step propagates, whether the step runs per
+    trial or on the stack; sweep then reruns the chunk one trial at a time.
 
     Per trial, in seed order: the generator spawn, the path draw, pilots
-    and uplink, and the estimator. Stacked over the trials still running:
-    channel synthesis, the beamformer (alt_wmmse on a stack) and the rate
-    on the true channel. A trial that fails leaves the stack.
+    and uplink, and the estimator. Stacked over the chunk: channel
+    synthesis, the beamformer (alt_wmmse on a stack) and the rate on the
+    true channel.
     """
     tic = time.perf_counter()
     t, pnr_db, snr_db, k_hat = _point_params(cfg, point)
@@ -315,28 +317,11 @@ def _run_chunk(cfg: ExperimentConfig, point: int,
     dicts = (build_dictionaries(geom.unitary()) if cfg.algorithm == "mo_est"
              else build_dictionaries(geom) if cfg.algorithm == "cs_est"
              else None)
-    outcomes: list = [None] * len(seeds)
-
-    def each(step, trials) -> dict:
-        """step(i) for each trial position i; a trial whose step raises
-        keeps the exception as its outcome and is left out."""
-        done = {}
-        for i in trials:
-            try:
-                done[i] = step(i)
-            except Exception as exc:
-                outcomes[i] = exc
-        return done
-
     rngs = [[np.random.default_rng(child) for child in np.random.SeedSequence(
         cfg.master_seed, spawn_key=(point, seed)).spawn(4)] for seed in seeds]
-    paths = each(lambda i: sample_paths(geom, cfg.k_true, rngs[i][0],
-                                        on_grid=cfg.on_grid),
-                 range(len(seeds)))
-    if not paths:
-        return outcomes
-    ch = synth_channels(geom, stack_paths(list(paths.values())))
-    chans = dict(zip(paths, zip(ch.g, ch.h)))          # per-trial views
+    ch = synth_channels(geom, stack_paths(
+        [sample_paths(geom, cfg.k_true, rng[0], on_grid=cfg.on_grid)
+         for rng in rngs]))
 
     def estimate(i) -> tuple[np.ndarray | None, int | None]:
         """(estimated cascaded channel, estimator iterations), or (None,
@@ -345,8 +330,8 @@ def _run_chunk(cfg: ExperimentConfig, point: int,
         if t > 0:
             hold_v = resolve_t1(cfg.t1, t) if cfg.algorithm == "cs_est" else 0
             s, v = make_pilots(geom, t, rng_pilot, hold_v=hold_v)
-            pilots = simulate_uplink(ChannelRealization(*chans[i]), s, v,
-                                     sigma2, rng_pilot)
+            pilots = simulate_uplink(ChannelRealization(ch.g[i], ch.h[i]), s,
+                                     v, sigma2, rng_pilot)
         elif cfg.algorithm in _ESTIMATORS:
             raise ValueError("estimators need at least one training slot")
         if cfg.algorithm == "mo_est":
@@ -359,25 +344,18 @@ def _run_chunk(cfg: ExperimentConfig, point: int,
                                  + len(res.support_gain))
         return None, None
 
-    est = each(estimate, paths)
-    if not est:
-        return outcomes
-    live = list(est)
-    pos = dict(zip(live, range(len(live))))            # trial -> stack row
+    hats, iters = zip(*(estimate(i) for i in range(len(seeds))))
     # The cascaded channels are built only now, after the estimators.
-    h_c = (ch.h_c if len(live) == len(paths)
-           else ch.h_c[[j for j, i in enumerate(paths) if i in est]])
+    h_c = ch.h_c
     estimated = cfg.algorithm in _ESTIMATORS
-    iters = [est[i][1] for i in live]
-    # pop releases each estimate once it is stacked.
-    design = np.stack([est.pop(i)[0] for i in live]) if estimated else h_c
-    rng_bf = [rngs[i][3] for i in live]
+    design = np.stack(hats) if estimated else h_c
+    rng_bf = [rng[3] for rng in rngs]
     optimize_v = cfg.algorithm != "random_phase_baseline"
     # A single trial goes through the one-trial signature, so the alt_wmmse
     # call of run_trial returns one BeamformingSolution, whose attributes
     # the benchmark's tracer (perfbench/tracer.py) reads.
     sols = (alt_wmmse(scen, design, rng_bf, optimize_v=optimize_v)
-            if len(live) > 1 else
+            if len(seeds) > 1 else
             [alt_wmmse(scen, design[0], rng_bf[0], optimize_v=optimize_v)])
 
     # The beamformers are designed from the estimate but rated on the true
@@ -386,19 +364,15 @@ def _run_chunk(cfg: ExperimentConfig, point: int,
         se = spectral_efficiency(
             effective_channel(h_c, np.stack([s.v_d for s in sols]), geom),
             np.stack([s.f for s in sols]), scen).tolist()
-        err = each(lambda i: nmse(h_c[pos[i]], design[pos[i]]), live)
+        err = [nmse(h_c[i], design[i]) for i in range(len(seeds))]
     else:
         se = [s.se for s in sols]
-        err = dict.fromkeys(live, 0.0)
+        err = [0.0] * len(seeds)
         iters = [s.iterations for s in sols]
     wall = (1e3 * (time.perf_counter() - tic) / len(seeds) if cfg.timings
             else 0.0)
-    for i, se_i, iters_i in zip(live, se, iters):
-        if i in err:
-            outcomes[i] = TrialRecord(seeds[i], cfg.algorithm, t, pnr_db,
-                                      snr_db, k_hat, err[i], se_i, iters_i,
-                                      wall)
-    return outcomes
+    return [TrialRecord(seed, cfg.algorithm, t, pnr_db, snr_db, k_hat, e, s,
+                        n, wall) for seed, e, s, n in zip(seeds, err, se, iters)]
 
 
 def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
@@ -412,31 +386,19 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
     The beamformers are designed from the estimated cascaded channel, but
     the reported rate applies them to the true one. outer_iters counts
     estimator outer iterations (total greedy selections for cs_est) or,
-    for the CSI-free arms, beamformer iterations.
+    for the CSI-free arms, beamformer iterations. Raises whatever a step
+    of the trial raises.
     """
-    (outcome,) = _run_chunk(cfg, point, [seed])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def _outcomes(cfg: ExperimentConfig, point: int,
-              seeds: list[int]) -> list[TrialRecord | Exception]:
-    """_run_chunk's outcomes; when a stacked step raises, the chunk's
-    trials run again one at a time, so the failure lands on its own row."""
-    try:
-        return _run_chunk(cfg, point, seeds)
-    except Exception as exc:
-        if len(seeds) == 1:
-            return [exc]
-        return [out for seed in seeds for out in _outcomes(cfg, point, [seed])]
+    return _run_chunk(cfg, point, [seed])[0]
 
 
 def sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], int]:
     """All (point, seed) trials in (point-major, seed-minor) order, each
     point's trials in chunks of _chunk_size consecutive seeds.
 
-    Failed trials become nan rows. Returns (records, failure count).
+    A chunk that raises runs again one trial at a time (run_trial), so its
+    rows carry their own wall time and a trial that still raises becomes
+    a nan row. Returns (records, failure count).
     """
     cfg.validate()
     chunk = _chunk_size(cfg)
@@ -444,13 +406,17 @@ def sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], int]:
     for point in range(len(cfg.sweep_values)):
         for start in range(0, cfg.trials, chunk):
             seeds = list(range(start, min(start + chunk, cfg.trials)))
-            for seed, out in zip(seeds, _outcomes(cfg, point, seeds)):
-                if isinstance(out, Exception):
-                    failures += 1
-                    out = TrialRecord(seed, cfg.algorithm,
-                                      *_point_params(cfg, point),
-                                      float("nan"), float("nan"), 0, 0.0)
-                records.append(out)
+            try:
+                records += _run_chunk(cfg, point, seeds)
+            except Exception:
+                for seed in seeds:
+                    try:
+                        records.append(run_trial(cfg, point, seed))
+                    except Exception:
+                        failures += 1
+                        records.append(TrialRecord(
+                            seed, cfg.algorithm, *_point_params(cfg, point),
+                            float("nan"), float("nan"), 0, 0.0))
     return records, failures
 
 

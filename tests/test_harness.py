@@ -316,6 +316,39 @@ def _nan_gains(paths):
     return dataclasses.replace(paths, alpha=np.full_like(paths.alpha, np.nan))
 
 
+def _break_paths(bad):
+    """Fault injector: `bad` rewrites the paths that seed 2 draws."""
+    def inject(monkeypatch):
+        real = harness.sample_paths
+
+        def flaky(geom, k, rng, on_grid=False):
+            paths = real(geom, k, rng, on_grid=on_grid)
+            return bad(paths) if _seed_of(rng) == 2 else paths
+
+        monkeypatch.setattr(harness, "sample_paths", flaky)
+    return inject
+
+
+def _break_cs_est(monkeypatch):
+    """Fault injector: cs_est raises on the pilots of seed 2, which
+    simulate_uplink records by the block's id."""
+    real_uplink, real_cs_est = harness.simulate_uplink, harness.cs_est
+    seed_of_block = {}
+
+    def tagged(ch, s, v, sigma2, rng):
+        pilots = real_uplink(ch, s, v, sigma2, rng)
+        seed_of_block[id(pilots)] = _seed_of(rng)
+        return pilots
+
+    def flaky(pilots, dicts, cfg):
+        if seed_of_block[id(pilots)] == 2:
+            raise RuntimeError("injected")
+        return real_cs_est(pilots, dicts, cfg)
+
+    monkeypatch.setattr(harness, "simulate_uplink", tagged)
+    monkeypatch.setattr(harness, "cs_est", flaky)
+
+
 class TestChunks:
     BASE = dict(t=20, t1=8, sweep_values=(20.0,), **SMALL_KW)
 
@@ -356,19 +389,17 @@ class TestChunks:
         assert len(set(walls[:16])) == 1 and walls[0] > 0.0
         assert walls[16] > 0.0
 
-    @pytest.mark.parametrize("bad", [_raise, _nan_gains],
-                             ids=["per-trial step", "stacked step"])
-    def test_failure_mid_chunk_is_one_nan_row(self, bad, monkeypatch):
-        cfg = ExperimentConfig(algorithm="perfect_csi", trials=5,
-                               **self.BASE)
+    @pytest.mark.parametrize("algorithm, inject", [
+        ("perfect_csi", _break_paths(_raise)),
+        ("perfect_csi", _break_paths(_nan_gains)),
+        ("cs_est", _break_cs_est)],
+        ids=["per-trial step", "stacked step", "estimator"])
+    def test_failure_mid_chunk_is_one_nan_row(self, algorithm, inject,
+                                              monkeypatch):
+        cfg = ExperimentConfig(algorithm=algorithm, trials=5, **self.BASE)
+        assert harness._chunk_size(cfg) >= cfg.trials
         clean, _ = sweep(cfg)
-        real = harness.sample_paths
-
-        def flaky(geom, k, rng, on_grid=False):
-            paths = real(geom, k, rng, on_grid=on_grid)
-            return bad(paths) if _seed_of(rng) == 2 else paths
-
-        monkeypatch.setattr(harness, "sample_paths", flaky)
+        inject(monkeypatch)
         records, failures = sweep(cfg)
         assert failures == 1
         assert math.isnan(records[2].se_bits_s_hz)
@@ -377,3 +408,12 @@ class TestChunks:
             to_csv(clean[:2] + clean[3:])
         with pytest.raises((RuntimeError, np.linalg.LinAlgError)):
             run_trial(cfg, 0, 2)
+
+    def test_rerun_rows_carry_their_own_wall_time(self, monkeypatch):
+        cfg = ExperimentConfig(algorithm="perfect_csi", trials=5,
+                               timings=True, **self.BASE)
+        _break_paths(_raise)(monkeypatch)
+        records, failures = sweep(cfg)
+        assert failures == 1
+        assert math.isnan(records[2].nmse) and records[2].wall_ms == 0.0
+        assert all(r.wall_ms > 0.0 for r in records[:2] + records[3:])
