@@ -364,7 +364,7 @@ def _run_chunk(cfg: ExperimentConfig, point: int,
         se = spectral_efficiency(
             effective_channel(h_c, np.stack([s.v_d for s in sols]), geom),
             np.stack([s.f for s in sols]), scen).tolist()
-        err = [nmse(h_c[i], design[i]) for i in range(len(seeds))]
+        err = [nmse(true, hat) for true, hat in zip(h_c, design)]
     else:
         se = [s.se for s in sols]
         err = [0.0] * len(seeds)
