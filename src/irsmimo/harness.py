@@ -10,17 +10,19 @@ splits them per pipeline phase, so paired-seed comparisons across
 algorithms see identical channels, pilots, and initial reflection
 vectors.
 
-A sweep runs each point's trials in chunks of consecutive seeds, sized so
-the stacked cascaded channels take about _CHUNK_BYTES (16 desk trials, 8
-for the estimator arms, 1 at paper scale). Each trial draws its paths,
-pilots and estimate on its own; channel synthesis, the beamformer's
-closed forms and the rate run once per chunk on arrays with a leading
-trial axis, which numpy computes bit-identically to one call per trial.
-run_trial is a chunk of one. A chunk in which any step raises runs again
-one trial at a time, and a trial that raises on its own becomes a nan
-row. Wall-clock columns are written as 0.0 unless timings=true; then
-each row holds its chunk's wall time divided by the chunk's trial count
-(a rerun trial is a chunk of one, a nan row 0.0).
+_point builds a sweep point's noise powers, scenario, estimator settings
+and dictionaries once, for all its trials, and owns the rules a point
+must meet. A sweep runs each point's trials in chunks of consecutive
+seeds, sized so the stacked cascaded channels take about _CHUNK_BYTES
+(16 desk trials, 8 for the estimator arms, 1 at paper scale). Each trial
+draws its paths, pilots and estimate on its own; channel synthesis, the
+beamformer's closed forms and the rate run once per chunk on arrays with
+a leading trial axis, which numpy computes bit-identically to one call
+per trial. run_trial is a chunk of one. A chunk in which any step raises
+runs again one trial at a time, and a trial that raises on its own
+becomes a nan row. Wall-clock columns are written as 0.0 unless
+timings=true; then each row holds its chunk's wall time divided by the
+chunk's trial count (a rerun trial is a chunk of one, a nan row 0.0).
 """
 
 import time
@@ -29,9 +31,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import (ChannelRealization, SystemGeometry, build_dictionaries,
-                      effective_channel, make_pilots, pathloss, sample_paths,
-                      simulate_uplink, stack_paths, synth_channels)
+from .channel import (ChannelRealization, Dictionaries, SystemGeometry,
+                      build_dictionaries, effective_channel, make_pilots,
+                      pathloss, sample_paths, simulate_uplink, stack_paths,
+                      synth_channels)
 from .cs_est import CsEstConfig, cs_est, resolve_t1
 from .mo_est import MoEstConfig, mo_est
 from .numerics import khatri_rao
@@ -111,39 +114,16 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not 0 <= self.t < self.t_tot:
             raise ConfigError("need 0 <= t < t_tot")
-        if self.algorithm in _ESTIMATORS and self.sweep_axis != "T" \
-                and self.t < 1:
-            raise ConfigError("estimators need t >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
         try:
             geom = self.geometry()
-            if self.algorithm == "cs_est":
-                build_dictionaries(geom)
+            if not 1 <= self.k_true <= min(self.n_bs, self.n_ue, geom.m):
+                raise ValueError("k_true must lie in [1, min(n_bs, n_ue, m)]")
+            for index in range(len(self.sweep_values)):
+                _point(self, index)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        k_paths = min(self.n_bs, self.n_ue, geom.m)
-        if not 1 <= self.k_true <= k_paths:
-            raise ConfigError("k_true must lie in [1, min(n_bs, n_ue, m)]")
-        k_max = {"mo_est": k_paths,
-                 "cs_est": min(self.g_bs, self.g_ue)}.get(self.algorithm)
-        for point in range(len(self.sweep_values)):
-            t, pnr_db, snr_db, k_hat = _point_params(self, point)
-            if k_hat < 1:
-                raise ConfigError("K_hat must be >= 1")
-            if k_max is not None and k_hat > k_max:
-                raise ConfigError(f"K_hat={k_hat} above {k_max}, the most "
-                                  f"paths {self.algorithm} can resolve")
-            try:
-                _estimator_config(self, k_hat)
-                if self.algorithm == "cs_est" and t > 0:
-                    resolve_t1(self.t1, t)
-                pnr_to_sigma2(pnr_db, self.d_bi, self.d_iu)
-                DownlinkScenario(geom, pnr_to_sigma2(snr_db, self.d_bi,
-                                                     self.d_iu),
-                                 self.n_s, t, self.t_tot)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -259,31 +239,58 @@ def nmse(h_c_true: np.ndarray, h_c_hat: np.ndarray) -> float:
     return float(np.linalg.norm(h_c_true - h_c_hat) ** 2) / denom
 
 
-def _point_params(cfg: ExperimentConfig, point: int):
-    """(t, pnr_db, snr_db, k_hat) after applying the sweep value."""
-    value = cfg.sweep_values[point]
-    t, pnr_db, snr_db = cfg.t, cfg.pnr_db, cfg.snr_db
-    k_hat = cfg.k_true if cfg.k_hat is None else cfg.k_hat
-    if cfg.sweep_axis == "T":
-        t = int(value)
-    elif cfg.sweep_axis == "PNR":
-        pnr_db = float(value)
-    elif cfg.sweep_axis == "SNR":
-        snr_db = float(value)
-    elif cfg.sweep_axis == "K_hat":
-        k_hat = int(value)
-    return t, pnr_db, snr_db, k_hat
+@dataclass(frozen=True)
+class _Point:
+    """What all trials of sweep point `index` share: the row key (t, pnr_db,
+    snr_db, k_hat), the training noise power, the estimator's settings and
+    dictionaries (unitary for mo_est) and hold_v, cs_est's t1 (else 0)."""
+
+    index: int
+    key: tuple[int, float, float, int]
+    sigma2: float
+    scen: DownlinkScenario
+    est_cfg: MoEstConfig | CsEstConfig | None
+    dicts: Dictionaries | None
+    hold_v: int
 
 
-def _estimator_config(cfg: ExperimentConfig,
-                      k_hat: int) -> MoEstConfig | CsEstConfig | None:
-    """The configured estimator's settings for k_hat assumed paths per hop
-    (None for the CSI-free arms)."""
+def _point(cfg: ExperimentConfig, index: int) -> _Point:
+    """Sweep point `index` of cfg. Raises ValueError for a point no trial
+    could run: K_hat below 1 or above the most paths the estimator
+    resolves, an estimator with t < 1 off the T axis, t1 outside [1, t],
+    or a value a constructor refuses. An estimator at T = 0 on the T axis
+    passes, and its trials raise."""
+    axes = dict(T=cfg.t, PNR=cfg.pnr_db, SNR=cfg.snr_db,
+                K_hat=cfg.k_true if cfg.k_hat is None else cfg.k_hat)
+    axes[cfg.sweep_axis] = cfg.sweep_values[index]
+    t, k_hat = int(axes["T"]), int(axes["K_hat"])
+    pnr_db, snr_db = float(axes["PNR"]), float(axes["SNR"])
+    if k_hat < 1:
+        raise ValueError("K_hat must be >= 1")
+    if cfg.algorithm in _ESTIMATORS and cfg.sweep_axis != "T" and t < 1:
+        raise ValueError("estimators need t >= 1")
+    geom = cfg.geometry()
+    sigma2 = pnr_to_sigma2(pnr_db, cfg.d_bi, cfg.d_iu)
+    scen = DownlinkScenario(geom, pnr_to_sigma2(snr_db, cfg.d_bi, cfg.d_iu),
+                            cfg.n_s, t, cfg.t_tot)
+    est_cfg, dicts, hold_v, k_max = None, None, 0, None
     if cfg.algorithm == "mo_est":
-        return MoEstConfig(k_hat, k_hat, cfg.mu_g, cfg.mu_h)
-    if cfg.algorithm == "cs_est":
-        return CsEstConfig(k_hat, k_hat, cfg.t1)
-    return None
+        est_cfg = MoEstConfig(k_hat, k_hat, cfg.mu_g, cfg.mu_h)
+        dicts = build_dictionaries(geom.unitary())
+        k_max = min(geom.n_bs, geom.n_ue, geom.m)
+    elif cfg.algorithm == "cs_est":
+        est_cfg = CsEstConfig(k_hat, k_hat, cfg.t1)
+        dicts = build_dictionaries(geom)
+        if t > 0:
+            # Stage 1 picks UE atoms from a rank-min(n_ue, t1) matrix and
+            # stage 2 BS atoms from a rank-n_bs dictionary.
+            hold_v = resolve_t1(cfg.t1, t)
+            k_max = min(geom.n_bs, geom.n_ue, hold_v)
+    if k_max is not None and k_hat > k_max:
+        raise ValueError(f"K_hat={k_hat} above {k_max}, the most paths "
+                         f"{cfg.algorithm} can resolve")
+    return _Point(index, (t, pnr_db, snr_db, k_hat), sigma2, scen, est_cfg,
+                  dicts, hold_v)
 
 
 def _chunk_size(cfg: ExperimentConfig) -> int:
@@ -296,11 +303,11 @@ def _chunk_size(cfg: ExperimentConfig) -> int:
                // (16 * geom.n_bs * geom.n_ue * geom.m * stacks))
 
 
-def _run_chunk(cfg: ExperimentConfig, point: int,
+def _run_chunk(cfg: ExperimentConfig, point: _Point,
                seeds: list[int]) -> list[TrialRecord]:
-    """The records of trials `seeds` of sweep point `point`, in seed order.
-    The first exception of any step propagates, whether the step runs per
-    trial or on the stack; sweep then reruns the chunk one trial at a time.
+    """The records of trials `seeds` of `point`, in seed order. The first
+    exception of any step propagates, whether the step runs per trial or
+    on the stack; sweep then reruns the chunk one trial at a time.
 
     Per trial, in seed order: the generator spawn, the path draw, pilots
     and uplink, and the estimator. Stacked over the chunk: channel
@@ -308,43 +315,35 @@ def _run_chunk(cfg: ExperimentConfig, point: int,
     true channel.
     """
     tic = time.perf_counter()
-    t, pnr_db, snr_db, k_hat = _point_params(cfg, point)
-    geom = cfg.geometry()
-    sigma2 = pnr_to_sigma2(pnr_db, cfg.d_bi, cfg.d_iu)
-    scen = DownlinkScenario(geom, pnr_to_sigma2(snr_db, cfg.d_bi, cfg.d_iu),
-                            cfg.n_s, t, cfg.t_tot)
-    est_cfg = _estimator_config(cfg, k_hat)
-    dicts = (build_dictionaries(geom.unitary()) if cfg.algorithm == "mo_est"
-             else build_dictionaries(geom) if cfg.algorithm == "cs_est"
-             else None)
+    scen, geom, t = point.scen, point.scen.geom, point.scen.t_used
     rngs = [[np.random.default_rng(child) for child in np.random.SeedSequence(
-        cfg.master_seed, spawn_key=(point, seed)).spawn(4)] for seed in seeds]
+        cfg.master_seed, spawn_key=(point.index, seed)).spawn(4)]
+        for seed in seeds]
     ch = synth_channels(geom, stack_paths(
         [sample_paths(geom, cfg.k_true, rng[0], on_grid=cfg.on_grid)
          for rng in rngs]))
 
-    def estimate(i) -> tuple[np.ndarray | None, int | None]:
+    def estimate(i, rng_pilot, rng_est):
         """(estimated cascaded channel, estimator iterations), or (None,
-        None) for the CSI-free arms, which design on the true channel."""
-        rng_pilot, rng_est = rngs[i][1:3]
+        None) for the CSI-free arms, which design on the true channel. The
+        training buffers die on return, before the beamformer runs."""
         if t > 0:
-            hold_v = resolve_t1(cfg.t1, t) if cfg.algorithm == "cs_est" else 0
-            s, v = make_pilots(geom, t, rng_pilot, hold_v=hold_v)
+            s, v = make_pilots(geom, t, rng_pilot, hold_v=point.hold_v)
             pilots = simulate_uplink(ChannelRealization(ch.g[i], ch.h[i]), s,
-                                     v, sigma2, rng_pilot)
+                                     v, point.sigma2, rng_pilot)
         elif cfg.algorithm in _ESTIMATORS:
             raise ValueError("estimators need at least one training slot")
         if cfg.algorithm == "mo_est":
-            res = mo_est(pilots, dicts, est_cfg, rng_est)
+            res = mo_est(pilots, point.dicts, point.est_cfg, rng_est)
             return khatri_rao(res.h_hat.dense.T, res.g_hat.dense), \
                 res.iterations
         if cfg.algorithm == "cs_est":
-            res = cs_est(pilots, dicts, est_cfg)
+            res = cs_est(pilots, point.dicts, point.est_cfg)
             return res.h_c_hat, (len(res.support_ue) + len(res.support_bs)
                                  + len(res.support_gain))
         return None, None
 
-    hats, iters = zip(*(estimate(i) for i in range(len(seeds))))
+    hats, iters = zip(*(estimate(i, *rng[1:3]) for i, rng in enumerate(rngs)))
     # The cascaded channels are built only now, after the estimators.
     h_c = ch.h_c
     estimated = cfg.algorithm in _ESTIMATORS
@@ -371,8 +370,8 @@ def _run_chunk(cfg: ExperimentConfig, point: int,
         iters = [s.iterations for s in sols]
     wall = (1e3 * (time.perf_counter() - tic) / len(seeds) if cfg.timings
             else 0.0)
-    return [TrialRecord(seed, cfg.algorithm, t, pnr_db, snr_db, k_hat, e, s,
-                        n, wall) for seed, e, s, n in zip(seeds, err, se, iters)]
+    return [TrialRecord(seed, cfg.algorithm, *point.key, e, s, n, wall)
+            for seed, e, s, n in zip(seeds, err, se, iters)]
 
 
 def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
@@ -387,23 +386,24 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
     the reported rate applies them to the true one. outer_iters counts
     estimator outer iterations (total greedy selections for cs_est) or,
     for the CSI-free arms, beamformer iterations. Raises whatever a step
-    of the trial raises.
+    of the trial raises, and ValueError for a point no trial could run.
     """
-    return _run_chunk(cfg, point, [seed])[0]
+    return _run_chunk(cfg, _point(cfg, point), [seed])[0]
 
 
 def sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], int]:
     """All (point, seed) trials in (point-major, seed-minor) order, each
     point's trials in chunks of _chunk_size consecutive seeds.
 
-    A chunk that raises runs again one trial at a time (run_trial), so its
-    rows carry their own wall time and a trial that still raises becomes
-    a nan row. Returns (records, failure count).
+    Each point is built once for all its chunks. A chunk that raises runs
+    again one trial at a time, so its rows carry their own wall time and a
+    trial that still raises becomes a nan row. Returns (records, failures).
     """
     cfg.validate()
     chunk = _chunk_size(cfg)
     records, failures = [], 0
-    for point in range(len(cfg.sweep_values)):
+    for index in range(len(cfg.sweep_values)):
+        point = _point(cfg, index)
         for start in range(0, cfg.trials, chunk):
             seeds = list(range(start, min(start + chunk, cfg.trials)))
             try:
@@ -411,12 +411,12 @@ def sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], int]:
             except Exception:
                 for seed in seeds:
                     try:
-                        records.append(run_trial(cfg, point, seed))
+                        records += _run_chunk(cfg, point, [seed])
                     except Exception:
                         failures += 1
                         records.append(TrialRecord(
-                            seed, cfg.algorithm, *_point_params(cfg, point),
-                            float("nan"), float("nan"), 0, 0.0))
+                            seed, cfg.algorithm, *point.key, float("nan"),
+                            float("nan"), 0, 0.0))
     return records, failures
 
 

@@ -77,6 +77,8 @@ def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return u[:, :r], s[:r], vh[:r].conj().T
 
 
-def random_unit_modulus(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vector of n i.i.d. unit-modulus entries with uniform phases."""
-    return np.exp(2j * np.pi * rng.random(n))
+def random_unit_modulus(shape: int | tuple[int, ...],
+                        rng: np.random.Generator) -> np.ndarray:
+    """Array of the given shape (an int for a vector) of i.i.d.
+    unit-modulus entries with uniform phases."""
+    return np.exp(2j * np.pi * rng.random(shape))

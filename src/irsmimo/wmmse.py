@@ -215,10 +215,9 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
     implicit receiver) is what makes the trace provably non-increasing.
     Stops when the decrease drops to _EPS3 or below.
 
-    With optimize_v False the initial random reflection stays in place, so
-    (w, omega) and the objective of the first iteration are those of the
-    start: the one iteration records the start objective again, updates f
-    once and stops (its decrease is 0).
+    With optimize_v False the random start stays in place and (w, omega)
+    keep their start values: the one iteration records the start objective
+    again, updates f once and stops (its decrease is 0).
 
     f is fixed during the CG, so each CG call first folds h_c and f into
     the (n_ue*n_s, m) matrix p = _reduced_channel(h_c, f); every trial
@@ -264,7 +263,6 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
                 v[b] = res.x
                 stalled[b] |= res.stalled
                 h_e[b] = effective_channel(h_c[b], v[b], geom)
-        if optimize_v or it > 1:
             w, omega[on] = update_w_omega(h_e[on], f[on], scen)
             g = wmmse_objective(h_e[on], f[on], w, omega[on], scen)
         f_new, degenerate = update_f(h_e[on], w, omega[on], scen)

@@ -80,10 +80,27 @@ class TestConfig:
         "sweep_axis = SNR\nsweep_values = -4000",
         "algorithm = mo_est\nsweep_axis = PNR\nsweep_values = 4000",
         "algorithm = cs_est\npnr_db = -4000", "d_bi = 1e300",
+        "algorithm = mo_est\nsweep_axis = PNR\nt = 0",
+        # cs_est resolves at most min(n_bs, n_ue, t1) paths.
+        "algorithm = cs_est\nsweep_axis = K_hat\nsweep_values = 9",
+        "algorithm = cs_est\nsweep_axis = K_hat\nsweep_values = 16",
+        "algorithm = cs_est\nsweep_axis = K_hat\nsweep_values = 17",
+        "algorithm = cs_est\nsweep_axis = K_hat\nsweep_values = 26",
+        "algorithm = cs_est\nt1 = 7\nk_hat = 8",
+        "algorithm = cs_est\nt1 = 6\nk_hat = 7",
+        "algorithm = cs_est\nn_bs = 8\nn_ue = 16\nk_hat = 9",
+        "algorithm = cs_est\nsweep_values = 8,20",
     ])
     def test_bad_configs_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize("text", [
+        "t1 = 8\nk_hat = 8", "t1 = 6\nk_hat = 6",
+        "n_bs = 8\nn_ue = 16\nk_hat = 8"])
+    def test_cs_est_at_its_path_limit_runs(self, text):
+        cfg = parse_config(f"algorithm = cs_est\n{text}\n")
+        assert math.isfinite(run_trial(cfg, 0, 0).nmse)
 
     def test_presets(self):
         assert PRESETS == {"desk-scale": DESK_PRESET,
@@ -282,6 +299,14 @@ class TestSweep:
         assert all(math.isnan(r.nmse) for r in reparsed)
         assert [(r.t, r.k_hat) for r in reparsed] == [(0, 2), (0, 2)]
 
+    def test_cs_est_without_slots_gives_nan_rows(self):
+        # t1 is not resolved at T = 0, so the point validates.
+        cfg = ExperimentConfig(algorithm="cs_est", sweep_values=(0.0, 20.0),
+                               trials=2, **SMALL_KW)
+        records, failures = sweep(cfg)
+        assert failures == 2
+        assert [r.t for r in records if math.isnan(r.nmse)] == [0, 0]
+
     def test_summarize_keeps_k_hat_points_apart(self):
         cfg = ExperimentConfig(algorithm="perfect_csi", sweep_axis="K_hat",
                                sweep_values=(2.0, 3.0), t=0, trials=2,
@@ -381,6 +406,25 @@ class TestChunks:
         records, _ = sweep(cfg)
         assert to_csv(records) == to_csv([run_trial(cfg, 0, seed)
                                           for seed in range(cfg.trials)])
+
+    def test_point_built_once_for_all_chunks(self, monkeypatch):
+        real, calls = harness.build_dictionaries, []
+
+        def counted(geom):
+            calls.append(geom)
+            return real(geom)
+
+        monkeypatch.setattr(harness, "build_dictionaries", counted)
+        counts = []
+        for trials in (1, 17):
+            cfg = dataclasses.replace(DESK_PRESET, algorithm="cs_est",
+                                      sweep_values=(20.0,), trials=trials)
+            calls.clear()
+            assert sweep(cfg)[1] == 0
+            counts.append(len(calls))
+        # 17 trials run in three chunks: 8, 8 and 1.
+        assert harness._chunk_size(cfg) == 8
+        assert counts[0] == counts[1]
 
     def test_timed_rows_share_their_chunk_time(self):
         cfg = ExperimentConfig(algorithm="random_phase_baseline", trials=17,
