@@ -44,6 +44,10 @@ class SystemGeometry:
     def g_i(self) -> int:
         return self.g_y * self.g_z
 
+    @property
+    def max_paths(self) -> int:
+        return min(self.n_bs, self.n_ue, self.m)
+
     def __post_init__(self):
         for name in ("n_bs", "n_ue", "m_y", "m_z", "g_bs", "g_ue", "g_y", "g_z"):
             if getattr(self, name) < 1:
@@ -236,7 +240,7 @@ def sample_paths(geom: SystemGeometry, k: int, rng: np.random.Generator,
         ValueError: k violates the rank preconditions, or separation could
             not be met within 2000 redraws.
     """
-    if not 1 <= k <= min(geom.n_bs, geom.n_ue, geom.m):
+    if not 1 <= k <= geom.max_paths:
         raise ValueError(f"k={k} outside [1, min array dimension]")
 
     def draw(freqs, sizes, grids) -> np.ndarray:

@@ -10,19 +10,21 @@ splits them per pipeline phase, so paired-seed comparisons across
 algorithms see identical channels, pilots, and initial reflection
 vectors.
 
-_point builds a sweep point's noise powers, scenario, estimator settings
-and dictionaries once, for all its trials, and owns the rules a point
-must meet. A sweep runs each point's trials in chunks of consecutive
-seeds, sized so the stacked cascaded channels take about _CHUNK_BYTES
-(16 desk trials, 8 for the estimator arms, 1 at paper scale). Each trial
-draws its paths, pilots and estimate on its own; channel synthesis, the
-beamformer's closed forms and the rate run once per chunk on arrays with
-a leading trial axis, which numpy computes bit-identically to one call
-per trial. run_trial is a chunk of one. A chunk in which any step raises
-runs again one trial at a time, and a trial that raises on its own
-becomes a nan row. Wall-clock columns are written as 0.0 unless
-timings=true; then each row holds its chunk's wall time divided by the
-chunk's trial count (a rerun trial is a chunk of one, a nan row 0.0).
+A config checks its fields and builds its sweep points once, at
+construction, or raises ConfigError: _point builds a point's noise
+powers, scenario, estimator settings and dictionaries for all its
+trials, and owns the rules a point must meet. A sweep runs each point's
+trials in chunks of consecutive seeds, sized so the stacked cascaded
+channels take about _CHUNK_BYTES (16 desk trials, 8 for the estimator
+arms, 1 at paper scale). Each trial draws its paths, pilots and estimate
+on its own; channel synthesis, the beamformer's closed forms and the
+rate run once per chunk on arrays with a leading trial axis, which numpy
+computes bit-identically to one call per trial. run_trial is a chunk of
+one. A chunk in which any step raises runs again one trial at a time,
+and a trial that raises on its own becomes a nan row. Wall-clock columns
+are written as 0.0 unless timings=true; then each row holds its chunk's
+wall time divided by the chunk's trial count (a rerun trial is a chunk
+of one, a nan row 0.0).
 """
 
 import time
@@ -84,19 +86,16 @@ class ExperimentConfig:
     on_grid: bool = False
     master_seed: int = 0
     timings: bool = False
-    mu_g: float | None = None
-    mu_h: float | None = None
 
     def geometry(self) -> SystemGeometry:
         return SystemGeometry(self.n_bs, self.n_ue, self.m_y, self.m_z,
                               self.g_bs, self.g_ue, self.g_y, self.g_z,
                               self.d_bi, self.d_iu)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
-            val = getattr(self, f.name)
             if float in (f.type, *typing.get_args(f.type)) \
-                    and val is not None and not np.all(np.isfinite(val)):
+                    and not np.all(np.isfinite(getattr(self, f.name))):
                 raise ConfigError(f"{f.name} must be finite")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
@@ -117,11 +116,10 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
         try:
-            geom = self.geometry()
-            if not 1 <= self.k_true <= min(self.n_bs, self.n_ue, geom.m):
+            if not 1 <= self.k_true <= self.geometry().max_paths:
                 raise ValueError("k_true must lie in [1, min(n_bs, n_ue, m)]")
-            for index in range(len(self.sweep_values)):
-                _point(self, index)
+            object.__setattr__(self, "_points", tuple(
+                _point(self, i) for i in range(len(self.sweep_values))))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -174,8 +172,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse flat `key = value` lines (# starts a comment) into a config.
 
     Raises:
-        ConfigError: unknown key, malformed line or value, or failed
-            validation of the resulting configuration.
+        ConfigError: unknown key, malformed line or value, or invalid config.
     """
     kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
@@ -193,9 +190,7 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = _parse_value(key, kinds[key], raw)
         except ValueError as exc:
             raise ConfigError(f"line {ln}: {exc}") from exc
-    cfg = ExperimentConfig(**values)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def config_text(cfg: ExperimentConfig) -> str:
@@ -275,9 +270,9 @@ def _point(cfg: ExperimentConfig, index: int) -> _Point:
                             cfg.n_s, t, cfg.t_tot)
     est_cfg, dicts, hold_v, k_max = None, None, 0, None
     if cfg.algorithm == "mo_est":
-        est_cfg = MoEstConfig(k_hat, k_hat, cfg.mu_g, cfg.mu_h)
+        est_cfg = MoEstConfig(k_hat, k_hat)
         dicts = build_dictionaries(geom.unitary())
-        k_max = min(geom.n_bs, geom.n_ue, geom.m)
+        k_max = geom.max_paths
     elif cfg.algorithm == "cs_est":
         est_cfg = CsEstConfig(k_hat, k_hat, cfg.t1)
         dicts = build_dictionaries(geom)
@@ -386,24 +381,24 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
     the reported rate applies them to the true one. outer_iters counts
     estimator outer iterations (total greedy selections for cs_est) or,
     for the CSI-free arms, beamformer iterations. Raises whatever a step
-    of the trial raises, and ValueError for a point no trial could run.
+    of the trial raises, and ValueError for a point outside sweep_values.
     """
-    return _run_chunk(cfg, _point(cfg, point), [seed])[0]
+    if not 0 <= point < len(cfg.sweep_values):
+        raise ValueError(f"point {point} outside sweep_values")
+    return _run_chunk(cfg, cfg._points[point], [seed])[0]
 
 
 def sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], int]:
     """All (point, seed) trials in (point-major, seed-minor) order, each
     point's trials in chunks of _chunk_size consecutive seeds.
 
-    Each point is built once for all its chunks. A chunk that raises runs
-    again one trial at a time, so its rows carry their own wall time and a
-    trial that still raises becomes a nan row. Returns (records, failures).
+    cfg's points serve all their chunks. A chunk that raises runs again
+    one trial at a time, so its rows carry their own wall time and a trial
+    that still raises becomes a nan row. Returns (records, failures).
     """
-    cfg.validate()
     chunk = _chunk_size(cfg)
     records, failures = [], 0
-    for index in range(len(cfg.sweep_values)):
-        point = _point(cfg, index)
+    for point in cfg._points:
         for start in range(0, cfg.trials, chunk):
             seeds = list(range(start, min(start + chunk, cfg.trials)))
             try:

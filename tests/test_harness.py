@@ -24,16 +24,22 @@ SMALL_KW = dict(n_bs=16, n_ue=8, m_y=4, m_z=4, g_bs=16, g_ue=8, g_y=4,
 class TestConfig:
     def test_defaults_validate(self):
         cfg = ExperimentConfig()
-        cfg.validate()
         geom = cfg.geometry()
         assert (geom.n_bs, geom.n_ue, geom.m) == (16, 8, 16)
 
     def test_text_roundtrip(self):
         cfg = ExperimentConfig(algorithm="cs_est", sweep_axis="PNR",
                                sweep_values=(0.0, 10.0), trials=3, t1=25,
-                               k_hat=4, on_grid=True, mu_g=1e-3, mu_h=2e-3,
-                               timings=True)
+                               k_hat=4, on_grid=True, timings=True)
         assert parse_config(config_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("bad", [
+        dict(algorithm="genie"), dict(sweep_axis="D"), dict(trials=0)])
+    def test_construction_rejects_bad_fields(self, bad):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(DESK_PRESET, **bad)
 
     def test_comments_blanks_and_optional_fields(self):
         cfg = parse_config(
@@ -105,8 +111,6 @@ class TestConfig:
     def test_presets(self):
         assert PRESETS == {"desk-scale": DESK_PRESET,
                            "paper-scale": PAPER_PRESET}
-        for preset in PRESETS.values():
-            preset.validate()
         geom = PAPER_PRESET.geometry()
         assert (geom.n_bs, geom.n_ue, geom.m) == (36, 16, 36)
         assert PAPER_PRESET.trials == 100
@@ -236,6 +240,13 @@ class TestRunTrial:
         assert run_trial(cfg, 0, 0).wall_ms == 0.0
         timed = dataclasses.replace(cfg, timings=True)
         assert run_trial(timed, 0, 0).wall_ms > 0.0
+
+    @pytest.mark.parametrize("point", [-1, 2])
+    def test_point_outside_sweep_values_rejected(self, point):
+        cfg = ExperimentConfig(algorithm="perfect_csi", sweep_axis="SNR",
+                               sweep_values=(0.0, 10.0), t=0, **SMALL_KW)
+        with pytest.raises(ValueError, match="outside sweep_values"):
+            run_trial(cfg, point, 0)
 
     def test_estimator_without_slots_fails(self):
         cfg = ExperimentConfig(algorithm="mo_est", sweep_values=(0.0,),
@@ -417,14 +428,17 @@ class TestChunks:
         monkeypatch.setattr(harness, "build_dictionaries", counted)
         counts = []
         for trials in (1, 17):
+            calls.clear()
             cfg = dataclasses.replace(DESK_PRESET, algorithm="cs_est",
                                       sweep_values=(20.0,), trials=trials)
+            assert len(calls) == 1
             calls.clear()
             assert sweep(cfg)[1] == 0
             counts.append(len(calls))
-        # 17 trials run in three chunks: 8, 8 and 1.
+        # 17 trials run in three chunks: 8, 8 and 1. The config built its
+        # one point, so the sweep builds nothing.
         assert harness._chunk_size(cfg) == 8
-        assert counts[0] == counts[1]
+        assert counts[0] == counts[1] == 0
 
     def test_timed_rows_share_their_chunk_time(self):
         cfg = ExperimentConfig(algorithm="random_phase_baseline", trials=17,
