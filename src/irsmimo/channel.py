@@ -10,7 +10,7 @@ stacks, arrays with a leading trial axis; each trial of a stacked call is
 bit-identical to the unstacked call on that trial alone.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,9 +57,8 @@ class SystemGeometry:
 
     def unitary(self) -> "SystemGeometry":
         """Copy with grid resolutions equal to the array sizes."""
-        return SystemGeometry(self.n_bs, self.n_ue, self.m_y, self.m_z,
-                              self.n_bs, self.n_ue, self.m_y, self.m_z,
-                              self.d_bi, self.d_iu)
+        return replace(self, g_bs=self.n_bs, g_ue=self.n_ue, g_y=self.m_y,
+                       g_z=self.m_z)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ splits them per pipeline phase, so paired-seed comparisons across
 algorithms see identical channels, pilots, and initial reflection
 vectors.
 
-A config checks its fields and builds its sweep points once, at
-construction, or raises ConfigError: _point builds a point's noise
-powers, scenario, estimator settings and dictionaries for all its
-trials, and owns the rules a point must meet. A sweep runs each point's
+A config checks its fields and builds its points once, at construction,
+or raises ConfigError. The points share one geometry and dictionaries;
+_point builds a point's noise powers, scenario and estimator settings,
+and owns the rules a point must meet. A sweep runs each point's
 trials in chunks of consecutive seeds, sized so the stacked cascaded
 channels take about _CHUNK_BYTES (16 desk trials, 8 for the estimator
 arms, 1 at paper scale). Each trial draws its paths, pilots and estimate
@@ -88,9 +88,8 @@ class ExperimentConfig:
     timings: bool = False
 
     def geometry(self) -> SystemGeometry:
-        return SystemGeometry(self.n_bs, self.n_ue, self.m_y, self.m_z,
-                              self.g_bs, self.g_ue, self.g_y, self.g_z,
-                              self.d_bi, self.d_iu)
+        return SystemGeometry(**{f.name: getattr(self, f.name)
+                                 for f in fields(SystemGeometry)})
 
     def __post_init__(self):
         for f in fields(self):
@@ -111,15 +110,19 @@ class ExperimentConfig:
                               "integers")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if not 0 <= self.t < self.t_tot:
-            raise ConfigError("need 0 <= t < t_tot")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
         try:
-            if not 1 <= self.k_true <= self.geometry().max_paths:
+            geom = self.geometry()
+            if not 1 <= self.k_true <= geom.max_paths:
                 raise ValueError("k_true must lie in [1, min(n_bs, n_ue, m)]")
+            dicts = (build_dictionaries(geom.unitary())
+                     if self.algorithm == "mo_est" else
+                     build_dictionaries(geom)
+                     if self.algorithm == "cs_est" else None)
             object.__setattr__(self, "_points", tuple(
-                _point(self, i) for i in range(len(self.sweep_values))))
+                _point(self, i, geom, dicts)
+                for i in range(len(self.sweep_values))))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -237,8 +240,8 @@ def nmse(h_c_true: np.ndarray, h_c_hat: np.ndarray) -> float:
 @dataclass(frozen=True)
 class _Point:
     """What all trials of sweep point `index` share: the row key (t, pnr_db,
-    snr_db, k_hat), the training noise power, the estimator's settings and
-    dictionaries (unitary for mo_est) and hold_v, cs_est's t1 (else 0)."""
+    snr_db, k_hat), the training noise power, the estimator's settings,
+    the config's dictionaries and hold_v, cs_est's t1 (else 0)."""
 
     index: int
     key: tuple[int, float, float, int]
@@ -249,12 +252,13 @@ class _Point:
     hold_v: int
 
 
-def _point(cfg: ExperimentConfig, index: int) -> _Point:
-    """Sweep point `index` of cfg. Raises ValueError for a point no trial
-    could run: K_hat below 1 or above the most paths the estimator
-    resolves, an estimator with t < 1 off the T axis, t1 outside [1, t],
-    or a value a constructor refuses. An estimator at T = 0 on the T axis
-    passes, and its trials raise."""
+def _point(cfg: ExperimentConfig, index: int, geom: SystemGeometry,
+           dicts: Dictionaries | None) -> _Point:
+    """Sweep point `index` of cfg, on cfg's shared geom and dicts. Raises
+    ValueError for a point no trial could run: K_hat below 1 or above the
+    most paths the estimator resolves, an estimator with t < 1 off the T
+    axis, t1 outside [1, t], or a value a constructor refuses. An
+    estimator at T = 0 on the T axis passes, and its trials raise."""
     axes = dict(T=cfg.t, PNR=cfg.pnr_db, SNR=cfg.snr_db,
                 K_hat=cfg.k_true if cfg.k_hat is None else cfg.k_hat)
     axes[cfg.sweep_axis] = cfg.sweep_values[index]
@@ -264,18 +268,15 @@ def _point(cfg: ExperimentConfig, index: int) -> _Point:
         raise ValueError("K_hat must be >= 1")
     if cfg.algorithm in _ESTIMATORS and cfg.sweep_axis != "T" and t < 1:
         raise ValueError("estimators need t >= 1")
-    geom = cfg.geometry()
     sigma2 = pnr_to_sigma2(pnr_db, cfg.d_bi, cfg.d_iu)
     scen = DownlinkScenario(geom, pnr_to_sigma2(snr_db, cfg.d_bi, cfg.d_iu),
                             cfg.n_s, t, cfg.t_tot)
-    est_cfg, dicts, hold_v, k_max = None, None, 0, None
+    est_cfg, hold_v, k_max = None, 0, None
     if cfg.algorithm == "mo_est":
         est_cfg = MoEstConfig(k_hat, k_hat)
-        dicts = build_dictionaries(geom.unitary())
         k_max = geom.max_paths
     elif cfg.algorithm == "cs_est":
         est_cfg = CsEstConfig(k_hat, k_hat, cfg.t1)
-        dicts = build_dictionaries(geom)
         if t > 0:
             # Stage 1 picks UE atoms from a rank-min(n_ue, t1) matrix and
             # stage 2 BS atoms from a rank-n_bs dictionary.

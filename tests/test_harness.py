@@ -41,6 +41,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             dataclasses.replace(DESK_PRESET, **bad)
 
+    def test_geometry_takes_every_geometry_field(self):
+        values = dict(n_bs=5, n_ue=6, m_y=2, m_z=3, g_bs=11, g_ue=12, g_y=7,
+                      g_z=9, d_bi=123.0, d_iu=4.5)
+        geom = ExperimentConfig(**values).geometry()
+        assert dataclasses.astuple(geom) == tuple(values.values())
+        assert dataclasses.astuple(geom.unitary()) == (
+            5, 6, 2, 3, 5, 6, 2, 3, 123.0, 4.5)
+
+    def test_t_axis_ignores_base_t(self):
+        # A T sweep never reads the base t; each point's T is checked.
+        cfg = ExperimentConfig(t=3000)
+        assert cfg._points[0].key[0] == 100
+        with pytest.raises(ConfigError):
+            ExperimentConfig(sweep_axis="SNR", sweep_values=(0.0,), t=3000)
+
     def test_comments_blanks_and_optional_fields(self):
         cfg = parse_config(
             "# comment line\n"
@@ -62,7 +77,7 @@ class TestConfig:
         "algorithm = genie", "sweep_axis = D",
         "sweep_values = ", "trials = 0", "threads = 0", "threads = 1",
         "k_true = 0",
-        "t = 3000", "d_bi = 0",
+        "sweep_axis = SNR\nt = 3000", "d_bi = 0",
         "sweep_values = 20.7", "sweep_axis = K_hat\nsweep_values = 2.5",
         "sweep_axis = K_hat\nsweep_values = 0",
         "sweep_values = -5", "sweep_values = 2000",
@@ -418,7 +433,9 @@ class TestChunks:
         assert to_csv(records) == to_csv([run_trial(cfg, 0, seed)
                                           for seed in range(cfg.trials)])
 
-    def test_point_built_once_for_all_chunks(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The geometries harness.build_dictionaries is called with."""
         real, calls = harness.build_dictionaries, []
 
         def counted(geom):
@@ -426,6 +443,9 @@ class TestChunks:
             return real(geom)
 
         monkeypatch.setattr(harness, "build_dictionaries", counted)
+        return calls
+
+    def test_point_built_once_for_all_chunks(self, calls):
         counts = []
         for trials in (1, 17):
             calls.clear()
@@ -439,6 +459,19 @@ class TestChunks:
         # one point, so the sweep builds nothing.
         assert harness._chunk_size(cfg) == 8
         assert counts[0] == counts[1] == 0
+
+    @pytest.mark.parametrize("algorithm, builds", [
+        ("mo_est", 1), ("cs_est", 1), ("perfect_csi", 0),
+        ("random_phase_baseline", 0)])
+    def test_points_share_one_dictionary_set(self, calls, algorithm, builds):
+        cfg = dataclasses.replace(DESK_PRESET, algorithm=algorithm,
+                                  sweep_values=(20.0, 60.0, 100.0))
+        assert len(calls) == builds
+        dicts = {id(p.dicts) for p in cfg._points}
+        assert len(cfg._points) == 3 and len(dicts) == 1
+        assert (cfg._points[0].dicts is None) == (builds == 0)
+        if algorithm == "mo_est":
+            assert cfg._points[0].dicts.unitary
 
     def test_timed_rows_share_their_chunk_time(self):
         cfg = ExperimentConfig(algorithm="random_phase_baseline", trials=17,
