@@ -14,17 +14,18 @@ A config checks its fields and builds its points once, at construction,
 or raises ConfigError. The points share one geometry and dictionaries;
 _point builds a point's noise powers, scenario and estimator settings,
 and owns the rules a point must meet. A sweep runs each point's
-trials in chunks of consecutive seeds, sized so the stacked cascaded
-channels take about _CHUNK_BYTES (16 desk trials, 8 for the estimator
-arms, 1 at paper scale). Each trial draws its paths, pilots and estimate
-on its own; channel synthesis, the beamformer's closed forms and the
-rate run once per chunk on arrays with a leading trial axis, which numpy
-computes bit-identically to one call per trial. run_trial is a chunk of
-one. A chunk in which any step raises runs again one trial at a time,
-and a trial that raises on its own becomes a nan row. Wall-clock columns
-are written as 0.0 unless timings=true; then each row holds its chunk's
-wall time divided by the chunk's trial count (a rerun trial is a chunk
-of one, a nan row 0.0).
+trials in chunks of consecutive seeds: at most _CHUNK_TRIALS, whose
+stacked cascaded channels take at most about _CHUNK_BYTES (16 desk
+trials, 6 paper-scale trials of a CSI-free arm, 3 of an estimator arm).
+Each trial draws its paths, pilots and estimate on its own; channel
+synthesis, the beamformer's closed forms, the effective channel after
+each circle CG and the rate run once per chunk on arrays with a leading
+trial axis, which numpy computes bit-identically to one call per trial.
+run_trial is a chunk of one. A chunk in which any step raises runs again
+one trial at a time, and a trial that raises on its own becomes a nan
+row. Wall-clock columns are written as 0.0 unless timings=true; then
+each row holds its chunk's wall time divided by the chunk's trial count
+(a rerun trial is a chunk of one, a nan row 0.0).
 """
 
 import time
@@ -46,11 +47,12 @@ CSV_HEADER = "seed,algorithm,T,pnr_db,snr_db,k_hat,nmse,se_bits_s_hz,outer_iters
 ALGORITHMS = ("mo_est", "cs_est", "perfect_csi", "random_phase_baseline")
 SWEEP_AXES = ("T", "PNR", "SNR", "K_hat")
 _ESTIMATORS = ("mo_est", "cs_est")
-# Stacked cascaded channels of one chunk take at most about this many bytes
-# (at least one trial per chunk): 16 desk trials of a CSI-free arm, 8 of an
-# estimator arm, 1 paper-scale trial. Larger chunks gain little and cost
-# peak memory.
-_CHUNK_BYTES = 512 * 1024
+# A chunk holds at most _CHUNK_TRIALS trials, whose stacked cascaded
+# channels take at most about _CHUNK_BYTES (at least one trial per chunk):
+# 16 desk trials of any arm, 6 paper-scale trials of a CSI-free arm and 3
+# of an estimator arm. More desk trials gain little and cost peak memory.
+_CHUNK_BYTES = 2 * 1024 * 1024
+_CHUNK_TRIALS = 16
 
 
 class ConfigError(ValueError):
@@ -291,12 +293,13 @@ def _point(cfg: ExperimentConfig, index: int, geom: SystemGeometry,
 
 def _chunk_size(cfg: ExperimentConfig) -> int:
     """Trials per chunk: as many trials' complex (n_bs*n_ue, m) cascaded
-    channels as fit in _CHUNK_BYTES, and at least one. An estimator arm
-    stacks two per trial, the true and the estimated one."""
+    channels as fit in _CHUNK_BYTES, at most _CHUNK_TRIALS and at least
+    one. An estimator arm stacks two per trial, the true and the
+    estimated one."""
     geom = cfg.geometry()
     stacks = 2 if cfg.algorithm in _ESTIMATORS else 1
-    return max(1, _CHUNK_BYTES
-               // (16 * geom.n_bs * geom.n_ue * geom.m * stacks))
+    return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES
+                      // (16 * geom.n_bs * geom.n_ue * geom.m * stacks)))
 
 
 def _run_chunk(cfg: ExperimentConfig, point: _Point,

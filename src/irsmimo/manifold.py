@@ -104,6 +104,13 @@ class TangentVector:
         return TangentVector(c * self.m_core, c * self.u_p, c * self.v_p,
                              self.anchor)
 
+    def __sub__(self, other: "TangentVector") -> "TangentVector":
+        if other.anchor is not self.anchor:
+            raise ValueError("cannot subtract tangent vectors at different "
+                             "points")
+        return TangentVector(self.m_core - other.m_core, self.u_p - other.u_p,
+                             self.v_p - other.v_p, self.anchor)
+
     __rmul__ = __mul__
 
     def __neg__(self) -> "TangentVector":
@@ -197,7 +204,7 @@ def circle_project(v: np.ndarray, egrad: np.ndarray) -> np.ndarray:
     """Tangent projection t = egrad - Re(egrad * conj(v)) * v."""
     if egrad.shape != v.shape:
         raise ValueError("shape mismatch")
-    return egrad - np.real(egrad * v.conj()) * v
+    return egrad - (egrad * v.conj()).real * v
 
 
 def circle_retract(v: np.ndarray, t: np.ndarray, step: float) -> np.ndarray:
@@ -212,7 +219,7 @@ def circle_retract(v: np.ndarray, t: np.ndarray, step: float) -> np.ndarray:
         return v
     w = v + step * t
     mag = np.abs(w)
-    if np.any(mag < 1e-14):
+    if (mag < 1e-14).any():
         raise DegenerateStep("entry collapsed to zero")
     return w / mag
 
@@ -325,9 +332,9 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions) -> CgResult:
             break
         g_new = manifold.project(x_new, egrad())
         g_old_t = manifold.transport(x_new, g)
-        eta = max(0.0, manifold.inner(x_new, g_new, g_new + (-1.0) * g_old_t)
+        eta = max(0.0, manifold.inner(x_new, g_new, g_new - g_old_t)
                   / gnorm2)
-        d = -g_new + eta * manifold.transport(x_new, d)
+        d = eta * manifold.transport(x_new, d) - g_new
         x, f, g = x_new, f_new, g_new
         step_init = min(_INITIAL_STEP, 2.0 * step)
 

@@ -148,12 +148,13 @@ def _reduced_channel(h_c: np.ndarray, f: np.ndarray,
     return (f.T @ h).reshape(geom.n_ue * f.shape[1], geom.m)
 
 
-def _g1_cost_grad(v_d, p: np.ndarray, omega_inv: np.ndarray,
-                  sigma2_d: float):
+def _g1_cost_grad(v_d, p: np.ndarray, p_h: np.ndarray,
+                  omega_inv: np.ndarray, sigma2_d: float):
     """(g1, egrad) at v_d for cg_minimize; see g1_objective and egrad_v.
 
-    p is _reduced_channel(h_c, f), built once for a fixed f, so the cost
-    needs only h_e f = p @ v_d and the gradient is
+    p is _reduced_channel(h_c, f) and p_h its conjugate transpose
+    p.conj().T, both built once for a fixed f, so the cost needs only
+    h_e f = p @ v_d and the gradient is
     -(1/sigma2_d) * p^H @ (h_e f t^{-2} omega^{-1}) stacked by rows.
     egrad() reuses h_e f and t^{-1} from the cost."""
     hf = (p @ v_d).reshape(-1, omega_inv.shape[0])
@@ -162,17 +163,18 @@ def _g1_cost_grad(v_d, p: np.ndarray, omega_inv: np.ndarray,
 
     def egrad() -> np.ndarray:
         g = hf @ t_inv @ t_inv @ omega_inv
-        return -(p.conj().T @ g.reshape(-1)) / sigma2_d
+        return -(p_h @ g.reshape(-1)) / sigma2_d
 
-    return float(np.trace(t_inv).real), egrad
+    return float(t_inv.trace().real), egrad
 
 
 def g1_objective(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
                  scen: DownlinkScenario) -> float:
     """Reduced weighted-MSE objective tr(t^{-1}) with the receive filter
     eliminated; t = omega^{-1} + omega^{-1} f^H h_e^H h_e f / sigma2_d."""
-    return _g1_cost_grad(v_d, _reduced_channel(h_c, f, scen.geom),
-                         np.linalg.inv(omega), scen.sigma2_d)[0]
+    p = _reduced_channel(h_c, f, scen.geom)
+    return _g1_cost_grad(v_d, p, p.conj().T, np.linalg.inv(omega),
+                         scen.sigma2_d)[0]
 
 
 def egrad_v(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
@@ -181,8 +183,9 @@ def egrad_v(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
     -(1/sigma2_d) * h_c.T @ vec((h_e f t^{-2} omega^{-1} f^H).T), computed
     as -(1/sigma2_d) * p^H @ (h_e f t^{-2} omega^{-1}) stacked by rows with
     p = _reduced_channel(h_c, f)."""
-    return _g1_cost_grad(v_d, _reduced_channel(h_c, f, scen.geom),
-                         np.linalg.inv(omega), scen.sigma2_d)[1]()
+    p = _reduced_channel(h_c, f, scen.geom)
+    return _g1_cost_grad(v_d, p, p.conj().T, np.linalg.inv(omega),
+                         scen.sigma2_d)[1]()
 
 
 def wmmse_objective(h_e: np.ndarray, f: np.ndarray, w: np.ndarray,
@@ -222,15 +225,15 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
     f is fixed during the CG, so each CG call first folds h_c and f into
     the (n_ue*n_s, m) matrix p = _reduced_channel(h_c, f); every trial
     point then costs one product p @ v instead of rebuilding h_e from
-    h_c. effective_channel runs once per outer iteration, for the closed
-    forms.
+    h_c. effective_channel runs once per outer iteration on the whole
+    stack, for the closed forms.
 
     A stack of channels (trials, n_bs*n_ue, m) with one generator per
     trial returns one solution per trial. The trials iterate in lock-step:
     the start and the closed forms act on the stack of trials that have
-    not stopped, the CG and the effective channel after it run per trial,
-    and each trial stops on its own test, so its solution is
-    bit-identical to the one it gets alone.
+    not stopped, the CG runs per trial, the effective channel after it on
+    the whole stack, and each trial stops on its own test, so its
+    solution is bit-identical to the one it gets alone.
     """
     stacked = h_c.ndim == 3
     if not stacked:
@@ -257,12 +260,14 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
                 p = _reduced_channel(h_c[b], f[b], geom)
                 res = cg_minimize(
                     CircleManifold,
-                    lambda x, p=p, o_inv=o_inv: _g1_cost_grad(
-                        x, p, o_inv, scen.sigma2_d),
+                    lambda x, p=p, p_h=p.conj().T, o_inv=o_inv:
+                        _g1_cost_grad(x, p, p_h, o_inv, scen.sigma2_d),
                     v[b], _INNER_OPTS)
                 v[b] = res.x
                 stalled[b] |= res.stalled
-                h_e[b] = effective_channel(h_c[b], v[b], geom)
+            # Stopped trials kept their v, so their rows come out unchanged;
+            # gathering h_c[on] instead would copy the channel stack.
+            h_e = effective_channel(h_c, v, geom)
             w, omega[on] = update_w_omega(h_e[on], f[on], scen)
             g = wmmse_objective(h_e[on], f[on], w, omega[on], scen)
         f_new, degenerate = update_f(h_e[on], w, omega[on], scen)

@@ -407,9 +407,9 @@ class TestChunks:
         sizes = {alg: harness._chunk_size(
                      dataclasses.replace(DESK_PRESET, algorithm=alg))
                  for alg in ALGORITHMS}
-        assert sizes == {"mo_est": 8, "cs_est": 8, "perfect_csi": 16,
+        assert sizes == {"mo_est": 16, "cs_est": 16, "perfect_csi": 16,
                          "random_phase_baseline": 16}
-        assert harness._chunk_size(PAPER_PRESET) == 1
+        assert harness._chunk_size(PAPER_PRESET) == 3
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_chunked_sweep_equals_single_trials(self, algorithm,
@@ -430,6 +430,19 @@ class TestChunks:
     def test_full_chunks_equal_single_trials(self, algorithm):
         cfg = ExperimentConfig(algorithm=algorithm, trials=17, **self.BASE)
         records, _ = sweep(cfg)
+        assert to_csv(records) == to_csv([run_trial(cfg, 0, seed)
+                                          for seed in range(cfg.trials)])
+
+    @pytest.mark.parametrize("algorithm, chunk", [("perfect_csi", 6),
+                                                  ("cs_est", 3)])
+    def test_paper_chunks_equal_single_trials(self, algorithm, chunk):
+        # Two full chunks and one more trial.
+        cfg = dataclasses.replace(PAPER_PRESET, algorithm=algorithm,
+                                  sweep_values=(100.0,), t=100,
+                                  trials=2 * chunk + 1)
+        assert harness._chunk_size(cfg) == chunk
+        records, failures = sweep(cfg)
+        assert failures == 0
         assert to_csv(records) == to_csv([run_trial(cfg, 0, seed)
                                           for seed in range(cfg.trials)])
 
@@ -455,9 +468,9 @@ class TestChunks:
             calls.clear()
             assert sweep(cfg)[1] == 0
             counts.append(len(calls))
-        # 17 trials run in three chunks: 8, 8 and 1. The config built its
+        # 17 trials run in two chunks: 16 and 1. The config built its
         # one point, so the sweep builds nothing.
-        assert harness._chunk_size(cfg) == 8
+        assert harness._chunk_size(cfg) == 16
         assert counts[0] == counts[1] == 0
 
     @pytest.mark.parametrize("algorithm, builds", [

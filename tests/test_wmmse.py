@@ -207,17 +207,18 @@ def test_reduced_form_matches_effective_channel(geom, n_s):
 GEOM_DESK = SystemGeometry()
 SIGMA2_D = pnr_to_sigma2(10.0, GEOM_DESK.d_bi, GEOM_DESK.d_iu)
 DESK = DownlinkScenario(GEOM_DESK, SIGMA2_D)
+PAPER = DownlinkScenario(SystemGeometry(36, 16, 6, 6), SIGMA2_D)
 
 
-def _desk_channel(seed):
+def _channel(seed, geom=GEOM_DESK):
     rng = np.random.default_rng(seed)
-    return synth_channels(GEOM_DESK, sample_paths(GEOM_DESK, 2, rng)).h_c
+    return synth_channels(geom, sample_paths(geom, 2, rng)).h_c
 
 
 class TestAltWmmse:
     def test_trace_monotone_and_contract(self):
         for seed in range(8):
-            sol = alt_wmmse(DESK, _desk_channel(seed),
+            sol = alt_wmmse(DESK, _channel(seed),
                             np.random.default_rng(100 + seed))
             assert len(sol.g_trace) == sol.iterations + 1
             for before, after in zip(sol.g_trace, sol.g_trace[1:]):
@@ -229,7 +230,7 @@ class TestAltWmmse:
     def test_optimized_reflection_beats_random_phase(self):
         wins = 0
         for seed in range(10):
-            h_c = _desk_channel(seed)
+            h_c = _channel(seed)
             base = alt_wmmse(DESK, h_c, np.random.default_rng(10_000 + seed),
                              optimize_v=False)
             opt = alt_wmmse(DESK, h_c, np.random.default_rng(10_000 + seed))
@@ -238,7 +239,7 @@ class TestAltWmmse:
 
     def test_fixed_reflection_left_untouched(self):
         v0 = random_unit_modulus(GEOM_DESK.m, np.random.default_rng(42))
-        sol = alt_wmmse(DESK, _desk_channel(3), np.random.default_rng(42),
+        sol = alt_wmmse(DESK, _channel(3), np.random.default_rng(42),
                         optimize_v=False)
         np.testing.assert_array_equal(sol.v_d, v0)
 
@@ -255,7 +256,7 @@ class TestAltWmmse:
             assert sol.se == pytest.approx(closed, abs=1e-8)
 
     def test_training_overhead_discounts_rate(self):
-        h_c = _desk_channel(4)
+        h_c = _channel(4)
         sol_full = alt_wmmse(DESK, h_c, np.random.default_rng(9))
         from dataclasses import replace
         scen_half = replace(DESK, t_used=1000, t_tot=2000)
@@ -278,7 +279,7 @@ def _update_f_one(h_e, w, omega, scen):
 
 def test_stacked_closed_forms_equal_per_matrix_calls():
     rng = np.random.default_rng(30)
-    h_c = np.stack([_desk_channel(seed) for seed in range(6)])
+    h_c = np.stack([_channel(seed) for seed in range(6)])
     v = np.stack([random_unit_modulus(GEOM_DESK.m, rng) for _ in h_c])
     h_e = effective_channel(h_c, v, GEOM_DESK)
     f = cgauss(rng, (len(h_c), GEOM_DESK.n_bs, DESK.n_s))
@@ -304,13 +305,12 @@ def test_stacked_closed_forms_equal_per_matrix_calls():
                                                           omega[i], DESK))
 
 
-@pytest.mark.parametrize("optimize_v", [True, False])
-def test_stacked_alt_wmmse_equals_single_runs(optimize_v):
-    h_c = np.stack([_desk_channel(seed) for seed in range(4)])
+def _assert_stacked_equals_single_runs(scen, optimize_v):
+    h_c = np.stack([_channel(seed, scen.geom) for seed in range(4)])
     rngs = [np.random.default_rng(700 + i) for i in range(len(h_c))]
-    stacked = alt_wmmse(DESK, h_c, rngs, optimize_v=optimize_v)
+    stacked = alt_wmmse(scen, h_c, rngs, optimize_v=optimize_v)
     for i, sol in enumerate(stacked):
-        one = alt_wmmse(DESK, h_c[i], np.random.default_rng(700 + i),
+        one = alt_wmmse(scen, h_c[i], np.random.default_rng(700 + i),
                         optimize_v=optimize_v)
         assert np.array_equal(sol.f, one.f)
         assert np.array_equal(sol.v_d, one.v_d)
@@ -322,12 +322,22 @@ def test_stacked_alt_wmmse_equals_single_runs(optimize_v):
         assert len({sol.iterations for sol in stacked}) > 1
 
 
+@pytest.mark.parametrize("optimize_v", [True, False])
+def test_stacked_alt_wmmse_equals_single_runs(optimize_v):
+    _assert_stacked_equals_single_runs(DESK, optimize_v)
+
+
+@pytest.mark.parametrize("optimize_v", [True, False])
+def test_stacked_alt_wmmse_equals_single_runs_paper(optimize_v):
+    _assert_stacked_equals_single_runs(PAPER, optimize_v)
+
+
 def test_fixed_reflection_takes_the_start_closed_form(monkeypatch):
     calls = []
     real = wmmse.update_w_omega
     monkeypatch.setattr(wmmse, "update_w_omega",
                         lambda *args: calls.append(1) or real(*args))
-    h_c = _desk_channel(5)
+    h_c = _channel(5)
     sol = alt_wmmse(DESK, h_c, np.random.default_rng(8), optimize_v=False)
     assert len(calls) == 1
     v0 = random_unit_modulus(GEOM_DESK.m, np.random.default_rng(8))
