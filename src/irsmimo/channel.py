@@ -166,10 +166,8 @@ def _steering_irs_uv(u: np.ndarray, m_y: int, m_z: int) -> np.ndarray:
     """IRS responses kron(f(u_y, m_y), f(u_z, m_z)), one column per
     frequency pair (u_y, u_z) in the rows of u (..., k, 2); shape
     (..., m_y*m_z, k)."""
-    a_y = steering_ula(u[..., 0], m_y)
-    a_z = steering_ula(u[..., 1], m_z)
-    a = a_y[..., :, None, :] * a_z[..., None, :, :]
-    return a.reshape(a.shape[:-3] + (m_y * m_z, a.shape[-1]))
+    return khatri_rao(steering_ula(u[..., 0], m_y),
+                      steering_ula(u[..., 1], m_z))
 
 
 def steering_irs(theta: float, phi: float, m_y: int, m_z: int) -> np.ndarray:
@@ -223,6 +221,16 @@ def _gains(k: int, tau: float, rng: np.random.Generator) -> np.ndarray:
 _MAX_TRIES = 2000
 
 
+def check_grid_room(geom: SystemGeometry, k: int) -> None:
+    """Raise ValueError unless the BS and UE grids each hold k on-grid
+    paths one orthogonality period, ceil(grid / size), apart."""
+    for size, grid in ((geom.n_bs, geom.g_bs), (geom.n_ue, geom.g_ue)):
+        if k > grid // -(-grid // size):
+            raise ValueError("could not draw separated path frequencies: a "
+                             f"{grid}-point grid for {size} antennas holds "
+                             f"fewer than {k} paths")
+
+
 def sample_paths(geom: SystemGeometry, k: int, rng: np.random.Generator,
                  on_grid: bool = False) -> PathSet:
     """Draw k paths per hop with angles uniform on [0, 2pi).
@@ -236,11 +244,13 @@ def sample_paths(geom: SystemGeometry, k: int, rng: np.random.Generator,
     separation on one of the two axes.
 
     Raises:
-        ValueError: k violates the rank preconditions, or separation could
-            not be met within 2000 redraws.
+        ValueError: k violates the rank or grid-room preconditions, or
+            separation could not be met within 2000 redraws.
     """
     if not 1 <= k <= geom.max_paths:
         raise ValueError(f"k={k} outside [1, min array dimension]")
+    if on_grid:
+        check_grid_room(geom, k)
 
     def draw(freqs, sizes, grids) -> np.ndarray:
         """Frequency rows (k, axes) of one kind."""

@@ -35,9 +35,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channel import (ChannelRealization, Dictionaries, SystemGeometry,
-                      build_dictionaries, effective_channel, make_pilots,
-                      pathloss, sample_paths, simulate_uplink, stack_paths,
-                      synth_channels)
+                      build_dictionaries, check_grid_room, effective_channel,
+                      make_pilots, pathloss, sample_paths, simulate_uplink,
+                      stack_paths, synth_channels)
 from .cs_est import CsEstConfig, cs_est, resolve_t1
 from .mo_est import MoEstConfig, mo_est
 from .numerics import khatri_rao
@@ -118,6 +118,8 @@ class ExperimentConfig:
             geom = self.geometry()
             if not 1 <= self.k_true <= geom.max_paths:
                 raise ValueError("k_true must lie in [1, min(n_bs, n_ue, m)]")
+            if self.on_grid:
+                check_grid_room(geom, self.k_true)
             dicts = (build_dictionaries(geom.unitary())
                      if self.algorithm == "mo_est" else
                      build_dictionaries(geom)
@@ -345,8 +347,7 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
     hats, iters = zip(*(estimate(i, *rng[1:3]) for i, rng in enumerate(rngs)))
     # The cascaded channels are built only now, after the estimators.
     h_c = ch.h_c
-    estimated = cfg.algorithm in _ESTIMATORS
-    design = np.stack(hats) if estimated else h_c
+    design = h_c if hats[0] is None else np.stack(hats)
     rng_bf = [rng[3] for rng in rngs]
     optimize_v = cfg.algorithm != "random_phase_baseline"
     # A single trial goes through the one-trial signature, so the alt_wmmse
@@ -356,17 +357,13 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
             if len(seeds) > 1 else
             [alt_wmmse(scen, design[0], rng_bf[0], optimize_v=optimize_v)])
 
-    # The beamformers are designed from the estimate but rated on the true
-    # channel; the CSI-free arms designed on it, so their rate is sol.se.
-    if estimated:
-        se = spectral_efficiency(
-            effective_channel(h_c, np.stack([s.v_d for s in sols]), geom),
-            np.stack([s.f for s in sols]), scen).tolist()
-        err = [nmse(true, hat) for true, hat in zip(h_c, design)]
-    else:
-        se = [s.se for s in sols]
-        err = [0.0] * len(seeds)
-        iters = [s.iterations for s in sols]
+    # Every arm is rated alike, on the true channel; a CSI-free arm designed
+    # on it, so its rate is its sol.se and its nmse 0.0.
+    se = spectral_efficiency(
+        effective_channel(h_c, np.stack([s.v_d for s in sols]), geom),
+        np.stack([s.f for s in sols]), scen).tolist()
+    err = [nmse(true, hat) for true, hat in zip(h_c, design)]
+    iters = [s.iterations if n is None else n for n, s in zip(iters, sols)]
     wall = (1e3 * (time.perf_counter() - tic) / len(seeds) if cfg.timings
             else 0.0)
     return [TrialRecord(seed, cfg.algorithm, *point.key, e, s, n, wall)

@@ -41,8 +41,7 @@ from .numerics import khatri_rao
 # the l1 phase matrix.
 DELTA0 = 1e-9
 
-_MAX_INNER = 50
-_EPS_INNER = 1e-3
+_INNER_OPTS = CgOptions(epsilon=1e-3, max_iters=50)
 # Outer rounds stop once one round changes the normalized cascaded estimate
 # h_c by at most _SETTLE * sqrt(sigma2 / (c^2 * t)) * ||h_c||_F, with
 # c = ||r||_F / sqrt(t).
@@ -103,7 +102,8 @@ def _check_dicts(dicts: Dictionaries) -> None:
 
 def objective_f(g_hat, h_hat, pilots: PilotBlock, dicts: Dictionaries,
                 cfg: MoEstConfig) -> float:
-    """Regularized training-fit objective at (g_hat, h_hat).
+    """Regularized training-fit objective at (g_hat, h_hat): the
+    h-subproblem's cost plus the g-subproblem's l1 term.
 
     Accepts dense arrays or FixedRankPoints. cfg must carry explicit mu
     values (the auto default is resolved only inside mo_est).
@@ -112,12 +112,9 @@ def objective_f(g_hat, h_hat, pilots: PilotBlock, dicts: Dictionaries,
     if cfg.mu_g is None or cfg.mu_h is None:
         raise ValueError("objective_f needs explicit mu_g and mu_h")
     g = _dense(g_hat)
-    h = _dense(h_hat)
-    resid = pilots.r - g @ (pilots.v * (h @ pilots.s))
-    val = float(np.sum(np.abs(resid) ** 2))
-    val += cfg.mu_g * float(np.sum(np.abs(dicts.a_bs.conj().T @ g @ dicts.a_i)))
-    val += cfg.mu_h * float(np.sum(np.abs(dicts.a_i.conj().T @ h @ dicts.a_ue)))
-    return val
+    return (_cost_grad_h(_dense(h_hat), g, pilots, cfg.mu_h, dicts)[0]
+            + cfg.mu_g * float(np.sum(np.abs(
+                dicts.a_bs.conj().T @ g @ dicts.a_i))))
 
 
 def _fit_l1(x: np.ndarray, resid: np.ndarray, back, mu: float,
@@ -193,8 +190,6 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
 
     g_hat = random_fixed_rank(n_bs, m, cfg.p_hat, rng)
     h_hat = random_fixed_rank(m, n_ue, cfg.q_hat, rng)
-    inner_opts = CgOptions(epsilon=_EPS_INNER, max_iters=_MAX_INNER)
-
     trace = [objective_f(g_hat, h_hat, norm_pilots, dicts, norm_cfg)]
     settle = _SETTLE * np.sqrt(sigma2n / t)
     h_c = khatri_rao(h_hat.dense.T, g_hat.dense)
@@ -205,7 +200,7 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
         res: CgResult = cg_minimize(
             FixedRankManifold,
             lambda x: _cost_grad_g(x.dense, norm_pilots.r, f_mat, mu_g, dicts),
-            g_hat, inner_opts)
+            g_hat, _INNER_OPTS)
         g_hat = res.x
         stalled = stalled or res.stalled
 
@@ -213,7 +208,7 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
             FixedRankManifold,
             lambda h: _cost_grad_h(h.dense, g_hat.dense, norm_pilots, mu_h,
                                    dicts),
-            h_hat, inner_opts)
+            h_hat, _INNER_OPTS)
         h_hat = res.x
         stalled = stalled or res.stalled
 

@@ -11,9 +11,10 @@ objective g1 (receive filter eliminated in closed form), then w and omega,
 then f, each block-optimal, so the recorded g trace never increases.
 
 The closed forms, the objective and the rate also take stacks of matrices
-along a leading trial axis, and alt_wmmse takes a stack of channels, so a
-sweep can run many trials through one pass of numpy calls. Each trial of a
-stack is bit-identical to the same trial run alone.
+along a leading trial axis (update_f only stacks), and alt_wmmse takes a
+stack of channels, so a sweep can run many trials through one pass of
+numpy calls. Each trial of a stack is bit-identical to the same trial run
+alone.
 """
 
 from dataclasses import dataclass
@@ -102,7 +103,7 @@ def update_w_omega(h_e: np.ndarray, f: np.ndarray,
 
 
 def update_f(h_e: np.ndarray, w: np.ndarray, omega: np.ndarray,
-             scen: DownlinkScenario) -> tuple[np.ndarray, bool | np.ndarray]:
+             scen: DownlinkScenario) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form unit-Frobenius-norm beamformer for fixed (w, omega).
 
     The unnormalized solution minimizes the weighted MSE with the noise
@@ -111,15 +112,12 @@ def update_f(h_e: np.ndarray, w: np.ndarray, omega: np.ndarray,
     with the receive filter counter-scaled by ||f_tilde|| never exceeds its
     pre-update value. Plain tr(omega @ e) at fixed w can increase.
 
-    Returns (f, degenerate); degenerate is True when the unnormalized
-    solution vanishes (w = 0), in which case f is all zeros. Stacked
-    inputs give a stack of beamformers and one flag per trial. Each norm is
+    Takes stacks only, with a leading trial axis on h_e, w and omega, and
+    returns (f, degenerate), one flag per trial: True when the unnormalized
+    solution vanishes (w = 0), in which case f is all zeros. Each norm is
     taken per matrix, as np.linalg.norm of one matrix rounds differently
     from a norm over the axes of a stack.
     """
-    stacked = h_e.ndim == 3
-    if not stacked:
-        h_e, w, omega = h_e[None], w[None], omega[None]
     n_bs = h_e.shape[-1]
     psi = (omega @ _h(w) @ w).trace(axis1=-2, axis2=-1).real
     hw = _h(h_e) @ w
@@ -135,8 +133,7 @@ def update_f(h_e: np.ndarray, w: np.ndarray, omega: np.ndarray,
     if degenerate.any():
         norm[degenerate] = 1.0
         f_tilde[degenerate] = 0.0
-    f = f_tilde / norm[:, None, None]
-    return (f, degenerate) if stacked else (f[0], bool(degenerate[0]))
+    return f_tilde / norm[:, None, None], degenerate
 
 
 def _reduced_channel(h_c: np.ndarray, f: np.ndarray,

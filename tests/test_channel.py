@@ -177,6 +177,16 @@ def test_sample_paths_separation_unreachable():
         sample_paths(geom, 3, np.random.default_rng(0), on_grid=True)
 
 
+def test_sample_paths_unreachable_fails_before_drawing():
+    # Raised up front by the grid-room rule, not after 2000 redraws.
+    geom = SystemGeometry(4, 4, 2, 2, 5, 4, 2, 2)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="could not draw separated"):
+        sample_paths(geom, 3, rng, on_grid=True)
+    assert rng.bit_generator.state == state
+
+
 def test_synth_single_path_matches_outer_product():
     geom = SystemGeometry(8, 4, 2, 2, 8, 4, 2, 2)
     rng = np.random.default_rng(5)

@@ -111,6 +111,10 @@ class TestConfig:
         "algorithm = cs_est\nt1 = 6\nk_hat = 7",
         "algorithm = cs_est\nn_bs = 8\nn_ue = 16\nk_hat = 9",
         "algorithm = cs_est\nsweep_values = 8,20",
+        # On grid, an axis of n antennas on a g-point grid holds at most
+        # g // ceil(g / n) paths one orthogonality period apart.
+        "algorithm = perfect_csi\non_grid = true\ng_bs = 2",
+        "algorithm = cs_est\non_grid = true\ng_ue = 9\nk_true = 8\nk_hat = 3",
     ])
     def test_bad_configs_rejected(self, text):
         with pytest.raises(ConfigError):
@@ -214,6 +218,25 @@ class TestCsv:
         assert rows[1]["median_nmse"] == pytest.approx(0.1)
 
 
+def _assert_matches_direct_pipeline(algorithm, optimize_v):
+    cfg = ExperimentConfig(algorithm=algorithm, sweep_axis="SNR",
+                           sweep_values=(10.0,), t=0, **SMALL_KW)
+    rec = run_trial(cfg, 0, 5)
+    ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(0, 5))
+    rng_chan, _, _, rng_bf = [np.random.default_rng(c)
+                              for c in ss.spawn(4)]
+    geom = cfg.geometry()
+    ch = synth_channels(geom, sample_paths(geom, cfg.k_true, rng_chan,
+                                           on_grid=True))
+    sigma2_d = pnr_to_sigma2(10.0, cfg.d_bi, cfg.d_iu)
+    scen = DownlinkScenario(geom, sigma2_d, cfg.n_s, 0, cfg.t_tot)
+    sol = alt_wmmse(scen, ch.h_c, rng_bf, optimize_v=optimize_v)
+    assert rec.se_bits_s_hz == sol.se
+    assert rec.nmse == 0.0
+    assert rec.outer_iters == sol.iterations
+    assert rec.t == 0 and rec.snr_db == 10.0
+
+
 class TestRunTrial:
     def test_deterministic_records(self):
         cfg = ExperimentConfig(algorithm="cs_est", t=20, t1=8,
@@ -221,22 +244,10 @@ class TestRunTrial:
         assert run_trial(cfg, 0, 3) == run_trial(cfg, 0, 3)
 
     def test_perfect_csi_without_training_matches_direct_pipeline(self):
-        cfg = ExperimentConfig(algorithm="perfect_csi", sweep_axis="SNR",
-                               sweep_values=(10.0,), t=0, **SMALL_KW)
-        rec = run_trial(cfg, 0, 5)
-        ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(0, 5))
-        rng_chan, _, _, rng_bf = [np.random.default_rng(c)
-                                  for c in ss.spawn(4)]
-        geom = cfg.geometry()
-        ch = synth_channels(geom, sample_paths(geom, cfg.k_true, rng_chan,
-                                               on_grid=True))
-        sigma2_d = pnr_to_sigma2(10.0, cfg.d_bi, cfg.d_iu)
-        scen = DownlinkScenario(geom, sigma2_d, cfg.n_s, 0, cfg.t_tot)
-        sol = alt_wmmse(scen, ch.h_c, rng_bf)
-        assert rec.se_bits_s_hz == sol.se
-        assert rec.nmse == 0.0
-        assert rec.outer_iters == sol.iterations
-        assert rec.t == 0 and rec.snr_db == 10.0
+        _assert_matches_direct_pipeline("perfect_csi", True)
+
+    def test_random_phase_without_training_matches_direct_pipeline(self):
+        _assert_matches_direct_pipeline("random_phase_baseline", False)
 
     def test_sweep_axes_apply_to_columns(self):
         base = dict(algorithm="perfect_csi", t=0, **SMALL_KW)

@@ -43,9 +43,10 @@ class TestScalarOracles:
         assert e[0, 0] == pytest.approx(0.5)
 
     def test_beamformer_update(self):
-        f, degenerate = update_f(ONE, 0.5 * ONE, 2.0 * ONE, SCALAR)
-        assert not degenerate
-        assert f[0, 0] == pytest.approx(1.0)
+        f, degenerate = update_f(ONE[None], 0.5 * ONE[None],
+                                 2.0 * ONE[None], SCALAR)
+        assert not degenerate[0]
+        assert f[0, 0, 0] == pytest.approx(1.0)
 
     def test_rate_of_unit_channel(self):
         assert spectral_efficiency(ONE, ONE, SCALAR) == pytest.approx(1.0)
@@ -86,8 +87,10 @@ class TestUpdateF:
         for _ in range(20):
             h_e, f_old = _random_case(rng)
             w, omega = update_w_omega(h_e, f_old, scen)
-            f_new, degenerate = update_f(h_e, w, omega, scen)
-            assert not degenerate
+            f_new, degenerate = update_f(h_e[None], w[None], omega[None],
+                                         scen)
+            f_new = f_new[0]
+            assert not degenerate[0]
             assert np.linalg.norm(f_new) == pytest.approx(1.0)
             psi = float(np.trace(omega @ w.conj().T @ w).real)
             hw = h_e.conj().T @ w
@@ -105,10 +108,10 @@ class TestUpdateF:
 
     def test_zero_receiver_flagged_degenerate(self):
         scen = DownlinkScenario(SCALAR_GEOM, 1.0, 1)
-        f, degenerate = update_f(np.eye(3, dtype=complex),
-                                 np.zeros((3, 2), dtype=complex),
-                                 np.eye(2, dtype=complex), scen)
-        assert degenerate
+        f, degenerate = update_f(np.eye(3, dtype=complex)[None],
+                                 np.zeros((1, 3, 2), dtype=complex),
+                                 np.eye(2, dtype=complex)[None], scen)
+        assert degenerate.tolist() == [True]
         np.testing.assert_array_equal(f, 0)
 
 
@@ -297,9 +300,10 @@ def test_stacked_closed_forms_equal_per_matrix_calls():
         assert np.array_equal(omega_i, omega[i])
         assert wmmse_objective(h_e[i], f[i], w[i], omega[i], DESK) == g[i]
         assert spectral_efficiency(h_e[i], f[i], DESK) == se[i]
-        f_i, degenerate_i = update_f(h_e[i], w_zero[i], omega[i], DESK)
-        assert np.array_equal(f_i, f_new[i])
-        assert degenerate_i == degenerate[i]
+        f_i, degenerate_i = update_f(h_e[i:i + 1], w_zero[i:i + 1],
+                                     omega[i:i + 1], DESK)
+        assert np.array_equal(f_i[0], f_new[i])
+        assert degenerate_i[0] == degenerate[i]
         if i != 2:
             assert np.array_equal(f_new[i], _update_f_one(h_e[i], w[i],
                                                           omega[i], DESK))
@@ -347,7 +351,8 @@ def test_fixed_reflection_takes_the_start_closed_form(monkeypatch):
     w, omega = real(h_e, f0, DESK)
     g0 = wmmse_objective(h_e, f0, w, omega, DESK)
     assert sol.iterations == 1 and sol.g_trace == [g0, g0]
-    assert np.array_equal(sol.f, update_f(h_e, w, omega, DESK)[0])
+    f = update_f(h_e[None], w[None], omega[None], DESK)[0]
+    assert np.array_equal(sol.f, f[0])
 
 
 class TestScenarioValidation:
