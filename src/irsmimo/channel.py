@@ -10,7 +10,7 @@ stacks, arrays with a leading trial axis; each trial of a stacked call is
 bit-identical to the unstacked call on that trial alone.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -97,18 +97,15 @@ def stack_paths(paths: list[PathSet]) -> PathSet:
 @dataclass
 class ChannelRealization:
     """Dense channel pair, or a stack of them along a leading trial axis;
-    the cascaded channel is built on first use."""
+    each read of h_c builds the cascaded channel anew."""
 
     g: np.ndarray              # (n_bs, m) or (trials, n_bs, m)
     h: np.ndarray              # (m, n_ue) or (trials, m, n_ue)
-    _h_c: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def h_c(self) -> np.ndarray:
         """Cascaded channel H.T (column-wise) Kronecker G, (n_bs*n_ue, m)."""
-        if self._h_c is None:
-            self._h_c = cascaded(self)
-        return self._h_c
+        return cascaded(self)
 
 
 @dataclass(frozen=True)
@@ -221,11 +218,14 @@ def _gains(k: int, tau: float, rng: np.random.Generator) -> np.ndarray:
 _MAX_TRIES = 2000
 
 
-def check_grid_room(geom: SystemGeometry, k: int) -> None:
-    """Raise ValueError unless the BS and UE grids each hold k on-grid
-    paths one orthogonality period, ceil(grid / size), apart."""
+def check_paths(geom: SystemGeometry, k: int, on_grid: bool) -> None:
+    """Raise ValueError unless 1 <= k <= geom.max_paths and, on grid, the
+    BS and UE grids each hold k paths one orthogonality period,
+    ceil(grid / size), apart."""
+    if not 1 <= k <= geom.max_paths:
+        raise ValueError(f"k={k} outside [1, min(n_bs, n_ue, m)]")
     for size, grid in ((geom.n_bs, geom.g_bs), (geom.n_ue, geom.g_ue)):
-        if k > grid // -(-grid // size):
+        if on_grid and k > grid // -(-grid // size):
             raise ValueError("could not draw separated path frequencies: a "
                              f"{grid}-point grid for {size} antennas holds "
                              f"fewer than {k} paths")
@@ -244,13 +244,11 @@ def sample_paths(geom: SystemGeometry, k: int, rng: np.random.Generator,
     separation on one of the two axes.
 
     Raises:
-        ValueError: k violates the rank or grid-room preconditions, or
-            separation could not be met within 2000 redraws.
+        ValueError: k fails check_paths (outside [1, geom.max_paths], or
+            more on-grid paths than the BS or UE grid holds), before any
+            draw; or separation could not be met within 2000 redraws.
     """
-    if not 1 <= k <= geom.max_paths:
-        raise ValueError(f"k={k} outside [1, min array dimension]")
-    if on_grid:
-        check_grid_room(geom, k)
+    check_paths(geom, k, on_grid)
 
     def draw(freqs, sizes, grids) -> np.ndarray:
         """Frequency rows (k, axes) of one kind."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channel import (ChannelRealization, Dictionaries, SystemGeometry,
-                      build_dictionaries, check_grid_room, effective_channel,
+                      build_dictionaries, check_paths, effective_channel,
                       make_pilots, pathloss, sample_paths, simulate_uplink,
                       stack_paths, synth_channels)
 from .cs_est import CsEstConfig, cs_est, resolve_t1
@@ -116,10 +116,7 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be >= 0")
         try:
             geom = self.geometry()
-            if not 1 <= self.k_true <= geom.max_paths:
-                raise ValueError("k_true must lie in [1, min(n_bs, n_ue, m)]")
-            if self.on_grid:
-                check_grid_room(geom, self.k_true)
+            check_paths(geom, self.k_true, self.on_grid)
             dicts = (build_dictionaries(geom.unitary())
                      if self.algorithm == "mo_est" else
                      build_dictionaries(geom)
@@ -260,9 +257,8 @@ def _point(cfg: ExperimentConfig, index: int, geom: SystemGeometry,
            dicts: Dictionaries | None) -> _Point:
     """Sweep point `index` of cfg, on cfg's shared geom and dicts. Raises
     ValueError for a point no trial could run: K_hat below 1 or above the
-    most paths the estimator resolves, an estimator with t < 1 off the T
-    axis, t1 outside [1, t], or a value a constructor refuses. An
-    estimator at T = 0 on the T axis passes, and its trials raise."""
+    most paths the estimator resolves, an estimator with t < 1 on any
+    sweep axis, t1 outside [1, t], or a value a constructor refuses."""
     axes = dict(T=cfg.t, PNR=cfg.pnr_db, SNR=cfg.snr_db,
                 K_hat=cfg.k_true if cfg.k_hat is None else cfg.k_hat)
     axes[cfg.sweep_axis] = cfg.sweep_values[index]
@@ -270,7 +266,7 @@ def _point(cfg: ExperimentConfig, index: int, geom: SystemGeometry,
     pnr_db, snr_db = float(axes["PNR"]), float(axes["SNR"])
     if k_hat < 1:
         raise ValueError("K_hat must be >= 1")
-    if cfg.algorithm in _ESTIMATORS and cfg.sweep_axis != "T" and t < 1:
+    if cfg.algorithm in _ESTIMATORS and t < 1:
         raise ValueError("estimators need t >= 1")
     sigma2 = pnr_to_sigma2(pnr_db, cfg.d_bi, cfg.d_iu)
     scen = DownlinkScenario(geom, pnr_to_sigma2(snr_db, cfg.d_bi, cfg.d_iu),
@@ -281,11 +277,10 @@ def _point(cfg: ExperimentConfig, index: int, geom: SystemGeometry,
         k_max = geom.max_paths
     elif cfg.algorithm == "cs_est":
         est_cfg = CsEstConfig(k_hat, k_hat, cfg.t1)
-        if t > 0:
-            # Stage 1 picks UE atoms from a rank-min(n_ue, t1) matrix and
-            # stage 2 BS atoms from a rank-n_bs dictionary.
-            hold_v = resolve_t1(cfg.t1, t)
-            k_max = min(geom.n_bs, geom.n_ue, hold_v)
+        # Stage 1 picks UE atoms from a rank-min(n_ue, t1) matrix and
+        # stage 2 BS atoms from a rank-n_bs dictionary.
+        hold_v = resolve_t1(cfg.t1, t)
+        k_max = min(geom.n_bs, geom.n_ue, hold_v)
     if k_max is not None and k_hat > k_max:
         raise ValueError(f"K_hat={k_hat} above {k_max}, the most paths "
                          f"{cfg.algorithm} can resolve")
@@ -298,7 +293,7 @@ def _chunk_size(cfg: ExperimentConfig) -> int:
     channels as fit in _CHUNK_BYTES, at most _CHUNK_TRIALS and at least
     one. An estimator arm stacks two per trial, the true and the
     estimated one."""
-    geom = cfg.geometry()
+    geom = cfg._points[0].scen.geom
     stacks = 2 if cfg.algorithm in _ESTIMATORS else 1
     return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES
                       // (16 * geom.n_bs * geom.n_ue * geom.m * stacks)))
@@ -332,8 +327,6 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
             s, v = make_pilots(geom, t, rng_pilot, hold_v=point.hold_v)
             pilots = simulate_uplink(ChannelRealization(ch.g[i], ch.h[i]), s,
                                      v, point.sigma2, rng_pilot)
-        elif cfg.algorithm in _ESTIMATORS:
-            raise ValueError("estimators need at least one training slot")
         if cfg.algorithm == "mo_est":
             res = mo_est(pilots, point.dicts, point.est_cfg, rng_est)
             return khatri_rao(res.h_hat.dense.T, res.g_hat.dense), \

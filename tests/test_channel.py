@@ -187,6 +187,16 @@ def test_sample_paths_unreachable_fails_before_drawing():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("k", [0, SystemGeometry().max_paths + 1])
+def test_sample_paths_count_out_of_range_fails_before_drawing(k):
+    geom = SystemGeometry()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        sample_paths(geom, k, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_synth_single_path_matches_outer_product():
     geom = SystemGeometry(8, 4, 2, 2, 8, 4, 2, 2)
     rng = np.random.default_rng(5)

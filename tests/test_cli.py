@@ -64,26 +64,18 @@ g_z = 4
 k_true = 2
 """
 
-FAILING_SWEEP = """
-algorithm = mo_est
-sweep_values = 0
-trials = 2
-n_bs = 16
-n_ue = 8
-m_y = 4
-m_z = 4
-g_bs = 16
-g_ue = 8
-g_y = 4
-g_z = 4
-k_true = 2
-"""
-
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _break_paths(monkeypatch):
+    """Fault injector: every path draw raises."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected")
+    monkeypatch.setattr(harness, "sample_paths", broken)
 
 
 class TestSimulate:
@@ -99,8 +91,9 @@ class TestSimulate:
         cfg_path = _write(tmp_path, "trial.cfg", FAST_TRIAL)
         assert main(["simulate", "--config", cfg_path, "--point", "5"]) == 1
 
-    def test_failing_trial_exits_two(self, tmp_path, capsys):
-        cfg_path = _write(tmp_path, "bad.cfg", FAILING_SWEEP)
+    def test_failing_trial_exits_two(self, tmp_path, capsys, monkeypatch):
+        cfg_path = _write(tmp_path, "bad.cfg", SWEEP_CS)
+        _break_paths(monkeypatch)
         assert main(["simulate", "--config", cfg_path]) == 2
         assert "trial failed" in capsys.readouterr().err
 
@@ -131,8 +124,10 @@ class TestSweep:
             ["perfect_csi K_hat=2", "perfect_csi K_hat=3"]
         assert all(line.endswith("(2 ok)") for line in lines)
 
-    def test_trial_failures_exit_two_with_nan_rows(self, tmp_path, capsys):
-        cfg_path = _write(tmp_path, "bad.cfg", FAILING_SWEEP)
+    def test_trial_failures_exit_two_with_nan_rows(self, tmp_path, capsys,
+                                                   monkeypatch):
+        cfg_path = _write(tmp_path, "bad.cfg", SWEEP_CS)
+        _break_paths(monkeypatch)
         out = tmp_path / "fail.csv"
         assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
         assert "nan" in out.read_text()

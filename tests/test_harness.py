@@ -102,6 +102,9 @@ class TestConfig:
         "algorithm = mo_est\nsweep_axis = PNR\nsweep_values = 4000",
         "algorithm = cs_est\npnr_db = -4000", "d_bi = 1e300",
         "algorithm = mo_est\nsweep_axis = PNR\nt = 0",
+        # An estimator needs a training slot on the T axis too.
+        "algorithm = mo_est\nsweep_values = 0",
+        "algorithm = cs_est\nsweep_values = 0,20",
         # cs_est resolves at most min(n_bs, n_ue, t1) paths.
         "algorithm = cs_est\nsweep_axis = K_hat\nsweep_values = 9",
         "algorithm = cs_est\nsweep_axis = K_hat\nsweep_values = 16",
@@ -274,12 +277,6 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="outside sweep_values"):
             run_trial(cfg, point, 0)
 
-    def test_estimator_without_slots_fails(self):
-        cfg = ExperimentConfig(algorithm="mo_est", sweep_values=(0.0,),
-                               **SMALL_KW)
-        with pytest.raises(ValueError, match="training slot"):
-            run_trial(cfg, 0, 0)
-
     def test_oracle_arm_dominates_with_slack(self):
         base = dict(t=60, t1=15, pnr_db=20.0, snr_db=10.0,
                     sweep_values=(60.0,), **SMALL_KW)
@@ -324,9 +321,10 @@ class TestSweep:
         backwards = {key: run_trial(cfg, *key) for key in reversed(keys)}
         assert to_csv(records) == to_csv([backwards[key] for key in keys])
 
-    def test_failed_trials_become_nan_rows(self):
-        cfg = ExperimentConfig(algorithm="mo_est", sweep_values=(0.0,),
+    def test_failed_trials_become_nan_rows(self, monkeypatch):
+        cfg = ExperimentConfig(algorithm="mo_est", sweep_values=(20.0,),
                                trials=2, **SMALL_KW)
+        monkeypatch.setattr(harness, "sample_paths", _raise)
         records, failures = sweep(cfg)
         assert failures == 2
         assert all(math.isnan(r.nmse) and math.isnan(r.se_bits_s_hz)
@@ -334,15 +332,7 @@ class TestSweep:
         assert [r.seed for r in records] == [0, 1]
         reparsed = parse_csv(to_csv(records))
         assert all(math.isnan(r.nmse) for r in reparsed)
-        assert [(r.t, r.k_hat) for r in reparsed] == [(0, 2), (0, 2)]
-
-    def test_cs_est_without_slots_gives_nan_rows(self):
-        # t1 is not resolved at T = 0, so the point validates.
-        cfg = ExperimentConfig(algorithm="cs_est", sweep_values=(0.0, 20.0),
-                               trials=2, **SMALL_KW)
-        records, failures = sweep(cfg)
-        assert failures == 2
-        assert [r.t for r in records if math.isnan(r.nmse)] == [0, 0]
+        assert [(r.t, r.k_hat) for r in reparsed] == [(20, 2), (20, 2)]
 
     def test_summarize_keeps_k_hat_points_apart(self):
         cfg = ExperimentConfig(algorithm="perfect_csi", sweep_axis="K_hat",
@@ -369,7 +359,7 @@ def _seed_of(rng: np.random.Generator) -> int:
     return rng.bit_generator.seed_seq.spawn_key[1]
 
 
-def _raise(paths):
+def _raise(*args, **kwargs):
     raise RuntimeError("injected")
 
 
