@@ -131,13 +131,18 @@ class PilotBlock:
 
     Column t of s/v/r holds the pilot vector, reflection vector, and
     received vector of slot t. All reflection entries are unit modulus and
-    every pilot has unit power, ||s_t||^2 = 1.
+    every pilot has unit power, ||s_t||^2 = 1. The noise power sigma2 per
+    entry of r lies in [0, inf).
     """
 
     s: np.ndarray              # (n_ue, t)
     v: np.ndarray              # (m, t)
     r: np.ndarray              # (n_bs, t)
     sigma2: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be in [0, inf)")
 
     @property
     def t(self) -> int:

@@ -27,7 +27,7 @@ the block grow. With sigma2 = 0 the tolerance is 0, and the loop runs to
 max_outer unless the estimate stops changing.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -50,23 +50,18 @@ _SETTLE = 0.9
 
 @dataclass(frozen=True)
 class MoEstConfig:
-    """Estimator settings.
+    """Assumed ranks of g and h.
 
-    mu_g / mu_h of None select the noise-matched default
-    1e-2 * sigma2 * t (in normalized units) at run time.
+    Both l1 weights are 1e-2 * sigma2 * t of the normalized problem
+    (sigma2 the normalized noise power, t the number of training slots);
+    mo_est sets them from the pilot block.
     """
 
     p_hat: int = 3
     q_hat: int = 3
-    mu_g: float | None = None
-    mu_h: float | None = None
     max_outer: ClassVar[int] = 30
 
     def __post_init__(self):
-        for name in ("mu_g", "mu_h"):
-            val = getattr(self, name)
-            if val is not None and val < 0:
-                raise ValueError(f"{name} must be non-negative")
         if self.p_hat < 1 or self.q_hat < 1:
             raise ValueError("assumed ranks must be >= 1")
 
@@ -80,10 +75,6 @@ class MoEstResult:
     trace: list[float]
     iterations: int
     stalled: bool = False
-
-
-def _dense(x) -> np.ndarray:
-    return x.dense if isinstance(x, FixedRankPoint) else np.asarray(x)
 
 
 def _phase(z: np.ndarray) -> np.ndarray:
@@ -100,21 +91,14 @@ def _check_dicts(dicts: Dictionaries) -> None:
         raise ValueError("estimator needs unitary (square) dictionaries")
 
 
-def objective_f(g_hat, h_hat, pilots: PilotBlock, dicts: Dictionaries,
-                cfg: MoEstConfig) -> float:
-    """Regularized training-fit objective at (g_hat, h_hat): the
-    h-subproblem's cost plus the g-subproblem's l1 term.
-
-    Accepts dense arrays or FixedRankPoints. cfg must carry explicit mu
-    values (the auto default is resolved only inside mo_est).
-    """
+def objective_f(g_hat: np.ndarray, h_hat: np.ndarray, pilots: PilotBlock,
+                dicts: Dictionaries, mu_g: float, mu_h: float) -> float:
+    """Regularized training-fit objective at dense (g_hat, h_hat): the
+    h-subproblem's cost plus the g-subproblem's l1 term."""
     _check_dicts(dicts)
-    if cfg.mu_g is None or cfg.mu_h is None:
-        raise ValueError("objective_f needs explicit mu_g and mu_h")
-    g = _dense(g_hat)
-    return (_cost_grad_h(_dense(h_hat), g, pilots, cfg.mu_h, dicts)[0]
-            + cfg.mu_g * float(np.sum(np.abs(
-                dicts.a_bs.conj().T @ g @ dicts.a_i))))
+    return (_cost_grad_h(h_hat, g_hat, pilots, mu_h, dicts)[0]
+            + mu_g * float(np.sum(np.abs(
+                dicts.a_bs.conj().T @ g_hat @ dicts.a_i))))
 
 
 def _fit_l1(x: np.ndarray, resid: np.ndarray, back, mu: float,
@@ -172,6 +156,9 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
     _SETTLE * sqrt(sigma2 / (c^2 * t)) times its norm in that round (the
     first round compares against the start point), or after max_outer
     rounds. With sigma2 = 0 the tolerance is 0.
+
+    Both l1 weights are mu = 1e-2 * sigma2 / c^2 * t in the normalized
+    problem.
     """
     _check_dicts(dicts)
     n_bs, t = pilots.r.shape
@@ -184,13 +171,12 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
         c = 1.0
     sigma2n = pilots.sigma2 / c ** 2
     norm_pilots = PilotBlock(pilots.s, pilots.v, pilots.r / c, sigma2n)
-    mu_g = 1e-2 * sigma2n * t if cfg.mu_g is None else cfg.mu_g / c
-    mu_h = 1e-2 * sigma2n * t if cfg.mu_h is None else cfg.mu_h / c ** 2
-    norm_cfg = replace(cfg, mu_g=mu_g, mu_h=mu_h)
+    mu = 1e-2 * sigma2n * t
 
     g_hat = random_fixed_rank(n_bs, m, cfg.p_hat, rng)
     h_hat = random_fixed_rank(m, n_ue, cfg.q_hat, rng)
-    trace = [objective_f(g_hat, h_hat, norm_pilots, dicts, norm_cfg)]
+    trace = [objective_f(g_hat.dense, h_hat.dense, norm_pilots, dicts,
+                         mu, mu)]
     settle = _SETTLE * np.sqrt(sigma2n / t)
     h_c = khatri_rao(h_hat.dense.T, g_hat.dense)
     stalled = False
@@ -199,20 +185,21 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
         f_mat = pilots.v * (h_hat.dense @ pilots.s)
         res: CgResult = cg_minimize(
             FixedRankManifold,
-            lambda x: _cost_grad_g(x.dense, norm_pilots.r, f_mat, mu_g, dicts),
+            lambda x: _cost_grad_g(x.dense, norm_pilots.r, f_mat, mu, dicts),
             g_hat, _INNER_OPTS)
         g_hat = res.x
         stalled = stalled or res.stalled
 
         res = cg_minimize(
             FixedRankManifold,
-            lambda h: _cost_grad_h(h.dense, g_hat.dense, norm_pilots, mu_h,
+            lambda h: _cost_grad_h(h.dense, g_hat.dense, norm_pilots, mu,
                                    dicts),
             h_hat, _INNER_OPTS)
         h_hat = res.x
         stalled = stalled or res.stalled
 
-        trace.append(objective_f(g_hat, h_hat, norm_pilots, dicts, norm_cfg))
+        trace.append(objective_f(g_hat.dense, h_hat.dense, norm_pilots, dicts,
+                                 mu, mu))
         h_c_prev, h_c = h_c, khatri_rao(h_hat.dense.T, g_hat.dense)
         if np.linalg.norm(h_c - h_c_prev) <= settle * np.linalg.norm(h_c):
             break

@@ -51,7 +51,6 @@ def test_criterion_1_gradient_suite():
         geom = SystemGeometry(8, 4, 4, 2, 8, 4, 4, 2)
         dicts = build_dictionaries(geom)
         mu_g, mu_h = 0.3, 0.2
-        cfg = MoEstConfig(2, 2, mu_g, mu_h)
         eps = 1e-6
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -69,16 +68,16 @@ def test_criterion_1_gradient_suite():
             for _ in range(20):
                 d = cgauss(rng, g0.shape)
                 d /= np.linalg.norm(d)
-                fd = (objective_f(g0 + eps * d, h0, pil, dicts, cfg)
-                      - objective_f(g0 - eps * d, h0, pil, dicts,
-                                    cfg)) / (2 * eps)
+                fd = (objective_f(g0 + eps * d, h0, pil, dicts, mu_g, mu_h)
+                      - objective_f(g0 - eps * d, h0, pil, dicts, mu_g,
+                                    mu_h)) / (2 * eps)
                 an = 2 * np.real(np.sum(eg.conj() * d))
                 assert abs(an - fd) <= 1e-5 * abs(fd)
                 d = cgauss(rng, h0.shape)
                 d /= np.linalg.norm(d)
-                fd = (objective_f(g0, h0 + eps * d, pil, dicts, cfg)
-                      - objective_f(g0, h0 - eps * d, pil, dicts,
-                                    cfg)) / (2 * eps)
+                fd = (objective_f(g0, h0 + eps * d, pil, dicts, mu_g, mu_h)
+                      - objective_f(g0, h0 - eps * d, pil, dicts, mu_g,
+                                    mu_h)) / (2 * eps)
                 an = 2 * np.real(np.sum(eh.conj() * d))
                 assert abs(an - fd) <= 1e-5 * abs(fd)
 

@@ -410,3 +410,13 @@ def test_simulate_uplink_noise_power_and_determinism():
     assert np.array_equal(pil.r, again.r)
     with pytest.raises(ValueError):
         simulate_uplink(ch, s[:, :4], v, sigma2, rng)
+
+
+@pytest.mark.parametrize("sigma2", [-1e-14, np.nan, np.inf])
+def test_simulate_uplink_rejects_invalid_noise_power(sigma2):
+    geom = SystemGeometry()
+    rng = np.random.default_rng(16)
+    ch = synth_channels(geom, sample_paths(geom, 2, rng))
+    s, v = make_pilots(geom, 4, rng)
+    with pytest.raises(ValueError, match="sigma2"):
+        simulate_uplink(ch, s, v, sigma2, rng)

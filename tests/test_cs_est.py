@@ -355,16 +355,6 @@ class TestPipeline:
             res.flops[k] for k in ("stage1", "stage2", "stage3"))
         assert res.flops["stage3"] > 0
 
-    def test_operation_count_doubles_with_resolutions(self):
-        totals = []
-        for grids in ((64, 64, 16, 16), (128, 128, 32, 16)):
-            geom = SystemGeometry(16, 8, 4, 4, *grids)
-            dicts = build_dictionaries(geom)
-            paths, ch, pil = _on_grid_trial(geom, 2, seed=0, hold=15)
-            res = cs_est(pil, dicts, CsEstConfig(2, 2, t1=15))
-            totals.append(res.flops["total"])
-        assert 1.6 <= totals[1] / totals[0] <= 2.4
-
     def test_off_grid_floor_drops_with_finer_reflection_grid(self):
         medians = []
         for g_y, g_z in ((8, 8), (16, 16)):

@@ -46,8 +46,7 @@ class TestObjective:
         rng = np.random.default_rng(0)
         pil, g0, h0 = _random_problem(rng)
         mu_g, mu_h = 0.7, 0.3
-        cfg = MoEstConfig(2, 2, mu_g, mu_h)
-        val = objective_f(g0, h0, pil, SMALL_DICTS, cfg)
+        val = objective_f(g0, h0, pil, SMALL_DICTS, mu_g, mu_h)
         ref = 0.0
         for ti in range(pil.t):
             resid = pil.r[:, ti] - g0 @ np.diag(pil.v[:, ti]) @ h0 @ pil.s[:, ti]
@@ -60,25 +59,17 @@ class TestObjective:
 
     def test_zero_at_truth_without_regularization(self):
         ch, pil = _physical_problem(seed=1, t=12, sigma2=0.0, geom=SMALL)
-        cfg = MoEstConfig(2, 2, 0.0, 0.0)
-        val = objective_f(ch.g, ch.h, pil, SMALL_DICTS, cfg)
+        val = objective_f(ch.g, ch.h, pil, SMALL_DICTS, 0.0, 0.0)
         scale = float(np.sum(np.abs(pil.r) ** 2))
         assert val <= 1e-20 * max(scale, 1e-300)
 
     def test_zero_estimate_gives_observation_energy(self):
         rng = np.random.default_rng(2)
         pil, g0, h0 = _random_problem(rng)
-        cfg = MoEstConfig(2, 2, 0.5, 0.5)
         val = objective_f(np.zeros_like(g0), np.zeros_like(h0), pil,
-                          SMALL_DICTS, cfg)
+                          SMALL_DICTS, 0.5, 0.5)
         assert val == pytest.approx(float(np.sum(np.abs(pil.r) ** 2)),
                                     rel=1e-12)
-
-    def test_requires_explicit_mu(self):
-        rng = np.random.default_rng(3)
-        pil, g0, h0 = _random_problem(rng)
-        with pytest.raises(ValueError, match="mu"):
-            objective_f(g0, h0, pil, SMALL_DICTS, MoEstConfig(2, 2))
 
     def test_requires_unitary_dictionaries(self):
         geom = SystemGeometry(8, 4, 4, 2, 16, 8, 8, 2)
@@ -86,7 +77,7 @@ class TestObjective:
         rng = np.random.default_rng(4)
         pil, g0, h0 = _random_problem(rng)
         with pytest.raises(ValueError, match="unitary"):
-            objective_f(g0, h0, pil, dicts, MoEstConfig(2, 2, 0.1, 0.1))
+            objective_f(g0, h0, pil, dicts, 0.1, 0.1)
 
 
 class TestEuclideanGradients:
@@ -112,7 +103,6 @@ class TestEuclideanGradients:
         rng = np.random.default_rng(seed)
         pil, g0, h0 = _random_problem(rng)
         mu_g, mu_h = 0.3, 0.2
-        cfg = MoEstConfig(2, 2, mu_g, mu_h)
         f_mat = pil.v * (h0 @ pil.s)
         eg = egrad_g(g0, pil.r, f_mat, mu_g, SMALL_DICTS)
         eh = egrad_h(h0, g0, pil, mu_h, SMALL_DICTS)
@@ -120,14 +110,16 @@ class TestEuclideanGradients:
         for _ in range(8):
             d = cgauss(rng, g0.shape)
             d /= np.linalg.norm(d)
-            fd = (objective_f(g0 + eps * d, h0, pil, SMALL_DICTS, cfg)
-                  - objective_f(g0 - eps * d, h0, pil, SMALL_DICTS, cfg)) / (2 * eps)
+            fd = (objective_f(g0 + eps * d, h0, pil, SMALL_DICTS, mu_g, mu_h)
+                  - objective_f(g0 - eps * d, h0, pil, SMALL_DICTS, mu_g,
+                                mu_h)) / (2 * eps)
             assert 2 * np.real(np.sum(eg.conj() * d)) == pytest.approx(
                 fd, rel=1e-5)
             d = cgauss(rng, h0.shape)
             d /= np.linalg.norm(d)
-            fd = (objective_f(g0, h0 + eps * d, pil, SMALL_DICTS, cfg)
-                  - objective_f(g0, h0 - eps * d, pil, SMALL_DICTS, cfg)) / (2 * eps)
+            fd = (objective_f(g0, h0 + eps * d, pil, SMALL_DICTS, mu_g, mu_h)
+                  - objective_f(g0, h0 - eps * d, pil, SMALL_DICTS, mu_g,
+                                mu_h)) / (2 * eps)
             assert 2 * np.real(np.sum(eh.conj() * d)) == pytest.approx(
                 fd, rel=1e-5)
 
@@ -135,7 +127,6 @@ class TestEuclideanGradients:
         rng = np.random.default_rng(7)
         pil, g0, h0 = _random_problem(rng)
         mu_g = 0.3
-        cfg = MoEstConfig(3, 2, mu_g, 0.0)
         f_mat = pil.v * (h0 @ pil.s)
         x = FixedRankPoint(*truncated_svd(g0, 3))
         grad = project_tangent(x, egrad_g(x.dense, pil.r, f_mat, mu_g,
@@ -146,9 +137,10 @@ class TestEuclideanGradients:
             tan = project_tangent(x, cgauss(rng, g0.shape))
             d = tan.embed()
             d /= np.linalg.norm(d)
-            fd = (objective_f(x.dense + eps * d, h0, pil, SMALL_DICTS, cfg)
-                  - objective_f(x.dense - eps * d, h0, pil, SMALL_DICTS,
-                                cfg)) / (2 * eps)
+            fd = (objective_f(x.dense + eps * d, h0, pil, SMALL_DICTS, mu_g,
+                              0.0)
+                  - objective_f(x.dense - eps * d, h0, pil, SMALL_DICTS, mu_g,
+                                0.0)) / (2 * eps)
             assert 2 * np.real(np.sum(ge.conj() * d)) == pytest.approx(
                 fd, rel=1e-5)
 
@@ -171,11 +163,14 @@ class TestEstimator:
 
     def test_returned_objective_matches_trace_tail(self):
         ch, pil = _physical_problem(seed=11, t=30, sigma2=1e-12, geom=SMALL)
-        mu_g, mu_h = 1e-12, 1e-12
-        cfg = MoEstConfig(2, 2, mu_g, mu_h)
-        res = mo_est(pil, SMALL_DICTS, cfg, np.random.default_rng(8))
+        res = mo_est(pil, SMALL_DICTS, MoEstConfig(2, 2),
+                     np.random.default_rng(8))
+        # mo_est weights both l1 terms by w = 1e-2 sigma2' t in the problem
+        # normalized by c; in physical units that is c w on g and c^2 w on h.
         c = float(np.linalg.norm(pil.r)) / np.sqrt(pil.t)
-        phys = objective_f(res.g_hat, res.h_hat, pil, SMALL_DICTS, cfg)
+        w = 1e-2 * pil.sigma2 / c ** 2 * pil.t
+        phys = objective_f(res.g_hat.dense, res.h_hat.dense, pil, SMALL_DICTS,
+                           c * w, c ** 2 * w)
         assert phys == pytest.approx(c ** 2 * res.trace[-1], rel=1e-9)
 
     def test_noiseless_recovery_beats_minus_30_db(self):
@@ -185,7 +180,7 @@ class TestEstimator:
         for seed in range(20):
             ch, pil = _physical_problem(seed=seed, t=150, sigma2=0.0,
                                         geom=geom)
-            res = mo_est(pil, dicts, MoEstConfig(2, 2, 0.0, 0.0),
+            res = mo_est(pil, dicts, MoEstConfig(2, 2),
                          np.random.default_rng(1000 + seed))
             h_c_hat = khatri_rao(res.h_hat.dense.T, res.g_hat.dense)
             num = np.linalg.norm(ch.h_c - h_c_hat) ** 2
@@ -227,7 +222,7 @@ class TestEstimator:
     def test_rank_above_dimensions_rejected(self):
         ch, pil = _physical_problem(seed=14, t=12, sigma2=0.0, geom=SMALL)
         with pytest.raises(ValueError, match="rank"):
-            mo_est(pil, SMALL_DICTS, MoEstConfig(2, 5, 0.0, 0.0),
+            mo_est(pil, SMALL_DICTS, MoEstConfig(2, 5),
                    np.random.default_rng(0))
 
     def test_unitary_dictionaries_required(self):
@@ -235,13 +230,11 @@ class TestEstimator:
         dicts = build_dictionaries(geom)
         ch, pil = _physical_problem(seed=15, t=12, sigma2=0.0, geom=SMALL)
         with pytest.raises(ValueError, match="unitary"):
-            mo_est(pil, dicts, MoEstConfig(2, 2, 0.0, 0.0),
+            mo_est(pil, dicts, MoEstConfig(2, 2),
                    np.random.default_rng(0))
 
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MoEstConfig(mu_g=-1.0)
         with pytest.raises(ValueError):
             MoEstConfig(p_hat=0)
