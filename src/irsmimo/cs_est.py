@@ -28,21 +28,6 @@ from .numerics import mat
 GRAM_COND_LIMIT = 1e12
 
 
-@dataclass
-class FlopCounter:
-    """Accumulates 8*m*k*n per counted (m,k)x(k,n) complex matrix product."""
-
-    total: float = 0.0
-
-    def add(self, m: int, k: int, n: int) -> None:
-        self.total += 8.0 * m * k * n
-
-    def mm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        n = b.shape[1] if b.ndim == 2 else 1
-        self.add(a.shape[0], a.shape[1], n)
-        return a @ b
-
-
 @dataclass(frozen=True)
 class CsEstConfig:
     """Protocol and sparsity settings.
@@ -105,20 +90,18 @@ class KronSensing:
         g_i, t = c_all.shape
         self.shape = (n_bs * t, g_i * su.shape[1] * p_hat)
 
-    def adjoint(self, res: np.ndarray, cnt: FlopCounter) -> np.ndarray:
+    def adjoint(self, res: np.ndarray) -> np.ndarray:
         """theta^H res for res of shape (rows, L), as (cols, L)."""
         n_bs, p_hat = self.a_bs_bar.shape
         g_i, t = self.c_all.shape
         kk = self.su.shape[1] * p_hat
         n_obs = res.shape[1]
-        y = self.a_bs_bar.conj().T @ res.reshape(t, n_bs, n_obs)
-        cnt.add(p_hat, n_bs, t * n_obs)                        # (t, p, L)
+        y = self.a_bs_bar.conj().T @ res.reshape(t, n_bs, n_obs)  # (t, p, L)
         z = self.su.conj()[:, :, None, None] * y[:, None]       # (t, q, p, L)
-        cnt.add(t * kk, 1, n_obs)
-        psi = cnt.mm(self.c_all.conj(), z.reshape(t, kk * n_obs))
+        psi = self.c_all.conj() @ z.reshape(t, kk * n_obs)
         return psi.reshape(g_i * kk, n_obs)
 
-    def columns(self, idx: list[int], cnt: FlopCounter) -> np.ndarray:
+    def columns(self, idx: list[int]) -> np.ndarray:
         """The selected columns, multiplied in np.kron's order so they are
         bit-identical to the columns of the formed matrix."""
         p_hat = self.a_bs_bar.shape[1]
@@ -126,7 +109,6 @@ class KronSensing:
         q, p = np.divmod(qp, p_hat)
         b = self.su[:, None, q] * self.a_bs_bar[None, :, p]    # (t, n_bs, k)
         cols = self.c_all[gi].T[:, None, :] * b
-        cnt.add(self.shape[0], 1, len(idx))
         return cols.reshape(self.shape[0], len(idx))
 
 
@@ -136,15 +118,15 @@ class _DenseSensing:
     def __init__(self, theta: np.ndarray):
         self.theta, self.shape = theta, theta.shape
 
-    def adjoint(self, res: np.ndarray, cnt: FlopCounter) -> np.ndarray:
-        return cnt.mm(self.theta.conj().T, res)
+    def adjoint(self, res: np.ndarray) -> np.ndarray:
+        return self.theta.conj().T @ res
 
-    def columns(self, idx: list[int], cnt: FlopCounter) -> np.ndarray:
+    def columns(self, idx: list[int]) -> np.ndarray:
         return self.theta[:, idx]
 
 
-def omp_mmv(theta: np.ndarray | KronSensing, obs: np.ndarray, k: int,
-            counter: FlopCounter | None = None) -> OmpResult:
+def omp_mmv(theta: np.ndarray | KronSensing, obs: np.ndarray,
+            k: int) -> OmpResult:
     """Orthogonal matching pursuit with multiple measurement vectors.
 
     Each iteration correlates all atoms with the residual, picks the row
@@ -152,9 +134,9 @@ def omp_mmv(theta: np.ndarray | KronSensing, obs: np.ndarray, k: int,
     index), then refits all selected atoms against the original
     observation by least squares.
 
-    theta is a dense array or an operator with `shape`, `adjoint(res,
-    cnt)` (theta^H res) and `columns(idx, cnt)` (theta[:, idx]); OMP
-    touches the sensing matrix only through these two operations.
+    theta is a dense array or an operator with `shape`, `adjoint(res)`
+    (theta^H res) and `columns(idx)` (theta[:, idx]); OMP touches the
+    sensing matrix only through these two operations.
 
     Raises:
         np.linalg.LinAlgError: selected atoms are numerically collinear
@@ -168,31 +150,29 @@ def omp_mmv(theta: np.ndarray | KronSensing, obs: np.ndarray, k: int,
         raise ValueError("theta and obs row counts differ")
     if not 1 <= k <= theta.shape[1]:
         raise ValueError(f"k={k} outside [1, {theta.shape[1]}]")
-    cnt = counter if counter is not None else FlopCounter()
 
     support: list[int] = []
     res = obs
     res_trace = [float(np.linalg.norm(obs))]
     coeffs = np.zeros((0, obs.shape[1]), dtype=complex)
     for _ in range(k):
-        psi = theta.adjoint(res, cnt)
+        psi = theta.adjoint(res)
         metric = np.sum(np.abs(psi) ** 2, axis=1)
         metric[support] = -1.0
         support.append(int(np.argmax(metric)))
-        sel = theta.columns(support, cnt)
-        gram = cnt.mm(sel.conj().T, sel)
+        sel = theta.columns(support)
+        gram = sel.conj().T @ sel
         if np.linalg.cond(gram) > GRAM_COND_LIMIT:
             raise np.linalg.LinAlgError(
                 f"selected atoms nearly collinear (support {support})")
-        coeffs = np.linalg.solve(gram, cnt.mm(sel.conj().T, obs))
-        res = obs - cnt.mm(sel, coeffs)
+        coeffs = np.linalg.solve(gram, sel.conj().T @ obs)
+        res = obs - sel @ coeffs
         res_trace.append(float(np.linalg.norm(res)))
     return OmpResult(support, coeffs, res_trace, res)
 
 
-def stage1_ue_aods(pilots: PilotBlock, dicts: Dictionaries, cfg: CsEstConfig,
-                   counter: FlopCounter | None = None
-                   ) -> tuple[np.ndarray, OmpResult]:
+def stage1_ue_aods(pilots: PilotBlock, dicts: Dictionaries,
+                   cfg: CsEstConfig) -> tuple[np.ndarray, OmpResult]:
     """UE departure-atom selection from the fixed-reflection slots.
 
     The first t1 received blocks satisfy r_t^H = s_t^H a_ue gamma + noise
@@ -200,18 +180,15 @@ def stage1_ue_aods(pilots: PilotBlock, dicts: Dictionaries, cfg: CsEstConfig,
     the q_hat active columns of a_ue.
     """
     t1 = resolve_t1(cfg.t1, pilots.t)
-    cnt = counter if counter is not None else FlopCounter()
-    s1 = pilots.s[:, :t1]
-    theta = cnt.mm(s1.conj().T, dicts.a_ue)
-    res = omp_mmv(theta, pilots.r[:, :t1].conj().T, cfg.q_hat, cnt)
+    theta = pilots.s[:, :t1].conj().T @ dicts.a_ue
+    res = omp_mmv(theta, pilots.r[:, :t1].conj().T, cfg.q_hat)
     return dicts.a_ue[:, res.support], res
 
 
-def stage2_bs_aoas(pilots: PilotBlock, dicts: Dictionaries, cfg: CsEstConfig,
-                   counter: FlopCounter | None = None
-                   ) -> tuple[np.ndarray, OmpResult]:
+def stage2_bs_aoas(pilots: PilotBlock, dicts: Dictionaries,
+                   cfg: CsEstConfig) -> tuple[np.ndarray, OmpResult]:
     """BS arrival-atom selection: r = a_bs gamma + noise over all slots."""
-    res = omp_mmv(dicts.a_bs, pilots.r, cfg.p_hat, counter)
+    res = omp_mmv(dicts.a_bs, pilots.r, cfg.p_hat)
     return dicts.a_bs[:, res.support], res
 
 
@@ -239,8 +216,7 @@ def permutation_l(dicts: Dictionaries, j: int) -> np.ndarray:
 
 
 def stage3_gains(pilots: PilotBlock, a_ue_bar: np.ndarray,
-                 a_bs_bar: np.ndarray, dicts: Dictionaries, cfg: CsEstConfig,
-                 counter: FlopCounter | None = None
+                 a_bs_bar: np.ndarray, dicts: Dictionaries, cfg: CsEstConfig
                  ) -> tuple[np.ndarray, np.ndarray, OmpResult]:
     """Sparse recovery of the cascaded gains on the IRS grid.
 
@@ -251,47 +227,69 @@ def stage3_gains(pilots: PilotBlock, a_ue_bar: np.ndarray,
 
     Returns (lam, h_c_hat, omp_result).
     """
-    cnt = counter if counter is not None else FlopCounter()
     g_i = dicts.a_i.shape[1]
     kk = a_ue_bar.shape[1] * a_bs_bar.shape[1]
 
-    c_all = cnt.mm(dicts.a_i.T, pilots.v)                      # (g_i, t)
-    su = cnt.mm(pilots.s.T, a_ue_bar.conj())                   # (t, q_hat)
+    c_all = dicts.a_i.T @ pilots.v                             # (g_i, t)
+    su = pilots.s.T @ a_ue_bar.conj()                          # (t, q_hat)
     theta = KronSensing(c_all, su, a_bs_bar)
     obs = pilots.r.reshape(-1, order="F")
 
-    res = omp_mmv(theta, obs, kk, cnt)
+    res = omp_mmv(theta, obs, kk)
     lam = np.zeros(theta.shape[1], dtype=complex)
     lam[res.support] = res.coeffs[:, 0]
     lam_mat = mat(lam, kk, g_i)
-    h_c_hat = cnt.mm(cnt.mm(np.kron(a_ue_bar.conj(), a_bs_bar), lam_mat),
-                     dicts.a_i.T)
+    h_c_hat = np.kron(a_ue_bar.conj(), a_bs_bar) @ lam_mat @ dicts.a_i.T
     return lam, h_c_hat, res
 
 
 def cs_est(pilots: PilotBlock, dicts: Dictionaries,
            cfg: CsEstConfig) -> CsEstResult:
-    """Full three-stage pipeline with per-stage timings and flop counts."""
-    counters = {name: FlopCounter() for name in ("stage1", "stage2", "stage3")}
+    """Full three-stage pipeline with per-stage timings and flops; the
+    flops come from the problem's shapes alone (see _flops)."""
     stage_ms: dict[str, float] = {}
 
     tic = time.perf_counter()
-    a_ue_bar, omp_ue = stage1_ue_aods(pilots, dicts, cfg, counters["stage1"])
+    a_ue_bar, omp_ue = stage1_ue_aods(pilots, dicts, cfg)
     stage_ms["stage1"] = 1e3 * (time.perf_counter() - tic)
 
     tic = time.perf_counter()
-    a_bs_bar, omp_bs = stage2_bs_aoas(pilots, dicts, cfg, counters["stage2"])
+    a_bs_bar, omp_bs = stage2_bs_aoas(pilots, dicts, cfg)
     stage_ms["stage2"] = 1e3 * (time.perf_counter() - tic)
 
     tic = time.perf_counter()
-    _, h_c_hat, omp_gain = stage3_gains(pilots, a_ue_bar, a_bs_bar, dicts,
-                                        cfg, counters["stage3"])
+    _, h_c_hat, omp_gain = stage3_gains(pilots, a_ue_bar, a_bs_bar, dicts, cfg)
     stage_ms["stage3"] = 1e3 * (time.perf_counter() - tic)
 
-    flops = {name: c.total for name, c in counters.items()}
-    flops["total"] = sum(flops.values())
     return CsEstResult(h_c_hat, omp_ue.support, omp_bs.support,
-                       omp_gain.support, stage_ms, flops)
+                       omp_gain.support, stage_ms, _flops(pilots, dicts, cfg))
+
+
+def _flops(pilots: PilotBlock, dicts: Dictionaries,
+           cfg: CsEstConfig) -> dict[str, float]:
+    """Each stage's flops from the problem's shapes, at 8 per complex
+    multiply-add (8*m*k*n for an (m, k) x (k, n) product).
+
+    OMP step j costs one adjoint, gather*j to build the j selected columns,
+    and rows*j*(j + 2L) multiply-adds for their Gram matrix, their
+    correlation with the L observation columns and the residual update.
+    """
+    def omp(rows, n_obs, k, adjoint, gather=0):
+        return sum(adjoint + gather * j + rows * j * (j + 2 * n_obs)
+                   for j in range(1, k + 1))
+
+    n_bs, t = pilots.r.shape
+    (n_ue, g_ue), g_bs = dicts.a_ue.shape, dicts.a_bs.shape[1]
+    (m, g_i), kk = dicts.a_i.shape, cfg.p_hat * cfg.q_hat
+    t1, p, q = resolve_t1(cfg.t1, t), cfg.p_hat, cfg.q_hat
+    macs = {
+        "stage1": t1 * n_ue * g_ue + omp(t1, n_bs, q, g_ue * t1 * n_bs),
+        "stage2": omp(n_bs, t, p, g_bs * n_bs * t),
+        "stage3": t * (g_i * m + n_ue * q) + n_bs * n_ue * g_i * (kk + m)
+        + omp(n_bs * t, 1, kk, t * (p * n_bs + kk + g_i * kk), n_bs * t)}
+    flops = {name: 8.0 * v for name, v in macs.items()}
+    flops["total"] = sum(flops.values())
+    return flops
 
 
 def resolve_t1(t1: int | None, t: int) -> int:

@@ -9,8 +9,8 @@ import pytest
 from irsmimo.channel import (PilotBlock, SystemGeometry, _grid,
                              build_dictionaries, make_pilots, sample_paths,
                              simulate_uplink, synth_channels)
-from irsmimo.cs_est import (CsEstConfig, FlopCounter, KronSensing, cs_est,
-                            omp_mmv, permutation_l, stage1_ue_aods,
+from irsmimo.cs_est import (CsEstConfig, KronSensing, cs_est, omp_mmv,
+                            permutation_l, resolve_t1, stage1_ue_aods,
                             stage2_bs_aoas, stage3_gains)
 from irsmimo.harness import nmse
 
@@ -28,21 +28,6 @@ def _on_grid_trial(geom, k, seed, t=60, hold=None):
     s, v = make_pilots(geom, t, rng, hold_v=hold if hold is not None else 0)
     pil = simulate_uplink(ch, s, v, 0.0, rng)
     return paths, ch, pil
-
-
-class TestFlopCounter:
-    def test_add_uses_complex_multiply_accumulate_cost(self):
-        cnt = FlopCounter()
-        cnt.add(2, 3, 4)
-        assert cnt.total == 8 * 2 * 3 * 4
-
-    def test_mm_counts_and_returns_product(self):
-        cnt = FlopCounter()
-        a = np.arange(12, dtype=complex).reshape(3, 4)
-        b = np.arange(20, dtype=complex).reshape(4, 5)
-        out = cnt.mm(a, b)
-        np.testing.assert_allclose(out, a @ b)
-        assert cnt.total == 8 * 3 * 4 * 5
 
 
 class TestOmp:
@@ -310,12 +295,12 @@ class TestStage3:
         op = KronSensing(c_all, su, a_bs_bar)
         assert op.shape == theta.shape
         res = cgauss(np.random.default_rng(7), (n_bs * t, 3))
-        np.testing.assert_allclose(op.adjoint(res, FlopCounter()),
+        np.testing.assert_allclose(op.adjoint(res),
                                    theta.conj().T @ res, atol=1e-10)
         idx = [0, 5, 37, theta.shape[1] - 1]
         # Bit equality keeps the least-squares refits, and the CSV bytes,
         # identical to those on the formed matrix.
-        assert np.array_equal(op.columns(idx, FlopCounter()), theta[:, idx])
+        assert np.array_equal(op.columns(idx), theta[:, idx])
 
     def test_paper_scale_memory_bounded(self):
         geom = SystemGeometry(36, 16, 6, 6, 64, 64, 16, 16)
@@ -354,6 +339,26 @@ class TestPipeline:
         assert res.flops["total"] == sum(
             res.flops[k] for k in ("stage1", "stage2", "stage3"))
         assert res.flops["stage3"] > 0
+
+    @pytest.mark.parametrize("grids, t, cfg, k, flops", [
+        ((16, 8, 4, 4, 64, 64, 16, 16), 60, CsEstConfig(2, 2, t1=15), 2,
+         (319320, 1029760, 9712640, 11061720)),
+        ((16, 8, 4, 4, 128, 128, 32, 16), 60, CsEstConfig(2, 2, t1=15), 2,
+         (626520, 2012800, 18887680, 21527000)),
+        ((36, 16, 6, 6, 64, 64, 16, 16), 500, CsEstConfig(3, 3), 3,
+         (8382000, 29380032, 237776160, 275538192)),
+    ], ids=["desk", "desk-fine", "paper"])
+    def test_flops_pinned(self, grids, t, cfg, k, flops):
+        # The counts follow from the shapes alone: 8 flops per complex
+        # multiply-add, for every product OMP and the stages form.
+        geom = SystemGeometry(*grids)
+        rng = np.random.default_rng(0)
+        ch = synth_channels(geom, sample_paths(geom, k, rng))
+        s, v = make_pilots(geom, t, rng, hold_v=resolve_t1(cfg.t1, t))
+        pil = simulate_uplink(ch, s, v, 1e-3, rng)
+        res = cs_est(pil, build_dictionaries(geom), cfg)
+        assert res.flops == dict(zip(("stage1", "stage2", "stage3", "total"),
+                                     map(float, flops)))
 
     def test_off_grid_floor_drops_with_finer_reflection_grid(self):
         medians = []

@@ -313,14 +313,6 @@ class TestSweep:
         assert [(r.t, r.seed) for r in records] == \
             [(0, 0), (0, 1), (5, 0), (5, 1)]
 
-    def test_trial_order_does_not_change_bytes(self):
-        cfg = ExperimentConfig(algorithm="cs_est", t=20, t1=8, trials=3,
-                               sweep_values=(20.0,), **SMALL_KW)
-        records, _ = sweep(cfg)
-        keys = [(0, seed) for seed in range(cfg.trials)]
-        backwards = {key: run_trial(cfg, *key) for key in reversed(keys)}
-        assert to_csv(records) == to_csv([backwards[key] for key in keys])
-
     def test_failed_trials_become_nan_rows(self, monkeypatch):
         cfg = ExperimentConfig(algorithm="mo_est", sweep_values=(20.0,),
                                trials=2, **SMALL_KW)
