@@ -306,8 +306,8 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
     on the stack; sweep then reruns the chunk one trial at a time.
 
     Per trial, in seed order: the generator spawn, the path draw, pilots
-    and uplink, and the estimator. Stacked over the chunk: channel
-    synthesis, the beamformer (alt_wmmse on a stack) and the rate on the
+    and uplink, and cs_est. Stacked over the chunk: channel synthesis,
+    mo_est, the beamformer (alt_wmmse on a stack) and the rate on the
     true channel.
     """
     tic = time.perf_counter()
@@ -319,25 +319,35 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
         [sample_paths(geom, cfg.k_true, rng[0], on_grid=cfg.on_grid)
          for rng in rngs]))
 
-    def estimate(i, rng_pilot, rng_est):
-        """(estimated cascaded channel, estimator iterations), or (None,
-        None) for the CSI-free arms, which design on the true channel. The
-        training buffers die on return, before the beamformer runs."""
-        if t > 0:
-            s, v = make_pilots(geom, t, rng_pilot, hold_v=point.hold_v)
-            pilots = simulate_uplink(ChannelRealization(ch.g[i], ch.h[i]), s,
-                                     v, point.sigma2, rng_pilot)
-        if cfg.algorithm == "mo_est":
-            res = mo_est(pilots, point.dicts, point.est_cfg, rng_est)
-            return khatri_rao(res.h_hat.dense.T, res.g_hat.dense), \
-                res.iterations
-        if cfg.algorithm == "cs_est":
-            res = cs_est(pilots, point.dicts, point.est_cfg)
-            return res.h_c_hat, (len(res.support_ue) + len(res.support_bs)
-                                 + len(res.support_gain))
-        return None, None
+    def training(i, rng_pilot):
+        s, v = make_pilots(geom, t, rng_pilot, hold_v=point.hold_v)
+        return simulate_uplink(ChannelRealization(ch.g[i], ch.h[i]), s, v,
+                               point.sigma2, rng_pilot)
 
-    hats, iters = zip(*(estimate(i, *rng[1:3]) for i, rng in enumerate(rngs)))
+    # Estimates of the cascaded channels and estimator iterations, or None
+    # for the CSI-free arms, which design on the true channel and discard
+    # their training. The training buffers die before the beamformer runs.
+    # mo_est runs the chunk on one stack, reading each training block as it
+    # is made; a single trial goes through its one-trial signature, as
+    # alt_wmmse's below.
+    hats = iters = [None] * len(seeds)
+    if cfg.algorithm == "mo_est":
+        est = (mo_est((training(i, rng[1]) for i, rng in enumerate(rngs)),
+                      point.dicts, point.est_cfg, [rng[2] for rng in rngs])
+               if len(seeds) > 1 else
+               [mo_est(training(0, rngs[0][1]), point.dicts, point.est_cfg,
+                       rngs[0][2])])
+        hats = [khatri_rao(x.h_hat.dense.T, x.g_hat.dense) for x in est]
+        iters = [x.iterations for x in est]
+    elif cfg.algorithm == "cs_est":
+        est = [cs_est(training(i, rng[1]), point.dicts, point.est_cfg)
+               for i, rng in enumerate(rngs)]
+        hats = [x.h_c_hat for x in est]
+        iters = [len(x.support_ue) + len(x.support_bs) + len(x.support_gain)
+                 for x in est]
+    elif t > 0:
+        for i, rng in enumerate(rngs):
+            training(i, rng[1])
     # The cascaded channels are built only now, after the estimators.
     h_c = ch.h_c
     design = h_c if hats[0] is None else np.stack(hats)

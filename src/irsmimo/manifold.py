@@ -10,12 +10,23 @@ at x0 and at each accepted point the search continues from; a point that
 meets the decrease test or the iteration cap is returned without its
 gradient.
 
+Stacks: points, tangent vectors and their operations also take a leading
+row axis, one row per problem, and `cg_minimize` runs a stack of B
+problems in lock-step. Each row keeps its own step, decrease test,
+steepest-descent retry and stop test; numpy computes stacked matmul, svd,
+qr and axis sums bit-identically to one call per matrix, so every row
+ends where its problem alone ends. Row selection, `x[rows]` and
+`x[rows] = y`, works alike on fixed-rank stacks and on circle stacks
+(2-D arrays).
+
 Gradient convention: egrad returns the conjugate Wirtinger gradient
 J = df/d(conj(X)), so the directional derivative of the real cost along a
 tangent t is 2 * Re<J, t>. The Riemannian gradient is the tangent
 projection of J and line-search slopes carry the factor 2.
 """
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +38,23 @@ class DegenerateStep(Exception):
     """Retraction left the manifold (rank drop / zero entry); halve the step."""
 
 
+def _h(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _sum(a: np.ndarray) -> np.ndarray:
+    """Sum of each matrix of a stack (a scalar for one matrix)."""
+    return a.sum(axis=(-2, -1))
+
+
 @dataclass
 class FixedRankPoint:
     """Rank-r matrix in factored form u @ diag(s) @ v^H.
 
     u (n, r) and v (m, r) have orthonormal columns; s holds r positive,
-    non-increasing singular values.
+    non-increasing singular values. A stack of B points has u (B, n, r),
+    s (B, r) and v (B, m, r); indexing a stack selects rows.
     """
 
     u: np.ndarray
@@ -42,17 +64,34 @@ class FixedRankPoint:
 
     @property
     def r(self) -> int:
-        return len(self.s)
+        return self.s.shape[-1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.u.shape[0], self.v.shape[0])
+        return (self.u.shape[-2], self.v.shape[-2])
 
     @property
     def dense(self) -> np.ndarray:
         if self._dense is None:
-            self._dense = (self.u * self.s) @ self.v.conj().T
+            self._dense = (self.u * self.s[..., None, :]) @ _h(self.v)
         return self._dense
+
+    @staticmethod
+    def stack(points: list["FixedRankPoint"]) -> "FixedRankPoint":
+        """The stack of points of one shape and rank, in order."""
+        return FixedRankPoint(np.stack([x.u for x in points]),
+                              np.stack([x.s for x in points]),
+                              np.stack([x.v for x in points]))
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    def __getitem__(self, rows) -> "FixedRankPoint":
+        return FixedRankPoint(self.u[rows], self.s[rows], self.v[rows])
+
+    def __setitem__(self, rows, other: "FixedRankPoint") -> None:
+        self.u[rows], self.s[rows], self.v[rows] = other.u, other.s, other.v
+        self._dense = None
 
     def validate(self, tol: float = 1e-10) -> None:
         r = self.r
@@ -73,7 +112,9 @@ class TangentVector:
     Embeds as u @ m_core @ v^H + u_p @ v^H + u @ v_p^H with u_p^H u = 0
     and v_p^H v = 0, so factored inner products need no cross terms.
     Arithmetic returns new vectors; the arrays are not mutated in place,
-    which keeps the cached QR factors valid.
+    which keeps the cached QR factors valid. At a stack of points the
+    arrays carry the same leading row axis, a product with one factor per
+    row scales each row, and assigning rows drops the cached factors.
     """
 
     m_core: np.ndarray         # (r, r)
@@ -92,7 +133,22 @@ class TangentVector:
 
     def embed(self) -> np.ndarray:
         x = self.anchor
-        return (x.u @ self.m_core + self.u_p) @ x.v.conj().T + x.u @ self.v_p.conj().T
+        return (x.u @ self.m_core + self.u_p) @ _h(x.v) + x.u @ _h(self.v_p)
+
+    def __len__(self) -> int:
+        return len(self.m_core)
+
+    def __getitem__(self, rows) -> "TangentVector":
+        out = TangentVector(self.m_core[rows], self.u_p[rows], self.v_p[rows],
+                            self.anchor[rows])
+        if self._qr is not None:
+            out._qr = tuple(a[rows] for a in self._qr)
+        return out
+
+    def __setitem__(self, rows, other: "TangentVector") -> None:
+        self.m_core[rows] = other.m_core
+        self.u_p[rows], self.v_p[rows] = other.u_p, other.v_p
+        self._qr = None
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
         if other.anchor is not self.anchor:
@@ -100,7 +156,9 @@ class TangentVector:
         return TangentVector(self.m_core + other.m_core, self.u_p + other.u_p,
                              self.v_p + other.v_p, self.anchor)
 
-    def __mul__(self, c: float) -> "TangentVector":
+    def __mul__(self, c) -> "TangentVector":
+        if not np.isscalar(c):
+            c = np.asarray(c)[:, None, None]
         return TangentVector(c * self.m_core, c * self.u_p, c * self.v_p,
                              self.anchor)
 
@@ -140,24 +198,31 @@ class CgOptions:
 
 @dataclass
 class CgResult:
-    """Final iterate, objective trace (cost at x0 first), and diagnostics."""
+    """Final iterate, objective trace (cost at x0 first), and diagnostics.
+
+    reason says why the run stopped: "converged" (the last decrease was
+    at most epsilon), "max_iters", "stalled" (both line searches failed;
+    stalled is then True) or "zero_grad" (the gradient vanished).
+    """
 
     x: object
     trace: list[float]
     stalled: bool
     iters: int
+    reason: str
 
 
 def project_tangent(x: FixedRankPoint, j: np.ndarray) -> TangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space:
-    m_core = u^H j v, u_p = (I - u u^H) j v, v_p = (I - v v^H) j^H u."""
-    if j.shape != x.shape:
+    m_core = u^H j v, u_p = (I - u u^H) j v, v_p = (I - v v^H) j^H u.
+    Stacks project row by row."""
+    if j.shape[-2:] != x.shape:
         raise ValueError(f"ambient shape {j.shape} does not match {x.shape}")
     jv = j @ x.v
-    jhu = j.conj().T @ x.u
-    m_core = x.u.conj().T @ jv
+    jhu = _h(j) @ x.u
+    m_core = _h(x.u) @ jv
     u_p = jv - x.u @ m_core
-    v_p = jhu - x.v @ m_core.conj().T
+    v_p = jhu - x.v @ _h(m_core)
     return TangentVector(m_core, u_p, v_p, x)
 
 
@@ -168,7 +233,7 @@ def transport(d_prev: TangentVector, x_new: FixedRankPoint) -> TangentVector:
     return project_tangent(x_new, d_prev.embed())
 
 
-def retract(x: FixedRankPoint, d: TangentVector, step: float) -> FixedRankPoint:
+def retract(x: FixedRankPoint, d: TangentVector, step):
     """Best rank-r approximation of x.dense + step * d.embed().
 
     Computed from the factors: QR of u_p and v_p extends the bases, an SVD
@@ -178,26 +243,37 @@ def retract(x: FixedRankPoint, d: TangentVector, step: float) -> FixedRankPoint:
     cg_minimize tries) the result is bit-identical to factoring
     step * u_p and step * v_p afresh.
 
+    A stack x takes one positive step per row and returns (x_new, bad)
+    instead of raising: bad is None when every row stays on the manifold,
+    else a list with bad[i] True where row i is degenerate (its row of
+    x_new is meaningless).
+
     Raises:
         DegenerateStep: the stepped matrix has numerical rank below r
             (smallest singular value <= 1e-12 * largest).
     """
-    if step < 0:
-        raise ValueError("step must be non-negative")
-    if step == 0.0:
-        return x
+    stacked = x.u.ndim == 3
+    if not stacked:
+        if step < 0:
+            raise ValueError("step must be non-negative")
+        if step == 0.0:
+            return x
     r = x.r
     q_u, r_u, q_v, r_v = d.qr
-    core = np.zeros((2 * r, 2 * r), dtype=complex)
-    core[:r, :r] = np.diag(x.s) + step * d.m_core
-    core[:r, r:] = (step * r_v).conj().T
-    core[r:, :r] = step * r_u
+    step = np.asarray(step)[..., None, None]
+    core = np.zeros(x.s.shape[:-1] + (2 * r, 2 * r), dtype=complex)
+    # s * I is diag(s) exactly, and stacks.
+    core[..., :r, :r] = x.s[..., :, None] * np.eye(r) + step * d.m_core
+    core[..., :r, r:] = _h(step * r_v)
+    core[..., r:, :r] = step * r_u
     w, sig, zh = np.linalg.svd(core)
-    if sig[r - 1] <= 1e-12 * sig[0]:
+    bad = sig[..., r - 1] <= 1e-12 * sig[..., 0]
+    if not stacked and bad:
         raise DegenerateStep(f"rank drop: sigma_r={sig[r - 1]:.3e}")
-    u_new = np.hstack([x.u, q_u]) @ w[:, :r]
-    v_new = np.hstack([x.v, q_v]) @ zh[:r].conj().T
-    return FixedRankPoint(u_new, sig[:r], v_new)
+    u_new = np.concatenate((x.u, q_u), axis=-1) @ w[..., :r]
+    v_new = np.concatenate((x.v, q_v), axis=-1) @ _h(zh[..., :r, :])
+    y = FixedRankPoint(u_new, sig[..., :r], v_new)
+    return (y, bad.tolist() if bad.any() else None) if stacked else y
 
 
 def circle_project(v: np.ndarray, egrad: np.ndarray) -> np.ndarray:
@@ -207,21 +283,31 @@ def circle_project(v: np.ndarray, egrad: np.ndarray) -> np.ndarray:
     return egrad - (egrad * v.conj()).real * v
 
 
-def circle_retract(v: np.ndarray, t: np.ndarray, step: float) -> np.ndarray:
+def circle_retract(v: np.ndarray, t: np.ndarray, step):
     """Entrywise normalization of v + step * t back onto the circle.
+
+    A stack v (one point per row) takes one positive step per row and
+    returns (w, bad) instead of raising, bad as for `retract`: None, or
+    a list with bad[i] True where an entry of row i vanishes.
 
     Raises:
         DegenerateStep: an entry of v + step * t vanishes.
     """
-    if step < 0:
-        raise ValueError("step must be non-negative")
-    if step == 0.0:
-        return v
+    if v.ndim == 1:
+        if step < 0:
+            raise ValueError("step must be non-negative")
+        if step == 0.0:
+            return v
+    else:
+        step = np.asarray(step)[:, None]
     w = v + step * t
     mag = np.abs(w)
-    if (mag < 1e-14).any():
-        raise DegenerateStep("entry collapsed to zero")
-    return w / mag
+    if v.ndim == 1:
+        if mag.min() < 1e-14:
+            raise DegenerateStep("entry collapsed to zero")
+        return w / mag
+    bad = mag.min(axis=-1) < 1e-14
+    return w / mag, bad.tolist() if bad.any() else None
 
 
 class FixedRankManifold:
@@ -235,12 +321,23 @@ class FixedRankManifold:
         return transport(t, x_new)
 
     @staticmethod
-    def inner(x: FixedRankPoint, t1: TangentVector, t2: TangentVector) -> float:
+    def inner(x: FixedRankPoint, t1: TangentVector, t2: TangentVector):
+        """Real inner product: a float, or a list of one per row."""
         # u_p/v_p blocks are orthogonal to the u/v blocks, so the embedded
         # inner product splits over the factors.
-        return float(np.sum(t1.m_core.conj() * t2.m_core).real
-                     + np.sum(t1.u_p.conj() * t2.u_p).real
-                     + np.sum(t1.v_p.conj() * t2.v_p).real)
+        return (_sum(t1.m_core.conj() * t2.m_core).real
+                + _sum(t1.u_p.conj() * t2.u_p).real
+                + _sum(t1.v_p.conj() * t2.v_p).real).tolist()
+
+    @staticmethod
+    def stacked(x: FixedRankPoint) -> bool:
+        return x.u.ndim == 3
+
+    @staticmethod
+    def scale(t: TangentVector, c: list[float]) -> TangentVector:
+        return t * c
+
+    row = staticmethod(operator.getitem)
 
 
 class CircleManifold:
@@ -248,104 +345,265 @@ class CircleManifold:
 
     project = staticmethod(circle_project)
     retract = staticmethod(circle_retract)
+    row = staticmethod(operator.getitem)
+
+    @staticmethod
+    def stacked(x: np.ndarray) -> bool:
+        return x.ndim == 2
 
     @staticmethod
     def transport(x_new: np.ndarray, t: np.ndarray) -> np.ndarray:
         return circle_project(x_new, t)
 
     @staticmethod
-    def inner(x: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> float:
-        return float(np.vdot(t1, t2).real)
+    def inner(x: np.ndarray, t1: np.ndarray, t2: np.ndarray):
+        """Real inner product: a float, or a list of one per row."""
+        if t1.ndim == 1:
+            return float(np.vdot(t1, t2).real)
+        return [float(np.vdot(a, b).real) for a, b in zip(t1, t2)]
+
+    @staticmethod
+    def scale(t: np.ndarray, c: list[float]) -> np.ndarray:
+        return np.asarray(c)[:, None] * t
 
 
-def _line_search(manifold, cost_grad, x, f0, d, slope, step0):
-    """Armijo backtracking; returns (x_new, f_new, egrad_new, step) or None."""
-    step = step0
-    for _ in range(_MAX_BACKTRACKS):
-        try:
-            x_new = manifold.retract(x, d, step)
-        except DegenerateStep:
-            step *= _CONTRACTION
-            continue
-        f_new, egrad = cost_grad(x_new)
-        if f_new <= f0 + _SUFFICIENT_DECREASE * step * slope:
-            return x_new, f_new, egrad, step
-        step *= _CONTRACTION
-    return None
+class _OneProblem:
+    """A manifold's ops on one problem, seen as a stack of one: per-row
+    values come as one-element lists and the point is its own row, so
+    cg_minimize runs a single point through the lock-step loop without
+    adding a row axis."""
+
+    def __init__(self, manifold):
+        self.project = manifold.project
+        self.transport = manifold.transport
+        inner, retract = manifold.inner, manifold.retract
+        self.inner = lambda x, t1, t2: [inner(x, t1, t2)]
+
+        def retract_one(x, d, step):
+            try:
+                return retract(x, d, step[0]), None
+            except DegenerateStep:
+                return x, [True]
+
+        self.retract = retract_one
+
+    @staticmethod
+    def scale(t, c: list[float]):
+        return c[0] * t
+
+    @staticmethod
+    def row(x, k: int):
+        return x
 
 
-def cg_minimize(manifold, cost_grad, x0, opts: CgOptions) -> CgResult:
+_ALL = slice(None)
+
+
+def _assign(a, rows: list[int], src, b: int):
+    """The b-row stack a with rows `rows` replaced by those of src: src
+    itself when rows are all b, else a, written in place."""
+    if len(rows) == b:
+        return src
+    a[rows] = src[rows]
+    return a
+
+
+def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
+    """cg_minimize on a stack x of n problems, with ops a stack manifold
+    or a _OneProblem; see cg_minimize for cost_grad.
+
+    Each iteration searches every live row along its direction: Armijo
+    backtracking in rounds, each round retracting the rows still
+    searching, each at its own step, evaluating the cost of those that
+    stay on the manifold, and keeping the ones that meet the decrease
+    test; the others halve their step. Rows that fail search again along
+    steepest descent once. An accepted row's gradient is taken in the
+    round that accepts it, so no round's cost cache outlives the round.
+    The rows of problems that stopped leave the stacks; no row is copied
+    while every row is live.
+    """
+    f, egrad = cost_grad(x, _ALL)
+    f = [float(v) for v in f]
+    if not all(map(math.isfinite, f)):
+        raise ValueError("cost not finite at the starting point")
+    g = ops.project(x, egrad())
+    del egrad                             # and the start point's cost cache
+    d = -g
+    rows = list(range(n))                 # problem of each row of x
+    traces = [[v] for v in f]
+    step = [_INITIAL_STEP] * n
+    out: list[CgResult | None] = [None] * n
+    eps, last = opts.epsilon, opts.max_iters
+
+    for it in range(1, last + 1):
+        gg = ops.inner(x, g, g)
+        if min(gg) <= 1e-24:
+            live = []
+            for k, q in enumerate(rows):
+                if gg[k] > 1e-24:
+                    live.append(k)
+                else:
+                    out[q] = CgResult(ops.row(x, k), traces[q], False, it - 1,
+                                      "zero_grad")
+            if not live:
+                break
+            x, g, d = x[live], g[live], d[live]
+            gg, f, step, rows = ([a[k] for k in live]
+                                 for a in (gg, f, step, rows))
+        b = len(rows)
+        # True directional derivative is twice the Riemannian inner product
+        # (Wirtinger conjugate-gradient convention).
+        slope = [2.0 * v for v in ops.inner(x, g, d)]
+        if max(slope) >= 0.0:
+            flip = [k for k in range(b) if slope[k] >= 0.0]
+            d = _assign(d, flip, -g, b)
+            for k in flip:
+                slope[k] = -2.0 * gg[k]
+        # The last iteration takes no gradient at its accepted points.
+        stop_eps = eps if it < last else math.inf
+
+        f_new, steps, grads = [None] * b, step[:], []
+        cur, full = range(b), True        # rows still searching; all of them
+        every = _ALL if b == n else rows  # the problems of all b rows
+        for retry in (False, True):
+            for _ in range(_MAX_BACKTRACKS):
+                if full:
+                    y, bad = ops.retract(x, d, steps)
+                    x_new = y             # holds row k at row k
+                    probs = every
+                else:
+                    y, bad = ops.retract(x[cur], d[cur],
+                                         [steps[k] for k in cur])
+                    probs = None
+                at = cur
+                if bad is not None:
+                    ok = [j for j, v in enumerate(bad) if not v]
+                    at, y, probs = [cur[j] for j in ok], y[ok], None
+                if at:
+                    costs, egrad = cost_grad(y, probs if probs is not None
+                                             else [rows[k] for k in at])
+                    acc, want = [], []
+                    for e, k in enumerate(at):
+                        fe = costs[e]
+                        if fe <= f[k] + _SUFFICIENT_DECREASE * steps[k] * slope[k]:
+                            f_new[k] = fe
+                            acc.append(e)
+                            if f[k] - fe > stop_eps:
+                                want.append(e)
+                    if want:
+                        grads.append(
+                            (at, egrad()) if len(want) == len(at) else
+                            ([at[e] for e in want], egrad(want)))
+                    del egrad
+                    if acc:
+                        if x_new is not y:
+                            x_new[[at[e] for e in acc]] = y[acc]
+                        if len(acc) == len(cur):
+                            cur = ()
+                            break
+                        cur, full = [k for k in cur if f_new[k] is None], False
+                for k in cur:
+                    steps[k] *= _CONTRACTION
+            if retry or not cur:
+                break
+            # A failed search retries along steepest descent once.
+            dg = d + g
+            nz = ops.inner(x, dg, dg)
+            cur = [k for k in cur if nz[k] > 0]
+            if not cur:
+                break
+            full = len(cur) == b
+            d = _assign(d, cur, -g, b)
+            for k in cur:
+                slope[k] = -2.0 * gg[k]
+                steps[k] = step[k]
+
+        keep = []
+        for k, fe in enumerate(f_new):
+            q = rows[k]
+            if fe is None:
+                out[q] = CgResult(ops.row(x, k), traces[q], True, it,
+                                  "stalled")
+                continue
+            traces[q].append(fe)
+            if f[k] - fe > stop_eps:
+                keep.append(k)
+            else:
+                out[q] = CgResult(ops.row(x_new, k), traces[q], False, it,
+                                  "converged" if f[k] - fe <= eps
+                                  else "max_iters")
+        if not keep:
+            break
+
+        ks, egrad_new = grads[0]
+        if len(grads) > 1 or len(ks) < len(keep):
+            at = {k: i for i, k in enumerate(keep)}
+            egrad_new = np.empty((len(keep),) + egrad_new.shape[1:],
+                                 egrad_new.dtype)
+            for ks, part in grads:
+                egrad_new[[at[k] for k in ks]] = part
+        del grads
+        if len(keep) < b:
+            x_new, g, d = x_new[keep], g[keep], d[keep]
+            gg, f_new, steps, rows = ([a[k] for k in keep]
+                                      for a in (gg, f_new, steps, rows))
+        x, f = x_new, f_new
+        g_new = ops.project(x, egrad_new)
+        eta = ops.inner(x, g_new, g_new - ops.transport(x, g))
+        d = ops.scale(ops.transport(x, d),
+                      [max(0.0, v / q) for v, q in zip(eta, gg)]) - g_new
+        g = g_new
+        step = [min(_INITIAL_STEP, 2.0 * s) for s in steps]
+    return out
+
+
+def cg_minimize(manifold, cost_grad, x0, opts: CgOptions):
     """Riemannian conjugate gradient with Polak-Ribiere+ directions.
 
     Args:
-        manifold: ops object with project/retract/transport/inner.
+        manifold: ops object with project/retract/transport/inner, plus
+            stacked/scale/row for a stack of problems.
         cost_grad: point -> (real objective value, egrad), where egrad()
             returns the conjugate Euclidean gradient (ambient array) at
             that point. Called once per trial point of the line search;
             egrad is called only at x0 and at each accepted point the
             search continues from; a point that meets the decrease test
             or the iteration cap is returned without its gradient.
-        x0: starting point on the manifold.
+        x0: starting point on the manifold, or a stack of the starting
+            points of n problems. For a stack, cost_grad(x, rows) takes a
+            stack x whose row i belongs to problem rows[i] (rows is
+            slice(None) when x holds every problem in order) and returns
+            a list of one float cost per row and egrad(keep=None), the
+            gradients of rows keep of x (of every row for None).
         opts: termination settings.
 
     Returns:
-        CgResult; trace[0] is the cost at x0, trace is non-increasing. Stops
-        when the per-iteration decrease drops to opts.epsilon or below, the
-        gradient vanishes, or max_iters is reached. A failed line search
-        retries along steepest descent once, then sets stalled.
+        CgResult, or a list of one per problem of a stack; trace[0] is the
+        cost at x0, trace is non-increasing. Stops when the per-iteration
+        decrease drops to opts.epsilon or below, the gradient vanishes, or
+        max_iters is reached. A failed line search retries along steepest
+        descent once, then sets stalled. The problems of a stack run in
+        lock-step, each with its own steps and stop test, and each ends
+        where it ends alone; a single point runs as a stack of one.
     """
-    x = x0
-    f, egrad = cost_grad(x)
-    f = float(f)
-    if not np.isfinite(f):
-        raise ValueError("cost not finite at the starting point")
-    g = manifold.project(x, egrad())
-    d = -g
-    trace = [f]
-    step_init = _INITIAL_STEP
-    stalled = False
-    iters = 0
+    if manifold.stacked(x0):
+        return _lockstep(manifold, cost_grad, x0, len(x0), opts)
 
-    for iters in range(1, opts.max_iters + 1):
-        gnorm2 = manifold.inner(x, g, g)
-        if gnorm2 <= 1e-24:
-            iters -= 1
-            break
-        # True directional derivative is twice the Riemannian inner product
-        # (Wirtinger conjugate-gradient convention).
-        slope = 2.0 * manifold.inner(x, g, d)
-        if slope >= 0.0:
-            d = -g
-            slope = -2.0 * gnorm2
-        hit = _line_search(manifold, cost_grad, x, f, d, slope, step_init)
-        if hit is None and manifold.inner(x, d + g, d + g) > 0:
-            d = -g
-            hit = _line_search(manifold, cost_grad, x, f, d, -2.0 * gnorm2,
-                               step_init)
-        if hit is None:
-            stalled = True
-            break
-        x_new, f_new, egrad, step = hit
-        trace.append(f_new)
-        if f - f_new <= opts.epsilon or iters == opts.max_iters:
-            x = x_new
-            break
-        g_new = manifold.project(x_new, egrad())
-        g_old_t = manifold.transport(x_new, g)
-        eta = max(0.0, manifold.inner(x_new, g_new, g_new - g_old_t)
-                  / gnorm2)
-        d = eta * manifold.transport(x_new, d) - g_new
-        x, f, g = x_new, f_new, g_new
-        step_init = min(_INITIAL_STEP, 2.0 * step)
+    def one(x, rows):
+        f, egrad = cost_grad(x)
+        return (f,), egrad
 
-    return CgResult(x, trace, stalled, iters)
+    return _lockstep(_OneProblem(manifold), one, x0, 1, opts)[0]
 
 
-def random_fixed_rank(n: int, m: int, r: int,
-                      rng: np.random.Generator) -> FixedRankPoint:
+def random_fixed_rank(n: int, m: int, r: int, rng):
     """Random rank-r point: product of two Gaussian factors, re-factored by
-    a truncated SVD."""
-    a = (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
-    b = (rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m)))
-    u, s, v = truncated_svd(a @ b / np.sqrt(2.0 * n), r)
-    return FixedRankPoint(u, s, v)
+    a truncated SVD. A list of generators draws one point from each and
+    returns their stack, with the same memory layout per point as a point
+    drawn alone (BLAS products can depend on it bit for bit)."""
+    prods = [(g.standard_normal((n, r)) + 1j * g.standard_normal((n, r)))
+             @ (g.standard_normal((r, m)) + 1j * g.standard_normal((r, m)))
+             / np.sqrt(2.0 * n)
+             for g in (rng if isinstance(rng, list) else [rng])]
+    return FixedRankPoint(*truncated_svd(
+        np.stack(prods) if isinstance(rng, list) else prods[0], r))

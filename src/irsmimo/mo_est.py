@@ -27,13 +27,14 @@ the block grow. With sigma2 = 0 the tolerance is 0, and the loop runs to
 max_outer unless the estimate stops changing.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .channel import Dictionaries, PilotBlock
-from .manifold import (CgOptions, CgResult, FixedRankManifold, FixedRankPoint,
+from .manifold import (CgOptions, FixedRankManifold, FixedRankPoint,
                        cg_minimize, random_fixed_rank)
 from .numerics import khatri_rao
 
@@ -46,6 +47,7 @@ _INNER_OPTS = CgOptions(epsilon=1e-3, max_iters=50)
 # h_c by at most _SETTLE * sqrt(sigma2 / (c^2 * t)) * ||h_c||_F, with
 # c = ||r||_F / sqrt(t).
 _SETTLE = 0.9
+_ALL = slice(None)
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,16 @@ class MoEstResult:
     stalled: bool = False
 
 
+def _h(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _sum(a: np.ndarray) -> np.ndarray:
+    """Sum of each matrix of a stack."""
+    return a.sum(axis=(-2, -1))
+
+
 def _phase(z: np.ndarray) -> np.ndarray:
     """Entrywise z/|z| with entries below DELTA0 mapped to zero."""
     mag = np.abs(z)
@@ -91,63 +103,135 @@ def _check_dicts(dicts: Dictionaries) -> None:
         raise ValueError("estimator needs unitary (square) dictionaries")
 
 
-def objective_f(g_hat: np.ndarray, h_hat: np.ndarray, pilots: PilotBlock,
-                dicts: Dictionaries, mu_g: float, mu_h: float) -> float:
-    """Regularized training-fit objective at dense (g_hat, h_hat): the
-    h-subproblem's cost plus the g-subproblem's l1 term."""
-    _check_dicts(dicts)
-    return (_cost_grad_h(h_hat, g_hat, pilots, mu_h, dicts)[0]
-            + mu_g * float(np.sum(np.abs(
-                dicts.a_bs.conj().T @ g_hat @ dicts.a_i))))
+# The costs and gradients below take stacks, one problem per row of a
+# leading axis, with one l1 weight per row. Every complex product keeps the
+# operand order of the one-problem formula: numpy's complex multiply is not
+# commutative bit for bit, and `a * (b @ c)` with a temporary of 256 KiB or
+# more is computed in place as `(b @ c) * a`, so stacks use np.multiply.
 
-
-def _fit_l1(x: np.ndarray, resid: np.ndarray, back, mu: float,
+def _fit_l1(x: np.ndarray, resid: np.ndarray, back, mu: np.ndarray,
             a: np.ndarray, b: np.ndarray):
-    """Subproblem cost ||resid||_F^2 + mu ||vec(a^H x b)||_1 and a callable
-    for its conjugate Euclidean gradient back(resid) + (mu/2) a y b^H, with
-    y the phase of a^H x b. The gradient reuses resid and a^H x b."""
+    """Subproblem costs ||resid||_F^2 + mu ||vec(a^H x b)||_1, one float
+    per row, and egrad(keep=None), the conjugate Euclidean gradients
+    back(resid, keep) + (mu/2) a y b^H of rows keep (all for None), with y
+    the phase of a^H x b. The gradient reuses resid and a^H x b."""
     z = a.conj().T @ x @ b
-    cost = float(np.sum(np.abs(resid) ** 2)) + mu * float(np.sum(np.abs(z)))
+    fit = np.abs(resid)
+    cost = (_sum(np.square(fit, out=fit)) + mu * _sum(np.abs(z))).tolist()
+    del fit
 
-    def egrad() -> np.ndarray:
-        grad = back(resid)
-        if mu > 0:
-            grad = grad + 0.5 * mu * (a @ _phase(z) @ b.conj().T)
+    def egrad(keep=None) -> np.ndarray:
+        sel = _ALL if keep is None else keep
+        grad = back(resid[sel], keep)
+        w = 0.5 * mu[sel]
+        on = w > 0
+        if on.all():
+            grad = grad + w[:, None, None] * (a @ _phase(z[sel]) @ _h(b))
+        elif on.any():
+            grad[on] = grad[on] + w[on, None, None] * (
+                a @ _phase(z[sel][on]) @ _h(b))
         return grad
 
     return cost, egrad
 
 
+def _pick(rows, keep):
+    """The entries `keep` of the row selection `rows` (all for None); a
+    slice rows selects every row."""
+    if keep is None:
+        return rows
+    return keep if isinstance(rows, slice) else [rows[k] for k in keep]
+
+
+def _conj(a: np.ndarray, rows) -> np.ndarray:
+    """conj(a[rows]), conjugating a gathered copy in place."""
+    out = a[rows]
+    return out.conj() if isinstance(rows, slice) else np.conjugate(out,
+                                                                    out=out)
+
+
 def _cost_grad_g(x: np.ndarray, r_mat: np.ndarray, f_mat: np.ndarray,
-                 mu_g: float, dicts: Dictionaries):
-    return _fit_l1(x, x @ f_mat - r_mat, lambda e: e @ f_mat.conj().T,
-                   mu_g, dicts.a_bs, dicts.a_i)
+                 mu: np.ndarray, dicts: Dictionaries, rows=_ALL):
+    """g-subproblem ||r_mat - x f_mat||_F^2 + mu ||vec(a_bs^H x a_i)||_1 of
+    a stack x whose rows are rows `rows` of the data stacks; see _fit_l1.
+    Rows of the data are gathered only for the products that need them,
+    so the gradient's closure holds no copy of the data."""
+    resid = x @ f_mat[rows]
+    resid -= r_mat[rows]
+    return _fit_l1(x, resid,
+                   lambda e, keep: e @ _conj(f_mat, _pick(rows, keep))
+                   .swapaxes(-1, -2),
+                   mu[rows], dicts.a_bs, dicts.a_i)
 
 
-def _cost_grad_h(h_hat: np.ndarray, g_hat: np.ndarray, pilots: PilotBlock,
-                 mu_h: float, dicts: Dictionaries):
-    s, v = pilots.s, pilots.v
-    return _fit_l1(h_hat, g_hat @ (v * (h_hat @ s)) - pilots.r,
-                   lambda e: (v.conj() * (g_hat.conj().T @ e)) @ s.conj().T,
-                   mu_h, dicts.a_i, dicts.a_ue)
+def _h_back(e: np.ndarray, g: np.ndarray, s: np.ndarray, v: np.ndarray,
+            at) -> np.ndarray:
+    """(v^* . (g^H e)) s^H at rows `at` of the data stacks g, s and v, the
+    h-subproblem's gradient of its residual e."""
+    out = _h(g[at]) @ e
+    return (np.multiply(_conj(v, at), out, out=out)
+            @ _conj(s, at).swapaxes(-1, -2))
+
+
+def _cost_grad_h(h: np.ndarray, g: np.ndarray, s: np.ndarray, v: np.ndarray,
+                 r: np.ndarray, mu: np.ndarray, dicts: Dictionaries,
+                 rows=_ALL):
+    """h-subproblem sum_t ||r_t - g diag(v_t) h s_t||^2
+    + mu ||vec(a_i^H h a_ue)||_1 of a stack h whose rows are rows `rows`
+    of the data stacks; see _cost_grad_g."""
+    hs = h @ s[rows]
+    resid = g[rows] @ np.multiply(v[rows], hs, out=hs)
+    del hs
+    resid -= r[rows]
+    return _fit_l1(h, resid,
+                   lambda e, keep: _h_back(e, g, s, v, _pick(rows, keep)),
+                   mu[rows], dicts.a_i, dicts.a_ue)
+
+
+def _objective(g: np.ndarray, h: np.ndarray, s: np.ndarray, v: np.ndarray,
+               r: np.ndarray, mu_g: np.ndarray, mu_h: np.ndarray,
+               dicts: Dictionaries) -> list[float]:
+    """The h-subproblem's cost plus the g-subproblem's l1 term, per row."""
+    cost_h = np.array(_cost_grad_h(h, g, s, v, r, mu_h, dicts)[0])
+    return (cost_h + mu_g * _sum(np.abs(dicts.a_bs.conj().T @ g
+                                        @ dicts.a_i))).tolist()
+
+
+def _one(a) -> np.ndarray:
+    return np.asarray(a)[None]
+
+
+def objective_f(g_hat: np.ndarray, h_hat: np.ndarray, pilots: PilotBlock,
+                dicts: Dictionaries, mu_g: float, mu_h: float) -> float:
+    """Regularized training-fit objective at dense (g_hat, h_hat): the
+    h-subproblem's cost plus the g-subproblem's l1 term."""
+    _check_dicts(dicts)
+    return _objective(_one(g_hat), _one(h_hat), _one(pilots.s),
+                      _one(pilots.v), _one(pilots.r), _one(mu_g),
+                      _one(mu_h), dicts)[0]
 
 
 def egrad_g(x: np.ndarray, r_mat: np.ndarray, f_mat: np.ndarray,
             mu_g: float, dicts: Dictionaries) -> np.ndarray:
     """Conjugate Euclidean gradient of the g-subproblem objective
     ||r_mat - x f_mat||_F^2 + mu_g ||vec(a_bs^H x a_i)||_1."""
-    return _cost_grad_g(x, r_mat, f_mat, mu_g, dicts)[1]()
+    return _cost_grad_g(_one(x), _one(r_mat), _one(f_mat), _one(mu_g),
+                        dicts)[1]()[0]
 
 
 def egrad_h(h_hat: np.ndarray, g_hat: np.ndarray, pilots: PilotBlock,
             mu_h: float, dicts: Dictionaries) -> np.ndarray:
     """Conjugate Euclidean gradient of the h-subproblem objective
     sum_t ||r_t - g diag(v_t) h s_t||^2 + mu_h ||vec(a_i^H h a_ue)||_1."""
-    return _cost_grad_h(h_hat, g_hat, pilots, mu_h, dicts)[1]()
+    return _cost_grad_h(_one(h_hat), _one(g_hat), _one(pilots.s),
+                        _one(pilots.v), _one(pilots.r), _one(mu_h),
+                        dicts)[1]()[0]
 
 
-def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
-           rng: np.random.Generator) -> MoEstResult:
+def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
+           cfg: MoEstConfig,
+           rng: np.random.Generator | list[np.random.Generator]
+           ) -> MoEstResult | list[MoEstResult]:
     """Alternating fixed-rank CG estimation of (g, h) from a pilot block.
 
     Starts from random rank-(p_hat, q_hat) points, solves the g-subproblem
@@ -159,50 +243,99 @@ def mo_est(pilots: PilotBlock, dicts: Dictionaries, cfg: MoEstConfig,
 
     Both l1 weights are mu = 1e-2 * sigma2 / c^2 * t in the normalized
     problem.
+
+    A list (or any iterable) of pilot blocks of one shape, with a list of
+    one generator each, returns one result per trial. The trials run in lock-step on stacks: each
+    round solves the g-subproblems of every trial still running as one
+    stacked CG, then their h-subproblems, and each trial keeps its own
+    start, weights and settle test, so its result is bit-identical to the
+    one it gets alone. A single block runs as a stack of one through
+    cg_minimize's one-problem form.
     """
+    one = isinstance(pilots, PilotBlock)
+    if one:
+        pilots, rng = [pilots], [rng]
     _check_dicts(dicts)
-    n_bs, t = pilots.r.shape
-    m, n_ue = pilots.v.shape[0], pilots.s.shape[0]
+    # The normalized training block, one stack for all trials; each block
+    # is dropped once read, so an iterator of blocks never holds two
+    # copies of the training.
+    c, sigma2n, s, v, r = [], [], [], [], []
+    for p in pilots:
+        # Per-trial scalars, each computed as for one trial: numpy's
+        # scalar c ** 2 rounds differently from the array square.
+        c.append(float(np.linalg.norm(p.r)) / np.sqrt(p.t))
+        if c[-1] == 0.0:
+            c[-1] = 1.0
+        sigma2n.append(p.sigma2 / c[-1] ** 2)
+        s.append(p.s)
+        v.append(p.v)
+        r.append(p.r / c[-1])
+    del pilots, p
+    if len({(x.shape, y.shape, z.shape) for x, y, z in zip(s, v, r)}) != 1:
+        raise ValueError("pilot blocks differ in shape")
+    s, v, r = np.stack(s), np.stack(v), np.stack(r)
+    n_bs, t = r.shape[1:]
+    m, n_ue = v.shape[1], s.shape[1]
     if cfg.p_hat > min(n_bs, m) or cfg.q_hat > min(m, n_ue):
         raise ValueError("assumed rank exceeds matrix dimensions")
-
-    c = float(np.linalg.norm(pilots.r)) / np.sqrt(t)
-    if c == 0.0:
-        c = 1.0
-    sigma2n = pilots.sigma2 / c ** 2
-    norm_pilots = PilotBlock(pilots.s, pilots.v, pilots.r / c, sigma2n)
-    mu = 1e-2 * sigma2n * t
+    c = np.array(c)
+    mu = np.array([1e-2 * x * t for x in sigma2n])
+    settle = np.array([_SETTLE * np.sqrt(x / t) for x in sigma2n])
 
     g_hat = random_fixed_rank(n_bs, m, cfg.p_hat, rng)
     h_hat = random_fixed_rank(m, n_ue, cfg.q_hat, rng)
-    trace = [objective_f(g_hat.dense, h_hat.dense, norm_pilots, dicts,
-                         mu, mu)]
-    settle = _SETTLE * np.sqrt(sigma2n / t)
-    h_c = khatri_rao(h_hat.dense.T, g_hat.dense)
-    stalled = False
-    iters = 0
-    for iters in range(1, cfg.max_outer + 1):
-        f_mat = pilots.v * (h_hat.dense @ pilots.s)
-        res: CgResult = cg_minimize(
-            FixedRankManifold,
-            lambda x: _cost_grad_g(x.dense, norm_pilots.r, f_mat, mu, dicts),
-            g_hat, _INNER_OPTS)
-        g_hat = res.x
-        stalled = stalled or res.stalled
+    live = list(range(len(rng)))          # trial of each row
+    traces = [[x] for x in _objective(g_hat.dense, h_hat.dense, s, v, r, mu,
+                                      mu, dicts)]
+    stalled = [False] * len(live)
+    out: list[MoEstResult | None] = [None] * len(live)
 
-        res = cg_minimize(
-            FixedRankManifold,
-            lambda h: _cost_grad_h(h.dense, g_hat.dense, norm_pilots, mu,
-                                   dicts),
-            h_hat, _INNER_OPTS)
-        h_hat = res.x
-        stalled = stalled or res.stalled
+    def solve(cost_grad, x0: FixedRankPoint) -> FixedRankPoint:
+        """The rows of x0 moved by cg_minimize on cost_grad, restacked."""
+        if one:
+            def cost_one(p):
+                costs, egrad = cost_grad(p[None], _ALL)
+                return costs[0], lambda: egrad()[0]
 
-        trace.append(objective_f(g_hat.dense, h_hat.dense, norm_pilots, dicts,
-                                 mu, mu))
-        h_c_prev, h_c = h_c, khatri_rao(h_hat.dense.T, g_hat.dense)
-        if np.linalg.norm(h_c - h_c_prev) <= settle * np.linalg.norm(h_c):
+            res = [cg_minimize(FixedRankManifold, cost_one, x0[0],
+                               _INNER_OPTS)]
+        else:
+            res = cg_minimize(FixedRankManifold, cost_grad, x0, _INNER_OPTS)
+        for q, x in zip(live, res):
+            stalled[q] = stalled[q] or x.stalled
+        return FixedRankPoint.stack([x.x for x in res])
+
+    for it in range(1, cfg.max_outer + 1):
+        g_prev, h_prev = g_hat, h_hat
+        f_mat = np.multiply(v, h_hat.dense @ s)
+        g_hat = solve(lambda x, rows: _cost_grad_g(
+            x.dense, r, f_mat, mu, dicts, rows), g_hat)
+        del f_mat
+        g_dense = g_hat.dense
+        h_hat = solve(lambda x, rows: _cost_grad_h(
+            x.dense, g_dense, s, v, r, mu, dicts, rows), h_hat)
+        h_dense = h_hat.dense
+        obj = _objective(g_dense, h_dense, s, v, r, mu, mu, dicts)
+
+        keep = []
+        g_dense_prev, h_dense_prev = g_prev.dense, h_prev.dense
+        for k, q in enumerate(live):
+            traces[q].append(obj[k])
+            h_c = khatri_rao(h_dense[k].T, g_dense[k])
+            moved = np.linalg.norm(
+                h_c - khatri_rao(h_dense_prev[k].T, g_dense_prev[k]))
+            if moved > settle[k] * np.linalg.norm(h_c) \
+                    and it < cfg.max_outer:
+                keep.append(k)
+                continue
+            g_phys = FixedRankPoint(g_hat.u[k], c[k] * g_hat.s[k],
+                                    g_hat.v[k])
+            out[q] = MoEstResult(g_phys, h_hat[k], traces[q], it, stalled[q])
+        if not keep:
             break
-
-    g_phys = FixedRankPoint(g_hat.u, c * g_hat.s, g_hat.v)
-    return MoEstResult(g_phys, h_hat, trace, iters, stalled)
+        if len(keep) < len(live):
+            live = [live[k] for k in keep]
+            g_hat, h_hat = g_hat[keep], h_hat[keep]
+            s, v, r, mu, settle, c = (a[keep] for a in
+                                      (s, v, r, mu, settle, c))
+    return out[0] if one else out

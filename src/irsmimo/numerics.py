@@ -61,20 +61,22 @@ def commutation_matrix(m: int, n: int) -> np.ndarray:
 
 
 def truncated_svd(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best rank-r approximation factors of a dense matrix.
+    """Best rank-r approximation factors of a dense matrix, or of each
+    matrix of a stack.
 
     Args:
-        a: (n, m) matrix.
+        a: (n, m) matrix, or a stack (..., n, m) of them.
         r: target rank, r <= min(n, m).
 
     Returns:
         (u, s, v) with u (n, r), s (r,) non-increasing and non-negative,
-        v (m, r); u @ diag(s) @ v.conj().T is the rank-r approximation.
+        v (m, r), stacked like a; u @ diag(s) @ v.conj().T is the rank-r
+        approximation.
     """
-    if r > min(a.shape):
+    if r > min(a.shape[-2:]):
         raise ValueError(f"rank {r} exceeds matrix dimensions {a.shape}")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return u[:, :r], s[:r], vh[:r].conj().T
+    return u[..., :r], s[..., :r], vh[..., :r, :].conj().swapaxes(-1, -2)
 
 
 def random_unit_modulus(shape: int | tuple[int, ...],
