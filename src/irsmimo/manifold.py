@@ -434,6 +434,7 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
     step = [_INITIAL_STEP] * n
     out: list[CgResult | None] = [None] * n
     eps, last = opts.epsilon, opts.max_iters
+    every = _ALL                          # the problems of all rows of x
 
     for it in range(1, last + 1):
         gg = ops.inner(x, g, g)
@@ -450,32 +451,30 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
             x, g, d = x[live], g[live], d[live]
             gg, f, step, rows = ([a[k] for k in live]
                                  for a in (gg, f, step, rows))
+            every = rows
         b = len(rows)
-        # True directional derivative is twice the Riemannian inner product
-        # (Wirtinger conjugate-gradient convention).
-        slope = [2.0 * v for v in ops.inner(x, g, d)]
-        if max(slope) >= 0.0:
-            flip = [k for k in range(b) if slope[k] >= 0.0]
+        # half the slope along d: the directional derivative is twice the
+        # Riemannian inner product (Wirtinger conjugate-gradient convention)
+        half = ops.inner(x, g, d)
+        if max(half) >= 0.0:
+            flip = [k for k in range(b) if half[k] >= 0.0]
             d = _assign(d, flip, -g, b)
             for k in flip:
-                slope[k] = -2.0 * gg[k]
+                half[k] = -gg[k]
         # The last iteration takes no gradient at its accepted points.
         stop_eps = eps if it < last else math.inf
 
         f_new, steps, grads = [None] * b, step[:], []
         cur, full = range(b), True        # rows still searching; all of them
-        every = _ALL if b == n else rows  # the problems of all b rows
         for retry in (False, True):
             for _ in range(_MAX_BACKTRACKS):
                 if full:
                     y, bad = ops.retract(x, d, steps)
-                    x_new = y             # holds row k at row k
-                    probs = every
+                    x_new, at, probs = y, cur, every  # row k of y is row k's
                 else:
                     y, bad = ops.retract(x[cur], d[cur],
                                          [steps[k] for k in cur])
-                    probs = None
-                at = cur
+                    at, probs = cur, None
                 if bad is not None:
                     ok = [j for j, v in enumerate(bad) if not v]
                     at, y, probs = [cur[j] for j in ok], y[ok], None
@@ -485,7 +484,8 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
                     acc, want = [], []
                     for e, k in enumerate(at):
                         fe = costs[e]
-                        if fe <= f[k] + _SUFFICIENT_DECREASE * steps[k] * slope[k]:
+                        if fe <= f[k] + (_SUFFICIENT_DECREASE * steps[k]
+                                         * (2.0 * half[k])):
                             f_new[k] = fe
                             acc.append(e)
                             if f[k] - fe > stop_eps:
@@ -515,7 +515,7 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
             full = len(cur) == b
             d = _assign(d, cur, -g, b)
             for k in cur:
-                slope[k] = -2.0 * gg[k]
+                half[k] = -gg[k]
                 steps[k] = step[k]
 
         keep = []
@@ -547,6 +547,7 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
             x_new, g, d = x_new[keep], g[keep], d[keep]
             gg, f_new, steps, rows = ([a[k] for k in keep]
                                       for a in (gg, f_new, steps, rows))
+            every = rows
         x, f = x_new, f_new
         g_new = ops.project(x, egrad_new)
         eta = ops.inner(x, g_new, g_new - ops.transport(x, g))
@@ -561,8 +562,8 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions):
     """Riemannian conjugate gradient with Polak-Ribiere+ directions.
 
     Args:
-        manifold: ops object with project/retract/transport/inner, plus
-            stacked/scale/row for a stack of problems.
+        manifold: ops object with project/retract/transport/inner, and
+            for a stack of problems also stacked/scale/row.
         cost_grad: point -> (real objective value, egrad), where egrad()
             returns the conjugate Euclidean gradient (ambient array) at
             that point. Called once per trial point of the line search;
@@ -586,7 +587,8 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions):
         lock-step, each with its own steps and stop test, and each ends
         where it ends alone; a single point runs as a stack of one.
     """
-    if manifold.stacked(x0):
+    stacked = getattr(manifold, "stacked", None)
+    if stacked is not None and stacked(x0):
         return _lockstep(manifold, cost_grad, x0, len(x0), opts)
 
     def one(x, rows):

@@ -260,19 +260,19 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
     # is dropped once read, so an iterator of blocks never holds two
     # copies of the training.
     c, sigma2n, s, v, r = [], [], [], [], []
-    for p in pilots:
+    for block in pilots:
         # Per-trial scalars, each computed as for one trial: numpy's
         # scalar c ** 2 rounds differently from the array square.
-        c.append(float(np.linalg.norm(p.r)) / np.sqrt(p.t))
+        c.append(float(np.linalg.norm(block.r)) / np.sqrt(block.t))
         if c[-1] == 0.0:
             c[-1] = 1.0
-        sigma2n.append(p.sigma2 / c[-1] ** 2)
-        s.append(p.s)
-        v.append(p.v)
-        r.append(p.r / c[-1])
-    del pilots, p
+        sigma2n.append(block.sigma2 / c[-1] ** 2)
+        s.append(block.s)
+        v.append(block.v)
+        r.append(block.r / c[-1])
+    block = pilots = None
     if len({(x.shape, y.shape, z.shape) for x, y, z in zip(s, v, r)}) != 1:
-        raise ValueError("pilot blocks differ in shape")
+        raise ValueError("need pilot blocks, all of one shape")
     s, v, r = np.stack(s), np.stack(v), np.stack(r)
     n_bs, t = r.shape[1:]
     m, n_ue = v.shape[1], s.shape[1]

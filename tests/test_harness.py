@@ -418,10 +418,18 @@ class TestChunks:
         assert to_csv(records) == to_csv([run_trial(cfg, 0, seed)
                                           for seed in range(cfg.trials)])
 
+    # mo_est runs at T = 100: a chunk's stacked (16, 16, 100) complex
+    # training products then take 400 KiB, above the 256 KiB at which numpy
+    # elides temporaries and computes `a * (b @ c)` in place as
+    # `(b @ c) * a`, which rounds differently; the T = 20 stacks (80 KiB)
+    # stay below it.
     @pytest.mark.parametrize("algorithm",
-                             ["perfect_csi", "random_phase_baseline"])
+                             ["perfect_csi", "random_phase_baseline", "mo_est"])
     def test_full_chunks_equal_single_trials(self, algorithm):
-        cfg = ExperimentConfig(algorithm=algorithm, trials=17, **self.BASE)
+        t = 100 if algorithm == "mo_est" else 20
+        cfg = ExperimentConfig(**dict(self.BASE, algorithm=algorithm,
+                                      trials=17, t=t, sweep_values=(t,)))
+        assert harness._chunk_size(cfg) == 16
         records, _ = sweep(cfg)
         assert to_csv(records) == to_csv([run_trial(cfg, 0, seed)
                                           for seed in range(cfg.trials)])

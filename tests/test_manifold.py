@@ -319,7 +319,8 @@ def test_cg_options_validation():
 
 
 # stop -> (full-rank target, opts, cost evaluations before the cost turns
-# infinite, egrad calls minus len(trace)).
+# infinite, egrad calls minus len(trace)). CgResult.reason names the
+# "decrease" stop "converged".
 _STOPS = {
     "max_iters": (True, CgOptions(epsilon=1e-10, max_iters=60), None, -1),
     "decrease": (True, CgOptions(epsilon=1.0, max_iters=60), None, -1),
@@ -370,11 +371,19 @@ def _check_evaluation_counts(stop):
     assert len(res.trace) > 2, stop
     assert calls["egrad"] == len(res.trace) + offset < calls["cost_grad"], stop
     assert calls["cost_grad"] == calls["retract"] + 1, stop
+    return res
 
 
 def test_cg_evaluates_each_point_once():
     for stop in sorted(_STOPS):
         _check_evaluation_counts(stop)
+
+
+@pytest.mark.parametrize("stop, reason", [
+    ("decrease", "converged"), ("max_iters", "max_iters"),
+    ("stalled", "stalled"), ("zero_grad", "zero_grad")])
+def test_cg_reports_why_it_stopped(stop, reason):
+    assert _check_evaluation_counts(stop).reason == reason
 
 
 @pytest.mark.parametrize("opts,iters", [
@@ -411,3 +420,80 @@ def test_cg_does_no_work_at_the_final_point(opts, iters):
     assert [op for op, p in seen if p is res.x] == []
     # Every earlier point, x0 included, had its gradient taken once.
     assert sum(op == "egrad" for op, _ in seen) == res.iters
+
+
+def _fit_costs(targets):
+    """One-problem and stacked cost_grad of ||X - B||_F^2 with the same
+    arithmetic: the one-problem form for target targets[i], the stacked
+    form for the stack of targets."""
+    def one(i):
+        def cost_grad(p):
+            e = p.dense - targets[i] if isinstance(p, FixedRankPoint) \
+                else p - targets[i]
+            return float((np.abs(e) ** 2).sum()), lambda: e
+        return cost_grad
+
+    def stacked(x, rows):
+        e = (x.dense if isinstance(x, FixedRankPoint) else x) - targets[rows]
+        sums = (np.abs(e) ** 2).sum(axis=tuple(range(1, e.ndim))).tolist()
+        return sums, lambda keep=None: e if keep is None else e[keep]
+
+    return one, stacked
+
+
+def _assert_rows_equal(stacked, alone):
+    for row, one in zip(stacked, alone):
+        for name in ("u", "s", "v"):
+            assert np.array_equal(getattr(row.x, name), getattr(one.x, name))
+        assert (row.trace, row.stalled, row.iters, row.reason) == \
+            (one.trace, one.stalled, one.iters, one.reason)
+
+
+def test_fixed_rank_stack_equals_each_problem_alone():
+    rng = np.random.default_rng(19)
+    starts = [random_fixed_rank(7, 5, 2, rng) for _ in range(4)]
+    x = starts[0]
+    targets = np.stack([
+        # The first steepest-descent step removes the smallest singular
+        # value exactly: that retraction is degenerate and the step halves.
+        x.dense - x.s[-1] * np.outer(x.u[:, -1], x.v[:, -1].conj()),
+        # Starts next to its rank-2 target: stops early on epsilon.
+        starts[1].dense + 1e-4 * cgauss(rng, (7, 5)),
+        # Full-rank targets: run to the iteration cap.
+        cgauss(rng, (7, 5)), cgauss(rng, (7, 5))])
+    opts = CgOptions(epsilon=1e-6, max_iters=25)
+    one, stacked = _fit_costs(targets)
+    calls = {"bad_rounds": 0}
+
+    class Counting(FixedRankManifold):
+        @staticmethod
+        def retract(x, d, step):
+            y, bad = retract(x, d, step)
+            calls["bad_rounds"] += bad is not None
+            return y, bad
+
+    res = cg_minimize(Counting, stacked, FixedRankPoint.stack(starts), opts)
+    alone = [cg_minimize(FixedRankManifold, one(i), x0, opts)
+             for i, x0 in enumerate(starts)]
+    _assert_rows_equal(res, alone)
+    assert calls["bad_rounds"] > 0
+    assert {r.reason for r in res} == {"converged", "max_iters"}
+    assert len({r.iters for r in res}) > 2
+    with pytest.raises(DegenerateStep):
+        retract(x, project_tangent(x, targets[0] - x.dense), 1.0)
+
+
+def test_circle_stack_equals_each_problem_alone():
+    rng = np.random.default_rng(20)
+    starts = np.stack([random_unit_modulus(12, rng) for _ in range(3)])
+    targets = np.stack([random_unit_modulus(12, rng) for _ in range(3)])
+    targets[1] = starts[1] * np.exp(1e-3j)   # stops early on epsilon
+    opts = CgOptions(epsilon=1e-8, max_iters=15)
+    one, stacked = _fit_costs(targets)
+    res = cg_minimize(CircleManifold, stacked, starts, opts)
+    for row, (i, x0) in zip(res, enumerate(starts)):
+        alone = cg_minimize(CircleManifold, one(i), x0, opts)
+        assert np.array_equal(row.x, alone.x)
+        assert (row.trace, row.stalled, row.iters, row.reason) == \
+            (alone.trace, alone.stalled, alone.iters, alone.reason)
+    assert len({r.iters for r in res}) > 1

@@ -211,6 +211,35 @@ class TestEstimator:
                            for r in runs)
         assert np.array_equal(h_c_scaled, a * h_c)
 
+    def test_stack_equals_each_trial_alone(self):
+        # Trials stop after different rounds; trial 2 is noiseless, so its
+        # l1 weights are 0 and its settle tolerance is 0.
+        sigma2 = pnr_to_sigma2(0.0, DESK.d_bi, DESK.d_iu)
+        pilots = [_physical_problem(seed=40 + i, t=30, k=3, geom=DESK,
+                                    sigma2=0.0 if i == 2 else sigma2)[1]
+                  for i in range(5)]
+        cfg = MoEstConfig(3, 3)
+        stacked = mo_est(pilots, DESK_DICTS, cfg,
+                         [np.random.default_rng(60 + i) for i in range(5)])
+        alone = [mo_est(p, DESK_DICTS, cfg, np.random.default_rng(60 + i))
+                 for i, p in enumerate(pilots)]
+        for row, one in zip(stacked, alone):
+            for a, b in ((row.g_hat, one.g_hat), (row.h_hat, one.h_hat)):
+                assert all(np.array_equal(getattr(a, f), getattr(b, f))
+                           for f in ("u", "s", "v"))
+            assert (row.trace, row.iterations, row.stalled) == \
+                (one.trace, one.iterations, one.stalled)
+        assert len({r.iterations for r in stacked}) > 1
+        assert stacked[2].iterations == MoEstConfig.max_outer
+
+    def test_pilot_blocks_of_one_shape(self):
+        _, short = _physical_problem(seed=1, t=12, sigma2=0.0, geom=SMALL)
+        _, long = _physical_problem(seed=2, t=14, sigma2=0.0, geom=SMALL)
+        for blocks in ([short, long], []):
+            with pytest.raises(ValueError, match="shape"):
+                mo_est(blocks, SMALL_DICTS, MoEstConfig(2, 2),
+                       [np.random.default_rng(i) for i in range(2)])
+
     def test_auto_mu_runs_with_noise(self):
         ch, pil = _physical_problem(seed=13, t=30, sigma2=1e-11, geom=SMALL)
         res = mo_est(pil, SMALL_DICTS, MoEstConfig(2, 2),
