@@ -10,14 +10,13 @@ at x0 and at each accepted point the search continues from; a point that
 meets the decrease test or the iteration cap is returned without its
 gradient.
 
-Stacks: points, tangent vectors and their operations also take a leading
-row axis, one row per problem, and `cg_minimize` runs a stack of B
-problems in lock-step. Each row keeps its own step, decrease test,
+Stacks: fixed-rank points, tangent vectors and their operations also take
+a leading row axis, one row per problem, and `cg_minimize` runs a stack of
+B problems in lock-step. Each row keeps its own step, decrease test,
 steepest-descent retry and stop test; numpy computes stacked matmul, svd,
-qr and axis sums bit-identically to one call per matrix, so every row
-ends where its problem alone ends. Row selection, `x[rows]` and
-`x[rows] = y`, works alike on fixed-rank stacks and on circle stacks
-(2-D arrays).
+qr and axis sums bit-identically to one call per matrix, so every row ends
+where its problem alone ends. Indexing a stack, `x[rows]`, selects rows and
+`x[rows] = y` assigns them. Circle points run one problem at a time.
 
 Gradient convention: egrad returns the conjugate Wirtinger gradient
 J = df/d(conj(X)), so the directional derivative of the real cost along a
@@ -134,9 +133,6 @@ class TangentVector:
     def embed(self) -> np.ndarray:
         x = self.anchor
         return (x.u @ self.m_core + self.u_p) @ _h(x.v) + x.u @ _h(self.v_p)
-
-    def __len__(self) -> int:
-        return len(self.m_core)
 
     def __getitem__(self, rows) -> "TangentVector":
         out = TangentVector(self.m_core[rows], self.u_p[rows], self.v_p[rows],
@@ -283,31 +279,21 @@ def circle_project(v: np.ndarray, egrad: np.ndarray) -> np.ndarray:
     return egrad - (egrad * v.conj()).real * v
 
 
-def circle_retract(v: np.ndarray, t: np.ndarray, step):
+def circle_retract(v: np.ndarray, t: np.ndarray, step: float) -> np.ndarray:
     """Entrywise normalization of v + step * t back onto the circle.
-
-    A stack v (one point per row) takes one positive step per row and
-    returns (w, bad) instead of raising, bad as for `retract`: None, or
-    a list with bad[i] True where an entry of row i vanishes.
 
     Raises:
         DegenerateStep: an entry of v + step * t vanishes.
     """
-    if v.ndim == 1:
-        if step < 0:
-            raise ValueError("step must be non-negative")
-        if step == 0.0:
-            return v
-    else:
-        step = np.asarray(step)[:, None]
+    if step < 0:
+        raise ValueError("step must be non-negative")
+    if step == 0.0:
+        return v
     w = v + step * t
     mag = np.abs(w)
-    if v.ndim == 1:
-        if mag.min() < 1e-14:
-            raise DegenerateStep("entry collapsed to zero")
-        return w / mag
-    bad = mag.min(axis=-1) < 1e-14
-    return w / mag, bad.tolist() if bad.any() else None
+    if (mag < 1e-14).any():
+        raise DegenerateStep("entry collapsed to zero")
+    return w / mag
 
 
 class FixedRankManifold:
@@ -341,30 +327,19 @@ class FixedRankManifold:
 
 
 class CircleManifold:
-    """Manifold-ops adapter used by cg_minimize."""
+    """Manifold-ops adapter used by cg_minimize, for one problem at a
+    time."""
 
     project = staticmethod(circle_project)
     retract = staticmethod(circle_retract)
-    row = staticmethod(operator.getitem)
-
-    @staticmethod
-    def stacked(x: np.ndarray) -> bool:
-        return x.ndim == 2
 
     @staticmethod
     def transport(x_new: np.ndarray, t: np.ndarray) -> np.ndarray:
         return circle_project(x_new, t)
 
     @staticmethod
-    def inner(x: np.ndarray, t1: np.ndarray, t2: np.ndarray):
-        """Real inner product: a float, or a list of one per row."""
-        if t1.ndim == 1:
-            return float(np.vdot(t1, t2).real)
-        return [float(np.vdot(a, b).real) for a, b in zip(t1, t2)]
-
-    @staticmethod
-    def scale(t: np.ndarray, c: list[float]) -> np.ndarray:
-        return np.asarray(c)[:, None] * t
+    def inner(x: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> float:
+        return float(np.vdot(t1, t2).real)
 
 
 class _OneProblem:
@@ -383,7 +358,7 @@ class _OneProblem:
             try:
                 return retract(x, d, step[0]), None
             except DegenerateStep:
-                return x, [True]
+                return None, [True]
 
         self.retract = retract_one
 
@@ -449,6 +424,7 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
             if not live:
                 break
             x, g, d = x[live], g[live], d[live]
+            g.anchor = d.anchor = x       # one point, as d + g requires
             gg, f, step, rows = ([a[k] for k in live]
                                  for a in (gg, f, step, rows))
             every = rows
@@ -477,7 +453,9 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
                     at, probs = cur, None
                 if bad is not None:
                     ok = [j for j, v in enumerate(bad) if not v]
-                    at, y, probs = [cur[j] for j in ok], y[ok], None
+                    at, probs = [cur[j] for j in ok], None
+                    if ok:
+                        y = y[ok]
                 if at:
                     costs, egrad = cost_grad(y, probs if probs is not None
                                              else [rows[k] for k in at])

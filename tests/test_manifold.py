@@ -428,39 +428,33 @@ def _fit_costs(targets):
     form for the stack of targets."""
     def one(i):
         def cost_grad(p):
-            e = p.dense - targets[i] if isinstance(p, FixedRankPoint) \
-                else p - targets[i]
+            e = p.dense - targets[i]
             return float((np.abs(e) ** 2).sum()), lambda: e
         return cost_grad
 
     def stacked(x, rows):
-        e = (x.dense if isinstance(x, FixedRankPoint) else x) - targets[rows]
-        sums = (np.abs(e) ** 2).sum(axis=tuple(range(1, e.ndim))).tolist()
+        e = x.dense - targets[rows]
+        sums = (np.abs(e) ** 2).sum(axis=(-2, -1)).tolist()
         return sums, lambda keep=None: e if keep is None else e[keep]
 
     return one, stacked
 
 
-def _assert_rows_equal(stacked, alone):
-    for row, one in zip(stacked, alone):
-        for name in ("u", "s", "v"):
-            assert np.array_equal(getattr(row.x, name), getattr(one.x, name))
-        assert (row.trace, row.stalled, row.iters, row.reason) == \
-            (one.trace, one.stalled, one.iters, one.reason)
-
-
-def test_fixed_rank_stack_equals_each_problem_alone():
+def test_stack_equals_each_problem_alone():
     rng = np.random.default_rng(19)
     starts = [random_fixed_rank(7, 5, 2, rng) for _ in range(4)]
     x = starts[0]
-    targets = np.stack([
+    targets = [
         # The first steepest-descent step removes the smallest singular
         # value exactly: that retraction is degenerate and the step halves.
         x.dense - x.s[-1] * np.outer(x.u[:, -1], x.v[:, -1].conj()),
         # Starts next to its rank-2 target: stops early on epsilon.
         starts[1].dense + 1e-4 * cgauss(rng, (7, 5)),
         # Full-rank targets: run to the iteration cap.
-        cgauss(rng, (7, 5)), cgauss(rng, (7, 5))])
+        cgauss(rng, (7, 5)), cgauss(rng, (7, 5))]
+    # The last problem starts at its target: its gradient vanishes at once.
+    starts.append(random_fixed_rank(7, 5, 2, rng))
+    targets = np.stack(targets + [starts[-1].dense])
     opts = CgOptions(epsilon=1e-6, max_iters=25)
     one, stacked = _fit_costs(targets)
     calls = {"bad_rounds": 0}
@@ -473,27 +467,62 @@ def test_fixed_rank_stack_equals_each_problem_alone():
             return y, bad
 
     res = cg_minimize(Counting, stacked, FixedRankPoint.stack(starts), opts)
-    alone = [cg_minimize(FixedRankManifold, one(i), x0, opts)
-             for i, x0 in enumerate(starts)]
-    _assert_rows_equal(res, alone)
+    for i, (row, x0) in enumerate(zip(res, starts)):
+        alone = cg_minimize(FixedRankManifold, one(i), x0, opts)
+        for name in ("u", "s", "v"):
+            assert np.array_equal(getattr(row.x, name),
+                                  getattr(alone.x, name))
+        assert (row.trace, row.stalled, row.iters, row.reason) == \
+            (alone.trace, alone.stalled, alone.iters, alone.reason)
     assert calls["bad_rounds"] > 0
-    assert {r.reason for r in res} == {"converged", "max_iters"}
-    assert len({r.iters for r in res}) > 2
+    assert [r.reason for r in res] == ["converged", "converged",
+                                       "max_iters", "max_iters", "zero_grad"]
+    assert res[4].iters == 0 < res[1].iters < res[0].iters < res[2].iters
     with pytest.raises(DegenerateStep):
         retract(x, project_tangent(x, targets[0] - x.dense), 1.0)
 
 
-def test_circle_stack_equals_each_problem_alone():
-    rng = np.random.default_rng(20)
-    starts = np.stack([random_unit_modulus(12, rng) for _ in range(3)])
-    targets = np.stack([random_unit_modulus(12, rng) for _ in range(3)])
-    targets[1] = starts[1] * np.exp(1e-3j)   # stops early on epsilon
-    opts = CgOptions(epsilon=1e-8, max_iters=15)
-    one, stacked = _fit_costs(targets)
-    res = cg_minimize(CircleManifold, stacked, starts, opts)
-    for row, (i, x0) in zip(res, enumerate(starts)):
-        alone = cg_minimize(CircleManifold, one(i), x0, opts)
-        assert np.array_equal(row.x, alone.x)
+def test_stack_rows_stall_while_another_loses_its_gradient():
+    # In iteration 2 the gradient of problem 0 vanishes and every cost of
+    # problem 1 is infinite, so problem 0 leaves the stack before problem 1
+    # fails both line searches; problem 2 runs to the iteration cap.
+    rng = np.random.default_rng(21)
+    starts = [random_fixed_rank(7, 5, 2, rng) for _ in range(3)]
+    targets = np.stack([cgauss(rng, (7, 5)) for _ in range(3)])
+    opts = CgOptions(epsilon=1e-8, max_iters=20)
+
+    def run(x0, problems):
+        costs, grads = [0] * 3, [0] * 3
+
+        def cost_grad(x, rows=slice(None)):
+            e = x.dense - targets[problems][rows]
+            at = np.arange(len(problems))[rows]
+            sums = (np.abs(e) ** 2).sum(axis=(-2, -1)).tolist()
+            for j, q in enumerate(problems[at]):
+                costs[q] += 1
+                if q == 1 and costs[q] > 2:
+                    sums[j] = float("inf")
+
+            def egrad(keep=None):
+                out = (e if keep is None else e[keep]).copy()
+                sel = at if keep is None else at[keep]
+                for j, q in enumerate(problems[sel]):
+                    grads[q] += 1
+                    if q == 0 and grads[q] >= 2:
+                        out[j] = 0.0
+                return out
+
+            return sums, egrad
+
+        return cg_minimize(FixedRankManifold, cost_grad, x0, opts)
+
+    res = run(FixedRankPoint.stack(starts), np.arange(3))
+    for i, (row, x0) in enumerate(zip(res, starts)):
+        alone = run(FixedRankPoint.stack([x0]), np.array([i]))[0]
+        for name in ("u", "s", "v"):
+            assert np.array_equal(getattr(row.x, name),
+                                  getattr(alone.x, name))
         assert (row.trace, row.stalled, row.iters, row.reason) == \
             (alone.trace, alone.stalled, alone.iters, alone.reason)
-    assert len({r.iters for r in res}) > 1
+    assert [(r.iters, r.reason) for r in res] == [
+        (1, "zero_grad"), (2, "stalled"), (20, "max_iters")]
