@@ -440,7 +440,10 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
         # The last iteration takes no gradient at its accepted points.
         stop_eps = eps if it < last else math.inf
 
-        f_new, steps, grads = [None] * b, step[:], []
+        # f_new[k] is row k's accepted cost, steps[k] its step until then
+        # and its next first step after; keep lists the accepted rows that
+        # go on, grads their gradients, one (rows, stack) per round.
+        f_new, steps, grads, keep = [None] * b, step[:], [], []
         cur, full = range(b), True        # rows still searching; all of them
         for retry in (False, True):
             for _ in range(_MAX_BACKTRACKS):
@@ -450,24 +453,34 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
                 else:
                     y, bad = ops.retract(x[cur], d[cur],
                                          [steps[k] for k in cur])
-                    at, probs = cur, None
+                    at, probs = cur, [rows[k] for k in cur]
                 if bad is not None:
                     ok = [j for j, v in enumerate(bad) if not v]
-                    at, probs = [cur[j] for j in ok], None
+                    at = [cur[j] for j in ok]
+                    probs = [rows[k] for k in at]
                     if ok:
                         y = y[ok]
                 if at:
-                    costs, egrad = cost_grad(y, probs if probs is not None
-                                             else [rows[k] for k in at])
+                    costs, egrad = cost_grad(y, probs)
                     acc, want = [], []
                     for e, k in enumerate(at):
                         fe = costs[e]
-                        if fe <= f[k] + (_SUFFICIENT_DECREASE * steps[k]
-                                         * (2.0 * half[k])):
-                            f_new[k] = fe
-                            acc.append(e)
-                            if f[k] - fe > stop_eps:
-                                want.append(e)
+                        if fe > f[k] + (_SUFFICIENT_DECREASE * steps[k]
+                                        * (2.0 * half[k])):
+                            continue
+                        acc.append(e)
+                        f_new[k] = fe
+                        q = rows[k]
+                        traces[q].append(fe)
+                        if f[k] - fe > stop_eps:
+                            want.append(e)
+                            keep.append(k)
+                            steps[k] = min(_INITIAL_STEP, 2.0 * steps[k])
+                        else:
+                            out[q] = CgResult(
+                                ops.row(y, e), traces[q], False, it,
+                                "converged" if f[k] - fe <= eps
+                                else "max_iters")
                     if want:
                         grads.append(
                             (at, egrad()) if len(want) == len(at) else
@@ -495,29 +508,21 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
             for k in cur:
                 half[k] = -gg[k]
                 steps[k] = step[k]
-
-        keep = []
-        for k, fe in enumerate(f_new):
-            q = rows[k]
-            if fe is None:
-                out[q] = CgResult(ops.row(x, k), traces[q], True, it,
-                                  "stalled")
-                continue
-            traces[q].append(fe)
-            if f[k] - fe > stop_eps:
-                keep.append(k)
-            else:
-                out[q] = CgResult(ops.row(x_new, k), traces[q], False, it,
-                                  "converged" if f[k] - fe <= eps
-                                  else "max_iters")
+        if None in f_new:
+            for k, fe in enumerate(f_new):
+                if fe is None:
+                    out[rows[k]] = CgResult(ops.row(x, k), traces[rows[k]],
+                                            True, it, "stalled")
         if not keep:
             break
 
-        ks, egrad_new = grads[0]
-        if len(grads) > 1 or len(ks) < len(keep):
+        if len(grads) == 1:
+            egrad_new = grads[0][1]
+        else:
+            keep.sort()
             at = {k: i for i, k in enumerate(keep)}
-            egrad_new = np.empty((len(keep),) + egrad_new.shape[1:],
-                                 egrad_new.dtype)
+            egrad_new = np.empty((len(keep),) + grads[0][1].shape[1:],
+                                 grads[0][1].dtype)
             for ks, part in grads:
                 egrad_new[[at[k] for k in ks]] = part
         del grads
@@ -526,13 +531,12 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
             gg, f_new, steps, rows = ([a[k] for k in keep]
                                       for a in (gg, f_new, steps, rows))
             every = rows
-        x, f = x_new, f_new
+        x, f, step = x_new, f_new, steps
         g_new = ops.project(x, egrad_new)
         eta = ops.inner(x, g_new, g_new - ops.transport(x, g))
         d = ops.scale(ops.transport(x, d),
                       [max(0.0, v / q) for v, q in zip(eta, gg)]) - g_new
         g = g_new
-        step = [min(_INITIAL_STEP, 2.0 * s) for s in steps]
     return out
 
 
