@@ -245,12 +245,12 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
     problem.
 
     A list (or any iterable) of pilot blocks of one shape, with a list of
-    one generator each, returns one result per trial. The trials run in lock-step on stacks: each
-    round solves the g-subproblems of every trial still running as one
-    stacked CG, then their h-subproblems, and each trial keeps its own
-    start, weights and settle test, so its result is bit-identical to the
-    one it gets alone. A single block runs as a stack of one through
-    cg_minimize's one-problem form.
+    one generator each, returns one result per trial. The trials run in
+    lock-step on stacks: each round solves the g-subproblems of every
+    trial still running as one stacked CG, then their h-subproblems, and
+    each trial keeps its own start, weights and settle test, so its result
+    is bit-identical to the one it gets alone. A single block runs as a
+    stack of one through cg_minimize's one-problem form.
     """
     one = isinstance(pilots, PilotBlock)
     if one:
@@ -273,6 +273,8 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
     block = pilots = None
     if len({(x.shape, y.shape, z.shape) for x, y, z in zip(s, v, r)}) != 1:
         raise ValueError("need pilot blocks, all of one shape")
+    if len(rng) != len(r):
+        raise ValueError(f"{len(rng)} generators for {len(r)} pilot blocks")
     s, v, r = np.stack(s), np.stack(v), np.stack(r)
     n_bs, t = r.shape[1:]
     m, n_ue = v.shape[1], s.shape[1]

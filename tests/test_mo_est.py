@@ -232,13 +232,16 @@ class TestEstimator:
         assert len({r.iterations for r in stacked}) > 1
         assert stacked[2].iterations == MoEstConfig.max_outer
 
-    def test_pilot_blocks_of_one_shape(self):
+    def test_pilot_blocks_of_one_shape_one_generator_each(self):
         _, short = _physical_problem(seed=1, t=12, sigma2=0.0, geom=SMALL)
         _, long = _physical_problem(seed=2, t=14, sigma2=0.0, geom=SMALL)
         for blocks in ([short, long], []):
             with pytest.raises(ValueError, match="shape"):
                 mo_est(blocks, SMALL_DICTS, MoEstConfig(2, 2),
                        [np.random.default_rng(i) for i in range(2)])
+        with pytest.raises(ValueError, match="generators"):
+            mo_est([short, short], SMALL_DICTS, MoEstConfig(2, 2),
+                   [np.random.default_rng(0)])
 
     def test_auto_mu_runs_with_noise(self):
         ch, pil = _physical_problem(seed=13, t=30, sigma2=1e-11, geom=SMALL)
