@@ -30,21 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import truncated_svd
+from .numerics import herm, matrix_sums, truncated_svd
 
 
 class DegenerateStep(Exception):
     """Retraction left the manifold (rank drop / zero entry); halve the step."""
 
 
-def _h(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each matrix of a stack."""
-    return a.conj().swapaxes(-1, -2)
-
-
-def _sum(a: np.ndarray) -> np.ndarray:
-    """Sum of each matrix of a stack (a scalar for one matrix)."""
-    return a.sum(axis=(-2, -1))
 
 
 @dataclass
@@ -72,7 +64,7 @@ class FixedRankPoint:
     @property
     def dense(self) -> np.ndarray:
         if self._dense is None:
-            self._dense = (self.u * self.s[..., None, :]) @ _h(self.v)
+            self._dense = (self.u * self.s[..., None, :]) @ herm(self.v)
         return self._dense
 
     @staticmethod
@@ -132,7 +124,8 @@ class TangentVector:
 
     def embed(self) -> np.ndarray:
         x = self.anchor
-        return (x.u @ self.m_core + self.u_p) @ _h(x.v) + x.u @ _h(self.v_p)
+        return ((x.u @ self.m_core + self.u_p) @ herm(x.v)
+                + x.u @ herm(self.v_p))
 
     def __getitem__(self, rows) -> "TangentVector":
         out = TangentVector(self.m_core[rows], self.u_p[rows], self.v_p[rows],
@@ -215,10 +208,10 @@ def project_tangent(x: FixedRankPoint, j: np.ndarray) -> TangentVector:
     if j.shape[-2:] != x.shape:
         raise ValueError(f"ambient shape {j.shape} does not match {x.shape}")
     jv = j @ x.v
-    jhu = _h(j) @ x.u
-    m_core = _h(x.u) @ jv
+    jhu = herm(j) @ x.u
+    m_core = herm(x.u) @ jv
     u_p = jv - x.u @ m_core
-    v_p = jhu - x.v @ _h(m_core)
+    v_p = jhu - x.v @ herm(m_core)
     return TangentVector(m_core, u_p, v_p, x)
 
 
@@ -260,14 +253,14 @@ def retract(x: FixedRankPoint, d: TangentVector, step):
     core = np.zeros(x.s.shape[:-1] + (2 * r, 2 * r), dtype=complex)
     # s * I is diag(s) exactly, and stacks.
     core[..., :r, :r] = x.s[..., :, None] * np.eye(r) + step * d.m_core
-    core[..., :r, r:] = _h(step * r_v)
+    core[..., :r, r:] = herm(step * r_v)
     core[..., r:, :r] = step * r_u
     w, sig, zh = np.linalg.svd(core)
     bad = sig[..., r - 1] <= 1e-12 * sig[..., 0]
     if not stacked and bad:
         raise DegenerateStep(f"rank drop: sigma_r={sig[r - 1]:.3e}")
     u_new = np.concatenate((x.u, q_u), axis=-1) @ w[..., :r]
-    v_new = np.concatenate((x.v, q_v), axis=-1) @ _h(zh[..., :r, :])
+    v_new = np.concatenate((x.v, q_v), axis=-1) @ herm(zh[..., :r, :])
     y = FixedRankPoint(u_new, sig[..., :r], v_new)
     return (y, bad.tolist() if bad.any() else None) if stacked else y
 
@@ -311,9 +304,9 @@ class FixedRankManifold:
         """Real inner product: a float, or a list of one per row."""
         # u_p/v_p blocks are orthogonal to the u/v blocks, so the embedded
         # inner product splits over the factors.
-        return (_sum(t1.m_core.conj() * t2.m_core).real
-                + _sum(t1.u_p.conj() * t2.u_p).real
-                + _sum(t1.v_p.conj() * t2.v_p).real).tolist()
+        return (matrix_sums(t1.m_core.conj() * t2.m_core).real
+                + matrix_sums(t1.u_p.conj() * t2.u_p).real
+                + matrix_sums(t1.v_p.conj() * t2.v_p).real).tolist()
 
     @staticmethod
     def stacked(x: FixedRankPoint) -> bool:

@@ -36,7 +36,7 @@ import numpy as np
 from .channel import Dictionaries, PilotBlock
 from .manifold import (CgOptions, FixedRankManifold, FixedRankPoint,
                        cg_minimize, random_fixed_rank)
-from .numerics import khatri_rao
+from .numerics import herm, khatri_rao, matrix_sums
 
 # Angular coefficients below this magnitude contribute subgradient zero to
 # the l1 phase matrix.
@@ -79,14 +79,6 @@ class MoEstResult:
     stalled: bool = False
 
 
-def _h(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix of a stack."""
-    return a.conj().swapaxes(-1, -2)
-
-
-def _sum(a: np.ndarray) -> np.ndarray:
-    """Sum of each matrix of a stack."""
-    return a.sum(axis=(-2, -1))
 
 
 def _phase(z: np.ndarray) -> np.ndarray:
@@ -117,7 +109,8 @@ def _fit_l1(x: np.ndarray, resid: np.ndarray, back, mu: np.ndarray,
     the phase of a^H x b. The gradient reuses resid and a^H x b."""
     z = a.conj().T @ x @ b
     fit = np.abs(resid)
-    cost = (_sum(np.square(fit, out=fit)) + mu * _sum(np.abs(z))).tolist()
+    cost = (matrix_sums(np.square(fit, out=fit))
+            + mu * matrix_sums(np.abs(z))).tolist()
     del fit
 
     def egrad(keep=None) -> np.ndarray:
@@ -126,10 +119,10 @@ def _fit_l1(x: np.ndarray, resid: np.ndarray, back, mu: np.ndarray,
         w = 0.5 * mu[sel]
         on = w > 0
         if on.all():
-            grad = grad + w[:, None, None] * (a @ _phase(z[sel]) @ _h(b))
+            grad = grad + w[:, None, None] * (a @ _phase(z[sel]) @ herm(b))
         elif on.any():
             grad[on] = grad[on] + w[on, None, None] * (
-                a @ _phase(z[sel][on]) @ _h(b))
+                a @ _phase(z[sel][on]) @ herm(b))
         return grad
 
     return cost, egrad
@@ -168,7 +161,7 @@ def _h_back(e: np.ndarray, g: np.ndarray, s: np.ndarray, v: np.ndarray,
             at) -> np.ndarray:
     """(v^* . (g^H e)) s^H at rows `at` of the data stacks g, s and v, the
     h-subproblem's gradient of its residual e."""
-    out = _h(g[at]) @ e
+    out = herm(g[at]) @ e
     return (np.multiply(_conj(v, at), out, out=out)
             @ _conj(s, at).swapaxes(-1, -2))
 
@@ -193,7 +186,7 @@ def _objective(g: np.ndarray, h: np.ndarray, s: np.ndarray, v: np.ndarray,
                dicts: Dictionaries) -> list[float]:
     """The h-subproblem's cost plus the g-subproblem's l1 term, per row."""
     cost_h = np.array(_cost_grad_h(h, g, s, v, r, mu_h, dicts)[0])
-    return (cost_h + mu_g * _sum(np.abs(dicts.a_bs.conj().T @ g
+    return (cost_h + mu_g * matrix_sums(np.abs(dicts.a_bs.conj().T @ g
                                         @ dicts.a_i))).tolist()
 
 

@@ -33,6 +33,16 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[:-2] + (a.shape[-2] * b.shape[-2], a.shape[-1]))
 
 
+def herm(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def matrix_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of the entries of a matrix, or of each matrix of a stack."""
+    return a.sum(axis=(-2, -1))
+
+
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-major stacking of a matrix into a vector."""
     return np.asarray(a).reshape(-1, order="F")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import SystemGeometry, effective_channel
 from .manifold import CgOptions, CircleManifold, cg_minimize
-from .numerics import random_unit_modulus
+from .numerics import herm, random_unit_modulus
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,12 @@ class BeamformingSolution:
     stalled: bool = False
 
 
-def _h(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each matrix of a stack."""
-    return a.conj().swapaxes(-1, -2)
-
-
 def spectral_efficiency(h_e: np.ndarray, f: np.ndarray,
                         scen: DownlinkScenario) -> float | np.ndarray:
     """Training-discounted rate
     (1 - t_used/t_tot) * log2 |I + f^H h_e^H h_e f / sigma2_d|; one rate
     per trial for stacked h_e and f."""
-    gram = _h(f) @ _h(h_e) @ h_e @ f
+    gram = herm(f) @ herm(h_e) @ h_e @ f
     sign, logdet = np.linalg.slogdet(np.eye(f.shape[-1])
                                      + gram / scen.sigma2_d)
     prefac = 1.0 - scen.t_used / scen.t_tot
@@ -84,7 +79,7 @@ def mse_matrix(h_e: np.ndarray, f: np.ndarray, w: np.ndarray,
                scen: DownlinkScenario) -> np.ndarray:
     """Symbol-estimation error covariance for transmit f and receive w."""
     hf = h_e @ f
-    hf_h, w_h = _h(hf), _h(w)
+    hf_h, w_h = herm(hf), herm(w)
     e = np.eye(f.shape[-1], dtype=complex) - hf_h @ w - w_h @ hf
     e += scen.sigma2_d * (w_h @ w)
     e += (w_h @ hf) @ (hf_h @ w)
@@ -96,10 +91,10 @@ def update_w_omega(h_e: np.ndarray, f: np.ndarray,
     """Closed-form linear MMSE receiver and weight omega = e^{-1}."""
     hf = h_e @ f
     n_ue = h_e.shape[-2]
-    w = np.linalg.solve(hf @ _h(hf) + scen.sigma2_d * np.eye(n_ue), hf)
+    w = np.linalg.solve(hf @ herm(hf) + scen.sigma2_d * np.eye(n_ue), hf)
     e = mse_matrix(h_e, f, w, scen)
     omega = np.linalg.inv(e)
-    return w, 0.5 * (omega + _h(omega))
+    return w, 0.5 * (omega + herm(omega))
 
 
 def update_f(h_e: np.ndarray, w: np.ndarray, omega: np.ndarray,
@@ -119,11 +114,11 @@ def update_f(h_e: np.ndarray, w: np.ndarray, omega: np.ndarray,
     from a norm over the axes of a stack.
     """
     n_bs = h_e.shape[-1]
-    psi = (omega @ _h(w) @ w).trace(axis1=-2, axis2=-1).real
-    hw = _h(h_e) @ w
+    psi = (omega @ herm(w) @ w).trace(axis1=-2, axis2=-1).real
+    hw = herm(h_e) @ w
     rhs = hw @ omega
     degenerate = (psi <= 0.0) | ~rhs.any(axis=(-2, -1))
-    a = (hw @ omega @ _h(hw)
+    a = (hw @ omega @ herm(hw)
          + (scen.sigma2_d * psi)[:, None, None] * np.eye(n_bs))
     if degenerate.any():
         a[degenerate] = np.eye(n_bs)    # keeps the stacked solve regular
@@ -240,7 +235,7 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
     v = np.stack([random_unit_modulus(geom.m, r) for r in rng])
     h_e = effective_channel(h_c, v, geom)
     _, _, vh = np.linalg.svd(h_e, full_matrices=False)
-    f = _h(vh[:, :scen.n_s]) / np.sqrt(scen.n_s)
+    f = herm(vh[:, :scen.n_s]) / np.sqrt(scen.n_s)
     w, omega = update_w_omega(h_e, f, scen)
     g = wmmse_objective(h_e, f, w, omega, scen)
 

@@ -423,8 +423,8 @@ class TestChunks:
     # elides temporaries and computes `a * (b @ c)` in place as
     # `(b @ c) * a`, which rounds differently; the T = 20 stacks (80 KiB)
     # stay below it.
-    @pytest.mark.parametrize("algorithm",
-                             ["perfect_csi", "random_phase_baseline", "mo_est"])
+    @pytest.mark.parametrize(
+        "algorithm", ["perfect_csi", "random_phase_baseline", "mo_est"])
     def test_full_chunks_equal_single_trials(self, algorithm):
         t = 100 if algorithm == "mo_est" else 20
         cfg = ExperimentConfig(**dict(self.BASE, algorithm=algorithm,
