@@ -169,6 +169,8 @@ _CONTRACTION = 0.5
 _SUFFICIENT_DECREASE = 1e-4
 _INITIAL_STEP = 1.0
 _MAX_BACKTRACKS = 50
+# A squared gradient norm at or below this ends a run ("zero_grad").
+_ZERO_GRAD = 1e-24
 
 
 @dataclass(frozen=True)
@@ -406,14 +408,16 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
 
     for it in range(1, last + 1):
         gg = ops.inner(x, g, g)
-        if min(gg) <= 1e-24:
+        # Each test below is the one-problem comparison, so a row holding a
+        # nan takes the branch it takes alone.
+        if any(map(_ZERO_GRAD.__ge__, gg)):
             live = []
             for k, q in enumerate(rows):
-                if gg[k] > 1e-24:
-                    live.append(k)
-                else:
+                if gg[k] <= _ZERO_GRAD:
                     out[q] = CgResult(ops.row(x, k), traces[q], False, it - 1,
                                       "zero_grad")
+                else:
+                    live.append(k)
             if not live:
                 break
             x, g, d = x[live], g[live], d[live]
@@ -425,7 +429,7 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
         # half the slope along d: the directional derivative is twice the
         # Riemannian inner product (Wirtinger conjugate-gradient convention)
         half = ops.inner(x, g, d)
-        if max(half) >= 0.0:
+        if any(map((0.0).__le__, half)):
             flip = [k for k in range(b) if half[k] >= 0.0]
             d = _assign(d, flip, -g, b)
             for k in flip:
@@ -458,8 +462,8 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
                     acc, want = [], []
                     for e, k in enumerate(at):
                         fe = costs[e]
-                        if fe > f[k] + (_SUFFICIENT_DECREASE * steps[k]
-                                        * (2.0 * half[k])):
+                        if not fe <= f[k] + (_SUFFICIENT_DECREASE * steps[k]
+                                             * (2.0 * half[k])):
                             continue
                         acc.append(e)
                         f_new[k] = fe

@@ -319,7 +319,7 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
             h_c = khatri_rao(h_dense[k].T, g_dense[k])
             moved = np.linalg.norm(
                 h_c - khatri_rao(h_dense_prev[k].T, g_dense_prev[k]))
-            if moved > settle[k] * np.linalg.norm(h_c) \
+            if not moved <= settle[k] * np.linalg.norm(h_c) \
                     and it < cfg.max_outer:
                 keep.append(k)
                 continue

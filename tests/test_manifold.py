@@ -483,8 +483,9 @@ def test_stack_equals_each_problem_alone():
 
 
 def test_stack_rows_stall_while_another_loses_its_gradient():
-    # In iteration 1 every cost of problem 3 is infinite; its direction is
-    # steepest descent, so it stalls with no retry. In iteration 2 the
+    # In iteration 1 every cost of problem 3 is nan, which no decrease test
+    # accepts; its direction is steepest descent, so it stalls with no
+    # retry. In iteration 2 the
     # gradient of problem 0 vanishes and every cost of problem 1 is
     # infinite, so problem 0 leaves the stack before problem 1 fails both
     # line searches. Problem 2 runs to the iteration cap.
@@ -504,7 +505,7 @@ def test_stack_rows_stall_while_another_loses_its_gradient():
             for j, q in enumerate(problems[at]):
                 costs[q] += 1
                 if costs[q] > finite.get(q, costs[q]):
-                    sums[j] = float("inf")
+                    sums[j] = float("nan" if q == 3 else "inf")
 
             def egrad(keep=None):
                 out = (e if keep is None else e[keep]).copy()
