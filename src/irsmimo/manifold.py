@@ -2,21 +2,20 @@
 matrices of fixed rank r (factored as u @ diag(s) @ v^H) and the complex
 circle (vectors with unit-modulus entries).
 
-Problem contract: `cg_minimize` takes one callback, cost_grad(x) ->
-(f, egrad). f is the real cost at x; egrad is a zero-argument callable
-returning the gradient at x, so it can reuse the forward pass of the cost.
-The solver evaluates cost_grad once per trial point and calls egrad only
-at x0 and at each accepted point the search continues from; a point that
-meets the decrease test or the iteration cap is returned without its
-gradient.
+Problem contract: `cg_minimize` takes one callback, cost_grad, which
+returns the real cost and a callable egrad that gives the gradient and can
+reuse the forward pass of the cost. The solver evaluates cost_grad once
+per trial point and calls egrad only at x0 and at each accepted point the
+search continues from.
 
-Stacks: fixed-rank points, tangent vectors and their operations also take
-a leading row axis, one row per problem, and `cg_minimize` runs a stack of
-B problems in lock-step. Each row keeps its own step, decrease test,
-steepest-descent retry and stop test; numpy computes stacked matmul, svd,
-qr and axis sums bit-identically to one call per matrix, so every row ends
-where its problem alone ends. Indexing a stack, `x[rows]`, selects rows and
-`x[rows] = y` assigns them. Circle points run one problem at a time.
+Stacks: points, tangent vectors and the manifold ops take a leading row
+axis, one row per problem, and `cg_minimize` runs a stack of B problems
+in lock-step. Each row keeps its own step, decrease test, steepest-descent
+retry and stop test; numpy computes stacked matmul, svd, qr and axis sums
+bit-identically to one call per matrix, so every row ends where its
+problem alone ends. Indexing a stack, `x[rows]`, selects rows and
+`x[rows] = y` assigns them; a circle stack is a (B, m) array. A single
+point runs as a stack of one.
 
 Gradient convention: egrad returns the conjugate Wirtinger gradient
 J = df/d(conj(X)), so the directional derivative of the real cost along a
@@ -25,7 +24,6 @@ projection of J and line-search slopes carry the factor 2.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +32,7 @@ from .numerics import herm, matrix_sums, truncated_svd
 
 
 class DegenerateStep(Exception):
-    """Retraction left the manifold (rank drop / zero entry); halve the step."""
-
-
+    """Retraction of one fixed-rank point left the manifold (rank drop)."""
 
 
 @dataclass
@@ -274,21 +270,17 @@ def circle_project(v: np.ndarray, egrad: np.ndarray) -> np.ndarray:
     return egrad - (egrad * v.conj()).real * v
 
 
-def circle_retract(v: np.ndarray, t: np.ndarray, step: float) -> np.ndarray:
-    """Entrywise normalization of v + step * t back onto the circle.
-
-    Raises:
-        DegenerateStep: an entry of v + step * t vanishes.
-    """
-    if step < 0:
-        raise ValueError("step must be non-negative")
-    if step == 0.0:
-        return v
-    w = v + step * t
+def circle_retract(v: np.ndarray, t: np.ndarray, steps):
+    """Entrywise normalization of v + step * t back onto the circle, for a
+    stack v with one positive step per row. Returns (v_new, bad) as a
+    stacked retract does; row i is bad when one of its entries vanishes."""
+    w = v + np.asarray(steps)[:, None] * t
     mag = np.abs(w)
-    if (mag < 1e-14).any():
-        raise DegenerateStep("entry collapsed to zero")
-    return w / mag
+    bad = (mag < 1e-14).any(axis=-1)
+    if not bad.any():
+        return w / mag, None
+    mag[bad] = 1.0
+    return w / mag, bad.tolist()
 
 
 class FixedRankManifold:
@@ -303,7 +295,7 @@ class FixedRankManifold:
 
     @staticmethod
     def inner(x: FixedRankPoint, t1: TangentVector, t2: TangentVector):
-        """Real inner product: a float, or a list of one per row."""
+        """Real inner product, one float per row of a stack."""
         # u_p/v_p blocks are orthogonal to the u/v blocks, so the embedded
         # inner product splits over the factors.
         return (matrix_sums(t1.m_core.conj() * t2.m_core).real
@@ -318,12 +310,10 @@ class FixedRankManifold:
     def scale(t: TangentVector, c: list[float]) -> TangentVector:
         return t * c
 
-    row = staticmethod(operator.getitem)
-
 
 class CircleManifold:
-    """Manifold-ops adapter used by cg_minimize, for one problem at a
-    time."""
+    """Manifold-ops adapter used by cg_minimize, on (B, m) stacks of
+    circle points and tangent vectors."""
 
     project = staticmethod(circle_project)
     retract = staticmethod(circle_retract)
@@ -333,37 +323,18 @@ class CircleManifold:
         return circle_project(x_new, t)
 
     @staticmethod
-    def inner(x: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> float:
-        return float(np.vdot(t1, t2).real)
-
-
-class _OneProblem:
-    """A manifold's ops on one problem, seen as a stack of one: per-row
-    values come as one-element lists and the point is its own row, so
-    cg_minimize runs a single point through the lock-step loop without
-    adding a row axis."""
-
-    def __init__(self, manifold):
-        self.project = manifold.project
-        self.transport = manifold.transport
-        inner, retract = manifold.inner, manifold.retract
-        self.inner = lambda x, t1, t2: [inner(x, t1, t2)]
-
-        def retract_one(x, d, step):
-            try:
-                return retract(x, d, step[0]), None
-            except DegenerateStep:
-                return None, [True]
-
-        self.retract = retract_one
+    def inner(x: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> list[float]:
+        """Real inner product, one float per row."""
+        # np.vdot per row: a row sum or einsum rounds differently.
+        return [float(np.vdot(a, b).real) for a, b in zip(t1, t2)]
 
     @staticmethod
-    def scale(t, c: list[float]):
-        return c[0] * t
+    def stacked(x: np.ndarray) -> bool:
+        return x.ndim == 2
 
     @staticmethod
-    def row(x, k: int):
-        return x
+    def scale(t: np.ndarray, c: list[float]) -> np.ndarray:
+        return np.asarray(c)[:, None] * t
 
 
 _ALL = slice(None)
@@ -379,8 +350,8 @@ def _assign(a, rows: list[int], src, b: int):
 
 
 def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
-    """cg_minimize on a stack x of n problems, with ops a stack manifold
-    or a _OneProblem; see cg_minimize for cost_grad.
+    """cg_minimize on a stack x of n problems; see cg_minimize for ops
+    and cost_grad.
 
     Each iteration searches every live row along its direction: Armijo
     backtracking in rounds, each round retracting the rows still
@@ -414,14 +385,15 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
             live = []
             for k, q in enumerate(rows):
                 if gg[k] <= _ZERO_GRAD:
-                    out[q] = CgResult(ops.row(x, k), traces[q], False, it - 1,
+                    out[q] = CgResult(x[k], traces[q], False, it - 1,
                                       "zero_grad")
                 else:
                     live.append(k)
             if not live:
                 break
             x, g, d = x[live], g[live], d[live]
-            g.anchor = d.anchor = x       # one point, as d + g requires
+            if isinstance(g, TangentVector):
+                g.anchor = d.anchor = x   # one point, as d + g requires
             gg, f, step, rows = ([a[k] for k in live]
                                  for a in (gg, f, step, rows))
             every = rows
@@ -475,7 +447,7 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
                             steps[k] = min(_INITIAL_STEP, 2.0 * steps[k])
                         else:
                             out[q] = CgResult(
-                                ops.row(y, e), traces[q], False, it,
+                                y[e], traces[q], False, it,
                                 "converged" if f[k] - fe <= eps
                                 else "max_iters")
                     if want:
@@ -508,8 +480,8 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
         if None in f_new:
             for k, fe in enumerate(f_new):
                 if fe is None:
-                    out[rows[k]] = CgResult(ops.row(x, k), traces[rows[k]],
-                                            True, it, "stalled")
+                    out[rows[k]] = CgResult(x[k], traces[rows[k]], True,
+                                            it, "stalled")
         if not keep:
             break
 
@@ -541,20 +513,21 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions):
     """Riemannian conjugate gradient with Polak-Ribiere+ directions.
 
     Args:
-        manifold: ops object with project/retract/transport/inner, and
-            for a stack of problems also stacked/scale/row.
-        cost_grad: point -> (real objective value, egrad), where egrad()
-            returns the conjugate Euclidean gradient (ambient array) at
-            that point. Called once per trial point of the line search;
-            egrad is called only at x0 and at each accepted point the
-            search continues from; a point that meets the decrease test
-            or the iteration cap is returned without its gradient.
+        manifold: ops object on stacks of points and tangent vectors:
+            project(x, egrad), retract(x, d, steps) -> (x_new, bad) with
+            one step per row, transport(x_new, t), inner(x, t1, t2) -> one
+            float per row, scale(t, factors) with one factor per row, and
+            stacked(x), true when x is a stack.
+        cost_grad: for a stack x0, cost_grad(x, rows) takes a stack x
+            whose row i belongs to problem rows[i] (rows is slice(None)
+            when x holds every problem in order) and returns a list of one
+            float cost per row and egrad(keep=None), the conjugate
+            Euclidean gradients of rows keep of x (of every row for None).
+            For a single point, cost_grad(x) returns one float cost and
+            egrad(), the gradient at x. A point that meets the decrease
+            test or the iteration cap is returned without its gradient.
         x0: starting point on the manifold, or a stack of the starting
-            points of n problems. For a stack, cost_grad(x, rows) takes a
-            stack x whose row i belongs to problem rows[i] (rows is
-            slice(None) when x holds every problem in order) and returns
-            a list of one float cost per row and egrad(keep=None), the
-            gradients of rows keep of x (of every row for None).
+            points of n problems.
         opts: termination settings.
 
     Returns:
@@ -564,17 +537,34 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions):
         max_iters is reached. A failed line search retries along steepest
         descent once, then sets stalled. The problems of a stack run in
         lock-step, each with its own steps and stop test, and each ends
-        where it ends alone; a single point runs as a stack of one.
+        where it ends alone; a single point runs as x0[None].
     """
-    stacked = getattr(manifold, "stacked", None)
-    if stacked is not None and stacked(x0):
+    if manifold.stacked(x0):
         return _lockstep(manifold, cost_grad, x0, len(x0), opts)
 
-    def one(x, rows):
-        f, egrad = cost_grad(x)
-        return (f,), egrad
+    def stack_of_one(x, rows):
+        f, egrad = cost_grad(x[0])
+        return [f], lambda keep=None: egrad()[None]
 
-    return _lockstep(_OneProblem(manifold), one, x0, 1, opts)[0]
+    return _lockstep(manifold, stack_of_one, x0[None], 1, opts)[0]
+
+
+def pick_rows(rows, keep):
+    """The entries `keep` of the row selection `rows` (all for None); a
+    slice rows selects every row."""
+    if keep is None:
+        return rows
+    return keep if isinstance(rows, slice) else [rows[k] for k in keep]
+
+
+def one_problem(cost_grad):
+    """The single-point cost_grad(x) of a stacked cost_grad(x, rows), for
+    cg_minimize on one point: x runs as the stack x[None]."""
+    def cost_one(x):
+        costs, egrad = cost_grad(x[None], _ALL)
+        return costs[0], lambda: egrad()[0]
+
+    return cost_one
 
 
 def random_fixed_rank(n: int, m: int, r: int, rng):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .channel import Dictionaries, PilotBlock
 from .manifold import (CgOptions, FixedRankManifold, FixedRankPoint,
-                       cg_minimize, random_fixed_rank)
+                       cg_minimize, one_problem, pick_rows, random_fixed_rank)
 from .numerics import herm, khatri_rao, matrix_sums
 
 # Angular coefficients below this magnitude contribute subgradient zero to
@@ -128,14 +128,6 @@ def _fit_l1(x: np.ndarray, resid: np.ndarray, back, mu: np.ndarray,
     return cost, egrad
 
 
-def _pick(rows, keep):
-    """The entries `keep` of the row selection `rows` (all for None); a
-    slice rows selects every row."""
-    if keep is None:
-        return rows
-    return keep if isinstance(rows, slice) else [rows[k] for k in keep]
-
-
 def _conj(a: np.ndarray, rows) -> np.ndarray:
     """conj(a[rows]), conjugating a gathered copy in place."""
     out = a[rows]
@@ -152,7 +144,7 @@ def _cost_grad_g(x: np.ndarray, r_mat: np.ndarray, f_mat: np.ndarray,
     resid = x @ f_mat[rows]
     resid -= r_mat[rows]
     return _fit_l1(x, resid,
-                   lambda e, keep: e @ _conj(f_mat, _pick(rows, keep))
+                   lambda e, keep: e @ _conj(f_mat, pick_rows(rows, keep))
                    .swapaxes(-1, -2),
                    mu[rows], dicts.a_bs, dicts.a_i)
 
@@ -177,7 +169,7 @@ def _cost_grad_h(h: np.ndarray, g: np.ndarray, s: np.ndarray, v: np.ndarray,
     del hs
     resid -= r[rows]
     return _fit_l1(h, resid,
-                   lambda e, keep: _h_back(e, g, s, v, _pick(rows, keep)),
+                   lambda e, keep: _h_back(e, g, s, v, pick_rows(rows, keep)),
                    mu[rows], dicts.a_i, dicts.a_ue)
 
 
@@ -288,12 +280,8 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
     def solve(cost_grad, x0: FixedRankPoint) -> FixedRankPoint:
         """The rows of x0 moved by cg_minimize on cost_grad, restacked."""
         if one:
-            def cost_one(p):
-                costs, egrad = cost_grad(p[None], _ALL)
-                return costs[0], lambda: egrad()[0]
-
-            res = [cg_minimize(FixedRankManifold, cost_one, x0[0],
-                               _INNER_OPTS)]
+            res = [cg_minimize(FixedRankManifold, one_problem(cost_grad),
+                               x0[0], _INNER_OPTS)]
         else:
             res = cg_minimize(FixedRankManifold, cost_grad, x0, _INNER_OPTS)
         for q, x in zip(live, res):

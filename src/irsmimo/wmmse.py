@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemGeometry, effective_channel
-from .manifold import CgOptions, CircleManifold, cg_minimize
+from .manifold import (CgOptions, CircleManifold, cg_minimize, one_problem,
+                       pick_rows)
 from .numerics import herm, random_unit_modulus
 
 
@@ -140,33 +141,43 @@ def _reduced_channel(h_c: np.ndarray, f: np.ndarray,
     return (f.T @ h).reshape(geom.n_ue * f.shape[1], geom.m)
 
 
-def _g1_cost_grad(v_d, p: np.ndarray, p_h: np.ndarray,
-                  omega_inv: np.ndarray, sigma2_d: float):
-    """(g1, egrad) at v_d for cg_minimize; see g1_objective and egrad_v.
+def _g1_cost_grad(v: np.ndarray, p: np.ndarray, p_h: np.ndarray,
+                  omega_inv: np.ndarray, sigma2_d: float,
+                  rows=slice(None)):
+    """g1 of a stack v whose rows are rows `rows` of the stacks p, p_h and
+    omega_inv, one float per row, and egrad(keep=None), the gradients of
+    rows keep (all for None); see g1_objective and egrad_v.
 
-    p is _reduced_channel(h_c, f) and p_h its conjugate transpose
-    p.conj().T, both built once for a fixed f, so the cost needs only
-    h_e f = p @ v_d and the gradient is
+    p is _reduced_channel(h_c, f) and p_h = herm(p), both built once for a
+    fixed f, so the cost needs only h_e f = p @ v and the gradient is
     -(1/sigma2_d) * p^H @ (h_e f t^{-2} omega^{-1}) stacked by rows.
-    egrad() reuses h_e f and t^{-1} from the cost."""
-    hf = (p @ v_d).reshape(-1, omega_inv.shape[0])
-    t_inv = np.linalg.inv(omega_inv + (omega_inv @ hf.conj().T @ hf)
-                          / sigma2_d)
+    egrad reuses h_e f and t^{-1} from the cost."""
+    o_inv = omega_inv[rows]
+    hf = (p[rows] @ v[..., None]).reshape(len(v), -1, o_inv.shape[-1])
+    t_inv = np.linalg.inv(o_inv + (o_inv @ herm(hf) @ hf) / sigma2_d)
 
-    def egrad() -> np.ndarray:
-        g = hf @ t_inv @ t_inv @ omega_inv
-        return -(p_h @ g.reshape(-1)) / sigma2_d
+    def egrad(keep=None) -> np.ndarray:
+        sel = slice(None) if keep is None else keep
+        g = hf[sel] @ t_inv[sel] @ t_inv[sel] @ o_inv[sel]
+        return -(p_h[pick_rows(rows, keep)]
+                 @ g.reshape(len(g), -1, 1))[..., 0] / sigma2_d
 
-    return float(t_inv.trace().real), egrad
+    return t_inv.trace(axis1=-2, axis2=-1).real.tolist(), egrad
+
+
+def _g1_one(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
+            scen: DownlinkScenario):
+    """_g1_cost_grad of one trial, as a stack of one."""
+    p = _reduced_channel(h_c, f, scen.geom)[None]
+    return _g1_cost_grad(v_d[None], p, herm(p),
+                         np.linalg.inv(omega[None]), scen.sigma2_d)
 
 
 def g1_objective(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
                  scen: DownlinkScenario) -> float:
     """Reduced weighted-MSE objective tr(t^{-1}) with the receive filter
     eliminated; t = omega^{-1} + omega^{-1} f^H h_e^H h_e f / sigma2_d."""
-    p = _reduced_channel(h_c, f, scen.geom)
-    return _g1_cost_grad(v_d, p, p.conj().T, np.linalg.inv(omega),
-                         scen.sigma2_d)[0]
+    return _g1_one(v_d, h_c, f, omega, scen)[0][0]
 
 
 def egrad_v(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
@@ -175,9 +186,7 @@ def egrad_v(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
     -(1/sigma2_d) * h_c.T @ vec((h_e f t^{-2} omega^{-1} f^H).T), computed
     as -(1/sigma2_d) * p^H @ (h_e f t^{-2} omega^{-1}) stacked by rows with
     p = _reduced_channel(h_c, f)."""
-    p = _reduced_channel(h_c, f, scen.geom)
-    return _g1_cost_grad(v_d, p, p.conj().T, np.linalg.inv(omega),
-                         scen.sigma2_d)[1]()
+    return _g1_one(v_d, h_c, f, omega, scen)[1]()[0]
 
 
 def wmmse_objective(h_e: np.ndarray, f: np.ndarray, w: np.ndarray,
@@ -214,18 +223,19 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
     keep their start values: the one iteration records the start objective
     again, updates f once and stops (its decrease is 0).
 
-    f is fixed during the CG, so each CG call first folds h_c and f into
-    the (n_ue*n_s, m) matrix p = _reduced_channel(h_c, f); every trial
-    point then costs one product p @ v instead of rebuilding h_e from
-    h_c. effective_channel runs once per outer iteration on the whole
-    stack, for the closed forms.
+    f is fixed during the CG, so each round first folds each trial's h_c
+    and f into the (n_ue*n_s, m) matrix p = _reduced_channel(h_c, f);
+    every trial point then costs one product p @ v instead of rebuilding
+    h_e from h_c. effective_channel runs once per outer
+    iteration on the whole stack, for the closed forms.
 
     A stack of channels (trials, n_bs*n_ue, m) with one generator per
     trial returns one solution per trial. The trials iterate in lock-step:
-    the start and the closed forms act on the stack of trials that have
-    not stopped, the CG runs per trial, the effective channel after it on
-    the whole stack, and each trial stops on its own test, so its
-    solution is bit-identical to the one it gets alone.
+    the start, the CG (one cg_minimize call on the stack per round) and
+    the closed forms act on the stack of trials that have not stopped, the
+    effective channel after the CG on the whole stack, and each trial
+    stops on its own test, so its solution is bit-identical to the one it
+    gets alone.
     """
     stacked = h_c.ndim == 3
     if not stacked:
@@ -247,16 +257,24 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
         # Fancy indexing copies, so a full stack is sliced instead.
         on = active if len(active) < trials else slice(None)
         if optimize_v:
-            omega_inv = np.linalg.inv(omega[on])
-            for b, o_inv in zip(active, omega_inv):
-                p = _reduced_channel(h_c[b], f[b], geom)
-                res = cg_minimize(
-                    CircleManifold,
-                    lambda x, p=p, p_h=p.conj().T, o_inv=o_inv:
-                        _g1_cost_grad(x, p, p_h, o_inv, scen.sigma2_d),
-                    v[b], _INNER_OPTS)
-                v[b] = res.x
-                stalled[b] |= res.stalled
+            # Built per trial, so no copy of the channel stack is made.
+            p = np.stack([_reduced_channel(h_c[b], f[b], geom)
+                          for b in active])
+            p_h, omega_inv = herm(p), np.linalg.inv(omega[on])
+
+            def cost_grad(x, rows):
+                return _g1_cost_grad(x, p, p_h, omega_inv, scen.sigma2_d,
+                                     rows)
+
+            # One trial runs the single-point form, whose CgResult the
+            # tracer (perfbench/tracer.py) reads, until it reads lists
+            # (ROADMAP.md, item 2).
+            res = (cg_minimize(CircleManifold, cost_grad, v[on], _INNER_OPTS)
+                   if stacked else
+                   [cg_minimize(CircleManifold, one_problem(cost_grad), v[0],
+                                _INNER_OPTS)])
+            v[on] = [r.x for r in res]
+            stalled[on] |= [r.stalled for r in res]
             # Stopped trials kept their v, so their rows come out unchanged;
             # gathering h_c[on] instead would copy the channel stack.
             h_e = effective_channel(h_c, v, geom)

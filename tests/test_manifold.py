@@ -42,10 +42,15 @@ def test_fixed_rank_point_contracts():
 
 
 def test_circle_point_contract():
+    # Circle ops take (B, m) stacks; a single point is a stack of one.
     rng = np.random.default_rng(1)
-    v = random_unit_modulus(5, rng)
-    w = circle_retract(v, circle_project(v, cgauss(rng, 5)), 0.5)
+    v = np.stack([random_unit_modulus(5, rng) for _ in range(3)])
+    assert CircleManifold.stacked(v) and not CircleManifold.stacked(v[0])
+    w, bad = circle_retract(v, circle_project(v, cgauss(rng, (3, 5))),
+                            [0.5, 0.25, 1.0])
+    assert bad is None
     assert isinstance(w, np.ndarray) and w.dtype == complex
+    assert w.shape == (3, 5)
     np.testing.assert_allclose(np.abs(w), 1.0, atol=1e-12)
 
 
@@ -226,18 +231,22 @@ def test_circle_project_cases():
 
 def test_circle_retract_cases():
     rng = np.random.default_rng(10)
-    v = random_unit_modulus(16, rng)
-    t = circle_project(v, cgauss(rng, 16))
-    assert circle_retract(v, t, 0.0) is v
-    w = circle_retract(v, t, 0.7)
+    v = np.stack([random_unit_modulus(16, rng) for _ in range(2)])
+    t = circle_project(v, cgauss(rng, (2, 16)))
+    w, bad = circle_retract(v, t, [0.7, 0.7])
+    assert bad is None
     np.testing.assert_allclose(np.abs(w), 1.0, atol=1e-12)
-    err = {eps: np.linalg.norm(circle_retract(v, t, eps) - (v + eps * t))
+    err = {eps: np.linalg.norm(circle_retract(v, t, [eps, eps])[0]
+                               - (v + eps * t), axis=-1)
            for eps in (1e-3, 1e-4)}
-    assert 30 < err[1e-3] / err[1e-4] < 300
-    with pytest.raises(DegenerateStep):
-        circle_retract(v, -v, 1.0)
-    with pytest.raises(ValueError):
-        circle_retract(v, t, -0.5)
+    assert np.all((30 < err[1e-3] / err[1e-4]) & (err[1e-3] / err[1e-4] < 300))
+    # One entry of row 1 steps onto zero: row 1 is degenerate, and row 0
+    # is what it is alone.
+    d = t.copy()
+    d[1, 3] = -v[1, 3]
+    w, bad = circle_retract(v, d, [0.7, 1.0])
+    assert bad == [False, True]
+    assert np.array_equal(w[0], circle_retract(v[:1], d[:1], [0.7])[0][0])
 
 
 def _sq_dist(b):
@@ -349,10 +358,10 @@ def _check_evaluation_counts(stop):
 
     class CountingManifold(FixedRankManifold):
         @staticmethod
-        def retract(x, d, step):
-            x_new = retract(x, d, step)  # a DegenerateStep is not counted
-            calls["retract"] += 1
-            return x_new
+        def retract(x, d, steps):
+            y, bad = retract(x, d, steps)
+            calls["retract"] += bad is None  # a degenerate row costs nothing
+            return y, bad
 
     # The 10x curvature makes unit steps overshoot, so line searches
     # reject trial points.
@@ -393,31 +402,32 @@ def test_cg_reports_why_it_stopped(stop, reason):
 def test_cg_does_no_work_at_the_final_point(opts, iters):
     rng = np.random.default_rng(18)
     b = cgauss(rng, (7, 5))
-    seen = []  # (operation, point it ran at)
+    seen = []  # (operation, dense point it ran at)
 
     def cost_grad(p):
         def egrad():
-            seen.append(("egrad", p))
+            seen.append(("egrad", p.dense.copy()))
             return p.dense - b
 
         return float(np.linalg.norm(p.dense - b) ** 2), egrad
 
+    # A single point runs as a stack of one.
     class CountingManifold(FixedRankManifold):
         @staticmethod
         def project(x, j):
-            seen.append(("project", x))
+            seen.append(("project", x.dense[0].copy()))
             return project_tangent(x, j)
 
         @staticmethod
         def transport(x_new, t):
-            seen.append(("transport", x_new))
+            seen.append(("transport", x_new.dense[0].copy()))
             return transport(t, x_new)
 
     res = cg_minimize(CountingManifold, cost_grad,
                       random_fixed_rank(7, 5, 2, rng), opts)
     assert res.iters == iters and len(res.trace) == iters + 1
     assert not res.stalled and res.trace[-2] - res.trace[-1] > 0
-    assert [op for op, p in seen if p is res.x] == []
+    assert [op for op, p in seen if np.array_equal(p, res.x.dense)] == []
     # Every earlier point, x0 included, had its gradient taken once.
     assert sum(op == "egrad" for op, _ in seen) == res.iters
 
@@ -480,6 +490,67 @@ def test_stack_equals_each_problem_alone():
     assert res[4].iters == 0 < res[1].iters < res[0].iters < res[2].iters
     with pytest.raises(DegenerateStep):
         retract(x, project_tangent(x, targets[0] - x.dense), 1.0)
+
+
+def test_circle_stack_equals_each_problem_alone():
+    rng = np.random.default_rng(22)
+    m = 9
+    starts = np.stack([random_unit_modulus(m, rng) for _ in range(5)])
+    # Entry 2 of the first target is 0; its gradient there is radial, so a
+    # step along it lands on zero.
+    y0 = random_unit_modulus(m, rng)
+    y0[2] = 0.0
+    targets = np.stack([
+        y0,
+        # Starts next to its target: stops early on epsilon.
+        starts[1] * np.exp(1e-7j * rng.standard_normal(m)),
+        # Off-circle targets: one runs to the iteration cap, the other
+        # stops on epsilon just before it.
+        cgauss(rng, m), cgauss(rng, m),
+        # Starts at its target: its gradient vanishes at once.
+        starts[4]])
+    # Weighted fit sum_k c_k |x_k - y_k|^2: unit steps overshoot.
+    c = 2.0 ** (np.arange(m) % 3)
+    opts = CgOptions(epsilon=1e-12, max_iters=8)
+
+    def one(i):
+        def cost_grad(x):
+            e = x - targets[i]
+            ce = c * e
+            return float(np.vdot(e, ce).real), lambda: ce
+        return cost_grad
+
+    def stacked(x, rows):
+        e = x - targets[rows]
+        ce = c * e
+        return ([float(np.vdot(a, b).real) for a, b in zip(e, ce)],
+                lambda keep=None: ce if keep is None else ce[keep])
+
+    calls = {"bad_rounds": 0}
+
+    class Counting(CircleManifold):
+        # Ambient gradients as search directions: a tangent step never
+        # shrinks an entry, so only a radial one can land on zero.
+        @staticmethod
+        def project(x, egrad):
+            return egrad
+
+        @staticmethod
+        def retract(x, d, steps):
+            y, bad = circle_retract(x, d, steps)
+            calls["bad_rounds"] += bad is not None
+            return y, bad
+
+    res = cg_minimize(Counting, stacked, starts, opts)
+    assert calls["bad_rounds"] > 0
+    for i, (row, x0) in enumerate(zip(res, starts)):
+        alone = cg_minimize(Counting, one(i), x0, opts)
+        assert np.array_equal(row.x, alone.x)
+        assert (row.trace, row.stalled, row.iters, row.reason) == \
+            (alone.trace, alone.stalled, alone.iters, alone.reason)
+    assert [r.reason for r in res] == ["max_iters", "converged", "max_iters",
+                                       "converged", "zero_grad"]
+    assert res[4].iters == 0 < res[1].iters < res[3].iters < res[2].iters
 
 
 def test_stack_rows_stall_while_another_loses_its_gradient():
