@@ -226,8 +226,8 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
     f is fixed during the CG, so each round first folds each trial's h_c
     and f into the (n_ue*n_s, m) matrix p = _reduced_channel(h_c, f);
     every trial point then costs one product p @ v instead of rebuilding
-    h_e from h_c. effective_channel runs once per outer
-    iteration on the whole stack, for the closed forms.
+    h_e from h_c. effective_channel runs once per outer iteration on the
+    whole stack, for the closed forms.
 
     A stack of channels (trials, n_bs*n_ue, m) with one generator per
     trial returns one solution per trial. The trials iterate in lock-step:
