@@ -312,6 +312,8 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
     """
     tic = time.perf_counter()
     scen, geom, t = point.scen, point.scen.geom, point.scen.t_used
+    # Children: paths, training, unused (spawned so the beamformer keeps its
+    # stream), beamformer.
     rngs = [[np.random.default_rng(child) for child in np.random.SeedSequence(
         cfg.master_seed, spawn_key=(point.index, seed)).spawn(4)]
         for seed in seeds]
@@ -333,10 +335,9 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
     hats = iters = [None] * len(seeds)
     if cfg.algorithm == "mo_est":
         est = (mo_est((training(i, rng[1]) for i, rng in enumerate(rngs)),
-                      point.dicts, point.est_cfg, [rng[2] for rng in rngs])
+                      point.dicts, point.est_cfg)
                if len(seeds) > 1 else
-               [mo_est(training(0, rngs[0][1]), point.dicts, point.est_cfg,
-                       rngs[0][2])])
+               [mo_est(training(0, rngs[0][1]), point.dicts, point.est_cfg)])
         hats = [khatri_rao(x.h_hat.dense.T, x.g_hat.dense) for x in est]
         iters = [x.iterations for x in est]
     elif cfg.algorithm == "cs_est":
@@ -377,9 +378,10 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
     """One seeded trial of the configured pipeline: a chunk of one.
 
     point indexes cfg.sweep_values and seed is the trial index; together
-    with master_seed they determine every random draw. Channel, pilots,
-    estimator, and beamformer initialization use separate child generators
-    so algorithms can be compared pairwise on identical realizations.
+    with master_seed they determine every random draw. Channel, pilots and
+    beamformer initialization use separate child generators so algorithms
+    can be compared pairwise on identical realizations; the estimators
+    draw nothing.
 
     The beamformers are designed from the estimated cascaded channel, but
     the reported rate applies them to the true one. outer_iters counts

@@ -567,14 +567,10 @@ def one_problem(cost_grad):
     return cost_one
 
 
-def random_fixed_rank(n: int, m: int, r: int, rng):
+def random_fixed_rank(n: int, m: int, r: int, rng: np.random.Generator):
     """Random rank-r point: product of two Gaussian factors, re-factored by
-    a truncated SVD. A list of generators draws one point from each and
-    returns their stack, with the same memory layout per point as a point
-    drawn alone (BLAS products can depend on it bit for bit)."""
-    prods = [(g.standard_normal((n, r)) + 1j * g.standard_normal((n, r)))
-             @ (g.standard_normal((r, m)) + 1j * g.standard_normal((r, m)))
-             / np.sqrt(2.0 * n)
-             for g in (rng if isinstance(rng, list) else [rng])]
-    return FixedRankPoint(*truncated_svd(
-        np.stack(prods) if isinstance(rng, list) else prods[0], r))
+    a truncated SVD."""
+    prod = ((rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
+            @ (rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m)))
+            / np.sqrt(2.0 * n))
+    return FixedRankPoint(*truncated_svd(prod, r))

@@ -5,7 +5,11 @@ Minimizes, over fixed-rank g_hat and h_hat,
     f = sum_t ||r_t - g diag(v_t) h s_t||^2
         + mu_g * ||vec(a_bs^H g a_i)||_1 + mu_h * ||vec(a_i^H h a_ue)||_1
 
-by alternating Riemannian CG solves in g (h frozen) and h (g frozen).
+by alternating Riemannian CG solves in g (h frozen) and h (g frozen),
+from a spectral start read from the pilots (Candes, Li and Soltanolkotabi,
+"Phase retrieval via Wirtinger flow", IEEE TIT 2015). Both l1 weights grow
+with the number of unknowns per observation (Bickel, Ritov and Tsybakov,
+Ann. Stat. 2009), so short training blocks are regularized harder.
 
 The solver internally rescales the observations to unit average slot power
 (r' = r / c, c = ||r||_F / sqrt(t)) and folds c back into the returned
@@ -35,8 +39,8 @@ import numpy as np
 
 from .channel import Dictionaries, PilotBlock
 from .manifold import (CgOptions, FixedRankManifold, FixedRankPoint,
-                       cg_minimize, one_problem, pick_rows, random_fixed_rank)
-from .numerics import herm, khatri_rao, matrix_sums
+                       cg_minimize, one_problem, pick_rows)
+from .numerics import herm, khatri_rao, matrix_sums, truncated_svd
 
 # Angular coefficients below this magnitude contribute subgradient zero to
 # the l1 phase matrix.
@@ -47,17 +51,16 @@ _INNER_OPTS = CgOptions(epsilon=1e-3, max_iters=50)
 # h_c by at most _SETTLE * sqrt(sigma2 / (c^2 * t)) * ||h_c||_F, with
 # c = ||r||_F / sqrt(t).
 _SETTLE = 0.9
+# Start singular values below _START_FLOOR times the largest are raised to
+# it, so that every start sits well above retract's rank-drop threshold.
+_START_FLOOR = 1e-6
 _ALL = slice(None)
 
 
 @dataclass(frozen=True)
 class MoEstConfig:
-    """Assumed ranks of g and h.
-
-    Both l1 weights are 1e-2 * sigma2 * t of the normalized problem
-    (sigma2 the normalized noise power, t the number of training slots);
-    mo_est sets them from the pilot block.
-    """
+    """Assumed ranks of g and h. mo_est sets both l1 weights from the
+    pilot block and these ranks (see mo_est)."""
 
     p_hat: int = 3
     q_hat: int = 3
@@ -70,15 +73,19 @@ class MoEstConfig:
 
 @dataclass
 class MoEstResult:
-    """Estimates, per-outer-iteration objective trace, and diagnostics."""
+    """Estimates, per-outer-iteration objective trace, and diagnostics.
+
+    reason is why the outer loop stopped: "settled" (the estimate moved by
+    at most the settle tolerance in the last round) or "max_outer" (the
+    round cap).
+    """
 
     g_hat: FixedRankPoint
     h_hat: FixedRankPoint
     trace: list[float]
     iterations: int
+    reason: str
     stalled: bool = False
-
-
 
 
 def _phase(z: np.ndarray) -> np.ndarray:
@@ -93,6 +100,40 @@ def _phase(z: np.ndarray) -> np.ndarray:
 def _check_dicts(dicts: Dictionaries) -> None:
     if not dicts.unitary:
         raise ValueError("estimator needs unitary (square) dictionaries")
+
+
+def _spectral_start(s: np.ndarray, v: np.ndarray, r: np.ndarray,
+                    cfg: MoEstConfig) -> tuple[FixedRankPoint,
+                                               FixedRankPoint]:
+    """Rank-(p_hat, q_hat) start (g0, h0) read from one normalized block.
+
+    Back-projects the block onto each IRS element k,
+    G_k = (n_ue / t) sum_t conj(v_t[k]) r_t s_t^H, whose mean is
+    g[:, k] h[k, :] under unit-power pilots, and splits G_k at its top
+    singular pair (sigma, u, w) into column sqrt(sigma) u of g0 and row
+    sqrt(sigma) w^H of h0. Both are then truncated to their assumed ranks,
+    and singular values below _START_FLOOR times the largest are raised to
+    it. Noiseless, the columns of g0 lie in the k_true-dimensional column
+    space of g, so with p_hat > k_true the floor is what lets g move; an
+    all-zero block gives an all-zero start.
+
+    Raises:
+        ValueError: an assumed rank exceeds its matrix's dimensions.
+    """
+    n_ue, t = s.shape
+    n_bs, m = r.shape[0], v.shape[0]
+    # Column k * n_ue + j of the product holds column j of G_k.
+    blocks = (r @ herm(khatri_rao(v, s)) * (n_ue / t)).reshape(
+        n_bs, m, n_ue).swapaxes(0, 1)
+    u, sig, wh = np.linalg.svd(blocks, full_matrices=False)
+    root = np.sqrt(sig[:, :1])
+
+    def floored(a: np.ndarray, rank: int) -> FixedRankPoint:
+        u, s, v = truncated_svd(a, rank)
+        return FixedRankPoint(u, np.maximum(s, _START_FLOOR * s[0]), v)
+
+    return (floored((u[:, :, 0] * root).T, cfg.p_hat),
+            floored(wh[:, 0, :] * root, cfg.q_hat))
 
 
 # The costs and gradients below take stacks, one problem per row of a
@@ -214,37 +255,49 @@ def egrad_h(h_hat: np.ndarray, g_hat: np.ndarray, pilots: PilotBlock,
 
 
 def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
-           cfg: MoEstConfig,
-           rng: np.random.Generator | list[np.random.Generator]
-           ) -> MoEstResult | list[MoEstResult]:
+           cfg: MoEstConfig) -> MoEstResult | list[MoEstResult]:
     """Alternating fixed-rank CG estimation of (g, h) from a pilot block.
 
-    Starts from random rank-(p_hat, q_hat) points, solves the g-subproblem
-    then the h-subproblem each outer round, and stops when the normalized
-    cascaded estimate khatri_rao(h_hat^T, g_hat) moved by at most
+    Starts from the spectral start of each normalized block (see
+    _spectral_start), solves the g-subproblem then the h-subproblem each
+    outer round, and stops when the normalized cascaded estimate
+    khatri_rao(h_hat^T, g_hat) moved by at most
     _SETTLE * sqrt(sigma2 / (c^2 * t)) times its norm in that round (the
     first round compares against the start point), or after max_outer
-    rounds. With sigma2 = 0 the tolerance is 0.
+    rounds. With sigma2 = 0 the tolerance is 0. Nothing is random.
 
-    Both l1 weights are mu = 1e-2 * sigma2 / c^2 * t in the normalized
-    problem.
+    Both l1 weights are mu = 1e-2 * sigma2 / c^2 * t
+    * max(1, (20 * dof / (n_bs * t))^2) in the normalized problem, with
+    dof = p_hat (n_bs + m - p_hat) + q_hat (m + n_ue - q_hat) unknowns
+    against n_bs * t observations.
 
-    A list (or any iterable) of pilot blocks of one shape, with a list of
-    one generator each, returns one result per trial. The trials run in
-    lock-step on stacks: each round solves the g-subproblems of every
-    trial still running as one stacked CG, then their h-subproblems, and
-    each trial keeps its own start, weights and settle test, so its result
-    is bit-identical to the one it gets alone. A single block runs as a
-    stack of one through cg_minimize's one-problem form.
+    The result is finite for a rank-deficient start too. A noiseless
+    block with p_hat above the true rank moves g off its floored start
+    (see _spectral_start). An all-zero block r = 0 starts at zero, where
+    the gradient is zero, and returns the zero estimate after one settled
+    round: g_hat.s and h_hat.s are all 0, the one case where a result's
+    singular values are not positive.
+
+    A list (or any iterable) of pilot blocks of one shape returns one
+    result per trial. The trials run in lock-step on stacks: each round
+    solves the g-subproblems of every trial still running as one stacked
+    CG, then their h-subproblems, and each trial keeps its own start,
+    weights and settle test, so its result is bit-identical to the one it
+    gets alone. A single block runs as a stack of one through
+    cg_minimize's one-problem form.
+
+    Raises:
+        ValueError: blocks of different shapes or none, an assumed rank
+            above its matrix's dimensions, or non-unitary dictionaries.
     """
     one = isinstance(pilots, PilotBlock)
     if one:
-        pilots, rng = [pilots], [rng]
+        pilots = [pilots]
     _check_dicts(dicts)
-    # The normalized training block, one stack for all trials; each block
-    # is dropped once read, so an iterator of blocks never holds two
-    # copies of the training.
-    c, sigma2n, s, v, r = [], [], [], [], []
+    # The normalized training block and its start, one stack for all
+    # trials; each block is dropped once read, so an iterator of blocks
+    # never holds two copies of the training.
+    c, sigma2n, s, v, r, g_hat, h_hat = [], [], [], [], [], [], []
     for block in pilots:
         # Per-trial scalars, each computed as for one trial: numpy's
         # scalar c ** 2 rounds differently from the array square.
@@ -255,23 +308,24 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
         s.append(block.s)
         v.append(block.v)
         r.append(block.r / c[-1])
+        g0, h0 = _spectral_start(s[-1], v[-1], r[-1], cfg)
+        g_hat.append(g0)
+        h_hat.append(h0)
     block = pilots = None
     if len({(x.shape, y.shape, z.shape) for x, y, z in zip(s, v, r)}) != 1:
         raise ValueError("need pilot blocks, all of one shape")
-    if len(rng) != len(r):
-        raise ValueError(f"{len(rng)} generators for {len(r)} pilot blocks")
     s, v, r = np.stack(s), np.stack(v), np.stack(r)
+    g_hat, h_hat = FixedRankPoint.stack(g_hat), FixedRankPoint.stack(h_hat)
     n_bs, t = r.shape[1:]
     m, n_ue = v.shape[1], s.shape[1]
-    if cfg.p_hat > min(n_bs, m) or cfg.q_hat > min(m, n_ue):
-        raise ValueError("assumed rank exceeds matrix dimensions")
+    dof = (cfg.p_hat * (n_bs + m - cfg.p_hat)
+           + cfg.q_hat * (m + n_ue - cfg.q_hat))
+    boost = max(1.0, (20 * dof / (n_bs * t)) ** 2)
     c = np.array(c)
-    mu = np.array([1e-2 * x * t for x in sigma2n])
+    mu = np.array([1e-2 * x * t * boost for x in sigma2n])
     settle = np.array([_SETTLE * np.sqrt(x / t) for x in sigma2n])
 
-    g_hat = random_fixed_rank(n_bs, m, cfg.p_hat, rng)
-    h_hat = random_fixed_rank(m, n_ue, cfg.q_hat, rng)
-    live = list(range(len(rng)))          # trial of each row
+    live = list(range(len(c)))            # trial of each row
     traces = [[x] for x in _objective(g_hat.dense, h_hat.dense, s, v, r, mu,
                                       mu, dicts)]
     stalled = [False] * len(live)
@@ -307,13 +361,15 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
             h_c = khatri_rao(h_dense[k].T, g_dense[k])
             moved = np.linalg.norm(
                 h_c - khatri_rao(h_dense_prev[k].T, g_dense_prev[k]))
-            if not moved <= settle[k] * np.linalg.norm(h_c) \
-                    and it < cfg.max_outer:
+            settled = moved <= settle[k] * np.linalg.norm(h_c)
+            if not settled and it < cfg.max_outer:
                 keep.append(k)
                 continue
             g_phys = FixedRankPoint(g_hat.u[k], c[k] * g_hat.s[k],
                                     g_hat.v[k])
-            out[q] = MoEstResult(g_phys, h_hat[k], traces[q], it, stalled[q])
+            out[q] = MoEstResult(g_phys, h_hat[k], traces[q], it,
+                                 "settled" if settled else "max_outer",
+                                 stalled[q])
         if not keep:
             break
         if len(keep) < len(live):

@@ -215,8 +215,7 @@ def test_criterion_6_mo_est_convergence_accuracy():
                 ch = synth_channels(geom, sample_paths(geom, 3, rng))
                 s, v = make_pilots(geom, t, rng)
                 pil = simulate_uplink(ch, s, v, sigma2, rng)
-                res = mo_est(pil, dicts, MoEstConfig(3, 3),
-                             np.random.default_rng(10_000 + seed))
+                res = mo_est(pil, dicts, MoEstConfig(3, 3))
                 for before, after in zip(res.trace, res.trace[1:]):
                     assert after <= before + 1e-9
                 errs.append(nmse(ch.h_c, khatri_rao(res.h_hat.dense.T,
