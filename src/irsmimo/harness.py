@@ -312,11 +312,12 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
     """
     tic = time.perf_counter()
     scen, geom, t = point.scen, point.scen.geom, point.scen.t_used
-    # Children: paths, training, unused (spawned so the beamformer keeps its
-    # stream), beamformer.
-    rngs = [[np.random.default_rng(child) for child in np.random.SeedSequence(
-        cfg.master_seed, spawn_key=(point.index, seed)).spawn(4)]
-        for seed in seeds]
+    # Generators of children 0, 1 and 3: paths, training, beamformer. Child
+    # 2 is spawned but unused, so the beamformer's stream does not move.
+    rngs = [[np.random.default_rng(kids[k]) for k in (0, 1, 3)]
+            for kids in (np.random.SeedSequence(
+                cfg.master_seed, spawn_key=(point.index, seed)).spawn(4)
+                for seed in seeds)]
     ch = synth_channels(geom, stack_paths(
         [sample_paths(geom, cfg.k_true, rng[0], on_grid=cfg.on_grid)
          for rng in rngs]))
@@ -352,7 +353,7 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
     # The cascaded channels are built only now, after the estimators.
     h_c = ch.h_c
     design = h_c if hats[0] is None else np.stack(hats)
-    rng_bf = [rng[3] for rng in rngs]
+    rng_bf = [rng[2] for rng in rngs]
     optimize_v = cfg.algorithm != "random_phase_baseline"
     # A single trial goes through the one-trial signature, so the alt_wmmse
     # call of run_trial returns one BeamformingSolution, whose attributes

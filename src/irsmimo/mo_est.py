@@ -267,16 +267,18 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
     rounds. With sigma2 = 0 the tolerance is 0. Nothing is random.
 
     Both l1 weights are mu = 1e-2 * sigma2 / c^2 * t
-    * max(1, (20 * dof / (n_bs * t))^2) in the normalized problem, with
+    * (1 + (20 * dof / (n_bs * t))^2) in the normalized problem, with
     dof = p_hat (n_bs + m - p_hat) + q_hat (m + n_ue - q_hat) unknowns
     against n_bs * t observations.
 
     The result is finite for a rank-deficient start too. A noiseless
     block with p_hat above the true rank moves g off its floored start
-    (see _spectral_start). An all-zero block r = 0 starts at zero, where
-    the gradient is zero, and returns the zero estimate after one settled
-    round: g_hat.s and h_hat.s are all 0, the one case where a result's
-    singular values are not positive.
+    (see _spectral_start) to an accurate dense estimate, but g_hat.u may
+    then fail to be orthonormal: retract loses orthonormality when a
+    tangent's u_p is rank-deficient. An all-zero block r = 0 starts at
+    zero, where the gradient is zero, and returns the zero estimate after
+    one settled round: g_hat.s and h_hat.s are all 0, the one case where a
+    result's singular values are not positive.
 
     A list (or any iterable) of pilot blocks of one shape returns one
     result per trial. The trials run in lock-step on stacks: each round
@@ -320,7 +322,7 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
     m, n_ue = v.shape[1], s.shape[1]
     dof = (cfg.p_hat * (n_bs + m - cfg.p_hat)
            + cfg.q_hat * (m + n_ue - cfg.q_hat))
-    boost = max(1.0, (20 * dof / (n_bs * t)) ** 2)
+    boost = 1.0 + (20 * dof / (n_bs * t)) ** 2
     c = np.array(c)
     mu = np.array([1e-2 * x * t * boost for x in sigma2n])
     settle = np.array([_SETTLE * np.sqrt(x / t) for x in sigma2n])
