@@ -52,7 +52,7 @@ class SystemGeometry:
         for name in ("n_bs", "n_ue", "m_y", "m_z", "g_bs", "g_ue", "g_y", "g_z"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.d_bi <= 0 or self.d_iu <= 0:
+        if not (self.d_bi > 0 and self.d_iu > 0):
             raise ValueError("distances must be positive")
 
     def unitary(self) -> "SystemGeometry":

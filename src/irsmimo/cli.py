@@ -107,8 +107,9 @@ def _selftest_checks():
         target = manifold.random_fixed_rank(8, 6, 2, rng).dense
         res = manifold.cg_minimize(
             manifold.FixedRankManifold,
-            lambda p: (float(np.linalg.norm(p.dense - target) ** 2),
-                       lambda: p.dense - target),
+            lambda p, rows: ([float(np.linalg.norm(e) ** 2)
+                              for e in p.dense - target],
+                             lambda keep=None: p.dense - target),
             x, manifold.CgOptions(epsilon=1e-12, max_iters=200))
         assert res.trace[-1] < 1e-8
         assert all(a >= b - 1e-12 for a, b in zip(res.trace, res.trace[1:]))

@@ -3,10 +3,10 @@ matrices of fixed rank r (factored as u @ diag(s) @ v^H) and the complex
 circle (vectors with unit-modulus entries).
 
 Problem contract: `cg_minimize` takes one callback, cost_grad, which
-returns the real cost and a callable egrad that gives the gradient and can
-reuse the forward pass of the cost. The solver evaluates cost_grad once
-per trial point and calls egrad only at x0 and at each accepted point the
-search continues from.
+returns the real costs of a stack of points and a callable egrad that
+gives their gradients and can reuse the forward pass of the costs. The
+solver evaluates cost_grad once per trial point and calls egrad only at
+x0 and at each accepted point the search continues from.
 
 Stacks: points, tangent vectors and the manifold ops take a leading row
 axis, one row per problem, and `cg_minimize` runs a stack of B problems
@@ -177,7 +177,7 @@ class CgOptions:
     max_iters: int = 200
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -188,15 +188,18 @@ class CgResult:
     """Final iterate, objective trace (cost at x0 first), and diagnostics.
 
     reason says why the run stopped: "converged" (the last decrease was
-    at most epsilon), "max_iters", "stalled" (both line searches failed;
-    stalled is then True) or "zero_grad" (the gradient vanished).
+    at most epsilon), "max_iters", "stalled" (both line searches failed)
+    or "zero_grad" (the gradient vanished).
     """
 
     x: object
     trace: list[float]
-    stalled: bool
     iters: int
     reason: str
+
+    @property
+    def stalled(self) -> bool:
+        return self.reason == "stalled"
 
 
 def project_tangent(x: FixedRankPoint, j: np.ndarray) -> TangentVector:
@@ -340,15 +343,6 @@ class CircleManifold:
 _ALL = slice(None)
 
 
-def _assign(a, rows: list[int], src, b: int):
-    """The b-row stack a with rows `rows` replaced by those of src: src
-    itself when rows are all b, else a, written in place."""
-    if len(rows) == b:
-        return src
-    a[rows] = src[rows]
-    return a
-
-
 def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
     """cg_minimize on a stack x of n problems; see cg_minimize for ops
     and cost_grad.
@@ -385,8 +379,7 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
             live = []
             for k, q in enumerate(rows):
                 if gg[k] <= _ZERO_GRAD:
-                    out[q] = CgResult(x[k], traces[q], False, it - 1,
-                                      "zero_grad")
+                    out[q] = CgResult(x[k], traces[q], it - 1, "zero_grad")
                 else:
                     live.append(k)
             if not live:
@@ -403,7 +396,7 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
         half = ops.inner(x, g, d)
         if any(map((0.0).__le__, half)):
             flip = [k for k in range(b) if half[k] >= 0.0]
-            d = _assign(d, flip, -g, b)
+            d[flip] = (-g)[flip]
             for k in flip:
                 half[k] = -gg[k]
         # The last iteration takes no gradient at its accepted points.
@@ -413,10 +406,10 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
         # and its next first step after; keep lists the accepted rows that
         # go on, grads their gradients, one (rows, stack) per round.
         f_new, steps, grads, keep = [None] * b, step[:], [], []
-        cur, full = range(b), True        # rows still searching; all of them
+        cur = range(b)                    # rows still searching
         for retry in (False, True):
             for _ in range(_MAX_BACKTRACKS):
-                if full:
+                if len(cur) == b:
                     y, bad = ops.retract(x, d, steps)
                     x_new, at, probs = y, cur, every  # row k of y is row k's
                 else:
@@ -447,7 +440,7 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
                             steps[k] = min(_INITIAL_STEP, 2.0 * steps[k])
                         else:
                             out[q] = CgResult(
-                                y[e], traces[q], False, it,
+                                y[e], traces[q], it,
                                 "converged" if f[k] - fe <= eps
                                 else "max_iters")
                     if want:
@@ -461,7 +454,7 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
                         if len(acc) == len(cur):
                             cur = ()
                             break
-                        cur, full = [k for k in cur if f_new[k] is None], False
+                        cur = [k for k in cur if f_new[k] is None]
                 for k in cur:
                     steps[k] *= _CONTRACTION
             if retry or not cur:
@@ -472,16 +465,15 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
             cur = [k for k in cur if nz[k] > 0]
             if not cur:
                 break
-            full = len(cur) == b
-            d = _assign(d, cur, -g, b)
+            d[cur] = (-g)[cur]
             for k in cur:
                 half[k] = -gg[k]
                 steps[k] = step[k]
         if None in f_new:
             for k, fe in enumerate(f_new):
                 if fe is None:
-                    out[rows[k]] = CgResult(x[k], traces[rows[k]], True,
-                                            it, "stalled")
+                    out[rows[k]] = CgResult(x[k], traces[rows[k]], it,
+                                            "stalled")
         if not keep:
             break
 
@@ -518,14 +510,14 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions):
             one step per row, transport(x_new, t), inner(x, t1, t2) -> one
             float per row, scale(t, factors) with one factor per row, and
             stacked(x), true when x is a stack.
-        cost_grad: for a stack x0, cost_grad(x, rows) takes a stack x
-            whose row i belongs to problem rows[i] (rows is slice(None)
-            when x holds every problem in order) and returns a list of one
-            float cost per row and egrad(keep=None), the conjugate
-            Euclidean gradients of rows keep of x (of every row for None).
-            For a single point, cost_grad(x) returns one float cost and
-            egrad(), the gradient at x. A point that meets the decrease
-            test or the iteration cap is returned without its gradient.
+        cost_grad: cost_grad(x, rows) takes a stack x whose row i belongs
+            to problem rows[i] (rows is slice(None) when x holds every
+            problem in order) and returns a list of one float cost per row
+            and egrad(keep=None), the conjugate Euclidean gradients of rows
+            keep of x (of every row for None). A single point x0 runs as
+            the stack x0[None], so its cost_grad sees only rows =
+            slice(None) and egrad(). A point that meets the decrease test
+            or the iteration cap is returned without its gradient.
         x0: starting point on the manifold, or a stack of the starting
             points of n problems.
         opts: termination settings.
@@ -535,18 +527,13 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions):
         cost at x0, trace is non-increasing. Stops when the per-iteration
         decrease drops to opts.epsilon or below, the gradient vanishes, or
         max_iters is reached. A failed line search retries along steepest
-        descent once, then sets stalled. The problems of a stack run in
+        descent once, then stalls. The problems of a stack run in
         lock-step, each with its own steps and stop test, and each ends
-        where it ends alone; a single point runs as x0[None].
+        where it ends alone.
     """
     if manifold.stacked(x0):
         return _lockstep(manifold, cost_grad, x0, len(x0), opts)
-
-    def stack_of_one(x, rows):
-        f, egrad = cost_grad(x[0])
-        return [f], lambda keep=None: egrad()[None]
-
-    return _lockstep(manifold, stack_of_one, x0[None], 1, opts)[0]
+    return _lockstep(manifold, cost_grad, x0[None], 1, opts)[0]
 
 
 def pick_rows(rows, keep):
@@ -555,16 +542,6 @@ def pick_rows(rows, keep):
     if keep is None:
         return rows
     return keep if isinstance(rows, slice) else [rows[k] for k in keep]
-
-
-def one_problem(cost_grad):
-    """The single-point cost_grad(x) of a stacked cost_grad(x, rows), for
-    cg_minimize on one point: x runs as the stack x[None]."""
-    def cost_one(x):
-        costs, egrad = cost_grad(x[None], _ALL)
-        return costs[0], lambda: egrad()[0]
-
-    return cost_one
 
 
 def random_fixed_rank(n: int, m: int, r: int, rng: np.random.Generator):

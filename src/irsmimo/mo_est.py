@@ -39,7 +39,7 @@ import numpy as np
 
 from .channel import Dictionaries, PilotBlock
 from .manifold import (CgOptions, FixedRankManifold, FixedRankPoint,
-                       cg_minimize, one_problem, pick_rows)
+                       cg_minimize, pick_rows)
 from .numerics import herm, khatri_rao, matrix_sums, truncated_svd
 
 # Angular coefficients below this magnitude contribute subgradient zero to
@@ -285,8 +285,7 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
     solves the g-subproblems of every trial still running as one stacked
     CG, then their h-subproblems, and each trial keeps its own start,
     weights and settle test, so its result is bit-identical to the one it
-    gets alone. A single block runs as a stack of one through
-    cg_minimize's one-problem form.
+    gets alone.
 
     Raises:
         ValueError: blocks of different shapes or none, an assumed rank
@@ -335,11 +334,9 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
 
     def solve(cost_grad, x0: FixedRankPoint) -> FixedRankPoint:
         """The rows of x0 moved by cg_minimize on cost_grad, restacked."""
-        if one:
-            res = [cg_minimize(FixedRankManifold, one_problem(cost_grad),
-                               x0[0], _INNER_OPTS)]
-        else:
-            res = cg_minimize(FixedRankManifold, cost_grad, x0, _INNER_OPTS)
+        res = ([cg_minimize(FixedRankManifold, cost_grad, x0[0], _INNER_OPTS)]
+               if one else
+               cg_minimize(FixedRankManifold, cost_grad, x0, _INNER_OPTS))
         for q, x in zip(live, res):
             stalled[q] = stalled[q] or x.stalled
         return FixedRankPoint.stack([x.x for x in res])

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemGeometry, effective_channel
-from .manifold import (CgOptions, CircleManifold, cg_minimize, one_problem,
-                       pick_rows)
+from .manifold import CgOptions, CircleManifold, cg_minimize, pick_rows
 from .numerics import herm, random_unit_modulus
 
 
@@ -43,7 +42,7 @@ class DownlinkScenario:
     t_tot: int = 2000
 
     def __post_init__(self):
-        if self.sigma2_d <= 0:
+        if not self.sigma2_d > 0:
             raise ValueError("sigma2_d must be positive")
         if not 1 <= self.n_s <= min(self.geom.n_bs, self.geom.n_ue):
             raise ValueError("n_s outside [1, min(n_bs, n_ue)]")
@@ -54,13 +53,18 @@ class DownlinkScenario:
 
 @dataclass
 class BeamformingSolution:
-    """Converged beamformers plus the objective trace and resulting rate."""
+    """Converged beamformers plus the objective trace and resulting rate.
+
+    reason is why the outer loop stopped: "converged" (the last decrease
+    of g was at most _EPS3) or "max_outer" (the round cap).
+    """
 
     f: np.ndarray
     v_d: np.ndarray
     g_trace: list[float]
     se: float
     iterations: int
+    reason: str
     stalled: bool = False
 
 
@@ -252,6 +256,7 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
     g_trace = [[x] for x in g.tolist()]
     iters = np.zeros(trials, dtype=int)
     stalled = np.zeros(trials, dtype=bool)
+    converged = np.zeros(trials, dtype=bool)
     active = np.arange(trials)
     for it in range(1, max_outer + 1):
         # Fancy indexing copies, so a full stack is sliced instead.
@@ -271,8 +276,7 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
             # (ROADMAP.md, item 2).
             res = (cg_minimize(CircleManifold, cost_grad, v[on], _INNER_OPTS)
                    if stacked else
-                   [cg_minimize(CircleManifold, one_problem(cost_grad), v[0],
-                                _INNER_OPTS)])
+                   [cg_minimize(CircleManifold, cost_grad, v[0], _INNER_OPTS)])
             v[on] = [r.x for r in res]
             stalled[on] |= [r.stalled for r in res]
             # Stopped trials kept their v, so their rows come out unchanged;
@@ -287,13 +291,15 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
         iters[active] = it
         for b, x in zip(active, g.tolist()):
             g_trace[b].append(x)
-        stop = [g_trace[b][-2] - g_trace[b][-1] <= _EPS3 for b in active]
-        active = active[~np.array(stop, dtype=bool)]
+        converged[active] = [g_trace[b][-2] - g_trace[b][-1] <= _EPS3
+                             for b in active]
+        active = active[~converged[active]]
         if not len(active):
             break
 
     se = spectral_efficiency(h_e, f, scen)
-    sols = [BeamformingSolution(f[b], v[b], g_trace[b], float(se[b]),
-                                int(iters[b]), bool(stalled[b]))
-            for b in range(trials)]
+    sols = [BeamformingSolution(
+        f[b], v[b], g_trace[b], float(se[b]), int(iters[b]),
+        "converged" if converged[b] else "max_outer", bool(stalled[b]))
+        for b in range(trials)]
     return sols if stacked else sols[0]

@@ -120,8 +120,9 @@ def test_criterion_2_manifold_contracts():
             target = random_fixed_rank(8, 6, 2, rng).dense
             res = cg_minimize(
                 FixedRankManifold,
-                lambda p: (float(np.linalg.norm(p.dense - target) ** 2),
-                           lambda: p.dense - target),
+                lambda p, rows: ([float(np.linalg.norm(e) ** 2)
+                                  for e in p.dense - target],
+                                 lambda keep=None: p.dense - target),
                 x, CgOptions(epsilon=1e-10, max_iters=40))
             for before, after in zip(res.trace, res.trace[1:]):
                 assert after <= before + 1e-12

@@ -83,6 +83,9 @@ def test_geometry_validation():
         SystemGeometry(n_bs=0)
     with pytest.raises(ValueError):
         SystemGeometry(d_bi=-1.0)
+    for kwargs in ({"d_bi": float("nan")}, {"d_iu": float("nan")}):
+        with pytest.raises(ValueError):
+            SystemGeometry(**kwargs)
 
 
 def test_steering_ula_frozen():

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cgauss
-from irsmimo.manifold import (CgOptions, CircleManifold, DegenerateStep,
-                              FixedRankManifold, FixedRankPoint, cg_minimize,
-                              circle_project, circle_retract,
-                              project_tangent, random_fixed_rank, retract,
-                              transport)
+from irsmimo.manifold import (CgOptions, CgResult, CircleManifold,
+                              DegenerateStep, FixedRankManifold,
+                              FixedRankPoint, cg_minimize, circle_project,
+                              circle_retract, project_tangent,
+                              random_fixed_rank, retract, transport)
 from irsmimo.numerics import random_unit_modulus, truncated_svd
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -251,8 +251,9 @@ def test_circle_retract_cases():
 
 def _sq_dist(b):
     """cost_grad of ||X - b||_F^2 on the fixed-rank manifold."""
-    return lambda p: (float(np.linalg.norm(p.dense - b) ** 2),
-                      lambda: p.dense - b)
+    return lambda p, rows: ([float(np.linalg.norm(e) ** 2)
+                             for e in p.dense - b],
+                            lambda keep=None: p.dense - b)
 
 
 def test_cg_converges_to_rank_r_target():
@@ -286,7 +287,7 @@ def test_cg_trace_monotone_many_seeds():
         cost_grad = _sq_dist(b)
         res = cg_minimize(FixedRankManifold, cost_grad, x0,
                           CgOptions(epsilon=1e-10, max_iters=100))
-        assert res.trace[0] == cost_grad(x0)[0]
+        assert res.trace[0] == cost_grad(x0[None], slice(None))[0][0]
         assert all(a >= b_ - 1e-12 for a, b_ in zip(res.trace, res.trace[1:]))
         assert len(res.trace) == res.iters + 1
 
@@ -295,12 +296,46 @@ def test_cg_on_circle_manifold():
     rng = np.random.default_rng(12)
     y = random_unit_modulus(10, rng)
     res = cg_minimize(CircleManifold,
-                      lambda p: (float(np.linalg.norm(p - y) ** 2),
-                                 lambda: p - y),
+                      lambda p, rows: ([float(np.linalg.norm(e) ** 2)
+                                        for e in p - y],
+                                       lambda keep=None: p - y),
                       random_unit_modulus(10, rng),
                       CgOptions(epsilon=1e-12, max_iters=200))
     assert res.trace[-1] < 1e-8
     np.testing.assert_allclose(np.abs(res.x), 1.0, atol=1e-12)
+
+
+def test_single_point_cost_sees_a_one_row_stack():
+    rng = np.random.default_rng(23)
+    b = cgauss(rng, (7, 5))
+    y = cgauss(rng, 10)
+    cases = [(FixedRankManifold, random_fixed_rank(7, 5, 2, rng),
+              lambda x: x.dense - b),
+             (CircleManifold, random_unit_modulus(10, rng), lambda x: x - y)]
+    for manifold, x0, resid in cases:
+        seen = {"len": set(), "rows": [], "keep": []}
+
+        def cost_grad(x, rows):
+            assert manifold.stacked(x)
+            seen["len"].add(len(x))
+            seen["rows"].append(rows)
+            e = resid(x)
+
+            def egrad(keep=None):
+                seen["keep"].append(keep)
+                return 10.0 * e
+
+            # The 10x curvature makes unit steps overshoot, so line
+            # searches reject trial points.
+            return [10.0 * float(np.linalg.norm(r) ** 2) for r in e], egrad
+
+        res = cg_minimize(manifold, cost_grad, x0,
+                          CgOptions(epsilon=1e-10, max_iters=30))
+        assert isinstance(res, CgResult)
+        assert len(seen["rows"]) > len(res.trace) > 2
+        assert seen["len"] == {1}
+        assert all(rows == slice(None) for rows in seen["rows"])
+        assert seen["keep"] and all(keep is None for keep in seen["keep"])
 
 
 def test_cg_epsilon_stops_early():
@@ -317,12 +352,14 @@ def test_cg_rejects_nonfinite_start():
     x0 = random_fixed_rank(4, 4, 1, rng)
     with pytest.raises(ValueError):
         cg_minimize(FixedRankManifold,
-                    lambda p: (float("nan"), lambda: p.dense), x0,
-                    CgOptions())
+                    lambda p, rows: ([float("nan")],
+                                     lambda keep=None: p.dense),
+                    x0, CgOptions())
 
 
 def test_cg_options_validation():
-    for kwargs in ({"epsilon": 0.0}, {"max_iters": 0}, {"max_iters": -3}):
+    for kwargs in ({"epsilon": 0.0}, {"epsilon": float("nan")},
+                   {"max_iters": 0}, {"max_iters": -3}):
         with pytest.raises(ValueError):
             CgOptions(**kwargs)
 
@@ -345,16 +382,17 @@ def _check_evaluation_counts(stop):
         7, 5, 2, rng).dense
     calls = {"cost_grad": 0, "egrad": 0, "retract": 0}
 
-    def cost_grad(p):
+    def cost_grad(p, rows):
         calls["cost_grad"] += 1
 
-        def egrad():
+        def egrad(keep=None):
             calls["egrad"] += 1
             return 10.0 * (p.dense - b)
 
         if finite_evals is not None and calls["cost_grad"] > finite_evals:
-            return float("inf"), egrad
-        return 10.0 * float(np.linalg.norm(p.dense - b) ** 2), egrad
+            return [float("inf")] * len(p), egrad
+        return [10.0 * float(np.linalg.norm(e) ** 2)
+                for e in p.dense - b], egrad
 
     class CountingManifold(FixedRankManifold):
         @staticmethod
@@ -404,12 +442,12 @@ def test_cg_does_no_work_at_the_final_point(opts, iters):
     b = cgauss(rng, (7, 5))
     seen = []  # (operation, dense point it ran at)
 
-    def cost_grad(p):
-        def egrad():
-            seen.append(("egrad", p.dense.copy()))
+    def cost_grad(p, rows):
+        def egrad(keep=None):
+            seen.append(("egrad", p.dense[0].copy()))
             return p.dense - b
 
-        return float(np.linalg.norm(p.dense - b) ** 2), egrad
+        return [float(np.linalg.norm(p.dense[0] - b) ** 2)], egrad
 
     # A single point runs as a stack of one.
     class CountingManifold(FixedRankManifold):
@@ -433,19 +471,15 @@ def test_cg_does_no_work_at_the_final_point(opts, iters):
 
 
 def _fit_costs(targets):
-    """One-problem and stacked cost_grad of ||X - B||_F^2 with the same
-    arithmetic: the one-problem form for target targets[i], the stacked
-    form for the stack of targets."""
-    def one(i):
-        def cost_grad(p):
-            e = p.dense - targets[i]
-            return float((np.abs(e) ** 2).sum()), lambda: e
-        return cost_grad
-
+    """cost_grad of ||X - B||_F^2 for the stack of targets, and one(i), the
+    same cost restricted to targets[i] for problem i alone."""
     def stacked(x, rows):
         e = x.dense - targets[rows]
         sums = (np.abs(e) ** 2).sum(axis=(-2, -1)).tolist()
         return sums, lambda keep=None: e if keep is None else e[keep]
+
+    def one(i):
+        return lambda x, rows: stacked(x, [i])
 
     return one, stacked
 
@@ -513,18 +547,14 @@ def test_circle_stack_equals_each_problem_alone():
     c = 2.0 ** (np.arange(m) % 3)
     opts = CgOptions(epsilon=1e-12, max_iters=8)
 
-    def one(i):
-        def cost_grad(x):
-            e = x - targets[i]
-            ce = c * e
-            return float(np.vdot(e, ce).real), lambda: ce
-        return cost_grad
-
     def stacked(x, rows):
         e = x - targets[rows]
         ce = c * e
         return ([float(np.vdot(a, b).real) for a, b in zip(e, ce)],
                 lambda keep=None: ce if keep is None else ce[keep])
+
+    def one(i):
+        return lambda x, rows: stacked(x, [i])
 
     calls = {"bad_rounds": 0}
 

@@ -240,6 +240,26 @@ class TestAltWmmse:
             wins += opt.se > base.se
         assert wins >= 9
 
+    def test_reason_converged(self):
+        h_c = _channel(0)
+        sol = alt_wmmse(DESK, h_c, np.random.default_rng(100))
+        assert sol.reason == "converged" and 1 < sol.iterations < 50
+        assert sol.g_trace[-2] - sol.g_trace[-1] <= wmmse._EPS3
+        # The random-phase arm stops after its one round.
+        base = alt_wmmse(DESK, h_c, np.random.default_rng(100),
+                         optimize_v=False)
+        assert (base.reason, base.iterations) == ("converged", 1)
+
+    def test_reason_max_outer(self):
+        # A desk channel at 20 dB with the desk preset's 3 paths.
+        rng = np.random.default_rng(1)
+        h_c = synth_channels(GEOM_DESK, sample_paths(GEOM_DESK, 3, rng)).h_c
+        scen = DownlinkScenario(GEOM_DESK, pnr_to_sigma2(
+            20.0, GEOM_DESK.d_bi, GEOM_DESK.d_iu))
+        sol = alt_wmmse(scen, h_c, np.random.default_rng(101))
+        assert (sol.reason, sol.iterations) == ("max_outer", 50)
+        assert sol.g_trace[-2] - sol.g_trace[-1] > wmmse._EPS3
+
     def test_fixed_reflection_left_untouched(self):
         v0 = random_unit_modulus(GEOM_DESK.m, np.random.default_rng(42))
         sol = alt_wmmse(DESK, _channel(3), np.random.default_rng(42),
@@ -318,8 +338,9 @@ def _assert_stacked_equals_single_runs(scen, optimize_v):
                         optimize_v=optimize_v)
         assert np.array_equal(sol.f, one.f)
         assert np.array_equal(sol.v_d, one.v_d)
-        assert (sol.g_trace, sol.se, sol.iterations, sol.stalled) == \
-            (one.g_trace, one.se, one.iterations, one.stalled)
+        assert (sol.g_trace, sol.se, sol.iterations, sol.reason,
+                sol.stalled) == (one.g_trace, one.se, one.iterations,
+                                 one.reason, one.stalled)
     if optimize_v:
         # The trials stop after different rounds, so the lock-step loop
         # drops trials from the stack.
@@ -359,8 +380,9 @@ class TestScenarioValidation:
     def test_shape_and_parameter_checks(self):
         # The channel's shape is checked by effective_channel, which
         # test_channel.py covers.
-        with pytest.raises(ValueError, match="sigma2_d"):
-            DownlinkScenario(GEOM_M4, 0.0, 1)
+        for sigma2_d in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="sigma2_d"):
+                DownlinkScenario(GEOM_M4, sigma2_d, 1)
         with pytest.raises(ValueError, match="n_s"):
             DownlinkScenario(GEOM_M4, 1.0, 5)
         with pytest.raises(ValueError, match="t_used"):
