@@ -101,9 +101,10 @@ def _selftest_checks():
         x = manifold.random_fixed_rank(8, 6, 2, rng)
         j = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
         t1 = manifold.project_tangent(x, j)
-        t2 = manifold.project_tangent(x, t1.embed())
-        assert np.abs(t1.embed() - t2.embed()).max() < 1e-12
-        assert manifold.retract(x, t1, 0.0) is x
+        t2 = manifold.project_tangent(x, t1.embed(x))
+        assert np.abs(t1.embed(x) - t2.embed(x)).max() < 1e-12
+        at0, bad = manifold.retract(x[None], t1[None], [0.0])
+        assert bad is None and np.abs(at0.dense[0] - x.dense).max() < 1e-12
         target = manifold.random_fixed_rank(8, 6, 2, rng).dense
         res = manifold.cg_minimize(
             manifold.FixedRankManifold,

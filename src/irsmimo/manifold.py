@@ -17,6 +17,10 @@ problem alone ends. Indexing a stack, `x[rows]`, selects rows and
 `x[rows] = y` assigns them; a circle stack is a (B, m) array. A single
 point runs as a stack of one.
 
+Tangent vectors are plain data, as in Manopt and Pymanopt: a tangent
+vector stores no base point, and every op that needs one takes it, as
+transport(x, x_new, t) takes both ends.
+
 Gradient convention: egrad returns the conjugate Wirtinger gradient
 J = df/d(conj(X)), so the directional derivative of the real cost along a
 tangent t is 2 * Re<J, t>. The Riemannian gradient is the tangent
@@ -29,10 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import herm, matrix_sums, truncated_svd
-
-
-class DegenerateStep(Exception):
-    """Retraction of one fixed-rank point left the manifold (rank drop)."""
 
 
 @dataclass
@@ -87,14 +87,15 @@ class FixedRankPoint:
         if np.any(np.diff(self.s) > tol):
             raise ValueError("singular values must be non-increasing")
         for q, name in ((self.u, "u"), (self.v, "v")):
-            err = np.abs(q.conj().T @ q - np.eye(r)).max()
+            err = np.abs(herm(q) @ q - np.eye(r)).max()
             if err > tol:
                 raise ValueError(f"{name} columns not orthonormal ({err:.2e})")
 
 
 @dataclass
 class TangentVector:
-    """Tangent vector at a FixedRankPoint in factored form.
+    """Tangent vector at a FixedRankPoint x in factored form. It stores no
+    base point: the ops that need x take it, as embed(x) does.
 
     Embeds as u @ m_core @ v^H + u_p @ v^H + u @ v_p^H with u_p^H u = 0
     and v_p^H v = 0, so factored inner products need no cross terms.
@@ -107,7 +108,6 @@ class TangentVector:
     m_core: np.ndarray         # (r, r)
     u_p: np.ndarray            # (n, r)
     v_p: np.ndarray            # (m, r)
-    anchor: FixedRankPoint
     _qr: tuple | None = field(default=None, repr=False)
 
     @property
@@ -118,14 +118,13 @@ class TangentVector:
             self._qr = (*np.linalg.qr(self.u_p), *np.linalg.qr(self.v_p))
         return self._qr
 
-    def embed(self) -> np.ndarray:
-        x = self.anchor
+    def embed(self, x: FixedRankPoint) -> np.ndarray:
+        """The ambient matrix of self at its base point x."""
         return ((x.u @ self.m_core + self.u_p) @ herm(x.v)
                 + x.u @ herm(self.v_p))
 
     def __getitem__(self, rows) -> "TangentVector":
-        out = TangentVector(self.m_core[rows], self.u_p[rows], self.v_p[rows],
-                            self.anchor[rows])
+        out = TangentVector(self.m_core[rows], self.u_p[rows], self.v_p[rows])
         if self._qr is not None:
             out._qr = tuple(a[rows] for a in self._qr)
         return out
@@ -136,23 +135,17 @@ class TangentVector:
         self._qr = None
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
-        if other.anchor is not self.anchor:
-            raise ValueError("cannot add tangent vectors at different points")
         return TangentVector(self.m_core + other.m_core, self.u_p + other.u_p,
-                             self.v_p + other.v_p, self.anchor)
+                             self.v_p + other.v_p)
 
     def __mul__(self, c) -> "TangentVector":
         if not np.isscalar(c):
             c = np.asarray(c)[:, None, None]
-        return TangentVector(c * self.m_core, c * self.u_p, c * self.v_p,
-                             self.anchor)
+        return TangentVector(c * self.m_core, c * self.u_p, c * self.v_p)
 
     def __sub__(self, other: "TangentVector") -> "TangentVector":
-        if other.anchor is not self.anchor:
-            raise ValueError("cannot subtract tangent vectors at different "
-                             "points")
         return TangentVector(self.m_core - other.m_core, self.u_p - other.u_p,
-                             self.v_p - other.v_p, self.anchor)
+                             self.v_p - other.v_p)
 
     __rmul__ = __mul__
 
@@ -213,18 +206,19 @@ def project_tangent(x: FixedRankPoint, j: np.ndarray) -> TangentVector:
     m_core = herm(x.u) @ jv
     u_p = jv - x.u @ m_core
     v_p = jhu - x.v @ herm(m_core)
-    return TangentVector(m_core, u_p, v_p, x)
+    return TangentVector(m_core, u_p, v_p)
 
 
-def transport(d_prev: TangentVector, x_new: FixedRankPoint) -> TangentVector:
-    """Vector transport by projection onto the tangent space at x_new."""
-    if x_new is d_prev.anchor:
-        return d_prev
-    return project_tangent(x_new, d_prev.embed())
+def transport(x: FixedRankPoint, x_new: FixedRankPoint,
+              t: TangentVector) -> TangentVector:
+    """Vector transport of t from x to x_new by projection onto the
+    tangent space at x_new."""
+    return project_tangent(x_new, t.embed(x))
 
 
-def retract(x: FixedRankPoint, d: TangentVector, step):
-    """Best rank-r approximation of x.dense + step * d.embed().
+def retract(x: FixedRankPoint, d: TangentVector, steps):
+    """Best rank-r approximation of x.dense + step * d.embed(x), for a
+    stack x with one positive step per row.
 
     Computed from the factors: QR of u_p and v_p extends the bases, an SVD
     of the 2r x 2r core supplies the new singular values. The QR factors
@@ -233,24 +227,14 @@ def retract(x: FixedRankPoint, d: TangentVector, step):
     cg_minimize tries) the result is bit-identical to factoring
     step * u_p and step * v_p afresh.
 
-    A stack x takes one positive step per row and returns (x_new, bad)
-    instead of raising: bad is None when every row stays on the manifold,
-    else a list with bad[i] True where row i is degenerate (its row of
-    x_new is meaningless).
-
-    Raises:
-        DegenerateStep: the stepped matrix has numerical rank below r
-            (smallest singular value <= 1e-12 * largest).
+    Returns (x_new, bad): bad is None when every row stays on the
+    manifold, else a list with bad[i] True where row i is degenerate, its
+    stepped matrix of numerical rank below r (smallest singular value
+    <= 1e-12 * largest); its row of x_new is meaningless.
     """
-    stacked = x.u.ndim == 3
-    if not stacked:
-        if step < 0:
-            raise ValueError("step must be non-negative")
-        if step == 0.0:
-            return x
     r = x.r
     q_u, r_u, q_v, r_v = d.qr
-    step = np.asarray(step)[..., None, None]
+    step = np.asarray(steps)[:, None, None]
     core = np.zeros(x.s.shape[:-1] + (2 * r, 2 * r), dtype=complex)
     # s * I is diag(s) exactly, and stacks.
     core[..., :r, :r] = x.s[..., :, None] * np.eye(r) + step * d.m_core
@@ -258,12 +242,10 @@ def retract(x: FixedRankPoint, d: TangentVector, step):
     core[..., r:, :r] = step * r_u
     w, sig, zh = np.linalg.svd(core)
     bad = sig[..., r - 1] <= 1e-12 * sig[..., 0]
-    if not stacked and bad:
-        raise DegenerateStep(f"rank drop: sigma_r={sig[r - 1]:.3e}")
     u_new = np.concatenate((x.u, q_u), axis=-1) @ w[..., :r]
     v_new = np.concatenate((x.v, q_v), axis=-1) @ herm(zh[..., :r, :])
     y = FixedRankPoint(u_new, sig[..., :r], v_new)
-    return (y, bad.tolist() if bad.any() else None) if stacked else y
+    return y, bad.tolist() if bad.any() else None
 
 
 def circle_project(v: np.ndarray, egrad: np.ndarray) -> np.ndarray:
@@ -275,8 +257,8 @@ def circle_project(v: np.ndarray, egrad: np.ndarray) -> np.ndarray:
 
 def circle_retract(v: np.ndarray, t: np.ndarray, steps):
     """Entrywise normalization of v + step * t back onto the circle, for a
-    stack v with one positive step per row. Returns (v_new, bad) as a
-    stacked retract does; row i is bad when one of its entries vanishes."""
+    stack v with one positive step per row. Returns (v_new, bad) as
+    retract does; row i is bad when one of its entries vanishes."""
     w = v + np.asarray(steps)[:, None] * t
     mag = np.abs(w)
     bad = (mag < 1e-14).any(axis=-1)
@@ -292,9 +274,12 @@ class FixedRankManifold:
     project = staticmethod(project_tangent)
     retract = staticmethod(retract)
 
+    # A call, not a staticmethod binding: wrapping the module's transport,
+    # as a profiler does, then sees the solver's calls.
     @staticmethod
-    def transport(x_new: FixedRankPoint, t: TangentVector) -> TangentVector:
-        return transport(t, x_new)
+    def transport(x: FixedRankPoint, x_new: FixedRankPoint,
+                  t: TangentVector) -> TangentVector:
+        return transport(x, x_new, t)
 
     @staticmethod
     def inner(x: FixedRankPoint, t1: TangentVector, t2: TangentVector):
@@ -322,7 +307,8 @@ class CircleManifold:
     retract = staticmethod(circle_retract)
 
     @staticmethod
-    def transport(x_new: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def transport(x: np.ndarray, x_new: np.ndarray,
+                  t: np.ndarray) -> np.ndarray:
         return circle_project(x_new, t)
 
     @staticmethod
@@ -369,7 +355,6 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
     step = [_INITIAL_STEP] * n
     out: list[CgResult | None] = [None] * n
     eps, last = opts.epsilon, opts.max_iters
-    every = _ALL                          # the problems of all rows of x
 
     for it in range(1, last + 1):
         gg = ops.inner(x, g, g)
@@ -385,11 +370,8 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
             if not live:
                 break
             x, g, d = x[live], g[live], d[live]
-            if isinstance(g, TangentVector):
-                g.anchor = d.anchor = x   # one point, as d + g requires
             gg, f, step, rows = ([a[k] for k in live]
                                  for a in (gg, f, step, rows))
-            every = rows
         b = len(rows)
         # half the slope along d: the directional derivative is twice the
         # Riemannian inner product (Wirtinger conjugate-gradient convention)
@@ -404,14 +386,15 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
 
         # f_new[k] is row k's accepted cost, steps[k] its step until then
         # and its next first step after; keep lists the accepted rows that
-        # go on, grads their gradients, one (rows, stack) per round.
+        # go on, grads their gradients, one stack per round, both in the
+        # order of acceptance.
         f_new, steps, grads, keep = [None] * b, step[:], [], []
         cur = range(b)                    # rows still searching
         for retry in (False, True):
             for _ in range(_MAX_BACKTRACKS):
-                if len(cur) == b:
+                if len(cur) == b:         # row k of y is row k's
                     y, bad = ops.retract(x, d, steps)
-                    x_new, at, probs = y, cur, every  # row k of y is row k's
+                    x_new, at, probs = y, cur, _ALL if len(rows) == n else rows
                 else:
                     y, bad = ops.retract(x[cur], d[cur],
                                          [steps[k] for k in cur])
@@ -444,9 +427,8 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
                                 "converged" if f[k] - fe <= eps
                                 else "max_iters")
                     if want:
-                        grads.append(
-                            (at, egrad()) if len(want) == len(at) else
-                            ([at[e] for e in want], egrad(want)))
+                        grads.append(egrad() if len(want) == len(at)
+                                     else egrad(want))
                     del egrad
                     if acc:
                         if x_new is not y:
@@ -477,27 +459,22 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
         if not keep:
             break
 
+        # The rows of one round are accepted in ascending order.
         if len(grads) == 1:
-            egrad_new = grads[0][1]
+            egrad_new = grads[0]
         else:
+            egrad_new = np.concatenate(grads)[np.argsort(keep)]
             keep.sort()
-            at = {k: i for i, k in enumerate(keep)}
-            egrad_new = np.empty((len(keep),) + grads[0][1].shape[1:],
-                                 grads[0][1].dtype)
-            for ks, part in grads:
-                egrad_new[[at[k] for k in ks]] = part
         del grads
         if len(keep) < b:
-            x_new, g, d = x_new[keep], g[keep], d[keep]
+            x, x_new, g, d = x[keep], x_new[keep], g[keep], d[keep]
             gg, f_new, steps, rows = ([a[k] for k in keep]
                                       for a in (gg, f_new, steps, rows))
-            every = rows
-        x, f, step = x_new, f_new, steps
-        g_new = ops.project(x, egrad_new)
-        eta = ops.inner(x, g_new, g_new - ops.transport(x, g))
-        d = ops.scale(ops.transport(x, d),
+        g_new = ops.project(x_new, egrad_new)
+        eta = ops.inner(x_new, g_new, g_new - ops.transport(x, x_new, g))
+        d = ops.scale(ops.transport(x, x_new, d),
                       [max(0.0, v / q) for v, q in zip(eta, gg)]) - g_new
-        g = g_new
+        x, f, step, g = x_new, f_new, steps, g_new
     return out
 
 
@@ -507,9 +484,11 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions):
     Args:
         manifold: ops object on stacks of points and tangent vectors:
             project(x, egrad), retract(x, d, steps) -> (x_new, bad) with
-            one step per row, transport(x_new, t), inner(x, t1, t2) -> one
-            float per row, scale(t, factors) with one factor per row, and
-            stacked(x), true when x is a stack.
+            one step per row, transport(x, x_new, t) of t from x to
+            x_new, inner(x, t1, t2) -> one float per row, scale(t,
+            factors) with one factor per row, and stacked(x), true when x
+            is a stack. Tangent vectors hold no base point; each op that
+            needs one takes it.
         cost_grad: cost_grad(x, rows) takes a stack x whose row i belongs
             to problem rows[i] (rows is slice(None) when x holds every
             problem in order) and returns a list of one float cost per row

@@ -106,16 +106,19 @@ def test_criterion_2_manifold_contracts():
             x = random_fixed_rank(8, 6, 2, rng)
             j = cgauss(rng, (8, 6))
             t1 = project_tangent(x, j)
-            t2 = project_tangent(x, t1.embed())
-            assert np.abs(t1.embed() - t2.embed()).max() <= 1e-10
-            assert retract(x, t1, 0.0) is x
-            stepped = retract(x, t1, 0.7)
-            svals = np.linalg.svd(stepped.dense, compute_uv=False)
+            t2 = project_tangent(x, t1.embed(x))
+            assert np.abs(t1.embed(x) - t2.embed(x)).max() <= 1e-10
+            at0, bad = retract(x[None], t1[None], [0.0])
+            assert bad is None
+            assert np.abs(at0.dense[0] - x.dense).max() <= 1e-12
+            stepped, bad = retract(x[None], t1[None], [0.7])
+            assert bad is None
+            svals = np.linalg.svd(stepped.dense[0], compute_uv=False)
             assert (svals > 1e-10 * svals[0]).sum() == 2
             y = random_fixed_rank(8, 6, 2, rng)
-            moved = transport(t1, y)
-            again = project_tangent(y, moved.embed())
-            assert np.abs(moved.embed() - again.embed()).max() <= 1e-12
+            moved = transport(x, y, t1)
+            again = project_tangent(y, moved.embed(y))
+            assert np.abs(moved.embed(y) - again.embed(y)).max() <= 1e-12
 
             target = random_fixed_rank(8, 6, 2, rng).dense
             res = cg_minimize(

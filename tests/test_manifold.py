@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import cgauss
 from irsmimo.manifold import (CgOptions, CgResult, CircleManifold,
-                              DegenerateStep, FixedRankManifold,
-                              FixedRankPoint, cg_minimize, circle_project,
-                              circle_retract, project_tangent,
-                              random_fixed_rank, retract, transport)
+                              FixedRankManifold, FixedRankPoint, cg_minimize,
+                              circle_project, circle_retract,
+                              project_tangent, random_fixed_rank, retract,
+                              transport)
 from irsmimo.numerics import random_unit_modulus, truncated_svd
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -41,6 +41,16 @@ def test_fixed_rank_point_contracts():
         FixedRankPoint(2.0 * x.u, x.s, x.v).validate()
 
 
+def test_fixed_rank_point_validates_a_stack():
+    rng = np.random.default_rng(24)
+    x = FixedRankPoint.stack([random_fixed_rank(8, 6, 3, rng)
+                              for _ in range(3)])
+    x.validate()
+    x.u[1] *= 2.0
+    with pytest.raises(ValueError, match="u columns not orthonormal"):
+        x.validate()
+
+
 def test_circle_point_contract():
     # Circle ops take (B, m) stacks; a single point is a stack of one.
     rng = np.random.default_rng(1)
@@ -62,7 +72,7 @@ def test_project_matches_three_term_formula():
     eye_u = np.eye(8) - p_u
     eye_v = np.eye(6) - p_v
     ref = p_u @ j @ p_v + eye_u @ j @ p_v + p_u @ j @ eye_v
-    np.testing.assert_allclose(t.embed(), ref, atol=1e-10)
+    np.testing.assert_allclose(t.embed(x), ref, atol=1e-10)
     np.testing.assert_allclose(np.abs(t.u_p.conj().T @ x.u).max(), 0,
                                atol=1e-10)
     np.testing.assert_allclose(np.abs(t.v_p.conj().T @ x.v).max(), 0,
@@ -76,13 +86,13 @@ def test_project_matches_three_term_formula():
 def test_project_idempotent(seed):
     x, j, _ = _point_and_ambient(seed)
     t1 = project_tangent(x, j)
-    t2 = project_tangent(x, t1.embed())
-    np.testing.assert_allclose(t1.embed(), t2.embed(), atol=1e-12)
+    t2 = project_tangent(x, t1.embed(x))
+    np.testing.assert_allclose(t1.embed(x), t2.embed(x), atol=1e-12)
 
 
 def test_project_fixes_own_point_and_kills_orthogonal_block():
     x, _, rng = _point_and_ambient(3)
-    np.testing.assert_allclose(project_tangent(x, x.dense).embed(), x.dense,
+    np.testing.assert_allclose(project_tangent(x, x.dense).embed(x), x.dense,
                                atol=1e-12)
     u_perp, _ = np.linalg.qr(cgauss(rng, (8, 8)) - x.u @ (x.u.conj().T
                                                           @ cgauss(rng, (8, 8))))
@@ -91,7 +101,7 @@ def test_project_fixes_own_point_and_kills_orthogonal_block():
     j = u_c @ cgauss(rng, (8, 6))
     j = j - j @ x.v @ x.v.conj().T
     t = project_tangent(x, j)
-    np.testing.assert_allclose(t.embed(), np.zeros((8, 6)), atol=1e-10)
+    np.testing.assert_allclose(t.embed(x), np.zeros((8, 6)), atol=1e-10)
 
 
 @given(seed=seeds)
@@ -100,10 +110,10 @@ def test_projection_self_adjoint_and_inner_metric(seed):
     x, j1, rng = _point_and_ambient(seed)
     j2 = cgauss(rng, (8, 6))
     t1, t2 = project_tangent(x, j1), project_tangent(x, j2)
-    lhs = np.sum(t1.embed().conj() * j2).real
-    rhs = np.sum(j1.conj() * t2.embed()).real
+    lhs = np.sum(t1.embed(x).conj() * j2).real
+    rhs = np.sum(j1.conj() * t2.embed(x)).real
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
-    embedded = np.sum(t1.embed().conj() * t2.embed()).real
+    embedded = np.sum(t1.embed(x).conj() * t2.embed(x)).real
     np.testing.assert_allclose(FixedRankManifold.inner(x, t1, t2), embedded,
                                rtol=1e-10, atol=1e-10)
 
@@ -112,42 +122,40 @@ def test_tangent_vector_arithmetic():
     x, j, rng = _point_and_ambient(4)
     t1 = project_tangent(x, j)
     t2 = project_tangent(x, cgauss(rng, (8, 6)))
-    np.testing.assert_allclose((t1 + t2).embed(), t1.embed() + t2.embed(),
+    np.testing.assert_allclose((t1 + t2).embed(x), t1.embed(x) + t2.embed(x),
                                atol=1e-12)
-    np.testing.assert_allclose((2.5 * t1).embed(), 2.5 * t1.embed(),
+    np.testing.assert_allclose((2.5 * t1).embed(x), 2.5 * t1.embed(x),
                                atol=1e-12)
-    np.testing.assert_allclose((-t1).embed(), -t1.embed(), atol=1e-12)
-    other = random_fixed_rank(8, 6, 2, rng)
-    with pytest.raises(ValueError):
-        t1 + project_tangent(other, j)
+    np.testing.assert_allclose((-t1).embed(x), -t1.embed(x), atol=1e-12)
 
 
 def test_transport_contracts():
     x, j, rng = _point_and_ambient(5)
     d = project_tangent(x, j)
-    assert transport(d, x) is d
     y = random_fixed_rank(8, 6, 2, rng)
-    td = transport(d, y)
-    np.testing.assert_allclose(td.embed(),
-                               project_tangent(y, d.embed()).embed(),
+    td = transport(x, y, d)
+    np.testing.assert_allclose(td.embed(y),
+                               project_tangent(y, d.embed(x)).embed(y),
                                atol=1e-12)
     np.testing.assert_allclose(np.abs(td.u_p.conj().T @ y.u).max(), 0,
                                atol=1e-10)
-    assert np.linalg.norm(td.embed()) <= np.linalg.norm(d.embed()) + 1e-12
+    assert np.linalg.norm(td.embed(y)) <= np.linalg.norm(d.embed(x)) + 1e-12
 
 
 def test_retract_zero_step_and_svd_oracle():
     x, j, _ = _point_and_ambient(6)
     d = project_tangent(x, j)
-    assert retract(x, d, 0.0) is x
+    at0, bad = retract(x[None], d[None], [0.0])
+    assert bad is None
+    np.testing.assert_allclose(at0.dense[0], x.dense, atol=1e-12)
     for step in (1e-3, 0.3, 1.0):
-        y = retract(x, d, step)
+        y, bad = retract(x[None], d[None], [step])
+        assert bad is None
+        y = y[0]
         y.validate()
         assert y.r == x.r
-        u, s, v = truncated_svd(x.dense + step * d.embed(), x.r)
+        u, s, v = truncated_svd(x.dense + step * d.embed(x), x.r)
         np.testing.assert_allclose(y.dense, (u * s) @ v.conj().T, atol=1e-10)
-    with pytest.raises(ValueError):
-        retract(x, d, -1.0)
 
 
 def _retract_per_step_qr(x, d, step):
@@ -171,33 +179,33 @@ def _retract_per_step_qr(x, d, step):
 @pytest.mark.parametrize("n,m,r", [(8, 6, 2), (16, 36, 3), (36, 16, 4)])
 def test_retract_cached_qr_matches_per_step_qr(n, m, r):
     rng = np.random.default_rng(n + m + r)
-    x = random_fixed_rank(n, m, r, rng)
-    j = cgauss(rng, (n, m))
+    x = random_fixed_rank(n, m, r, rng)[None]
+    j = cgauss(rng, (1, n, m))
     reused = project_tangent(x, j)
     for k in range(58):
         step = 2.0 ** -k
-        ref = _retract_per_step_qr(x, reused, step)
+        ref = _retract_per_step_qr(x[0], reused[0], step)
         # A fresh vector factors on this call; the reused one factored on
         # its first call, at another step.
         for d in (project_tangent(x, j), reused):
-            y = retract(x, d, step)
+            y = retract(x, d, [step])[0][0]
             assert np.array_equal(y.u, ref.u)
             assert np.array_equal(y.s, ref.s)
             assert np.array_equal(y.v, ref.v)
     for d in (project_tangent(x, j), reused):
-        np.testing.assert_allclose(retract(x, d, 0.3).dense,
-                                   _retract_per_step_qr(x, d, 0.3).dense,
+        np.testing.assert_allclose(retract(x, d, [0.3])[0].dense[0],
+                                   _retract_per_step_qr(x[0], d[0],
+                                                        0.3).dense,
                                    atol=1e-12)
     assert (reused + reused)._qr is None and (2.0 * reused)._qr is None
 
 
-def test_retract_rank_collapse_raises():
+def test_retract_rank_collapse_flags_the_row():
     # Step exactly cancels the smallest singular direction, dropping the
     # rank to r-1 while sigma_1 stays healthy.
     x, _, _ = _point_and_ambient(7)
     d = project_tangent(x, -x.s[-1] * np.outer(x.u[:, -1], x.v[:, -1].conj()))
-    with pytest.raises(DegenerateStep):
-        retract(x, d, 1.0)
+    assert retract(x[None], d[None], [1.0])[1] == [True]
 
 
 def test_riemannian_grad_directional_derivative():
@@ -210,8 +218,8 @@ def test_riemannian_grad_directional_derivative():
     grad = project_tangent(x, x.dense - a)
     t = project_tangent(x, cgauss(rng, (8, 6)))
     eps = 1e-6
-    fd = (cost(x.dense + eps * t.embed())
-          - cost(x.dense - eps * t.embed())) / (2 * eps)
+    fd = (cost(x.dense + eps * t.embed(x))
+          - cost(x.dense - eps * t.embed(x))) / (2 * eps)
     an = 2.0 * FixedRankManifold.inner(x, grad, t)
     np.testing.assert_allclose(fd, an, rtol=1e-6)
 
@@ -457,9 +465,9 @@ def test_cg_does_no_work_at_the_final_point(opts, iters):
             return project_tangent(x, j)
 
         @staticmethod
-        def transport(x_new, t):
+        def transport(x, x_new, t):
             seen.append(("transport", x_new.dense[0].copy()))
-            return transport(t, x_new)
+            return transport(x, x_new, t)
 
     res = cg_minimize(CountingManifold, cost_grad,
                       random_fixed_rank(7, 5, 2, rng), opts)
@@ -522,8 +530,8 @@ def test_stack_equals_each_problem_alone():
     assert [r.reason for r in res] == ["converged", "converged",
                                        "max_iters", "max_iters", "zero_grad"]
     assert res[4].iters == 0 < res[1].iters < res[0].iters < res[2].iters
-    with pytest.raises(DegenerateStep):
-        retract(x, project_tangent(x, targets[0] - x.dense), 1.0)
+    d = project_tangent(x, targets[0] - x.dense)
+    assert retract(x[None], d[None], [1.0])[1] == [True]
 
 
 def test_circle_stack_equals_each_problem_alone():

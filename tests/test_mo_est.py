@@ -131,11 +131,11 @@ class TestEuclideanGradients:
         x = FixedRankPoint(*truncated_svd(g0, 3))
         grad = project_tangent(x, egrad_g(x.dense, pil.r, f_mat, mu_g,
                                           SMALL_DICTS))
-        ge = grad.embed()
+        ge = grad.embed(x)
         eps = 1e-6
         for _ in range(5):
             tan = project_tangent(x, cgauss(rng, g0.shape))
-            d = tan.embed()
+            d = tan.embed(x)
             d /= np.linalg.norm(d)
             fd = (objective_f(x.dense + eps * d, h0, pil, SMALL_DICTS, mu_g,
                               0.0)
@@ -264,11 +264,15 @@ class TestEstimator:
 
     def test_stack_equals_each_trial_alone(self):
         # Trials stop after different rounds; trial 2 is noiseless, so its
-        # l1 weights are 0 and its settle tolerance is 0.
+        # l1 weights are 0 and its settle tolerance is 0. Trial 3 is an
+        # all-zero block: its gradient is zero at the start, so it leaves
+        # each stacked CG before the first step while the others go on.
         sigma2 = pnr_to_sigma2(0.0, DESK.d_bi, DESK.d_iu)
         pilots = [_physical_problem(seed=40 + i, t=30, k=3, geom=DESK,
                                     sigma2=0.0 if i == 2 else sigma2)[1]
                   for i in range(5)]
+        pilots.insert(3, PilotBlock(pilots[0].s, pilots[0].v,
+                                    np.zeros_like(pilots[0].r), sigma2))
         cfg = MoEstConfig(3, 3)
         stacked = mo_est(pilots, DESK_DICTS, cfg)
         alone = [mo_est(p, DESK_DICTS, cfg) for p in pilots]
@@ -280,6 +284,7 @@ class TestEstimator:
                 (one.trace, one.iterations, one.stalled)
         assert len({r.iterations for r in stacked}) > 1
         assert stacked[2].iterations == MoEstConfig.max_outer
+        assert (stacked[3].iterations, stacked[3].reason) == (1, "settled")
 
     def test_pilot_blocks_of_one_shape(self):
         _, short = _physical_problem(seed=1, t=12, sigma2=0.0, geom=SMALL)
