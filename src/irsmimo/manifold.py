@@ -1,6 +1,6 @@
 """Riemannian conjugate-gradient minimization over two manifolds: complex
-matrices of fixed rank r (factored as u @ diag(s) @ v^H) and the complex
-circle (vectors with unit-modulus entries).
+matrices of fixed rank r (factored as l @ r^H) and the complex circle
+(vectors with unit-modulus entries).
 
 Problem contract: `cg_minimize` takes one callback, cost_grad, which
 returns the real costs of a stack of points and a callable egrad that
@@ -11,7 +11,7 @@ x0 and at each accepted point the search continues from.
 Stacks: points, tangent vectors and the manifold ops take a leading row
 axis, one row per problem, and `cg_minimize` runs a stack of B problems
 in lock-step. Each row keeps its own step, decrease test, steepest-descent
-retry and stop test; numpy computes stacked matmul, svd, qr and axis sums
+retry and stop test; numpy computes stacked matmul, eigh and axis sums
 bit-identically to one call per matrix, so every row ends where its
 problem alone ends. Indexing a stack, `x[rows]`, selects rows and
 `x[rows] = y` assigns them; a circle stack is a (B, m) array. A single
@@ -23,133 +23,78 @@ transport(x, x_new, t) takes both ends.
 
 Gradient convention: egrad returns the conjugate Wirtinger gradient
 J = df/d(conj(X)), so the directional derivative of the real cost along a
-tangent t is 2 * Re<J, t>. The Riemannian gradient is the tangent
-projection of J and line-search slopes carry the factor 2.
+direction D is 2 * Re<J, D>. The Riemannian gradient is the projection
+of J and line-search slopes carry the factor 2.
+
+The fixed-rank geometry is the quotient of full-rank factor pairs (l, r)
+by GL(r) with the preconditioned metric of Mishra, Meyer, Bonnabel and
+Sepulchre ("Fixed-rank matrix factorizations and Riemannian low-rank
+optimization", Comput. Stat. 2014; Manopt's
+fixedrankfactory_2factors_preconditioned). A tangent vector is a factor
+pair of the same shapes, the retraction adds it, and every matrix the
+ops invert is an r x r Gram matrix, so a rank-deficient or zero factor
+stays finite (Burer and Monteiro, Math. Program. 2003).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import herm, matrix_sums, truncated_svd
+from .numerics import herm, matrix_sums
 
 
 @dataclass
 class FixedRankPoint:
-    """Rank-r matrix in factored form u @ diag(s) @ v^H.
+    """Rank-r matrix l @ r^H in two-factor form, l (n, r) and r (m, r).
 
-    u (n, r) and v (m, r) have orthonormal columns; s holds r positive,
-    non-increasing singular values. A stack of B points has u (B, n, r),
-    s (B, r) and v (B, m, r); indexing a stack selects rows.
+    A tangent vector at such a point is a pair of the same shapes, so the
+    class also holds tangent vectors, with + - * and unary minus. A
+    stack of B points or vectors has l (B, n, r) and r (B, m, r);
+    indexing a stack selects rows, and a product with one factor per row
+    scales each row.
     """
 
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-    _dense: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def r(self) -> int:
-        return self.s.shape[-1]
+    l: np.ndarray
+    r: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.u.shape[-2], self.v.shape[-2])
+        return (self.l.shape[-2], self.r.shape[-2])
 
     @property
     def dense(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = (self.u * self.s[..., None, :]) @ herm(self.v)
-        return self._dense
+        return self.l @ herm(self.r)
 
     @staticmethod
     def stack(points: list["FixedRankPoint"]) -> "FixedRankPoint":
         """The stack of points of one shape and rank, in order."""
-        return FixedRankPoint(np.stack([x.u for x in points]),
-                              np.stack([x.s for x in points]),
-                              np.stack([x.v for x in points]))
+        return FixedRankPoint(np.stack([x.l for x in points]),
+                              np.stack([x.r for x in points]))
 
     def __len__(self) -> int:
-        return len(self.s)
+        return len(self.l)
 
     def __getitem__(self, rows) -> "FixedRankPoint":
-        return FixedRankPoint(self.u[rows], self.s[rows], self.v[rows])
+        return FixedRankPoint(self.l[rows], self.r[rows])
 
     def __setitem__(self, rows, other: "FixedRankPoint") -> None:
-        self.u[rows], self.s[rows], self.v[rows] = other.u, other.s, other.v
-        self._dense = None
+        self.l[rows], self.r[rows] = other.l, other.r
 
-    def validate(self, tol: float = 1e-10) -> None:
-        r = self.r
-        if not np.all(self.s > 0):
-            raise ValueError("singular values must be positive")
-        if np.any(np.diff(self.s) > tol):
-            raise ValueError("singular values must be non-increasing")
-        for q, name in ((self.u, "u"), (self.v, "v")):
-            err = np.abs(herm(q) @ q - np.eye(r)).max()
-            if err > tol:
-                raise ValueError(f"{name} columns not orthonormal ({err:.2e})")
+    def __add__(self, other: "FixedRankPoint") -> "FixedRankPoint":
+        return FixedRankPoint(self.l + other.l, self.r + other.r)
 
+    def __sub__(self, other: "FixedRankPoint") -> "FixedRankPoint":
+        return FixedRankPoint(self.l - other.l, self.r - other.r)
 
-@dataclass
-class TangentVector:
-    """Tangent vector at a FixedRankPoint x in factored form. It stores no
-    base point: the ops that need x take it, as embed(x) does.
-
-    Embeds as u @ m_core @ v^H + u_p @ v^H + u @ v_p^H with u_p^H u = 0
-    and v_p^H v = 0, so factored inner products need no cross terms.
-    Arithmetic returns new vectors; the arrays are not mutated in place,
-    which keeps the cached QR factors valid. At a stack of points the
-    arrays carry the same leading row axis, a product with one factor per
-    row scales each row, and assigning rows drops the cached factors.
-    """
-
-    m_core: np.ndarray         # (r, r)
-    u_p: np.ndarray            # (n, r)
-    v_p: np.ndarray            # (m, r)
-    _qr: tuple | None = field(default=None, repr=False)
-
-    @property
-    def qr(self) -> tuple:
-        """(q_u, r_u, q_v, r_v): reduced QR factors of u_p and v_p,
-        computed on first use and shared by every retraction along self."""
-        if self._qr is None:
-            self._qr = (*np.linalg.qr(self.u_p), *np.linalg.qr(self.v_p))
-        return self._qr
-
-    def embed(self, x: FixedRankPoint) -> np.ndarray:
-        """The ambient matrix of self at its base point x."""
-        return ((x.u @ self.m_core + self.u_p) @ herm(x.v)
-                + x.u @ herm(self.v_p))
-
-    def __getitem__(self, rows) -> "TangentVector":
-        out = TangentVector(self.m_core[rows], self.u_p[rows], self.v_p[rows])
-        if self._qr is not None:
-            out._qr = tuple(a[rows] for a in self._qr)
-        return out
-
-    def __setitem__(self, rows, other: "TangentVector") -> None:
-        self.m_core[rows] = other.m_core
-        self.u_p[rows], self.v_p[rows] = other.u_p, other.v_p
-        self._qr = None
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector(self.m_core + other.m_core, self.u_p + other.u_p,
-                             self.v_p + other.v_p)
-
-    def __mul__(self, c) -> "TangentVector":
+    def __mul__(self, c) -> "FixedRankPoint":
         if not np.isscalar(c):
             c = np.asarray(c)[:, None, None]
-        return TangentVector(c * self.m_core, c * self.u_p, c * self.v_p)
-
-    def __sub__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector(self.m_core - other.m_core, self.u_p - other.u_p,
-                             self.v_p - other.v_p)
+        return FixedRankPoint(c * self.l, c * self.r)
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "TangentVector":
+    def __neg__(self) -> "FixedRankPoint":
         return self * -1.0
 
 
@@ -195,57 +140,32 @@ class CgResult:
         return self.reason == "stalled"
 
 
-def project_tangent(x: FixedRankPoint, j: np.ndarray) -> TangentVector:
-    """Orthogonal projection of an ambient matrix onto the tangent space:
-    m_core = u^H j v, u_p = (I - u u^H) j v, v_p = (I - v v^H) j^H u.
-    Stacks project row by row."""
+def _gram(a: np.ndarray) -> np.ndarray:
+    return herm(a) @ a
+
+
+def project_tangent(x: FixedRankPoint, j: np.ndarray) -> FixedRankPoint:
+    """Riemannian gradient at x of a cost whose conjugate Euclidean
+    gradient in l @ r^H is the ambient matrix j:
+    (j r (r^H r)^+, j^H l (l^H l)^+). Stacks project row by row."""
     if j.shape[-2:] != x.shape:
         raise ValueError(f"ambient shape {j.shape} does not match {x.shape}")
-    jv = j @ x.v
-    jhu = herm(j) @ x.u
-    m_core = herm(x.u) @ jv
-    u_p = jv - x.u @ m_core
-    v_p = jhu - x.v @ herm(m_core)
-    return TangentVector(m_core, u_p, v_p)
+    return FixedRankPoint(
+        j @ x.r @ np.linalg.pinv(_gram(x.r), hermitian=True),
+        herm(j) @ x.l @ np.linalg.pinv(_gram(x.l), hermitian=True))
 
 
 def transport(x: FixedRankPoint, x_new: FixedRankPoint,
-              t: TangentVector) -> TangentVector:
-    """Vector transport of t from x to x_new by projection onto the
-    tangent space at x_new."""
-    return project_tangent(x_new, t.embed(x))
+              t: FixedRankPoint) -> FixedRankPoint:
+    """Vector transport of t from x to x_new: every factor pair is a
+    tangent vector, so t itself."""
+    return t
 
 
-def retract(x: FixedRankPoint, d: TangentVector, steps):
-    """Best rank-r approximation of x.dense + step * d.embed(x), for a
-    stack x with one positive step per row.
-
-    Computed from the factors: QR of u_p and v_p extends the bases, an SVD
-    of the 2r x 2r core supplies the new singular values. The QR factors
-    are d's cached ones, scaled by step: Householder QR commutes exactly
-    with scaling by a power of two, so for such steps (every step
-    cg_minimize tries) the result is bit-identical to factoring
-    step * u_p and step * v_p afresh.
-
-    Returns (x_new, bad): bad is None when every row stays on the
-    manifold, else a list with bad[i] True where row i is degenerate, its
-    stepped matrix of numerical rank below r (smallest singular value
-    <= 1e-12 * largest); its row of x_new is meaningless.
-    """
-    r = x.r
-    q_u, r_u, q_v, r_v = d.qr
-    step = np.asarray(steps)[:, None, None]
-    core = np.zeros(x.s.shape[:-1] + (2 * r, 2 * r), dtype=complex)
-    # s * I is diag(s) exactly, and stacks.
-    core[..., :r, :r] = x.s[..., :, None] * np.eye(r) + step * d.m_core
-    core[..., :r, r:] = herm(step * r_v)
-    core[..., r:, :r] = step * r_u
-    w, sig, zh = np.linalg.svd(core)
-    bad = sig[..., r - 1] <= 1e-12 * sig[..., 0]
-    u_new = np.concatenate((x.u, q_u), axis=-1) @ w[..., :r]
-    v_new = np.concatenate((x.v, q_v), axis=-1) @ herm(zh[..., :r, :])
-    y = FixedRankPoint(u_new, sig[..., :r], v_new)
-    return y, bad.tolist() if bad.any() else None
+def retract(x: FixedRankPoint, d: FixedRankPoint, steps):
+    """x + step * d, for a stack x with one step per row. Returns
+    (x_new, None): no row leaves the factor space."""
+    return x + d * steps, None
 
 
 def circle_project(v: np.ndarray, egrad: np.ndarray) -> np.ndarray:
@@ -257,8 +177,12 @@ def circle_project(v: np.ndarray, egrad: np.ndarray) -> np.ndarray:
 
 def circle_retract(v: np.ndarray, t: np.ndarray, steps):
     """Entrywise normalization of v + step * t back onto the circle, for a
-    stack v with one positive step per row. Returns (v_new, bad) as
-    retract does; row i is bad when one of its entries vanishes."""
+    stack v with one positive step per row.
+
+    Returns (v_new, bad): bad is None when every row stays on the circle,
+    else a list with bad[i] True where an entry of row i vanishes; its
+    row of v_new is meaningless.
+    """
     w = v + np.asarray(steps)[:, None] * t
     mag = np.abs(w)
     bad = (mag < 1e-14).any(axis=-1)
@@ -278,24 +202,23 @@ class FixedRankManifold:
     # as a profiler does, then sees the solver's calls.
     @staticmethod
     def transport(x: FixedRankPoint, x_new: FixedRankPoint,
-                  t: TangentVector) -> TangentVector:
+                  t: FixedRankPoint) -> FixedRankPoint:
         return transport(x, x_new, t)
 
     @staticmethod
-    def inner(x: FixedRankPoint, t1: TangentVector, t2: TangentVector):
-        """Real inner product, one float per row of a stack."""
-        # u_p/v_p blocks are orthogonal to the u/v blocks, so the embedded
-        # inner product splits over the factors.
-        return (matrix_sums(t1.m_core.conj() * t2.m_core).real
-                + matrix_sums(t1.u_p.conj() * t2.u_p).real
-                + matrix_sums(t1.v_p.conj() * t2.v_p).real).tolist()
+    def inner(x: FixedRankPoint, t1: FixedRankPoint, t2: FixedRankPoint):
+        """Preconditioned metric Re tr(t1.l^H t2.l r^H r)
+        + Re tr(t1.r^H t2.r l^H l), one float per row of a stack."""
+        return (matrix_sums(t1.l.conj() * (t2.l @ _gram(x.r))).real
+                + matrix_sums(t1.r.conj() * (t2.r @ _gram(x.l))).real
+                ).tolist()
 
     @staticmethod
     def stacked(x: FixedRankPoint) -> bool:
-        return x.u.ndim == 3
+        return x.l.ndim == 3
 
     @staticmethod
-    def scale(t: TangentVector, c: list[float]) -> TangentVector:
+    def scale(t: FixedRankPoint, c: list[float]) -> FixedRankPoint:
         return t * c
 
 
@@ -314,8 +237,9 @@ class CircleManifold:
     @staticmethod
     def inner(x: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> list[float]:
         """Real inner product, one float per row."""
-        # np.vdot per row: a row sum or einsum rounds differently.
-        return [float(np.vdot(a, b).real) for a, b in zip(t1, t2)]
+        # A stacked (1, m) @ (m, 1) product rounds as np.vdot of each row;
+        # a row sum or einsum rounds differently.
+        return (t1.conj()[:, None, :] @ t2[:, :, None])[:, 0, 0].real.tolist()
 
     @staticmethod
     def stacked(x: np.ndarray) -> bool:
@@ -524,9 +448,8 @@ def pick_rows(rows, keep):
 
 
 def random_fixed_rank(n: int, m: int, r: int, rng: np.random.Generator):
-    """Random rank-r point: product of two Gaussian factors, re-factored by
-    a truncated SVD."""
-    prod = ((rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
-            @ (rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m)))
-            / np.sqrt(2.0 * n))
-    return FixedRankPoint(*truncated_svd(prod, r))
+    """Random rank-r point: product of two standard complex Gaussian
+    factors, scaled by 1 / sqrt(2 n)."""
+    l = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    rf = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+    return FixedRankPoint(l, rf / np.sqrt(2.0 * n))

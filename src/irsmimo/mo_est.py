@@ -51,9 +51,6 @@ _INNER_OPTS = CgOptions(epsilon=1e-3, max_iters=50)
 # h_c by at most _SETTLE * sqrt(sigma2 / (c^2 * t)) * ||h_c||_F, with
 # c = ||r||_F / sqrt(t).
 _SETTLE = 0.9
-# Start singular values below _START_FLOOR times the largest are raised to
-# it, so that every start sits well above retract's rank-drop threshold.
-_START_FLOOR = 1e-6
 _ALL = slice(None)
 
 
@@ -111,11 +108,10 @@ def _spectral_start(s: np.ndarray, v: np.ndarray, r: np.ndarray,
     G_k = (n_ue / t) sum_t conj(v_t[k]) r_t s_t^H, whose mean is
     g[:, k] h[k, :] under unit-power pilots, and splits G_k at its top
     singular pair (sigma, u, w) into column sqrt(sigma) u of g0 and row
-    sqrt(sigma) w^H of h0. Both are then truncated to their assumed ranks,
-    and singular values below _START_FLOOR times the largest are raised to
-    it. Noiseless, the columns of g0 lie in the k_true-dimensional column
-    space of g, so with p_hat > k_true the floor is what lets g move; an
-    all-zero block gives an all-zero start.
+    sqrt(sigma) w^H of h0. Both are then truncated to their assumed ranks
+    and split as balanced factors u sqrt(s), v sqrt(s). Noiseless, with
+    p_hat above the true rank, the start's extra factor columns are
+    rounding noise; an all-zero block gives all-zero factors.
 
     Raises:
         ValueError: an assumed rank exceeds its matrix's dimensions.
@@ -128,12 +124,12 @@ def _spectral_start(s: np.ndarray, v: np.ndarray, r: np.ndarray,
     u, sig, wh = np.linalg.svd(blocks, full_matrices=False)
     root = np.sqrt(sig[:, :1])
 
-    def floored(a: np.ndarray, rank: int) -> FixedRankPoint:
+    def balanced(a: np.ndarray, rank: int) -> FixedRankPoint:
         u, s, v = truncated_svd(a, rank)
-        return FixedRankPoint(u, np.maximum(s, _START_FLOOR * s[0]), v)
+        return FixedRankPoint(u * np.sqrt(s), v * np.sqrt(s))
 
-    return (floored((u[:, :, 0] * root).T, cfg.p_hat),
-            floored(wh[:, 0, :] * root, cfg.q_hat))
+    return (balanced((u[:, :, 0] * root).T, cfg.p_hat),
+            balanced(wh[:, 0, :] * root, cfg.q_hat))
 
 
 # The costs and gradients below take stacks, one problem per row of a
@@ -271,14 +267,11 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
     dof = p_hat (n_bs + m - p_hat) + q_hat (m + n_ue - q_hat) unknowns
     against n_bs * t observations.
 
-    The result is finite for a rank-deficient start too. A noiseless
-    block with p_hat above the true rank moves g off its floored start
-    (see _spectral_start) to an accurate dense estimate, but g_hat.u may
-    then fail to be orthonormal: retract loses orthonormality when a
-    tangent's u_p is rank-deficient. An all-zero block r = 0 starts at
-    zero, where the gradient is zero, and returns the zero estimate after
-    one settled round: g_hat.s and h_hat.s are all 0, the one case where a
-    result's singular values are not positive.
+    Each estimate is a factor pair (l, r) with dense l @ r^H. The result
+    is finite for a rank-deficient start too: a noiseless block with p_hat
+    above the true rank reaches an accurate dense estimate, and an
+    all-zero block r = 0 starts at zero factors, where the gradient is
+    zero, and returns the zero estimate after one settled round.
 
     A list (or any iterable) of pilot blocks of one shape returns one
     result per trial. The trials run in lock-step on stacks: each round
@@ -364,8 +357,7 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
             if not settled and it < cfg.max_outer:
                 keep.append(k)
                 continue
-            g_phys = FixedRankPoint(g_hat.u[k], c[k] * g_hat.s[k],
-                                    g_hat.v[k])
+            g_phys = FixedRankPoint(c[k] * g_hat.l[k], g_hat.r[k])
             out[q] = MoEstResult(g_phys, h_hat[k], traces[q], it,
                                  "settled" if settled else "max_outer",
                                  stalled[q])

@@ -1,8 +1,8 @@
 """Fixed-rank / complex-circle manifold and CG solver tests.
 
-Oracles: explicit projector formulas, dense truncated SVD for the
-retraction, the Eckart-Young optimum for CG convergence, and central
-finite differences for the gradient convention.
+Oracles: the factor-space formulas of the two-factor geometry, dense
+products for the retraction, the Eckart-Young optimum for CG convergence,
+and central finite differences for the gradient convention.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from irsmimo.manifold import (CgOptions, CgResult, CircleManifold,
                               circle_project, circle_retract,
                               project_tangent, random_fixed_rank, retract,
                               transport)
-from irsmimo.numerics import random_unit_modulus, truncated_svd
+from irsmimo.numerics import random_unit_modulus
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -27,28 +27,26 @@ def _point_and_ambient(seed, n=8, m=6, r=2):
     return x, cgauss(rng, (n, m)), rng
 
 
+def _lift(x, t):
+    """The ambient direction D(l r^H)[t] = t.l r^H + l t.r^H of t at x."""
+    return t.l @ x.r.conj().T + x.l @ t.r.conj().T
+
+
 def test_fixed_rank_point_contracts():
-    x = random_fixed_rank(8, 6, 3, np.random.default_rng(0))
-    x.validate()
-    assert x.r == 3 and x.shape == (8, 6)
-    np.testing.assert_allclose(x.dense, (x.u * x.s) @ x.v.conj().T,
-                               atol=1e-12)
+    rng = np.random.default_rng(0)
+    x = random_fixed_rank(8, 6, 3, rng)
+    assert x.shape == (8, 6) and x.l.shape == (8, 3) and x.r.shape == (6, 3)
+    np.testing.assert_allclose(x.dense, x.l @ x.r.conj().T, atol=1e-12)
+    assert np.linalg.matrix_rank(x.dense) == 3
     with pytest.raises(ValueError):
-        FixedRankPoint(x.u, np.array([1.0, 2.0, 3.0]), x.v).validate()
-    with pytest.raises(ValueError):
-        FixedRankPoint(x.u, np.array([3.0, 2.0, -1.0]), x.v).validate()
-    with pytest.raises(ValueError):
-        FixedRankPoint(2.0 * x.u, x.s, x.v).validate()
-
-
-def test_fixed_rank_point_validates_a_stack():
-    rng = np.random.default_rng(24)
-    x = FixedRankPoint.stack([random_fixed_rank(8, 6, 3, rng)
-                              for _ in range(3)])
-    x.validate()
-    x.u[1] *= 2.0
-    with pytest.raises(ValueError, match="u columns not orthonormal"):
-        x.validate()
+        project_tangent(x, cgauss(rng, (8, 3)))
+    y = random_fixed_rank(8, 6, 3, rng)
+    xs = FixedRankPoint.stack([x, y, x])
+    assert len(xs) == 3 and FixedRankManifold.stacked(xs)
+    assert not FixedRankManifold.stacked(x)
+    assert np.array_equal(xs[1].dense, y.dense)
+    xs[[0, 2]] = FixedRankPoint.stack([y, y])
+    assert all(np.array_equal(xs.dense[k], y.dense) for k in range(3))
 
 
 def test_circle_point_contract():
@@ -64,44 +62,18 @@ def test_circle_point_contract():
     np.testing.assert_allclose(np.abs(w), 1.0, atol=1e-12)
 
 
-def test_project_matches_three_term_formula():
-    x, j, _ = _point_and_ambient(2)
-    t = project_tangent(x, j)
-    p_u = x.u @ x.u.conj().T
-    p_v = x.v @ x.v.conj().T
-    eye_u = np.eye(8) - p_u
-    eye_v = np.eye(6) - p_v
-    ref = p_u @ j @ p_v + eye_u @ j @ p_v + p_u @ j @ eye_v
-    np.testing.assert_allclose(t.embed(x), ref, atol=1e-10)
-    np.testing.assert_allclose(np.abs(t.u_p.conj().T @ x.u).max(), 0,
-                               atol=1e-10)
-    np.testing.assert_allclose(np.abs(t.v_p.conj().T @ x.v).max(), 0,
-                               atol=1e-10)
-    with pytest.raises(ValueError):
-        project_tangent(x, j[:, :3])
-
-
-@given(seed=seeds)
-@settings(deadline=None, max_examples=40)
-def test_project_idempotent(seed):
-    x, j, _ = _point_and_ambient(seed)
-    t1 = project_tangent(x, j)
-    t2 = project_tangent(x, t1.embed(x))
-    np.testing.assert_allclose(t1.embed(x), t2.embed(x), atol=1e-12)
-
-
 def test_project_fixes_own_point_and_kills_orthogonal_block():
     x, _, rng = _point_and_ambient(3)
-    np.testing.assert_allclose(project_tangent(x, x.dense).embed(x), x.dense,
-                               atol=1e-12)
-    u_perp, _ = np.linalg.qr(cgauss(rng, (8, 8)) - x.u @ (x.u.conj().T
-                                                          @ cgauss(rng, (8, 8))))
-    # Build an ambient matrix with no component in col(u) or row(v).
-    u_c = u_perp - x.u @ (x.u.conj().T @ u_perp)
-    j = u_c @ cgauss(rng, (8, 6))
-    j = j - j @ x.v @ x.v.conj().T
+    own = project_tangent(x, x.dense)
+    np.testing.assert_allclose(own.l, x.l, atol=1e-12)
+    np.testing.assert_allclose(own.r, x.r, atol=1e-12)
+    # An ambient matrix with no component in col(l) or row(r).
+    q_l, _ = np.linalg.qr(x.l, mode="complete")
+    q_r, _ = np.linalg.qr(x.r, mode="complete")
+    j = q_l[:, 2:] @ cgauss(rng, (6, 4)) @ q_r[:, 2:].conj().T
     t = project_tangent(x, j)
-    np.testing.assert_allclose(t.embed(x), np.zeros((8, 6)), atol=1e-10)
+    np.testing.assert_allclose(t.l, 0, atol=1e-12)
+    np.testing.assert_allclose(t.r, 0, atol=1e-12)
 
 
 @given(seed=seeds)
@@ -110,11 +82,12 @@ def test_projection_self_adjoint_and_inner_metric(seed):
     x, j1, rng = _point_and_ambient(seed)
     j2 = cgauss(rng, (8, 6))
     t1, t2 = project_tangent(x, j1), project_tangent(x, j2)
-    lhs = np.sum(t1.embed(x).conj() * j2).real
-    rhs = np.sum(j1.conj() * t2.embed(x)).real
+    lhs = np.sum(_lift(x, t1).conj() * j2).real
+    rhs = np.sum(j1.conj() * _lift(x, t2)).real
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
-    embedded = np.sum(t1.embed(x).conj() * t2.embed(x)).real
-    np.testing.assert_allclose(FixedRankManifold.inner(x, t1, t2), embedded,
+    # The metric makes project_tangent the Riemannian gradient:
+    # <P(j1), t2>_x = Re<j1, D(l r^H)[t2]>.
+    np.testing.assert_allclose(FixedRankManifold.inner(x, t1, t2), rhs,
                                rtol=1e-10, atol=1e-10)
 
 
@@ -122,24 +95,26 @@ def test_tangent_vector_arithmetic():
     x, j, rng = _point_and_ambient(4)
     t1 = project_tangent(x, j)
     t2 = project_tangent(x, cgauss(rng, (8, 6)))
-    np.testing.assert_allclose((t1 + t2).embed(x), t1.embed(x) + t2.embed(x),
-                               atol=1e-12)
-    np.testing.assert_allclose((2.5 * t1).embed(x), 2.5 * t1.embed(x),
-                               atol=1e-12)
-    np.testing.assert_allclose((-t1).embed(x), -t1.embed(x), atol=1e-12)
+    for t, l, r in ((t1 + t2, t1.l + t2.l, t1.r + t2.r),
+                    (t1 - t2, t1.l - t2.l, t1.r - t2.r),
+                    (2.5 * t1, 2.5 * t1.l, 2.5 * t1.r),
+                    (-t1, -t1.l, -t1.r)):
+        assert np.array_equal(t.l, l) and np.array_equal(t.r, r)
+    # A stack scales each row by its own factor.
+    scaled = FixedRankManifold.scale(FixedRankPoint.stack([t1, t2]),
+                                     [2.0, -0.5])
+    assert np.array_equal(scaled.l, np.stack([2.0 * t1.l, -0.5 * t2.l]))
+    assert np.array_equal(scaled.r, np.stack([2.0 * t1.r, -0.5 * t2.r]))
 
 
 def test_transport_contracts():
+    # Every factor pair is a tangent vector at every point, so transport
+    # leaves it as it is.
     x, j, rng = _point_and_ambient(5)
     d = project_tangent(x, j)
     y = random_fixed_rank(8, 6, 2, rng)
-    td = transport(x, y, d)
-    np.testing.assert_allclose(td.embed(y),
-                               project_tangent(y, d.embed(x)).embed(y),
-                               atol=1e-12)
-    np.testing.assert_allclose(np.abs(td.u_p.conj().T @ y.u).max(), 0,
-                               atol=1e-10)
-    assert np.linalg.norm(td.embed(y)) <= np.linalg.norm(d.embed(x)) + 1e-12
+    assert transport(x, y, d) is d
+    assert FixedRankManifold.transport(x, y, d) is d
 
 
 def test_retract_zero_step_and_svd_oracle():
@@ -147,81 +122,74 @@ def test_retract_zero_step_and_svd_oracle():
     d = project_tangent(x, j)
     at0, bad = retract(x[None], d[None], [0.0])
     assert bad is None
-    np.testing.assert_allclose(at0.dense[0], x.dense, atol=1e-12)
+    assert np.array_equal(at0.dense[0], x.dense)
     for step in (1e-3, 0.3, 1.0):
         y, bad = retract(x[None], d[None], [step])
         assert bad is None
         y = y[0]
-        y.validate()
-        assert y.r == x.r
-        u, s, v = truncated_svd(x.dense + step * d.embed(x), x.r)
-        np.testing.assert_allclose(y.dense, (u * s) @ v.conj().T, atol=1e-10)
+        assert y.shape == x.shape and y.l.shape == x.l.shape
+        np.testing.assert_allclose(
+            y.dense, (x.l + step * d.l) @ (x.r + step * d.r).conj().T,
+            atol=1e-12)
+        svals = np.linalg.svd(y.dense, compute_uv=False)
+        assert (svals > 1e-10 * svals[0]).sum() == 2
 
 
-def _retract_per_step_qr(x, d, step):
-    """Reference retraction: QR-factors step * u_p and step * v_p on every
-    call instead of scaling the factors cached on d."""
-    if step == 0.0:
-        return x
-    r = x.r
-    q_u, r_u = np.linalg.qr(step * d.u_p)
-    q_v, r_v = np.linalg.qr(step * d.v_p)
-    core = np.zeros((2 * r, 2 * r), dtype=complex)
-    core[:r, :r] = np.diag(x.s) + step * d.m_core
-    core[:r, r:] = r_v.conj().T
-    core[r:, :r] = r_u
-    w, sig, zh = np.linalg.svd(core)
-    u_new = np.hstack([x.u, q_u]) @ w[:, :r]
-    v_new = np.hstack([x.v, q_v]) @ zh[:r].conj().T
-    return FixedRankPoint(u_new, sig[:r], v_new)
-
-
-@pytest.mark.parametrize("n,m,r", [(8, 6, 2), (16, 36, 3), (36, 16, 4)])
-def test_retract_cached_qr_matches_per_step_qr(n, m, r):
-    rng = np.random.default_rng(n + m + r)
-    x = random_fixed_rank(n, m, r, rng)[None]
-    j = cgauss(rng, (1, n, m))
-    reused = project_tangent(x, j)
-    for k in range(58):
-        step = 2.0 ** -k
-        ref = _retract_per_step_qr(x[0], reused[0], step)
-        # A fresh vector factors on this call; the reused one factored on
-        # its first call, at another step.
-        for d in (project_tangent(x, j), reused):
-            y = retract(x, d, [step])[0][0]
-            assert np.array_equal(y.u, ref.u)
-            assert np.array_equal(y.s, ref.s)
-            assert np.array_equal(y.v, ref.v)
-    for d in (project_tangent(x, j), reused):
-        np.testing.assert_allclose(retract(x, d, [0.3])[0].dense[0],
-                                   _retract_per_step_qr(x[0], d[0],
-                                                        0.3).dense,
-                                   atol=1e-12)
-    assert (reused + reused)._qr is None and (2.0 * reused)._qr is None
-
-
-def test_retract_rank_collapse_flags_the_row():
-    # Step exactly cancels the smallest singular direction, dropping the
-    # rank to r-1 while sigma_1 stays healthy.
+def test_retract_never_flags_a_row():
+    # A step that cancels a factor column drops the dense rank, and
+    # the stepped pair is still a point of the factor space.
     x, _, _ = _point_and_ambient(7)
-    d = project_tangent(x, -x.s[-1] * np.outer(x.u[:, -1], x.v[:, -1].conj()))
-    assert retract(x[None], d[None], [1.0])[1] == [True]
+    d = FixedRankPoint(np.zeros_like(x.l), np.zeros_like(x.r))
+    d.l[:, -1] = -x.l[:, -1]
+    y, bad = retract(x[None], d[None], [1.0])
+    assert bad is None
+    assert np.linalg.matrix_rank(y.dense[0]) == 1
 
 
 def test_riemannian_grad_directional_derivative():
-    # Conjugate-gradient convention: d/de f(x + e*t) = 2 Re<egrad, t>.
+    # Conjugate-gradient convention:
+    # d/de f((l + e xi.l)(r + e xi.r)^H) at 0 is 2 <grad, xi>_x.
     x, a, rng = _point_and_ambient(8)
 
     def cost(pt):
-        return float(np.linalg.norm(pt - a) ** 2)
+        return float(np.linalg.norm(pt.dense - a) ** 2)
 
     grad = project_tangent(x, x.dense - a)
-    t = project_tangent(x, cgauss(rng, (8, 6)))
-    eps = 1e-6
-    fd = (cost(x.dense + eps * t.embed(x))
-          - cost(x.dense - eps * t.embed(x))) / (2 * eps)
-    an = 2.0 * FixedRankManifold.inner(x, grad, t)
-    np.testing.assert_allclose(fd, an, rtol=1e-6)
+    for _ in range(5):
+        xi = FixedRankPoint(cgauss(rng, (8, 2)), cgauss(rng, (6, 2)))
+        eps = 1e-6
+        fd = (cost(x + eps * xi) - cost(x - eps * xi)) / (2 * eps)
+        an = 2.0 * FixedRankManifold.inner(x, grad, xi)
+        np.testing.assert_allclose(fd, an, rtol=1e-6)
+
+
+def test_zero_point_has_zero_gradient_and_cg_stops():
+    # All-zero factors: the Gram matrices are zero, their pseudo-inverse
+    # is zero, and the gradient is zero, not nan.
+    rng = np.random.default_rng(25)
+    b = cgauss(rng, (7, 5))
+    zero = FixedRankPoint(np.zeros((7, 2), complex), np.zeros((5, 2), complex))
+    g = project_tangent(zero, -b)
+    assert not g.l.any() and not g.r.any()
+    res = cg_minimize(FixedRankManifold, _sq_dist(b), zero, CgOptions())
+    assert (res.reason, res.iters) == ("zero_grad", 0)
+    assert res.trace == [float(np.linalg.norm(b) ** 2)]
+
+
+def test_cg_is_invariant_to_the_factor_gauge():
+    # (l M, r M^-H) is the same point as (l, r) for invertible M. Under
+    # the preconditioned metric CG follows the same dense path from both.
+    rng = np.random.default_rng(26)
+    b = cgauss(rng, (7, 5))
+    x0 = random_fixed_rank(7, 5, 2, rng)
+    gauge = cgauss(rng, (2, 2)) + 2.0 * np.eye(2)
+    x1 = FixedRankPoint(x0.l @ gauge,
+                        x0.r @ np.linalg.inv(gauge).conj().T)
+    opts = CgOptions(epsilon=1e-12, max_iters=40)
+    res = [cg_minimize(FixedRankManifold, _sq_dist(b), x, opts)
+           for x in (x0, x1)]
+    np.testing.assert_allclose(res[1].x.dense, res[0].x.dense, atol=1e-8)
+    assert res[0].iters == res[1].iters
 
 
 def test_circle_project_cases():
@@ -376,7 +344,7 @@ def test_cg_options_validation():
 # infinite, egrad calls minus len(trace)). CgResult.reason names the
 # "decrease" stop "converged".
 _STOPS = {
-    "max_iters": (True, CgOptions(epsilon=1e-10, max_iters=60), None, -1),
+    "max_iters": (True, CgOptions(epsilon=1e-10, max_iters=20), None, -1),
     "decrease": (True, CgOptions(epsilon=1.0, max_iters=60), None, -1),
     "zero_grad": (False, CgOptions(epsilon=1e-300, max_iters=500), None, 0),
     "stalled": (True, CgOptions(epsilon=1e-10, max_iters=60), 12, 0),
@@ -495,11 +463,10 @@ def _fit_costs(targets):
 def test_stack_equals_each_problem_alone():
     rng = np.random.default_rng(19)
     starts = [random_fixed_rank(7, 5, 2, rng) for _ in range(4)]
-    x = starts[0]
     targets = [
-        # The first steepest-descent step removes the smallest singular
-        # value exactly: that retraction is degenerate and the step halves.
-        x.dense - x.s[-1] * np.outer(x.u[:, -1], x.v[:, -1].conj()),
+        # A rank-1 target: CG drives the rank-2 start toward a
+        # rank-deficient pair of factors.
+        cgauss(rng, (7, 1)) @ cgauss(rng, (1, 5)),
         # Starts next to its rank-2 target: stops early on epsilon.
         starts[1].dense + 1e-4 * cgauss(rng, (7, 5)),
         # Full-rank targets: run to the iteration cap.
@@ -509,29 +476,17 @@ def test_stack_equals_each_problem_alone():
     targets = np.stack(targets + [starts[-1].dense])
     opts = CgOptions(epsilon=1e-6, max_iters=25)
     one, stacked = _fit_costs(targets)
-    calls = {"bad_rounds": 0}
-
-    class Counting(FixedRankManifold):
-        @staticmethod
-        def retract(x, d, step):
-            y, bad = retract(x, d, step)
-            calls["bad_rounds"] += bad is not None
-            return y, bad
-
-    res = cg_minimize(Counting, stacked, FixedRankPoint.stack(starts), opts)
+    res = cg_minimize(FixedRankManifold, stacked,
+                      FixedRankPoint.stack(starts), opts)
     for i, (row, x0) in enumerate(zip(res, starts)):
         alone = cg_minimize(FixedRankManifold, one(i), x0, opts)
-        for name in ("u", "s", "v"):
-            assert np.array_equal(getattr(row.x, name),
-                                  getattr(alone.x, name))
+        assert np.array_equal(row.x.l, alone.x.l)
+        assert np.array_equal(row.x.r, alone.x.r)
         assert (row.trace, row.stalled, row.iters, row.reason) == \
             (alone.trace, alone.stalled, alone.iters, alone.reason)
-    assert calls["bad_rounds"] > 0
     assert [r.reason for r in res] == ["converged", "converged",
                                        "max_iters", "max_iters", "zero_grad"]
     assert res[4].iters == 0 < res[1].iters < res[0].iters < res[2].iters
-    d = project_tangent(x, targets[0] - x.dense)
-    assert retract(x[None], d[None], [1.0])[1] == [True]
 
 
 def test_circle_stack_equals_each_problem_alone():
@@ -601,8 +556,8 @@ def test_stack_rows_stall_while_another_loses_its_gradient():
     rng = np.random.default_rng(21)
     starts = [random_fixed_rank(7, 5, 2, rng) for _ in range(4)]
     targets = np.stack([cgauss(rng, (7, 5)) for _ in range(4)])
-    finite = {1: 2, 3: 1}                 # finite costs per problem
-    opts = CgOptions(epsilon=1e-8, max_iters=20)
+    finite = {1: 3, 3: 1}                 # finite costs per problem
+    opts = CgOptions(epsilon=1e-8, max_iters=15)
 
     def run(x0, problems):
         costs, grads = [0] * 4, [0] * 4
@@ -632,10 +587,9 @@ def test_stack_rows_stall_while_another_loses_its_gradient():
     res = run(FixedRankPoint.stack(starts), np.arange(4))
     for i, (row, x0) in enumerate(zip(res, starts)):
         alone = run(FixedRankPoint.stack([x0]), np.array([i]))[0]
-        for name in ("u", "s", "v"):
-            assert np.array_equal(getattr(row.x, name),
-                                  getattr(alone.x, name))
+        assert np.array_equal(row.x.l, alone.x.l)
+        assert np.array_equal(row.x.r, alone.x.r)
         assert (row.trace, row.stalled, row.iters, row.reason) == \
             (alone.trace, alone.stalled, alone.iters, alone.reason)
     assert [(r.iters, r.reason) for r in res] == [
-        (1, "zero_grad"), (2, "stalled"), (20, "max_iters"), (1, "stalled")]
+        (1, "zero_grad"), (2, "stalled"), (15, "max_iters"), (1, "stalled")]

@@ -7,7 +7,8 @@ from irsmimo.channel import (PilotBlock, SystemGeometry, build_dictionaries,
                              make_pilots, sample_paths, simulate_uplink,
                              synth_channels)
 from irsmimo.harness import ExperimentConfig, nmse, pnr_to_sigma2, sweep
-from irsmimo.manifold import FixedRankPoint, project_tangent
+from irsmimo.manifold import (FixedRankManifold, FixedRankPoint,
+                              project_tangent)
 from irsmimo.mo_est import MoEstConfig, egrad_g, egrad_h, mo_est, objective_f
 from irsmimo.numerics import khatri_rao, truncated_svd
 
@@ -128,20 +129,21 @@ class TestEuclideanGradients:
         pil, g0, h0 = _random_problem(rng)
         mu_g = 0.3
         f_mat = pil.v * (h0 @ pil.s)
-        x = FixedRankPoint(*truncated_svd(g0, 3))
+        u, sig, w = truncated_svd(g0, 3)
+        x = FixedRankPoint(u * np.sqrt(sig), w * np.sqrt(sig))
         grad = project_tangent(x, egrad_g(x.dense, pil.r, f_mat, mu_g,
                                           SMALL_DICTS))
-        ge = grad.embed(x)
         eps = 1e-6
         for _ in range(5):
-            tan = project_tangent(x, cgauss(rng, g0.shape))
-            d = tan.embed(x)
-            d /= np.linalg.norm(d)
-            fd = (objective_f(x.dense + eps * d, h0, pil, SMALL_DICTS, mu_g,
-                              0.0)
-                  - objective_f(x.dense - eps * d, h0, pil, SMALL_DICTS, mu_g,
-                                0.0)) / (2 * eps)
-            assert 2 * np.real(np.sum(ge.conj() * d)) == pytest.approx(
+            xi = FixedRankPoint(cgauss(rng, x.l.shape), cgauss(rng, x.r.shape))
+            xi = xi * (1.0 / np.linalg.norm(xi.dense))
+
+            def f(e):
+                return objective_f((x + e * xi).dense, h0, pil, SMALL_DICTS,
+                                   mu_g, 0.0)
+
+            fd = (f(eps) - f(-eps)) / (2 * eps)
+            assert 2 * FixedRankManifold.inner(x, grad, xi) == pytest.approx(
                 fd, rel=1e-5)
 
 
@@ -155,10 +157,10 @@ class TestEstimator:
             assert res.iterations >= 1
             for before, after in zip(res.trace, res.trace[1:]):
                 assert after <= before + 1e-9
-            res.g_hat.validate()
-            res.h_hat.validate()
-            assert res.g_hat.shape == (SMALL.n_bs, SMALL.m)
-            assert res.h_hat.shape == (SMALL.m, SMALL.n_ue)
+            assert (res.g_hat.l.shape, res.g_hat.r.shape) == \
+                ((SMALL.n_bs, 2), (SMALL.m, 2))
+            assert (res.h_hat.l.shape, res.h_hat.r.shape) == \
+                ((SMALL.m, 2), (SMALL.n_ue, 2))
 
     def test_returned_objective_matches_trace_tail(self):
         ch, pil = _physical_problem(seed=11, t=30, sigma2=1e-12, geom=SMALL)
@@ -212,31 +214,27 @@ class TestEstimator:
 
     @pytest.mark.parametrize("sigma2", [0.0, 1e-3])
     def test_zero_block_returns_zero_estimate(self, sigma2):
-        # Nothing to back-project: the start is all zero, its gradient is
-        # zero, and the first round settles there. The singular values are
-        # 0, outside FixedRankPoint's "positive" contract, but finite.
+        # Nothing to back-project: the start's factors are all zero, its
+        # gradient is zero, and the first round settles there.
         _, pil = _physical_problem(seed=16, t=30, sigma2=0.0, geom=DESK)
         zero = PilotBlock(pil.s, pil.v, np.zeros_like(pil.r), sigma2)
         res = mo_est(zero, DESK_DICTS, MoEstConfig(3, 3))
         assert (res.iterations, res.reason, res.trace) == \
             (1, "settled", [0.0, 0.0])
         for x in (res.g_hat, res.h_hat):
-            assert not x.s.any()
-            assert np.isfinite(x.u).all() and np.isfinite(x.v).all()
+            assert np.isfinite(x.l).all() and np.isfinite(x.r).all()
             assert not x.dense.any()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rank_above_truth_leaves_noiseless_start(self, seed):
         # Noiseless, the start's columns lie in the 2-dimensional column
-        # space of g, so its third singular value is rounding noise; the
-        # start floor keeps it above retract's rank-drop threshold, and g
-        # moves to the truth. This pins a finite, accurate dense estimate,
-        # not a valid point: retract loses orthonormality when a tangent's
-        # u_p is rank-deficient, so g_hat.u may fail
-        # FixedRankPoint.validate here.
+        # space of g, so its third factor column is rounding noise; the
+        # factor geometry needs no full-rank start, and g moves to the
+        # truth.
         ch, pil = _physical_problem(seed=seed, t=100, sigma2=0.0, geom=DESK)
         res = mo_est(pil, DESK_DICTS, MoEstConfig(3, 3))
-        assert (res.g_hat.s > 0).all() and (res.h_hat.s > 0).all()
+        for x in (res.g_hat, res.h_hat):
+            assert np.isfinite(x.l).all() and np.isfinite(x.r).all()
         assert np.isfinite(res.trace).all()
         assert nmse(ch.h_c, khatri_rao(res.h_hat.dense.T,
                                        res.g_hat.dense)) < 1e-3
@@ -278,8 +276,7 @@ class TestEstimator:
         alone = [mo_est(p, DESK_DICTS, cfg) for p in pilots]
         for row, one in zip(stacked, alone):
             for a, b in ((row.g_hat, one.g_hat), (row.h_hat, one.h_hat)):
-                assert all(np.array_equal(getattr(a, f), getattr(b, f))
-                           for f in ("u", "s", "v"))
+                assert np.array_equal(a.l, b.l) and np.array_equal(a.r, b.r)
             assert (row.trace, row.iterations, row.stalled) == \
                 (one.trace, one.iterations, one.stalled)
         assert len({r.iterations for r in stacked}) > 1
