@@ -31,9 +31,10 @@ by GL(r) with the preconditioned metric of Mishra, Meyer, Bonnabel and
 Sepulchre ("Fixed-rank matrix factorizations and Riemannian low-rank
 optimization", Comput. Stat. 2014; Manopt's
 fixedrankfactory_2factors_preconditioned). A tangent vector is a factor
-pair of the same shapes, the retraction adds it, and every matrix the
-ops invert is an r x r Gram matrix, so a rank-deficient or zero factor
-stays finite (Burer and Monteiro, Math. Program. 2003).
+pair of the same shapes, the retraction adds it, and the only matrices
+the ops invert are r x r Gram matrices, by pseudo-inverse, so a
+rank-deficient or zero factor stays finite (Burer and Monteiro, Math.
+Program. 2003).
 """
 
 import math
