@@ -111,8 +111,7 @@ def _selftest_checks():
         target = manifold.random_fixed_rank(8, 6, 2, rng).dense
         res = manifold.cg_minimize(
             manifold.FixedRankManifold,
-            lambda p, rows: ([float(np.linalg.norm(e) ** 2)
-                              for e in p.dense - target],
+            lambda p, rows: (numerics.sq_norms(p.dense - target).tolist(),
                              lambda keep=None: p.dense - target),
             x, manifold.CgOptions(epsilon=1e-12, max_iters=200))
         assert res.trace[-1] < 1e-8
@@ -129,7 +128,7 @@ def _selftest_checks():
         x = manifold.random_fixed_rank(8, 8, 2, rng)
 
         def cost(xd):
-            return (float(np.linalg.norm(pilots.r - xd @ f_mat) ** 2)
+            return (float(numerics.sq_norms(pilots.r - xd @ f_mat))
                     + 0.1 * float(np.sum(np.abs(
                         dicts.a_bs.conj().T @ xd @ dicts.a_i))))
 
@@ -160,7 +159,7 @@ def _selftest_checks():
         scen = wmmse.DownlinkScenario(geom, sigma2_d, 3, 0, 2000)
         sol = wmmse.alt_wmmse(scen, ch.h_c, rng)
         assert all(a >= b - 1e-9 for a, b in zip(sol.g_trace, sol.g_trace[1:]))
-        assert abs(np.linalg.norm(sol.f) - 1.0) < 1e-10
+        assert abs(np.sqrt(numerics.sq_norms(sol.f)) - 1.0) < 1e-10
 
     def check_harness():
         cfg = ExperimentConfig(algorithm="cs_est", trials=2,

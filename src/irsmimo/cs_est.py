@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import Dictionaries, PilotBlock
-from .numerics import mat
+from .numerics import mat, sq_norms
 
 GRAM_COND_LIMIT = 1e12
 
@@ -153,7 +153,7 @@ def omp_mmv(theta: np.ndarray | KronSensing, obs: np.ndarray,
 
     support: list[int] = []
     res = obs
-    res_trace = [float(np.linalg.norm(obs))]
+    res_trace = [float(np.sqrt(sq_norms(obs)))]
     coeffs = np.zeros((0, obs.shape[1]), dtype=complex)
     for _ in range(k):
         psi = theta.adjoint(res)
@@ -167,7 +167,7 @@ def omp_mmv(theta: np.ndarray | KronSensing, obs: np.ndarray,
                 f"selected atoms nearly collinear (support {support})")
         coeffs = np.linalg.solve(gram, sel.conj().T @ obs)
         res = obs - sel @ coeffs
-        res_trace.append(float(np.linalg.norm(res)))
+        res_trace.append(float(np.sqrt(sq_norms(res))))
     return OmpResult(support, coeffs, res_trace, res)
 
 

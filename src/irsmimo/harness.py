@@ -40,7 +40,7 @@ from .channel import (ChannelRealization, Dictionaries, SystemGeometry,
                       stack_paths, synth_channels)
 from .cs_est import CsEstConfig, cs_est, resolve_t1
 from .mo_est import MoEstConfig, mo_est
-from .numerics import khatri_rao
+from .numerics import khatri_rao, sq_norms
 from .wmmse import DownlinkScenario, alt_wmmse, spectral_efficiency
 
 CSV_HEADER = "seed,algorithm,T,pnr_db,snr_db,k_hat,nmse,se_bits_s_hz,outer_iters,wall_ms"
@@ -232,10 +232,10 @@ def nmse(h_c_true: np.ndarray, h_c_hat: np.ndarray) -> float:
     """Per-trial squared-error ratio ||true - hat||_F^2 / ||true||_F^2."""
     if h_c_true.shape != h_c_hat.shape:
         raise ValueError("shape mismatch")
-    denom = float(np.linalg.norm(h_c_true) ** 2)
+    denom = float(sq_norms(h_c_true))
     if denom == 0.0:
         raise ValueError("true channel is zero")
-    return float(np.linalg.norm(h_c_true - h_c_hat) ** 2) / denom
+    return float(sq_norms(h_c_true - h_c_hat)) / denom
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ import numpy as np
 from .channel import Dictionaries, PilotBlock
 from .manifold import (CgOptions, FixedRankManifold, FixedRankPoint,
                        cg_minimize, pick_rows)
-from .numerics import herm, khatri_rao, matrix_sums, truncated_svd
+from .numerics import herm, khatri_rao, matrix_sums, sq_norms, truncated_svd
 
 # Angular coefficients below this magnitude contribute subgradient zero to
 # the l1 phase matrix.
@@ -145,10 +145,7 @@ def _fit_l1(x: np.ndarray, resid: np.ndarray, back, mu: np.ndarray,
     back(resid, keep) + (mu/2) a y b^H of rows keep (all for None), with y
     the phase of a^H x b. The gradient reuses resid and a^H x b."""
     z = a.conj().T @ x @ b
-    fit = np.abs(resid)
-    cost = (matrix_sums(np.square(fit, out=fit))
-            + mu * matrix_sums(np.abs(z))).tolist()
-    del fit
+    cost = (sq_norms(resid) + mu * matrix_sums(np.abs(z))).tolist()
 
     def egrad(keep=None) -> np.ndarray:
         sel = _ALL if keep is None else keep
@@ -295,7 +292,7 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
     for block in pilots:
         # Per-trial scalars, each computed as for one trial: numpy's
         # scalar c ** 2 rounds differently from the array square.
-        c.append(float(np.linalg.norm(block.r)) / np.sqrt(block.t))
+        c.append(float(np.sqrt(sq_norms(block.r))) / np.sqrt(block.t))
         if c[-1] == 0.0:
             c[-1] = 1.0
         sigma2n.append(block.sigma2 / c[-1] ** 2)
@@ -351,9 +348,9 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
         for k, q in enumerate(live):
             traces[q].append(obj[k])
             h_c = khatri_rao(h_dense[k].T, g_dense[k])
-            moved = np.linalg.norm(
-                h_c - khatri_rao(h_dense_prev[k].T, g_dense_prev[k]))
-            settled = moved <= settle[k] * np.linalg.norm(h_c)
+            moved = np.sqrt(sq_norms(
+                h_c - khatri_rao(h_dense_prev[k].T, g_dense_prev[k])))
+            settled = moved <= settle[k] * np.sqrt(sq_norms(h_c))
             if not settled and it < cfg.max_outer:
                 keep.append(k)
                 continue

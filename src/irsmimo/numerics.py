@@ -43,6 +43,12 @@ def matrix_sums(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=(-2, -1))
 
 
+def sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of a matrix, or of each matrix of a stack."""
+    m = np.abs(a)
+    return matrix_sums(np.square(m, out=m))
+
+
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-major stacking of a matrix into a vector."""
     return np.asarray(a).reshape(-1, order="F")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import SystemGeometry, effective_channel
 from .manifold import CgOptions, CircleManifold, cg_minimize, pick_rows
-from .numerics import herm, random_unit_modulus
+from .numerics import herm, random_unit_modulus, sq_norms
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,7 @@ def update_f(h_e: np.ndarray, w: np.ndarray, omega: np.ndarray,
 
     Takes stacks only, with a leading trial axis on h_e, w and omega, and
     returns (f, degenerate), one flag per trial: True when the unnormalized
-    solution vanishes (w = 0), in which case f is all zeros. Each norm is
-    taken per matrix, as np.linalg.norm of one matrix rounds differently
-    from a norm over the axes of a stack.
+    solution vanishes (w = 0), in which case f is all zeros.
     """
     n_bs = h_e.shape[-1]
     psi = (omega @ herm(w) @ w).trace(axis1=-2, axis2=-1).real
@@ -128,7 +126,7 @@ def update_f(h_e: np.ndarray, w: np.ndarray, omega: np.ndarray,
     if degenerate.any():
         a[degenerate] = np.eye(n_bs)    # keeps the stacked solve regular
     f_tilde = np.linalg.solve(a, rhs)
-    norm = np.array([np.linalg.norm(x) for x in f_tilde])
+    norm = np.sqrt(sq_norms(f_tilde))
     degenerate |= norm == 0.0
     if degenerate.any():
         norm[degenerate] = 1.0

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import cgauss
 from irsmimo.numerics import (commutation_matrix, khatri_rao, kron, mat,
-                              random_unit_modulus, truncated_svd, vec)
+                              random_unit_modulus, sq_norms, truncated_svd,
+                              vec)
 
 dims = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -55,6 +56,33 @@ def test_khatri_rao_rejects_bad_inputs():
         khatri_rao(np.ones((2, 3)), np.ones((2, 4)))
     with pytest.raises(ValueError):
         khatri_rao(np.ones(3), np.ones((2, 3)))
+
+
+# Matrix shapes whose norms the pipeline takes at paper and desk scale.
+NORM_SHAPES = [(576, 36), (128, 16), (36, 3), (16, 3), (36, 300)]
+
+
+@pytest.mark.parametrize("shape", NORM_SHAPES)
+def test_sq_norms_of_a_stack_equal_each_matrix_alone(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for size in range(1, 17):
+        stack = cgauss(rng, (size,) + shape)
+        got = sq_norms(stack)
+        assert got.shape == (size,)
+        for i, x in enumerate(stack):
+            assert got[i] == sq_norms(np.array(x))
+
+
+@pytest.mark.parametrize("shape", NORM_SHAPES)
+def test_sq_norms_match_linalg_norm(shape):
+    a = cgauss(np.random.default_rng(7), shape)
+    np.testing.assert_allclose(sq_norms(a), np.linalg.norm(a) ** 2,
+                               rtol=1e-12, atol=0)
+
+
+def test_sq_norms_of_zeros_are_zero():
+    assert sq_norms(np.zeros((4, 3), dtype=complex)) == 0.0
+    assert np.array_equal(sq_norms(np.zeros((2, 4, 3))), [0.0, 0.0])
 
 
 def test_commutation_matrix_2x2_frozen():

@@ -7,7 +7,7 @@ from irsmimo.channel import (SystemGeometry, effective_channel, sample_paths,
                              synth_channels)
 from irsmimo.harness import pnr_to_sigma2
 from irsmimo.manifold import circle_project
-from irsmimo.numerics import random_unit_modulus
+from irsmimo.numerics import random_unit_modulus, sq_norms
 from irsmimo import wmmse
 from irsmimo.wmmse import (DownlinkScenario, alt_wmmse, egrad_v,
                            g1_objective, mse_matrix, spectral_efficiency,
@@ -289,15 +289,13 @@ class TestAltWmmse:
 
 
 def _update_f_one(h_e, w, omega, scen):
-    """update_f's beamformer as one matrix's formula; np.linalg.norm of a
-    single matrix rounds differently from a norm over the axes of a
-    stack."""
+    """update_f's beamformer as one matrix's formula."""
     psi = np.trace(omega @ w.conj().T @ w).real
     hw = h_e.conj().T @ w
     f_tilde = np.linalg.solve(hw @ omega @ hw.conj().T
                               + scen.sigma2_d * psi * np.eye(h_e.shape[1]),
                               hw @ omega)
-    return f_tilde / np.linalg.norm(f_tilde)
+    return f_tilde / np.sqrt(sq_norms(f_tilde))
 
 
 def test_stacked_closed_forms_equal_per_matrix_calls():
