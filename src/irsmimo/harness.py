@@ -4,11 +4,10 @@ execution, and CSV serialization.
 
 Determinism contract: a (config, master_seed) pair yields byte-identical
 CSV output, and each row is independent of the order in which trials
-run and of which trials share a chunk. Every trial derives its
-generators from SeedSequence(master_seed, spawn_key=(point, seed)) and
-splits them per pipeline phase, so paired-seed comparisons across
-algorithms see identical channels, pilots, and initial reflection
-vectors.
+run and of which trials share a chunk. Every trial draws each pipeline
+phase from its own generator, SeedSequence(master_seed, spawn_key=(point,
+seed, phase)), so paired-seed comparisons across algorithms see identical
+channels, pilots, and initial reflection vectors.
 
 A config checks its fields and builds its points once, at construction,
 or raises ConfigError. The points share one geometry and dictionaries;
@@ -305,19 +304,18 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
     exception of any step propagates, whether the step runs per trial or
     on the stack; sweep then reruns the chunk one trial at a time.
 
-    Per trial, in seed order: the generator spawn, the path draw, pilots
-    and uplink, and cs_est. Stacked over the chunk: channel synthesis,
-    mo_est, the beamformer (alt_wmmse on a stack) and the rate on the
-    true channel.
+    Per trial, in seed order: the generators, the path draw, pilots and
+    uplink (pilots alone for a CSI-free arm), and cs_est. Stacked over the
+    chunk: channel synthesis, mo_est, the beamformer (alt_wmmse on a
+    stack) and the rate on the true channel.
     """
     tic = time.perf_counter()
     scen, geom, t = point.scen, point.scen.geom, point.scen.t_used
-    # Generators of children 0, 1 and 3: paths, training, beamformer. Child
-    # 2 is spawned but unused, so the beamformer's stream does not move.
-    rngs = [[np.random.default_rng(kids[k]) for k in (0, 1, 3)]
-            for kids in (np.random.SeedSequence(
-                cfg.master_seed, spawn_key=(point.index, seed)).spawn(4)
-                for seed in seeds)]
+    # Keys k = 0, 1, 3: paths, training, beamformer; k = 2 is unused. Each
+    # equals SeedSequence(master_seed, spawn_key=(point, seed)).spawn(4)[k].
+    rngs = [[np.random.default_rng(np.random.SeedSequence(
+        cfg.master_seed, spawn_key=(point.index, seed, k)))
+        for k in (0, 1, 3)] for seed in seeds]
     ch = synth_channels(geom, stack_paths(
         [sample_paths(geom, cfg.k_true, rng[0], on_grid=cfg.on_grid)
          for rng in rngs]))
@@ -328,8 +326,8 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
                                point.sigma2, rng_pilot)
 
     # Estimates of the cascaded channels and estimator iterations, or None
-    # for the CSI-free arms, which design on the true channel and discard
-    # their training. The training buffers die before the beamformer runs.
+    # for the CSI-free arms, which design on the true channel and simulate
+    # no uplink. The training buffers die before the beamformer runs.
     # mo_est runs the chunk on one stack, reading each training block as it
     # is made; a single trial goes through its one-trial signature, as
     # alt_wmmse's below.
@@ -348,8 +346,10 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
         iters = [len(x.support_ue) + len(x.support_bs) + len(x.support_gain)
                  for x in est]
     elif t > 0:
-        for i, rng in enumerate(rngs):
-            training(i, rng[1])
+        # Pilots only for perfbench's channel.make_pilots span test; ROADMAP
+        # item 2 points it at channel.synth_channels, and this loop goes.
+        for rng in rngs:
+            make_pilots(geom, t, rng[1], hold_v=point.hold_v)
     # The cascaded channels are built only now, after the estimators.
     h_c = ch.h_c
     design = h_c if hats[0] is None else np.stack(hats)

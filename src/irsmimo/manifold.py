@@ -388,8 +388,13 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
         if len(grads) == 1:
             egrad_new = grads[0]
         else:
-            egrad_new = np.concatenate(grads)[np.argsort(keep)]
+            at = np.argsort(np.argsort(keep))
             keep.sort()
+            egrad_new = np.empty((len(keep),) + grads[0].shape[1:],
+                                 grads[0].dtype)
+            for part in grads:
+                egrad_new[at[:len(part)]] = part
+                at = at[len(part):]
         del grads
         if len(keep) < b:
             x, x_new, g, d = x[keep], x_new[keep], g[keep], d[keep]

@@ -221,9 +221,14 @@ class TestCsv:
         assert rows[1]["median_nmse"] == pytest.approx(0.1)
 
 
-def _assert_matches_direct_pipeline(algorithm, optimize_v):
+def _assert_matches_direct_pipeline(algorithm, optimize_v, t, monkeypatch):
+    """A CSI-free row equals the pipeline run on the children of
+    SeedSequence(master_seed, spawn_key=(point, seed)).spawn(4). With
+    t > 0 the arm must still not simulate the uplink it would discard."""
     cfg = ExperimentConfig(algorithm=algorithm, sweep_axis="SNR",
-                           sweep_values=(10.0,), t=0, **SMALL_KW)
+                           sweep_values=(10.0,), t=t, **SMALL_KW)
+    if t > 0:
+        monkeypatch.setattr(harness, "simulate_uplink", _raise)
     rec = run_trial(cfg, 0, 5)
     ss = np.random.SeedSequence(cfg.master_seed, spawn_key=(0, 5))
     rng_chan, _, _, rng_bf = [np.random.default_rng(c)
@@ -232,12 +237,12 @@ def _assert_matches_direct_pipeline(algorithm, optimize_v):
     ch = synth_channels(geom, sample_paths(geom, cfg.k_true, rng_chan,
                                            on_grid=True))
     sigma2_d = pnr_to_sigma2(10.0, cfg.d_bi, cfg.d_iu)
-    scen = DownlinkScenario(geom, sigma2_d, cfg.n_s, 0, cfg.t_tot)
+    scen = DownlinkScenario(geom, sigma2_d, cfg.n_s, t, cfg.t_tot)
     sol = alt_wmmse(scen, ch.h_c, rng_bf, optimize_v=optimize_v)
     assert rec.se_bits_s_hz == sol.se
     assert rec.nmse == 0.0
     assert rec.outer_iters == sol.iterations
-    assert rec.t == 0 and rec.snr_db == 10.0
+    assert rec.t == t and rec.snr_db == 10.0
 
 
 class TestRunTrial:
@@ -246,11 +251,47 @@ class TestRunTrial:
                                sweep_values=(20.0,), **SMALL_KW)
         assert run_trial(cfg, 0, 3) == run_trial(cfg, 0, 3)
 
-    def test_perfect_csi_without_training_matches_direct_pipeline(self):
-        _assert_matches_direct_pipeline("perfect_csi", True)
+    def test_perfect_csi_without_training_matches_direct_pipeline(
+            self, monkeypatch):
+        _assert_matches_direct_pipeline("perfect_csi", True, 0, monkeypatch)
 
-    def test_random_phase_without_training_matches_direct_pipeline(self):
-        _assert_matches_direct_pipeline("random_phase_baseline", False)
+    def test_random_phase_without_training_matches_direct_pipeline(
+            self, monkeypatch):
+        _assert_matches_direct_pipeline("random_phase_baseline", False, 0,
+                                        monkeypatch)
+
+    @pytest.mark.parametrize("algorithm, optimize_v", [
+        ("perfect_csi", True), ("random_phase_baseline", False)])
+    def test_csi_free_arm_with_training_skips_the_uplink(
+            self, algorithm, optimize_v, monkeypatch):
+        _assert_matches_direct_pipeline(algorithm, optimize_v, 30,
+                                        monkeypatch)
+
+    def test_estimator_arm_simulates_one_uplink_per_trial(self, monkeypatch):
+        real, calls = harness.simulate_uplink, []
+
+        def counted(*args):
+            calls.append(_seed_of(args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(harness, "simulate_uplink", counted)
+        cfg = ExperimentConfig(algorithm="cs_est", t=20, t1=8, trials=3,
+                               sweep_values=(20.0,), **SMALL_KW)
+        sweep(cfg)
+        assert calls == [0, 1, 2]
+
+    @pytest.mark.parametrize("master_seed, point, seed", [
+        (0, 0, 0), (0, 2, 5), (7, 1, 36), (2 ** 40 + 3, 4, 99)])
+    def test_keyed_children_equal_spawned_children(self, master_seed, point,
+                                                   seed):
+        kids = np.random.SeedSequence(
+            master_seed, spawn_key=(point, seed)).spawn(4)
+        for k, kid in enumerate(kids):
+            keyed = np.random.SeedSequence(master_seed,
+                                           spawn_key=(point, seed, k))
+            assert np.array_equal(
+                np.random.default_rng(keyed).standard_normal(16),
+                np.random.default_rng(kid).standard_normal(16))
 
     def test_sweep_axes_apply_to_columns(self):
         base = dict(algorithm="perfect_csi", t=0, **SMALL_KW)
