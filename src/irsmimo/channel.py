@@ -5,16 +5,19 @@ The BS and UE carry half-wavelength ULAs; the IRS is an m_y-by-m_z planar
 array. The BS-IRS channel g is n_bs x m with p paths, the IRS-UE channel h
 is m x n_ue with q paths. Reflection vectors have unit-modulus entries.
 
-Synthesis, the cascaded channel and the effective channel also take
-stacks, arrays with a leading trial axis; each trial of a stacked call is
-bit-identical to the unstacked call on that trial alone.
+A channel is held as factors (ChannelRealization), and the effective
+channel h^H diag(v) g^H is computed on them; the (n_bs*n_ue, m) cascaded
+channel is built only on request. Synthesis, the cascaded channel and the
+effective channel also take stacks, arrays with a leading trial axis;
+each trial of a stacked call is bit-identical to the unstacked call on
+that trial alone.
 """
 
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .numerics import khatri_rao, kron, random_unit_modulus
+from .numerics import herm, khatri_rao, kron, random_unit_modulus
 
 
 @dataclass(frozen=True)
@@ -96,16 +99,36 @@ def stack_paths(paths: list[PathSet]) -> PathSet:
 
 @dataclass
 class ChannelRealization:
-    """Dense channel pair, or a stack of them along a leading trial axis;
-    each read of h_c builds the cascaded channel anew."""
+    """A channel as factors whose cascaded channel is khatri_rao(h.T, g) @ w,
+    or a stack of them along a leading trial axis.
 
-    g: np.ndarray              # (n_bs, m) or (trials, n_bs, m)
-    h: np.ndarray              # (m, n_ue) or (trials, m, n_ue)
+    g is (n_bs, K) and h is (K, n_ue). w is (K, m), or None for K = m, when
+    g and h are the BS-IRS and IRS-UE channels themselves. The cascaded
+    channel is never stored; each read of h_c builds it anew.
+    """
+
+    g: np.ndarray              # (n_bs, K) or (trials, n_bs, K)
+    h: np.ndarray              # (K, n_ue) or (trials, K, n_ue)
+    w: np.ndarray | None = None    # (K, m) or (trials, K, m)
 
     @property
     def h_c(self) -> np.ndarray:
         """Cascaded channel H.T (column-wise) Kronecker G, (n_bs*n_ue, m)."""
         return cascaded(self)
+
+    def __getitem__(self, rows) -> "ChannelRealization":
+        """Trials `rows` of a stack (None adds a trial axis)."""
+        return ChannelRealization(*(None if a is None else a[rows]
+                                    for a in (self.g, self.h, self.w)))
+
+
+def stack_channels(chans: list[ChannelRealization]) -> ChannelRealization:
+    """The channels of several trials, all with the same K, as one stacked
+    realization."""
+    return ChannelRealization(*(
+        None if getattr(chans[0], f.name) is None
+        else np.stack([getattr(c, f.name) for c in chans])
+        for f in fields(ChannelRealization)))
 
 
 @dataclass(frozen=True)
@@ -278,15 +301,22 @@ def sample_paths(geom: SystemGeometry, k: int, rng: np.random.Generator,
 def _sum_of_paths(gains: np.ndarray, a_rx: np.ndarray,
                   a_tx: np.ndarray) -> np.ndarray:
     """sqrt(rows*cols/k) * sum_k gains[k] a_rx[:, k] a_tx[:, k]^H, adding
-    the paths in path order (a matmul or a pairwise sum would reorder the
-    additions and change the rounding). Stacked gains (..., k) and
-    responses (..., rows, k), (..., cols, k) give (..., rows, cols)."""
+    the paths one at a time in path order (a matmul or a pairwise sum would
+    reorder the additions and change the rounding). Stacked gains (..., k)
+    and responses (..., rows, k), (..., cols, k) give (..., rows, cols);
+    besides the result, only one path's term is held at a time."""
     rx, tx = a_rx.swapaxes(-1, -2), a_tx.swapaxes(-1, -2).conj()
-    terms = gains[..., :, None, None] * (rx[..., :, :, None]
-                                         * tx[..., :, None, :])
-    rows, cols, k = rx.shape[-1], tx.shape[-1], gains.shape[-1]
-    return (np.add.accumulate(terms, axis=-3)[..., -1, :, :]
-            * np.sqrt(rows * cols / k))
+
+    def term(i, buf=None):
+        buf = np.multiply(rx[..., i, :, None], tx[..., i, None, :], out=buf)
+        return np.multiply(gains[..., i, None, None], buf, out=buf)
+
+    out, buf = term(0), None
+    for i in range(1, gains.shape[-1]):
+        buf = term(i, buf)
+        out += buf
+    out *= np.sqrt(rx.shape[-1] * tx.shape[-1] / gains.shape[-1])
+    return out
 
 
 def synth_channels(geom: SystemGeometry, paths: PathSet) -> ChannelRealization:
@@ -334,32 +364,32 @@ def angular_coefficients(ch: ChannelRealization,
 
 
 def cascaded(ch: ChannelRealization) -> np.ndarray:
-    """Cascaded channel khatri_rao(h.T, g) of shape (n_bs*n_ue, m), with
-    the stack axis of a stacked realization in front."""
+    """Cascaded channel khatri_rao(h.T, g) @ w of shape (n_bs*n_ue, m),
+    with the stack axis of a stacked realization in front."""
     # A C-ordered h.T gives a C-ordered product, which khatri_rao then
     # reshapes without copying; every trial's h_c is C-ordered whatever
     # the stack size, so its products run the same BLAS kernels.
-    return khatri_rao(np.ascontiguousarray(ch.h.swapaxes(-1, -2)), ch.g)
+    h_c = khatri_rao(np.ascontiguousarray(ch.h.swapaxes(-1, -2)), ch.g)
+    return h_c if ch.w is None else h_c @ ch.w
 
 
-def effective_channel(h_c: np.ndarray, v: np.ndarray,
-                      geom: SystemGeometry) -> np.ndarray:
-    """End-to-end (n_ue, n_bs) channel for reflection vector v; stacked
-    h_c (..., n_bs*n_ue, m) and v (..., m) give (..., n_ue, n_bs).
+def effective_channel(ch: ChannelRealization, v: np.ndarray) -> np.ndarray:
+    """End-to-end (n_ue, n_bs) channel h^H diag(v) g^H for reflection
+    vector v; a stacked ch and v (..., m) give (..., n_ue, n_bs).
 
-    Equals h^H diag(v) g^H; computed from the cascaded channel as
-    mat(conj(h_c) @ v, n_bs, n_ue).T, which is the C-order reshape of
-    conj(h_c) @ v to (n_ue, n_bs). conj(h_c) @ v is taken as
-    conj(h_c @ conj(v)): conjugation only flips signs, which rounding
-    preserves, so the two agree bit for bit, and the channel stack is
-    not copied.
+    Computed on the factors as herm(h) @ (c[:, None] * herm(g)), where
+    c = v, or conj(w) @ v when ch carries w; the cascaded channel is never
+    formed.
     """
-    if h_c.shape[-2:] != (geom.n_bs * geom.n_ue, geom.m):
-        raise ValueError(f"h_c shape {h_c.shape} inconsistent with geometry")
-    if v.shape[-1] != geom.m:
+    k = ch.g.shape[-1]
+    m = k if ch.w is None else ch.w.shape[-1]
+    if ch.h.shape[-2] != k or (ch.w is not None and ch.w.shape[-2] != k):
+        raise ValueError("channel factors disagree on K")
+    if v.shape[-1] != m:
         raise ValueError("reflection vector length mismatch")
-    return (h_c @ v.conj()[..., None]).conj().reshape(
-        v.shape[:-1] + (geom.n_ue, geom.n_bs))
+    c = v if ch.w is None else (ch.w.conj() @ v[..., None])[..., 0]
+    g_h = herm(ch.g)
+    return herm(ch.h) @ np.multiply(c[..., :, None], g_h, out=g_h)
 
 
 def make_pilots(geom: SystemGeometry, t: int, rng: np.random.Generator,

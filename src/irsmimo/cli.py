@@ -92,7 +92,7 @@ def _selftest_checks():
         assert np.linalg.matrix_rank(ch.g, tol=1e-8) == 3
         assert np.linalg.matrix_rank(ch.h, tol=1e-8) == 3
         v = numerics.random_unit_modulus(geom.m, rng)
-        h_e = channel.effective_channel(ch.h_c, v, geom)
+        h_e = channel.effective_channel(ch, v)
         direct = ch.h.conj().T @ np.diag(v) @ ch.g.conj().T
         assert np.abs(h_e - direct).max() < 1e-10
 
@@ -149,7 +149,7 @@ def _selftest_checks():
         pilots = channel.simulate_uplink(ch, s, v, 0.0, rng)
         res = cs_est(pilots, channel.build_dictionaries(geom),
                      CsEstConfig(2, 2, 15))
-        assert harness.nmse(ch.h_c, res.h_c_hat) < 1e-10
+        assert harness.nmse(ch.h_c, res.estimate.h_c) < 1e-10
 
     def check_wmmse():
         rng = np.random.default_rng(5)
@@ -157,7 +157,7 @@ def _selftest_checks():
         ch = channel.synth_channels(geom, channel.sample_paths(geom, 3, rng))
         sigma2_d = harness.pnr_to_sigma2(10.0, geom.d_bi, geom.d_iu)
         scen = wmmse.DownlinkScenario(geom, sigma2_d, 3, 0, 2000)
-        sol = wmmse.alt_wmmse(scen, ch.h_c, rng)
+        sol = wmmse.alt_wmmse(scen, ch, rng)
         assert all(a >= b - 1e-9 for a, b in zip(sol.g_trace, sol.g_trace[1:]))
         assert abs(np.sqrt(numerics.sq_norms(sol.f)) - 1.0) < 1e-10
 

@@ -8,6 +8,8 @@ and reassembles
 
     h_c_hat = kron(conj(a_ue_bar), a_bs_bar) @ lam_mat @ a_i.T
 
+held as channel factors (see stage3_gains).
+
 The stage-3 sensing matrix has Kronecker-structured row blocks, so it is
 never formed: KronSensing applies its adjoint as a contraction of the
 factors and builds only the columns OMP selects. Its size is therefore
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Dictionaries, PilotBlock
+from .channel import ChannelRealization, Dictionaries, PilotBlock
 from .numerics import mat, sq_norms
 
 GRAM_COND_LIMIT = 1e12
@@ -60,9 +62,10 @@ class OmpResult:
 
 @dataclass
 class CsEstResult:
-    """Reconstruction, selected supports, and run metrics."""
+    """Reconstruction as channel factors, selected supports, and run
+    metrics."""
 
-    h_c_hat: np.ndarray
+    estimate: ChannelRealization
     support_ue: list[int]
     support_bs: list[int]
     support_gain: list[int]
@@ -217,7 +220,7 @@ def permutation_l(dicts: Dictionaries, j: int) -> np.ndarray:
 
 def stage3_gains(pilots: PilotBlock, a_ue_bar: np.ndarray,
                  a_bs_bar: np.ndarray, dicts: Dictionaries, cfg: CsEstConfig
-                 ) -> tuple[np.ndarray, np.ndarray, OmpResult]:
+                 ) -> tuple[np.ndarray, ChannelRealization, OmpResult]:
     """Sparse recovery of the cascaded gains on the IRS grid.
 
     Slot t contributes r_t = (kron(c_t.T, b_t)) lam with c_t = a_i.T v_t
@@ -225,7 +228,11 @@ def stage3_gains(pilots: PilotBlock, a_ue_bar: np.ndarray,
     one tall system, held as a KronSensing operator and never formed,
     solved by omp_mmv with k = p_hat * q_hat.
 
-    Returns (lam, h_c_hat, omp_result).
+    Returns (lam, estimate, omp_result). The estimate holds h_c_hat as
+    factors with K = p_hat * q_hat: column i*p_hat + j pairs UE atom i with
+    BS atom j, so kron(conj(a_ue_bar), a_bs_bar) is
+    khatri_rao(repeat(conj(a_ue_bar), p_hat), tile(a_bs_bar, q_hat)), and
+    w = lam_mat @ a_i.T.
     """
     g_i = dicts.a_i.shape[1]
     kk = a_ue_bar.shape[1] * a_bs_bar.shape[1]
@@ -238,9 +245,11 @@ def stage3_gains(pilots: PilotBlock, a_ue_bar: np.ndarray,
     res = omp_mmv(theta, obs, kk)
     lam = np.zeros(theta.shape[1], dtype=complex)
     lam[res.support] = res.coeffs[:, 0]
-    lam_mat = mat(lam, kk, g_i)
-    h_c_hat = np.kron(a_ue_bar.conj(), a_bs_bar) @ lam_mat @ dicts.a_i.T
-    return lam, h_c_hat, res
+    p_hat, q_hat = a_bs_bar.shape[1], a_ue_bar.shape[1]
+    estimate = ChannelRealization(
+        np.tile(a_bs_bar, q_hat), np.repeat(a_ue_bar.conj(), p_hat, axis=1).T,
+        mat(lam, kk, g_i) @ dicts.a_i.T)
+    return lam, estimate, res
 
 
 def cs_est(pilots: PilotBlock, dicts: Dictionaries,
@@ -258,10 +267,11 @@ def cs_est(pilots: PilotBlock, dicts: Dictionaries,
     stage_ms["stage2"] = 1e3 * (time.perf_counter() - tic)
 
     tic = time.perf_counter()
-    _, h_c_hat, omp_gain = stage3_gains(pilots, a_ue_bar, a_bs_bar, dicts, cfg)
+    _, estimate, omp_gain = stage3_gains(pilots, a_ue_bar, a_bs_bar, dicts,
+                                         cfg)
     stage_ms["stage3"] = 1e3 * (time.perf_counter() - tic)
 
-    return CsEstResult(h_c_hat, omp_ue.support, omp_bs.support,
+    return CsEstResult(estimate, omp_ue.support, omp_bs.support,
                        omp_gain.support, stage_ms, _flops(pilots, dicts, cfg))
 
 

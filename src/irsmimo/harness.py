@@ -14,12 +14,15 @@ or raises ConfigError. The points share one geometry and dictionaries;
 _point builds a point's noise powers, scenario and estimator settings,
 and owns the rules a point must meet. A sweep runs each point's
 trials in chunks of consecutive seeds: at most _CHUNK_TRIALS, whose
-stacked cascaded channels take at most about _CHUNK_BYTES (16 desk
-trials, 6 paper-scale trials of a CSI-free arm, 3 of an estimator arm).
-Each trial draws its paths, pilots and estimate on its own; channel
-synthesis, the beamformer's closed forms, the effective channel after
-each circle CG and the rate run once per chunk on arrays with a leading
-trial axis, which numpy computes bit-identically to one call per trial.
+stacked arrays take at most about _CHUNK_BYTES (16 trials of every desk
+arm and of a paper-scale CSI-free or cs_est arm, 3 of a paper-scale
+mo_est arm at T = 300). Every arm designs and is rated on channel
+factors (channel.ChannelRealization); no chunk stacks a cascaded
+channel. Each trial draws its paths, pilots and estimate on its own;
+channel synthesis, the beamformer's closed forms, the effective channel
+after each circle CG and the rate run once per chunk on arrays with a
+leading trial axis, which numpy computes bit-identically to one call per
+trial.
 run_trial is a chunk of one. A chunk in which any step raises runs again
 one trial at a time, and a trial that raises on its own becomes a nan
 row. Wall-clock columns are written as 0.0 unless timings=true; then
@@ -36,20 +39,23 @@ import numpy as np
 from .channel import (ChannelRealization, Dictionaries, SystemGeometry,
                       build_dictionaries, check_paths, effective_channel,
                       make_pilots, pathloss, sample_paths, simulate_uplink,
-                      stack_paths, synth_channels)
+                      stack_channels, stack_paths, synth_channels)
 from .cs_est import CsEstConfig, cs_est, resolve_t1
 from .mo_est import MoEstConfig, mo_est
-from .numerics import khatri_rao, sq_norms
+# khatri_rao is no longer called here, but perfbench/tracer.py patches
+# harness.khatri_rao by name.
+from .numerics import khatri_rao, sq_norms  # noqa: F401
 from .wmmse import DownlinkScenario, alt_wmmse, spectral_efficiency
 
 CSV_HEADER = "seed,algorithm,T,pnr_db,snr_db,k_hat,nmse,se_bits_s_hz,outer_iters,wall_ms"
 ALGORITHMS = ("mo_est", "cs_est", "perfect_csi", "random_phase_baseline")
 SWEEP_AXES = ("T", "PNR", "SNR", "K_hat")
 _ESTIMATORS = ("mo_est", "cs_est")
-# A chunk holds at most _CHUNK_TRIALS trials, whose stacked cascaded
-# channels take at most about _CHUNK_BYTES (at least one trial per chunk):
-# 16 desk trials of any arm, 6 paper-scale trials of a CSI-free arm and 3
-# of an estimator arm. More desk trials gain little and cost peak memory.
+# A chunk holds at most _CHUNK_TRIALS trials, whose stacked arrays take at
+# most about _CHUNK_BYTES (at least one trial per chunk; see _chunk_size):
+# 16 trials of every desk arm and of a paper-scale CSI-free or cs_est arm,
+# and 3 of a paper-scale mo_est arm at T = 300, whose stacked training
+# blocks bound it. More trials gain little and cost peak memory.
 _CHUNK_BYTES = 2 * 1024 * 1024
 _CHUNK_TRIALS = 16
 
@@ -288,14 +294,23 @@ def _point(cfg: ExperimentConfig, index: int, geom: SystemGeometry,
 
 
 def _chunk_size(cfg: ExperimentConfig) -> int:
-    """Trials per chunk: as many trials' complex (n_bs*n_ue, m) cascaded
-    channels as fit in _CHUNK_BYTES, at most _CHUNK_TRIALS and at least
-    one. An estimator arm stacks two per trial, the true and the
-    estimated one."""
+    """Trials per chunk: as many trials' stacked arrays as fit in
+    _CHUNK_BYTES, at most _CHUNK_TRIALS and at least one.
+
+    A trial stacks, in complex entries: its channel factors g and h, twice
+    for an estimator arm (the true channel and the estimate, which is no
+    larger); the beamformer's reduced channel p, (n_ue*n_s, m), twice in a
+    circle-CG round (p and one gather of its live rows); and for mo_est
+    the training block, (n_ue + m + n_bs) x T at the config's largest T.
+    The cascaded channel is never stacked."""
     geom = cfg._points[0].scen.geom
-    stacks = 2 if cfg.algorithm in _ESTIMATORS else 1
-    return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES
-                      // (16 * geom.n_bs * geom.n_ue * geom.m * stacks)))
+    factors = geom.m * (geom.n_bs + geom.n_ue)
+    entries = (factors * (2 if cfg.algorithm in _ESTIMATORS else 1)
+               + 2 * geom.n_ue * cfg.n_s * geom.m)
+    if cfg.algorithm == "mo_est":
+        entries += (geom.n_ue + geom.m + geom.n_bs) * max(
+            p.scen.t_used for p in cfg._points)
+    return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (16 * entries)))
 
 
 def _run_chunk(cfg: ExperimentConfig, point: _Point,
@@ -322,27 +337,28 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
 
     def training(i, rng_pilot):
         s, v = make_pilots(geom, t, rng_pilot, hold_v=point.hold_v)
-        return simulate_uplink(ChannelRealization(ch.g[i], ch.h[i]), s, v,
-                               point.sigma2, rng_pilot)
+        return simulate_uplink(ch[i], s, v, point.sigma2, rng_pilot)
 
-    # Estimates of the cascaded channels and estimator iterations, or None
-    # for the CSI-free arms, which design on the true channel and simulate
-    # no uplink. The training buffers die before the beamformer runs.
-    # mo_est runs the chunk on one stack, reading each training block as it
-    # is made; a single trial goes through its one-trial signature, as
-    # alt_wmmse's below.
-    hats = iters = [None] * len(seeds)
+    # Each arm designs on a channel in factor form: an estimator arm on its
+    # estimates, stacked, with their iterations; a CSI-free arm on the true
+    # channel, with no uplink simulated. The training buffers die before
+    # the beamformer runs. mo_est runs the chunk on one stack, reading each
+    # training block as it is made; a single trial goes through its
+    # one-trial signature, as alt_wmmse's below.
+    design, iters = ch, [None] * len(seeds)
     if cfg.algorithm == "mo_est":
         est = (mo_est((training(i, rng[1]) for i, rng in enumerate(rngs)),
                       point.dicts, point.est_cfg)
                if len(seeds) > 1 else
                [mo_est(training(0, rngs[0][1]), point.dicts, point.est_cfg)])
-        hats = [khatri_rao(x.h_hat.dense.T, x.g_hat.dense) for x in est]
+        design = stack_channels([ChannelRealization(x.g_hat.dense,
+                                                    x.h_hat.dense)
+                                 for x in est])
         iters = [x.iterations for x in est]
     elif cfg.algorithm == "cs_est":
         est = [cs_est(training(i, rng[1]), point.dicts, point.est_cfg)
                for i, rng in enumerate(rngs)]
-        hats = [x.h_c_hat for x in est]
+        design = stack_channels([x.estimate for x in est])
         iters = [len(x.support_ue) + len(x.support_bs) + len(x.support_gain)
                  for x in est]
     elif t > 0:
@@ -350,9 +366,6 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
         # item 2 points it at channel.synth_channels, and this loop goes.
         for rng in rngs:
             make_pilots(geom, t, rng[1], hold_v=point.hold_v)
-    # The cascaded channels are built only now, after the estimators.
-    h_c = ch.h_c
-    design = h_c if hats[0] is None else np.stack(hats)
     rng_bf = [rng[2] for rng in rngs]
     optimize_v = cfg.algorithm != "random_phase_baseline"
     # A single trial goes through the one-trial signature, so the alt_wmmse
@@ -362,12 +375,14 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
             if len(seeds) > 1 else
             [alt_wmmse(scen, design[0], rng_bf[0], optimize_v=optimize_v)])
 
-    # Every arm is rated alike, on the true channel; a CSI-free arm designed
-    # on it, so its rate is its sol.se and its nmse 0.0.
+    # Every arm is rated alike, on the true channel. A CSI-free arm designed
+    # on it, so its rate is its sol.se and its nmse 0.0; an estimator arm's
+    # nmse compares the dense cascaded channels one trial at a time.
     se = spectral_efficiency(
-        effective_channel(h_c, np.stack([s.v_d for s in sols]), geom),
+        effective_channel(ch, np.stack([s.v_d for s in sols])),
         np.stack([s.f for s in sols]), scen).tolist()
-    err = [nmse(true, hat) for true, hat in zip(h_c, design)]
+    err = ([0.0] * len(seeds) if design is ch else
+           [nmse(ch[i].h_c, design[i].h_c) for i in range(len(seeds))])
     iters = [s.iterations if n is None else n for n, s in zip(iters, sols)]
     wall = (1e3 * (time.perf_counter() - tic) / len(seeds) if cfg.timings
             else 0.0)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemGeometry, effective_channel
+from .channel import ChannelRealization, SystemGeometry, effective_channel
 from .manifold import CgOptions, CircleManifold, cg_minimize, pick_rows
-from .numerics import herm, random_unit_modulus, sq_norms
+from .numerics import herm, khatri_rao, random_unit_modulus, sq_norms
 
 
 @dataclass(frozen=True)
@@ -134,61 +134,60 @@ def update_f(h_e: np.ndarray, w: np.ndarray, omega: np.ndarray,
     return f_tilde / norm[:, None, None], degenerate
 
 
-def _reduced_channel(h_c: np.ndarray, f: np.ndarray,
-                     geom: SystemGeometry) -> np.ndarray:
+def _reduced_channel(ch: ChannelRealization, f: np.ndarray) -> np.ndarray:
     """(n_ue*n_s, m) matrix p with p @ v = h_e f, stacked by rows, for the
-    effective channel h_e of every reflection vector v:
-    p[u*n_s + s, :] = sum_b conj(h_c[b + u*n_bs, :]) f[b, s]."""
-    h = h_c.conj().reshape(geom.n_ue, geom.n_bs, geom.m)
-    return (f.T @ h).reshape(geom.n_ue * f.shape[1], geom.m)
+    effective channel h_e of every reflection vector v; one per trial for
+    a stacked ch and f. On the factors, row u*n_s + s of p is
+    conj(h[:, u]) * (g^H f)[:, s], times conj(w) when ch carries w."""
+    p = khatri_rao(herm(ch.h), (herm(ch.g) @ f).swapaxes(-1, -2))
+    return p if ch.w is None else p @ ch.w.conj()
 
 
-def _g1_cost_grad(v: np.ndarray, p: np.ndarray, p_h: np.ndarray,
-                  omega_inv: np.ndarray, sigma2_d: float,
-                  rows=slice(None)):
-    """g1 of a stack v whose rows are rows `rows` of the stacks p, p_h and
+def _g1_cost_grad(v: np.ndarray, p: np.ndarray, omega_inv: np.ndarray,
+                  sigma2_d: float, rows=slice(None)):
+    """g1 of a stack v whose rows are rows `rows` of the stacks p and
     omega_inv, one float per row, and egrad(keep=None), the gradients of
     rows keep (all for None); see g1_objective and egrad_v.
 
-    p is _reduced_channel(h_c, f) and p_h = herm(p), both built once for a
-    fixed f, so the cost needs only h_e f = p @ v and the gradient is
-    -(1/sigma2_d) * p^H @ (h_e f t^{-2} omega^{-1}) stacked by rows.
-    egrad reuses h_e f and t^{-1} from the cost."""
+    p is _reduced_channel(ch, f), built once for a fixed f, so the cost
+    needs only h_e f = p @ v and the gradient is
+    -(1/sigma2_d) * p^H @ (h_e f t^{-2} omega^{-1}) stacked by rows, taken
+    as conj(y^H @ p) for that stacked row y so that herm(p) is never
+    copied. egrad reuses h_e f and t^{-1} from the cost."""
     o_inv = omega_inv[rows]
     hf = (p[rows] @ v[..., None]).reshape(len(v), -1, o_inv.shape[-1])
     t_inv = np.linalg.inv(o_inv + (o_inv @ herm(hf) @ hf) / sigma2_d)
 
     def egrad(keep=None) -> np.ndarray:
         sel = slice(None) if keep is None else keep
-        g = hf[sel] @ t_inv[sel] @ t_inv[sel] @ o_inv[sel]
-        return -(p_h[pick_rows(rows, keep)]
-                 @ g.reshape(len(g), -1, 1))[..., 0] / sigma2_d
+        y = hf[sel] @ t_inv[sel] @ t_inv[sel] @ o_inv[sel]
+        return -(y.reshape(len(y), 1, -1).conj()
+                 @ p[pick_rows(rows, keep)])[:, 0].conj() / sigma2_d
 
     return t_inv.trace(axis1=-2, axis2=-1).real.tolist(), egrad
 
 
-def _g1_one(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
+def _g1_one(v_d, ch: ChannelRealization, f: np.ndarray, omega: np.ndarray,
             scen: DownlinkScenario):
     """_g1_cost_grad of one trial, as a stack of one."""
-    p = _reduced_channel(h_c, f, scen.geom)[None]
-    return _g1_cost_grad(v_d[None], p, herm(p),
+    return _g1_cost_grad(v_d[None], _reduced_channel(ch, f)[None],
                          np.linalg.inv(omega[None]), scen.sigma2_d)
 
 
-def g1_objective(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
-                 scen: DownlinkScenario) -> float:
+def g1_objective(v_d, ch: ChannelRealization, f: np.ndarray,
+                 omega: np.ndarray, scen: DownlinkScenario) -> float:
     """Reduced weighted-MSE objective tr(t^{-1}) with the receive filter
     eliminated; t = omega^{-1} + omega^{-1} f^H h_e^H h_e f / sigma2_d."""
-    return _g1_one(v_d, h_c, f, omega, scen)[0][0]
+    return _g1_one(v_d, ch, f, omega, scen)[0][0]
 
 
-def egrad_v(v_d, h_c: np.ndarray, f: np.ndarray, omega: np.ndarray,
+def egrad_v(v_d, ch: ChannelRealization, f: np.ndarray, omega: np.ndarray,
             scen: DownlinkScenario) -> np.ndarray:
     """Conjugate gradient of g1 with respect to the reflection vector:
     -(1/sigma2_d) * h_c.T @ vec((h_e f t^{-2} omega^{-1} f^H).T), computed
     as -(1/sigma2_d) * p^H @ (h_e f t^{-2} omega^{-1}) stacked by rows with
-    p = _reduced_channel(h_c, f)."""
-    return _g1_one(v_d, h_c, f, omega, scen)[1]()[0]
+    p = _reduced_channel(ch, f)."""
+    return _g1_one(v_d, ch, f, omega, scen)[1]()[0]
 
 
 def wmmse_objective(h_e: np.ndarray, f: np.ndarray, w: np.ndarray,
@@ -205,12 +204,12 @@ _INNER_OPTS = CgOptions(epsilon=1e-3, max_iters=100)
 _EPS3 = 1e-3
 
 
-def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
+def alt_wmmse(scen: DownlinkScenario, ch: ChannelRealization,
               rng: np.random.Generator | list[np.random.Generator],
               max_outer: int = 50,
               optimize_v: bool = True
               ) -> BeamformingSolution | list[BeamformingSolution]:
-    """Alternating minimization of the weighted-MSE objective on h_c.
+    """Alternating minimization of the weighted-MSE objective on channel ch.
 
     rng draws the starting reflection vector and nothing else, so the
     seed picks the start. Per outer iteration: conjugate-gradient descent
@@ -225,27 +224,29 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
     keep their start values: the one iteration records the start objective
     again, updates f once and stops (its decrease is 0).
 
-    f is fixed during the CG, so each round first folds each trial's h_c
-    and f into the (n_ue*n_s, m) matrix p = _reduced_channel(h_c, f);
-    every trial point then costs one product p @ v instead of rebuilding
-    h_e from h_c. effective_channel runs once per outer iteration on the
-    whole stack, for the closed forms.
+    The channel enters only through its factors: f is fixed during the
+    CG, so each round first folds each trial's channel and f into the
+    (n_ue*n_s, m) matrix p = _reduced_channel(ch, f); every trial point
+    then costs one product p @ v. effective_channel runs once per outer
+    iteration on the whole stack, for the closed forms. The cascaded
+    channel is never formed.
 
-    A stack of channels (trials, n_bs*n_ue, m) with one generator per
-    trial returns one solution per trial. The trials iterate in lock-step:
-    the start, the CG (one cg_minimize call on the stack per round) and
-    the closed forms act on the stack of trials that have not stopped, the
-    effective channel after the CG on the whole stack, and each trial
-    stops on its own test, so its solution is bit-identical to the one it
-    gets alone.
+    A stacked ch with one generator per trial returns one solution per
+    trial. The trials iterate in lock-step: the start, the CG (one
+    cg_minimize call on the stack per round) and the closed forms act on
+    the stack of trials that have not stopped, the effective channel after
+    the CG on the whole stack, and each trial stops on its own test, so
+    its solution is bit-identical to the one it gets alone.
     """
-    stacked = h_c.ndim == 3
+    stacked = ch.g.ndim == 3
     if not stacked:
-        h_c, rng = h_c[None], [rng]
+        ch, rng = ch[None], [rng]
     geom = scen.geom
-    trials = len(h_c)
+    if (ch.g.shape[-2], ch.h.shape[-1]) != (geom.n_bs, geom.n_ue):
+        raise ValueError("channel inconsistent with geometry")
+    trials = len(ch.g)
     v = np.stack([random_unit_modulus(geom.m, r) for r in rng])
-    h_e = effective_channel(h_c, v, geom)
+    h_e = effective_channel(ch, v)
     _, _, vh = np.linalg.svd(h_e, full_matrices=False)
     f = herm(vh[:, :scen.n_s]) / np.sqrt(scen.n_s)
     w, omega = update_w_omega(h_e, f, scen)
@@ -260,14 +261,11 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
         # Fancy indexing copies, so a full stack is sliced instead.
         on = active if len(active) < trials else slice(None)
         if optimize_v:
-            # Built per trial, so no copy of the channel stack is made.
-            p = np.stack([_reduced_channel(h_c[b], f[b], geom)
-                          for b in active])
-            p_h, omega_inv = herm(p), np.linalg.inv(omega[on])
+            p = _reduced_channel(ch[on], f[on])
+            omega_inv = np.linalg.inv(omega[on])
 
             def cost_grad(x, rows):
-                return _g1_cost_grad(x, p, p_h, omega_inv, scen.sigma2_d,
-                                     rows)
+                return _g1_cost_grad(x, p, omega_inv, scen.sigma2_d, rows)
 
             # One trial runs the single-point form, whose CgResult the
             # tracer (perfbench/tracer.py) reads, until it reads lists
@@ -276,10 +274,12 @@ def alt_wmmse(scen: DownlinkScenario, h_c: np.ndarray,
                    if stacked else
                    [cg_minimize(CircleManifold, cost_grad, v[0], _INNER_OPTS)])
             v[on] = [r.x for r in res]
+            # The round's reduced channels go before the closed forms and
+            # the next round's are built.
+            p = None
             stalled[on] |= [r.stalled for r in res]
-            # Stopped trials kept their v, so their rows come out unchanged;
-            # gathering h_c[on] instead would copy the channel stack.
-            h_e = effective_channel(h_c, v, geom)
+            # Stopped trials kept their v, so their rows come out unchanged.
+            h_e = effective_channel(ch, v)
             w, omega[on] = update_w_omega(h_e[on], f[on], scen)
             g = wmmse_objective(h_e[on], f[on], w, omega[on], scen)
         f_new, degenerate = update_f(h_e[on], w, omega[on], scen)

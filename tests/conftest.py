@@ -7,6 +7,8 @@ visible in captured pytest runs.
 
 import numpy as np
 
+from irsmimo.channel import ChannelRealization
+
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -31,3 +33,13 @@ def pytest_terminal_summary(terminalreporter):
 def cgauss(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard complex Gaussian array (unit variance per entry)."""
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def dense_channel(h_c: np.ndarray, n_bs: int, n_ue: int) -> ChannelRealization:
+    """A dense cascaded channel h_c (..., n_bs*n_ue, m) as channel factors
+    with K = n_bs*n_ue: khatri_rao(h.T, g) is the identity, so w = h_c."""
+    g = np.tile(np.eye(n_bs, dtype=complex), n_ue)
+    h = np.repeat(np.eye(n_ue, dtype=complex), n_bs, axis=1).T
+    lead = h_c.shape[:-2]
+    return ChannelRealization(np.broadcast_to(g, lead + g.shape),
+                              np.broadcast_to(h, lead + h.shape), h_c)

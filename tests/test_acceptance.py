@@ -28,7 +28,7 @@ from irsmimo.numerics import (commutation_matrix, khatri_rao, kron,
 from irsmimo.wmmse import (DownlinkScenario, alt_wmmse, egrad_v,
                            g1_objective)
 
-from conftest import cgauss, record_criterion
+from conftest import cgauss, dense_channel, record_criterion
 
 THRESHOLDS = json.loads(
     (Path(__file__).parent / "fixtures" / "thresholds.json").read_text())
@@ -81,19 +81,20 @@ def test_criterion_1_gradient_suite():
                 an = 2 * np.real(np.sum(eh.conj() * d))
                 assert abs(an - fd) <= 1e-5 * abs(fd)
 
-            h_c = cgauss(rng, (geom.n_bs * geom.n_ue, geom.m))
+            ch = dense_channel(cgauss(rng, (geom.n_bs * geom.n_ue, geom.m)),
+                               geom.n_bs, geom.n_ue)
             v_d = random_unit_modulus(geom.m, rng)
             f = cgauss(rng, (geom.n_bs, 2))
             f /= np.linalg.norm(f)
             a = cgauss(rng, (2, 2))
             omega = a.conj().T @ a + np.eye(2)
             scen = DownlinkScenario(geom, 0.7, 2)
-            grad = egrad_v(v_d, h_c, f, omega, scen)
+            grad = egrad_v(v_d, ch, f, omega, scen)
             for _ in range(20):
                 tan = circle_project(v_d, cgauss(rng, v_d.shape))
                 tan /= np.linalg.norm(tan)
-                fd = (g1_objective(v_d + eps * tan, h_c, f, omega, scen)
-                      - g1_objective(v_d - eps * tan, h_c, f, omega,
+                fd = (g1_objective(v_d + eps * tan, ch, f, omega, scen)
+                      - g1_objective(v_d - eps * tan, ch, f, omega,
                                      scen)) / (2 * eps)
                 an = 2 * np.real(np.vdot(grad, tan))
                 assert abs(an - fd) <= 1e-4 * max(abs(fd), 1e-12)
@@ -176,7 +177,7 @@ def test_criterion_4_identity_suite():
 
             ch = synth_channels(geom, sample_paths(geom, 2, rng))
             v = random_unit_modulus(geom.m, rng)
-            h_e = effective_channel(ch.h_c, v, geom)
+            h_e = effective_channel(ch, v)
             direct = ch.h.conj().T @ np.diag(v) @ ch.g.conj().T
             scale = np.abs(direct).max()
             assert np.abs(h_e - direct).max() <= 1e-10 * scale
@@ -202,7 +203,7 @@ def test_criterion_5_cs_est_exact_recovery():
             s, v = make_pilots(geom, 60, rng, hold_v=15)
             pil = simulate_uplink(ch, s, v, 0.0, rng)
             res = cs_est(pil, dicts, cfg)
-            hits += nmse(ch.h_c, res.h_c_hat) < 1e-10
+            hits += nmse(ch.h_c, res.estimate.h_c) < 1e-10
         assert hits >= 98
 
 
@@ -239,10 +240,10 @@ def test_criterion_7_alt_wmmse():
         for seed in range(100):
             rng = np.random.default_rng(seed)
             ch = synth_channels(geom, sample_paths(geom, 2, rng))
-            base = alt_wmmse(scen, ch.h_c,
+            base = alt_wmmse(scen, ch,
                              np.random.default_rng(10_000 + seed),
                              optimize_v=False)
-            opt = alt_wmmse(scen, ch.h_c,
+            opt = alt_wmmse(scen, ch,
                             np.random.default_rng(10_000 + seed))
             for sol in (base, opt):
                 for before, after in zip(sol.g_trace, sol.g_trace[1:]):
@@ -255,8 +256,8 @@ def test_criterion_7_alt_wmmse():
         for seed in range(5):
             rng = np.random.default_rng(seed)
             ch = synth_channels(geom1, sample_paths(geom1, 1, rng))
-            sol = alt_wmmse(scen, ch.h_c, np.random.default_rng(500 + seed))
-            h_e = effective_channel(ch.h_c, sol.v_d, geom1)
+            sol = alt_wmmse(scen, ch, np.random.default_rng(500 + seed))
+            h_e = effective_channel(ch, sol.v_d)
             top = np.linalg.svd(h_e, compute_uv=False)[0]
             closed = float(np.log2(1.0 + top ** 2 / sigma2_d))
             assert abs(sol.se - closed) <= 1e-8

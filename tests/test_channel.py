@@ -20,7 +20,7 @@ from irsmimo.channel import (ChannelRealization, PathSet, SystemGeometry,
                              pathloss, sample_paths, simulate_uplink,
                              stack_paths, steering_irs, steering_ula,
                              synth_channels)
-from irsmimo.numerics import kron, mat, random_unit_modulus
+from irsmimo.numerics import khatri_rao, kron, mat, random_unit_modulus
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -332,7 +332,7 @@ def test_effective_channel_identity(seed):
     rng = np.random.default_rng(seed)
     ch = synth_channels(geom, sample_paths(geom, 2, rng))
     v = random_unit_modulus(geom.m, rng)
-    h_e = effective_channel(ch.h_c, v, geom)
+    h_e = effective_channel(ch, v)
     direct = ch.h.conj().T @ np.diag(v) @ ch.g.conj().T
     np.testing.assert_allclose(h_e, direct, atol=1e-10 * np.abs(direct).max())
 
@@ -341,13 +341,38 @@ def test_effective_channel_all_ones_and_errors():
     geom = SystemGeometry(6, 4, 2, 2, 6, 4, 2, 2)
     rng = np.random.default_rng(11)
     ch = synth_channels(geom, sample_paths(geom, 2, rng))
-    h_e = effective_channel(ch.h_c, np.ones(geom.m, complex), geom)
+    h_e = effective_channel(ch, np.ones(geom.m, complex))
     ref = ch.h.conj().T @ ch.g.conj().T
     np.testing.assert_allclose(h_e, ref, atol=1e-12 * np.abs(ref).max())
     with pytest.raises(ValueError):
-        effective_channel(ch.h_c[:, :2], np.ones(geom.m, complex), geom)
+        effective_channel(ChannelRealization(ch.g[:, :2], ch.h),
+                          np.ones(geom.m, complex))
     with pytest.raises(ValueError):
-        effective_channel(ch.h_c, np.ones(3, complex), geom)
+        effective_channel(ch, np.ones(3, complex))
+    with pytest.raises(ValueError):
+        effective_channel(ChannelRealization(ch.g, ch.h, np.eye(2, geom.m)),
+                          np.ones(geom.m, complex))
+    with pytest.raises(ValueError):
+        effective_channel(ChannelRealization(ch.g, ch.h, np.eye(geom.m, 3)),
+                          np.ones(geom.m, complex))
+
+
+@pytest.mark.parametrize("k", [1, 5, 24])
+def test_factored_channel_with_w_matches_its_cascade(k):
+    # K below, between and at n_bs*n_ue: the effective channel read from
+    # the factors is mat(conj(h_c) @ v, n_bs, n_ue).T of h_c = kr(h.T, g) w.
+    geom = SystemGeometry(6, 4, 2, 2, 6, 4, 2, 2)
+    rng = np.random.default_rng(12 + k)
+    ch = ChannelRealization(cgauss(rng, (geom.n_bs, k)),
+                            cgauss(rng, (k, geom.n_ue)),
+                            cgauss(rng, (k, geom.m)))
+    h_c = cascaded(ch)
+    np.testing.assert_allclose(
+        h_c, khatri_rao(ch.h.T, ch.g) @ ch.w, rtol=1e-13)
+    v = random_unit_modulus(geom.m, rng)
+    ref = mat(h_c.conj() @ v, geom.n_bs, geom.n_ue).T
+    np.testing.assert_allclose(effective_channel(ch, v), ref,
+                               atol=1e-12 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("geom", [SystemGeometry(),
@@ -358,17 +383,24 @@ def test_stacked_synthesis_equals_per_trial_calls(geom):
     paths = [sample_paths(geom, 3, rng) for _ in range(5)]
     stacked = synth_channels(geom, stack_paths(paths))
     v = np.stack([random_unit_modulus(geom.m, rng) for _ in paths])
-    h_e = effective_channel(stacked.h_c, v, geom)
+    h_e = effective_channel(stacked, v)
+    # The same trials in the factor form of a cs_est estimate (K = 9 with
+    # w), whose effective channel is bit-identical per trial too.
+    wide = ChannelRealization(np.tile(stacked.g[..., :3], 3),
+                              np.repeat(stacked.h[..., :3, :], 3, axis=-2),
+                              cgauss(rng, (len(paths), 9, geom.m)))
+    h_e_wide = effective_channel(wide, v)
     for i, one_paths in enumerate(paths):
         one = synth_channels(geom, one_paths)
         assert np.array_equal(stacked.g[i], one.g)
         assert np.array_equal(stacked.h[i], one.h)
         assert np.array_equal(stacked.h_c[i], one.h_c)
-        assert np.array_equal(h_e[i], effective_channel(one.h_c, v[i], geom))
-        # The matrix-vector form effective_channel had before it took
-        # stacks.
-        assert np.array_equal(
-            h_e[i], mat(one.h_c.conj() @ v[i], geom.n_bs, geom.n_ue).T)
+        assert np.array_equal(h_e[i], effective_channel(one, v[i]))
+        assert np.array_equal(h_e_wide[i], effective_channel(wide[i], v[i]))
+        # The cascaded channel's matrix-vector form.
+        np.testing.assert_allclose(
+            h_e[i], mat(one.h_c.conj() @ v[i], geom.n_bs, geom.n_ue).T,
+            rtol=1e-12, atol=1e-12 * np.abs(h_e[i]).max())
 
 
 def test_make_pilots_power_and_hold():

@@ -13,6 +13,7 @@ from irsmimo.cs_est import (CsEstConfig, KronSensing, cs_est, omp_mmv,
                             permutation_l, resolve_t1, stage1_ue_aods,
                             stage2_bs_aoas, stage3_gains)
 from irsmimo.harness import nmse
+from irsmimo.numerics import mat
 
 from conftest import cgauss
 
@@ -265,9 +266,23 @@ class TestStage3:
 
     def test_exact_given_true_atoms(self):
         ch, pil, a_ue_bar, a_bs_bar = self._exact_stage12(seed=2)
-        lam, h_c_hat, _ = stage3_gains(pil, a_ue_bar, a_bs_bar, DICTS_UNI,
-                                       self.CFG)
-        assert nmse(ch.h_c, h_c_hat) < 1e-10
+        lam, est, _ = stage3_gains(pil, a_ue_bar, a_bs_bar, DICTS_UNI,
+                                   self.CFG)
+        assert nmse(ch.h_c, est.h_c) < 1e-10
+
+    def test_factored_estimate_equals_kron_reassembly(self):
+        # h_c_hat = kron(conj(a_ue_bar), a_bs_bar) @ lam_mat @ a_i.T, held
+        # as factors with K = p_hat * q_hat.
+        ch, pil, a_ue_bar, a_bs_bar = self._exact_stage12(seed=3)
+        noisy = PilotBlock(pil.s, pil.v, pil.r + 1e-3 * np.abs(pil.r).max()
+                           * cgauss(np.random.default_rng(3), pil.r.shape),
+                           1e-6)
+        lam, est, _ = stage3_gains(noisy, a_ue_bar, a_bs_bar, DICTS_UNI,
+                                   self.CFG)
+        assert est.g.shape == (GEOM_UNI.n_bs, 4) and est.w.shape[0] == 4
+        ref = (np.kron(a_ue_bar.conj(), a_bs_bar)
+               @ mat(lam, 4, DICTS_UNI.a_i.shape[1]) @ DICTS_UNI.a_i.T)
+        assert nmse(ref, est.h_c) < 1e-28
 
     def test_gain_vector_has_exactly_phat_qhat_nonzeros(self):
         ch, pil, a_ue_bar, a_bs_bar = self._exact_stage12(seed=5)
@@ -277,10 +292,10 @@ class TestStage3:
     def test_zero_observation_gives_zero_reconstruction(self):
         ch, pil, a_ue_bar, a_bs_bar = self._exact_stage12(seed=2)
         quiet = PilotBlock(pil.s, pil.v, np.zeros_like(pil.r), 0.0)
-        lam, h_c_hat, _ = stage3_gains(quiet, a_ue_bar, a_bs_bar, DICTS_UNI,
-                                       self.CFG)
+        lam, est, _ = stage3_gains(quiet, a_ue_bar, a_bs_bar, DICTS_UNI,
+                                   self.CFG)
         np.testing.assert_array_equal(lam, 0)
-        np.testing.assert_array_equal(h_c_hat, 0)
+        np.testing.assert_array_equal(est.h_c, 0)
 
     def test_operator_matches_formed_matrix(self):
         ch, pil, a_ue_bar, a_bs_bar = self._exact_stage12(seed=2)
@@ -324,7 +339,7 @@ class TestPipeline:
         for seed in range(10):
             paths, ch, pil = _on_grid_trial(GEOM_UNI, 2, seed, hold=15)
             res = cs_est(pil, DICTS_UNI, CsEstConfig(2, 2, t1=15))
-            assert nmse(ch.h_c, res.h_c_hat) < 1e-10
+            assert nmse(ch.h_c, res.estimate.h_c) < 1e-10
             assert sorted(res.support_ue) == sorted(
                 _grid_index(u, GEOM_UNI.g_ue) for u in paths.u_ue)
             assert sorted(res.support_bs) == sorted(
@@ -373,7 +388,7 @@ class TestPipeline:
                 s, v = make_pilots(geom, 60, rng, hold_v=15)
                 pil = simulate_uplink(ch, s, v, 0.0, rng)
                 res = cs_est(pil, dicts, CsEstConfig(2, 2, t1=15))
-                errs.append(nmse(ch.h_c, res.h_c_hat))
+                errs.append(nmse(ch.h_c, res.estimate.h_c))
             medians.append(float(np.median(errs)))
         assert medians[1] < medians[0]
 
@@ -382,7 +397,7 @@ class TestPipeline:
         with pytest.raises(ValueError, match="t1"):
             cs_est(pil, DICTS_UNI, CsEstConfig(2, 2, t1=100))
         res = cs_est(pil, DICTS_UNI, CsEstConfig(2, 2))
-        assert res.h_c_hat.shape == ch.h_c.shape
+        assert res.estimate.h_c.shape == ch.h_c.shape
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from irsmimo import harness
+from irsmimo import channel, harness
 from irsmimo.channel import pathloss, sample_paths, synth_channels
 from irsmimo.harness import (ALGORITHMS, CSV_HEADER, ConfigError, DESK_PRESET,
                              ExperimentConfig, PAPER_PRESET, PRESETS,
@@ -223,10 +223,13 @@ class TestCsv:
 
 def _assert_matches_direct_pipeline(algorithm, optimize_v, t, monkeypatch):
     """A CSI-free row equals the pipeline run on the children of
-    SeedSequence(master_seed, spawn_key=(point, seed)).spawn(4). With
-    t > 0 the arm must still not simulate the uplink it would discard."""
+    SeedSequence(master_seed, spawn_key=(point, seed)).spawn(4), with the
+    beamformer designed on the channel factors. The row never forms a
+    cascaded channel, and with t > 0 the arm must still not simulate the
+    uplink it would discard."""
     cfg = ExperimentConfig(algorithm=algorithm, sweep_axis="SNR",
                            sweep_values=(10.0,), t=t, **SMALL_KW)
+    monkeypatch.setattr(channel, "cascaded", _raise)
     if t > 0:
         monkeypatch.setattr(harness, "simulate_uplink", _raise)
     rec = run_trial(cfg, 0, 5)
@@ -238,7 +241,7 @@ def _assert_matches_direct_pipeline(algorithm, optimize_v, t, monkeypatch):
                                            on_grid=True))
     sigma2_d = pnr_to_sigma2(10.0, cfg.d_bi, cfg.d_iu)
     scen = DownlinkScenario(geom, sigma2_d, cfg.n_s, t, cfg.t_tot)
-    sol = alt_wmmse(scen, ch.h_c, rng_bf, optimize_v=optimize_v)
+    sol = alt_wmmse(scen, ch, rng_bf, optimize_v=optimize_v)
     assert rec.se_bits_s_hz == sol.se
     assert rec.nmse == 0.0
     assert rec.outer_iters == sol.iterations
@@ -443,15 +446,24 @@ class TestChunks:
                  for alg in ALGORITHMS}
         assert sizes == {"mo_est": 16, "cs_est": 16, "perfect_csi": 16,
                          "random_phase_baseline": 16}
-        assert harness._chunk_size(PAPER_PRESET) == 3
+        # Paper scale: no arm stacks a cascaded channel, so the CSI-free
+        # arms and cs_est fill the trial cap; mo_est's stacked training
+        # block bounds it, at the config's largest T.
+        paper = {alg: harness._chunk_size(
+                     dataclasses.replace(PAPER_PRESET, algorithm=alg,
+                                         sweep_values=(300.0,)))
+                 for alg in ALGORITHMS}
+        assert paper == {"mo_est": 3, "cs_est": 16, "perfect_csi": 16,
+                         "random_phase_baseline": 16}
+        assert harness._chunk_size(PAPER_PRESET) == 2
+        assert harness._chunk_size(dataclasses.replace(
+            DESK_PRESET, sweep_values=(100.0, 500.0))) == 6
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_chunked_sweep_equals_single_trials(self, algorithm,
                                                 monkeypatch):
         # Chunks of 3, 3 and 1 trials.
-        stacks = 2 if algorithm in ("mo_est", "cs_est") else 1
-        monkeypatch.setattr(harness, "_CHUNK_BYTES",
-                            3 * stacks * 16 * 128 * 16)
+        monkeypatch.setattr(harness, "_CHUNK_TRIALS", 3)
         cfg = ExperimentConfig(algorithm=algorithm, trials=7, **self.BASE)
         assert harness._chunk_size(cfg) == 3
         records, failures = sweep(cfg)
@@ -482,18 +494,48 @@ class TestChunks:
         assert to_csv(records) == to_csv([run_trial(cfg, 0, seed)
                                           for seed in range(cfg.trials)])
 
-    @pytest.mark.parametrize("algorithm, chunk", [("perfect_csi", 6),
-                                                  ("cs_est", 3)])
+    # A full paper chunk stacks (16, 36, 36) complex g factors, 331 KB,
+    # above the 256 KiB at which numpy elides temporaries (see
+    # test_full_chunks_equal_single_trials).
+    @pytest.mark.parametrize("algorithm, chunk", [("perfect_csi", 16),
+                                                  ("cs_est", 16)])
     def test_paper_chunks_equal_single_trials(self, algorithm, chunk):
-        # Two full chunks and one more trial.
+        # One full chunk and one more trial.
         cfg = dataclasses.replace(PAPER_PRESET, algorithm=algorithm,
                                   sweep_values=(100.0,), t=100,
-                                  trials=2 * chunk + 1)
+                                  trials=chunk + 1)
         assert harness._chunk_size(cfg) == chunk
         records, failures = sweep(cfg)
         assert failures == 0
         assert to_csv(records) == to_csv([run_trial(cfg, 0, seed)
                                           for seed in range(cfg.trials)])
+
+    @pytest.mark.parametrize("algorithm", ["perfect_csi",
+                                           "random_phase_baseline"])
+    def test_csi_free_chunks_form_no_cascaded_channel(self, algorithm,
+                                                      monkeypatch):
+        cfg = dataclasses.replace(PAPER_PRESET, algorithm=algorithm,
+                                  sweep_axis="SNR", sweep_values=(10.0,),
+                                  trials=3)
+        clean, _ = sweep(cfg)
+        monkeypatch.setattr(channel, "cascaded", _raise)
+        records, failures = sweep(cfg)
+        assert failures == 0
+        assert to_csv(records) == to_csv(clean)
+
+    def test_estimator_nmse_forms_one_dense_pair_per_trial(self,
+                                                           monkeypatch):
+        real, ndims = channel.cascaded, []
+
+        def counted(ch):
+            ndims.append(ch.g.ndim)
+            return real(ch)
+
+        monkeypatch.setattr(channel, "cascaded", counted)
+        cfg = ExperimentConfig(algorithm="cs_est", trials=3, **self.BASE)
+        assert sweep(cfg)[1] == 0
+        # The true channel and the estimate of each trial, never a stack.
+        assert ndims == [2] * 6
 
     @pytest.fixture
     def calls(self, monkeypatch):

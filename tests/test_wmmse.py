@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from irsmimo.channel import (SystemGeometry, effective_channel, sample_paths,
+from irsmimo.channel import (ChannelRealization, SystemGeometry, cascaded,
+                             effective_channel, sample_paths, stack_channels,
                              synth_channels)
 from irsmimo.harness import pnr_to_sigma2
 from irsmimo.manifold import circle_project
@@ -13,7 +14,7 @@ from irsmimo.wmmse import (DownlinkScenario, alt_wmmse, egrad_v,
                            g1_objective, mse_matrix, spectral_efficiency,
                            update_f, update_w_omega, wmmse_objective)
 
-from conftest import cgauss
+from conftest import cgauss, dense_channel
 
 SCALAR_GEOM = SystemGeometry(1, 1, 1, 1, 1, 1, 1, 1)
 SCALAR = DownlinkScenario(SCALAR_GEOM, 1.0, 1)
@@ -53,7 +54,8 @@ class TestScalarOracles:
 
     def test_reduced_objective_at_zero_beamformer(self):
         omega = 2.0 * ONE
-        val = g1_objective(np.ones(1, dtype=complex), ONE, 0.0 * ONE, omega,
+        val = g1_objective(np.ones(1, dtype=complex),
+                           ChannelRealization(ONE, ONE), 0.0 * ONE, omega,
                            SCALAR)
         assert val == pytest.approx(np.trace(omega).real)
 
@@ -120,43 +122,44 @@ GEOM_M4 = SystemGeometry(4, 4, 2, 2, 4, 4, 2, 2)
 
 def _reduced_case(seed, n_s=2):
     rng = np.random.default_rng(seed)
-    h_c = cgauss(rng, (GEOM_M4.n_bs * GEOM_M4.n_ue, GEOM_M4.m))
+    ch = dense_channel(cgauss(rng, (GEOM_M4.n_bs * GEOM_M4.n_ue, GEOM_M4.m)),
+                       GEOM_M4.n_bs, GEOM_M4.n_ue)
     v = random_unit_modulus(GEOM_M4.m, rng)
     f = cgauss(rng, (GEOM_M4.n_bs, n_s))
     f /= np.linalg.norm(f)
     omega = _random_omega(rng, n_s)
     scen = DownlinkScenario(GEOM_M4, 0.7, n_s)
-    return rng, scen, h_c, v, f, omega
+    return rng, scen, ch, v, f, omega
 
 
 class TestReducedObjective:
     def test_equals_minimum_weighted_error(self):
         for seed in range(10):
-            _, scen, h_c, v, f, omega = _reduced_case(seed)
-            val = g1_objective(v, h_c, f, omega, scen)
-            h_e = effective_channel(h_c, v, GEOM_M4)
+            _, scen, ch, v, f, omega = _reduced_case(seed)
+            val = g1_objective(v, ch, f, omega, scen)
+            h_e = effective_channel(ch, v)
             w_star, _ = update_w_omega(h_e, f, scen)
             direct = np.trace(omega @ mse_matrix(h_e, f, w_star, scen)).real
             assert val == pytest.approx(direct, rel=1e-10)
 
     def test_gradient_matches_central_differences(self):
         for seed in range(5):
-            rng, scen, h_c, v, f, omega = _reduced_case(seed)
-            grad = egrad_v(v, h_c, f, omega, scen)
+            rng, scen, ch, v, f, omega = _reduced_case(seed)
+            grad = egrad_v(v, ch, f, omega, scen)
             eps = 1e-6
             for _ in range(6):
                 tan = circle_project(v, cgauss(rng, v.shape))
                 tan /= np.linalg.norm(tan)
-                fd = (g1_objective(v + eps * tan, h_c, f, omega, scen)
-                      - g1_objective(v - eps * tan, h_c, f, omega,
+                fd = (g1_objective(v + eps * tan, ch, f, omega, scen)
+                      - g1_objective(v - eps * tan, ch, f, omega,
                                      scen)) / (2 * eps)
                 assert 2 * np.real(np.vdot(grad, tan)) == pytest.approx(
                     fd, rel=1e-4, abs=1e-12)
 
     def test_objective_identity_at_mmse_point(self):
         for seed in range(5):
-            _, scen, h_c, v, f, omega_unused = _reduced_case(seed)
-            h_e = effective_channel(h_c, v, GEOM_M4)
+            _, scen, ch, v, f, omega_unused = _reduced_case(seed)
+            h_e = effective_channel(ch, v)
             w, omega = update_w_omega(h_e, f, scen)
             e = mse_matrix(h_e, f, w, scen)
             sign, logdet = np.linalg.slogdet(e)
@@ -192,18 +195,26 @@ def _g1_via_effective_channel(v, h_c, f, omega, scen):
                          ids=["desk", "paper"])
 def test_reduced_form_matches_effective_channel(geom, n_s):
     # n_bs != n_ue, so a swap of the two inside the reduced form fails.
-    for seed in range(3):
+    # Even seeds draw a random (g, h) pair with K = m, odd seeds a random
+    # h_c as factors with w = h_c, as a cs_est estimate carries w.
+    for seed in range(6):
         rng = np.random.default_rng(seed)
-        h_c = cgauss(rng, (geom.n_bs * geom.n_ue, geom.m))
+        if seed % 2 == 0:
+            ch = ChannelRealization(cgauss(rng, (geom.n_bs, geom.m)),
+                                    cgauss(rng, (geom.m, geom.n_ue)))
+        else:
+            ch = dense_channel(cgauss(rng, (geom.n_bs * geom.n_ue, geom.m)),
+                               geom.n_bs, geom.n_ue)
+        h_c = cascaded(ch)
         v = random_unit_modulus(geom.m, rng)
         f = cgauss(rng, (geom.n_bs, n_s))
         f /= np.linalg.norm(f)
         omega = _random_omega(rng, n_s)
         scen = DownlinkScenario(geom, 0.7, n_s)
         cost, grad = _g1_via_effective_channel(v, h_c, f, omega, scen)
-        assert g1_objective(v, h_c, f, omega, scen) == pytest.approx(
+        assert g1_objective(v, ch, f, omega, scen) == pytest.approx(
             cost, rel=1e-12)
-        got = egrad_v(v, h_c, f, omega, scen)
+        got = egrad_v(v, ch, f, omega, scen)
         assert np.linalg.norm(got - grad) <= 1e-12 * np.linalg.norm(grad)
 
 
@@ -215,7 +226,7 @@ PAPER = DownlinkScenario(SystemGeometry(36, 16, 6, 6), SIGMA2_D)
 
 def _channel(seed, geom=GEOM_DESK):
     rng = np.random.default_rng(seed)
-    return synth_channels(geom, sample_paths(geom, 2, rng)).h_c
+    return synth_channels(geom, sample_paths(geom, 2, rng))
 
 
 class TestAltWmmse:
@@ -233,30 +244,30 @@ class TestAltWmmse:
     def test_optimized_reflection_beats_random_phase(self):
         wins = 0
         for seed in range(10):
-            h_c = _channel(seed)
-            base = alt_wmmse(DESK, h_c, np.random.default_rng(10_000 + seed),
+            ch = _channel(seed)
+            base = alt_wmmse(DESK, ch, np.random.default_rng(10_000 + seed),
                              optimize_v=False)
-            opt = alt_wmmse(DESK, h_c, np.random.default_rng(10_000 + seed))
+            opt = alt_wmmse(DESK, ch, np.random.default_rng(10_000 + seed))
             wins += opt.se > base.se
         assert wins >= 9
 
     def test_reason_converged(self):
-        h_c = _channel(0)
-        sol = alt_wmmse(DESK, h_c, np.random.default_rng(100))
+        ch = _channel(0)
+        sol = alt_wmmse(DESK, ch, np.random.default_rng(100))
         assert sol.reason == "converged" and 1 < sol.iterations < 50
         assert sol.g_trace[-2] - sol.g_trace[-1] <= wmmse._EPS3
         # The random-phase arm stops after its one round.
-        base = alt_wmmse(DESK, h_c, np.random.default_rng(100),
+        base = alt_wmmse(DESK, ch, np.random.default_rng(100),
                          optimize_v=False)
         assert (base.reason, base.iterations) == ("converged", 1)
 
     def test_reason_max_outer(self):
         # A desk channel at 20 dB with the desk preset's 3 paths.
         rng = np.random.default_rng(1)
-        h_c = synth_channels(GEOM_DESK, sample_paths(GEOM_DESK, 3, rng)).h_c
+        ch = synth_channels(GEOM_DESK, sample_paths(GEOM_DESK, 3, rng))
         scen = DownlinkScenario(GEOM_DESK, pnr_to_sigma2(
             20.0, GEOM_DESK.d_bi, GEOM_DESK.d_iu))
-        sol = alt_wmmse(scen, h_c, np.random.default_rng(101))
+        sol = alt_wmmse(scen, ch, np.random.default_rng(101))
         assert (sol.reason, sol.iterations) == ("max_outer", 50)
         assert sol.g_trace[-2] - sol.g_trace[-1] > wmmse._EPS3
 
@@ -272,18 +283,18 @@ class TestAltWmmse:
             rng = np.random.default_rng(seed)
             ch = synth_channels(geom, sample_paths(geom, 1, rng))
             scen = DownlinkScenario(geom, SIGMA2_D, 1)
-            sol = alt_wmmse(scen, ch.h_c, np.random.default_rng(500 + seed))
-            h_e = effective_channel(ch.h_c, sol.v_d, geom)
+            sol = alt_wmmse(scen, ch, np.random.default_rng(500 + seed))
+            h_e = effective_channel(ch, sol.v_d)
             top = np.linalg.svd(h_e, compute_uv=False)[0]
             closed = float(np.log2(1.0 + top ** 2 / SIGMA2_D))
             assert sol.se == pytest.approx(closed, abs=1e-8)
 
     def test_training_overhead_discounts_rate(self):
-        h_c = _channel(4)
-        sol_full = alt_wmmse(DESK, h_c, np.random.default_rng(9))
+        ch = _channel(4)
+        sol_full = alt_wmmse(DESK, ch, np.random.default_rng(9))
         from dataclasses import replace
         scen_half = replace(DESK, t_used=1000, t_tot=2000)
-        h_e = effective_channel(h_c, sol_full.v_d, GEOM_DESK)
+        h_e = effective_channel(ch, sol_full.v_d)
         assert spectral_efficiency(h_e, sol_full.f, scen_half) == \
             pytest.approx(0.5 * spectral_efficiency(h_e, sol_full.f, DESK))
 
@@ -300,10 +311,12 @@ def _update_f_one(h_e, w, omega, scen):
 
 def test_stacked_closed_forms_equal_per_matrix_calls():
     rng = np.random.default_rng(30)
-    h_c = np.stack([_channel(seed) for seed in range(6)])
-    v = np.stack([random_unit_modulus(GEOM_DESK.m, rng) for _ in h_c])
-    h_e = effective_channel(h_c, v, GEOM_DESK)
-    f = cgauss(rng, (len(h_c), GEOM_DESK.n_bs, DESK.n_s))
+    trials = 6
+    ch = stack_channels([_channel(seed) for seed in range(trials)])
+    v = np.stack([random_unit_modulus(GEOM_DESK.m, rng)
+                  for _ in range(trials)])
+    h_e = effective_channel(ch, v)
+    f = cgauss(rng, (trials, GEOM_DESK.n_bs, DESK.n_s))
     f /= np.linalg.norm(f, axis=(1, 2), keepdims=True)
     w, omega = update_w_omega(h_e, f, DESK)
     g = wmmse_objective(h_e, f, w, omega, DESK)
@@ -312,7 +325,7 @@ def test_stacked_closed_forms_equal_per_matrix_calls():
     w_zero[2] = 0.0                 # a degenerate trial inside the stack
     f_new, degenerate = update_f(h_e, w_zero, omega, DESK)
     assert degenerate.tolist() == [False, False, True, False, False, False]
-    for i in range(len(h_c)):
+    for i in range(trials):
         w_i, omega_i = update_w_omega(h_e[i], f[i], DESK)
         assert np.array_equal(w_i, w[i])
         assert np.array_equal(omega_i, omega[i])
@@ -328,11 +341,11 @@ def test_stacked_closed_forms_equal_per_matrix_calls():
 
 
 def _assert_stacked_equals_single_runs(scen, optimize_v):
-    h_c = np.stack([_channel(seed, scen.geom) for seed in range(4)])
-    rngs = [np.random.default_rng(700 + i) for i in range(len(h_c))]
-    stacked = alt_wmmse(scen, h_c, rngs, optimize_v=optimize_v)
+    ch = stack_channels([_channel(seed, scen.geom) for seed in range(4)])
+    rngs = [np.random.default_rng(700 + i) for i in range(4)]
+    stacked = alt_wmmse(scen, ch, rngs, optimize_v=optimize_v)
     for i, sol in enumerate(stacked):
-        one = alt_wmmse(scen, h_c[i], np.random.default_rng(700 + i),
+        one = alt_wmmse(scen, ch[i], np.random.default_rng(700 + i),
                         optimize_v=optimize_v)
         assert np.array_equal(sol.f, one.f)
         assert np.array_equal(sol.v_d, one.v_d)
@@ -360,11 +373,11 @@ def test_fixed_reflection_takes_the_start_closed_form(monkeypatch):
     real = wmmse.update_w_omega
     monkeypatch.setattr(wmmse, "update_w_omega",
                         lambda *args: calls.append(1) or real(*args))
-    h_c = _channel(5)
-    sol = alt_wmmse(DESK, h_c, np.random.default_rng(8), optimize_v=False)
+    ch = _channel(5)
+    sol = alt_wmmse(DESK, ch, np.random.default_rng(8), optimize_v=False)
     assert len(calls) == 1
     v0 = random_unit_modulus(GEOM_DESK.m, np.random.default_rng(8))
-    h_e = effective_channel(h_c, v0, GEOM_DESK)
+    h_e = effective_channel(ch, v0)
     vh = np.linalg.svd(h_e, full_matrices=False)[2]
     f0 = vh[:DESK.n_s].conj().T / np.sqrt(DESK.n_s)
     w, omega = real(h_e, f0, DESK)
@@ -376,8 +389,12 @@ def test_fixed_reflection_takes_the_start_closed_form(monkeypatch):
 
 class TestScenarioValidation:
     def test_shape_and_parameter_checks(self):
-        # The channel's shape is checked by effective_channel, which
-        # test_channel.py covers.
+        # The factors' agreement is checked by effective_channel, which
+        # test_channel.py covers; alt_wmmse checks them against the
+        # geometry.
+        with pytest.raises(ValueError, match="geometry"):
+            alt_wmmse(DESK, _channel(0, SystemGeometry(16, 4, 4, 4)),
+                      np.random.default_rng(0))
         for sigma2_d in (0.0, float("nan")):
             with pytest.raises(ValueError, match="sigma2_d"):
                 DownlinkScenario(GEOM_M4, sigma2_d, 1)
