@@ -50,6 +50,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _workers(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     out = Path(args.out)
@@ -57,7 +64,7 @@ def _cmd_sweep(args) -> int:
     # path fails here (OSError, exit 1) before any trial runs.
     with out.open("a", encoding="utf-8"):
         pass
-    records, failures = harness.sweep(cfg)
+    records, failures = harness.sweep(cfg, workers=args.workers)
     out.write_text(harness.to_csv(records), encoding="utf-8", newline="\n")
     for value, row in zip(cfg.sweep_values, harness.summarize(records)):
         print(f"{row['algorithm']} {cfg.sweep_axis}={value:g}: "
@@ -213,6 +220,10 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="run the full Monte-Carlo sweep")
     p_sweep.add_argument("--config", required=True, help="config file path")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
+    p_sweep.add_argument("--workers", type=_workers, default=None,
+                         help="worker processes, one BLAS thread each "
+                              "(default: the usable CPUs; 1 runs the "
+                              "sweep in this process)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_self = sub.add_parser("selftest", help="run library invariant checks")

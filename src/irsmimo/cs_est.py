@@ -295,7 +295,7 @@ def _flops(pilots: PilotBlock, dicts: Dictionaries,
     macs = {
         "stage1": t1 * n_ue * g_ue + omp(t1, n_bs, q, g_ue * t1 * n_bs),
         "stage2": omp(n_bs, t, p, g_bs * n_bs * t),
-        "stage3": t * (g_i * m + n_ue * q) + n_bs * n_ue * g_i * (kk + m)
+        "stage3": t * (g_i * m + n_ue * q) + kk * g_i * m
         + omp(n_bs * t, 1, kk, t * (p * n_bs + kk + g_i * kk), n_bs * t)}
     flops = {name: 8.0 * v for name, v in macs.items()}
     flops["total"] = sum(flops.values())

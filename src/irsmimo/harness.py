@@ -28,8 +28,17 @@ one trial at a time, and a trial that raises on its own becomes a nan
 row. Wall-clock columns are written as 0.0 unless timings=true; then
 each row holds its chunk's wall time divided by the chunk's trial count
 (a rerun trial is a chunk of one, a nan row 0.0).
+
+sweep runs its chunks in worker processes (pool.py), one BLAS thread
+each, as many as the CPUs this process may use and never more than the
+chunks, and puts their records back in chunk order. A sweep of one
+chunk, or with workers=1, runs in this process with its default BLAS
+threads. Most rows do not depend on the thread count; paper-scale mo_est
+rows, and desk mo_est rows at some T, do, so a multi-chunk sweep of
+those gives the rows that run_trial gives under OPENBLAS_NUM_THREADS=1.
 """
 
+import os
 import time
 import typing
 from dataclasses import dataclass, fields
@@ -410,30 +419,71 @@ def run_trial(cfg: ExperimentConfig, point: int, seed: int) -> TrialRecord:
     return _run_chunk(cfg, cfg._points[point], [seed])[0]
 
 
-def sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], int]:
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _sweep_chunk(cfg: ExperimentConfig, point: int,
+                 seeds: list[int]) -> tuple[list[TrialRecord], int]:
+    """(records, failures) of trials `seeds` of sweep point `point`: one
+    chunk, or, if the chunk raises, one chunk per trial, where a trial
+    that still raises becomes a nan row. sweep calls it in process and
+    each worker process (pool.serve) calls it too, so both give the same
+    rows."""
+    point = cfg._points[point]
+    try:
+        return _run_chunk(cfg, point, seeds), 0
+    except Exception:
+        records, failures = [], 0
+        for seed in seeds:
+            try:
+                records += _run_chunk(cfg, point, [seed])
+            except Exception:
+                failures += 1
+                records.append(TrialRecord(
+                    seed, cfg.algorithm, *point.key, float("nan"),
+                    float("nan"), 0, 0.0))
+        return records, failures
+
+
+def sweep(cfg: ExperimentConfig,
+          workers: int | None = None) -> tuple[list[TrialRecord], int]:
     """All (point, seed) trials in (point-major, seed-minor) order, each
     point's trials in chunks of _chunk_size consecutive seeds.
 
     cfg's points serve all their chunks. A chunk that raises runs again
     one trial at a time, so its rows carry their own wall time and a trial
     that still raises becomes a nan row. Returns (records, failures).
+
+    The chunks run in min(workers, chunks) worker processes (pool.py),
+    each with one BLAS thread; workers=None takes the CPUs this process
+    may use. When that count is 1 they run here, in this process, with
+    its BLAS threads. Raises ValueError for workers < 1, and RuntimeError
+    if a worker process dies.
     """
-    chunk = _chunk_size(cfg)
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    size = _chunk_size(cfg)
+    chunks = [(point.index, list(range(start, min(start + size, cfg.trials))))
+              for point in cfg._points
+              for start in range(0, cfg.trials, size)]
+    workers = min(_usable_cpus() if workers is None else workers,
+                  len(chunks))
+    if workers == 1:
+        replies = [_sweep_chunk(cfg, *chunk) for chunk in chunks]
+    else:
+        # Only a sweep that starts workers loads the process machinery.
+        from .pool import run_chunks
+        replies = run_chunks(cfg, chunks, workers)
     records, failures = [], 0
-    for point in cfg._points:
-        for start in range(0, cfg.trials, chunk):
-            seeds = list(range(start, min(start + chunk, cfg.trials)))
-            try:
-                records += _run_chunk(cfg, point, seeds)
-            except Exception:
-                for seed in seeds:
-                    try:
-                        records += _run_chunk(cfg, point, [seed])
-                    except Exception:
-                        failures += 1
-                        records.append(TrialRecord(
-                            seed, cfg.algorithm, *point.key, float("nan"),
-                            float("nan"), 0, 0.0))
+    for chunk_records, chunk_failures in replies:
+        records += chunk_records
+        failures += chunk_failures
     return records, failures
 
 

@@ -228,15 +228,15 @@ def alt_wmmse(scen: DownlinkScenario, ch: ChannelRealization,
     CG, so each round first folds each trial's channel and f into the
     (n_ue*n_s, m) matrix p = _reduced_channel(ch, f); every trial point
     then costs one product p @ v. effective_channel runs once per outer
-    iteration on the whole stack, for the closed forms. The cascaded
+    iteration on the live trials, for the closed forms. The cascaded
     channel is never formed.
 
     A stacked ch with one generator per trial returns one solution per
     trial. The trials iterate in lock-step: the start, the CG (one
-    cg_minimize call on the stack per round) and the closed forms act on
-    the stack of trials that have not stopped, the effective channel after
-    the CG on the whole stack, and each trial stops on its own test, so
-    its solution is bit-identical to the one it gets alone.
+    cg_minimize call on the stack per round), the effective channel after
+    the CG and the closed forms act on the stack of trials that have not
+    stopped, and each trial stops on its own test, so its solution is
+    bit-identical to the one it gets alone.
     """
     stacked = ch.g.ndim == 3
     if not stacked:
@@ -278,8 +278,8 @@ def alt_wmmse(scen: DownlinkScenario, ch: ChannelRealization,
             # the next round's are built.
             p = None
             stalled[on] |= [r.stalled for r in res]
-            # Stopped trials kept their v, so their rows come out unchanged.
-            h_e = effective_channel(ch, v)
+            # A stopped trial's row keeps the value its unchanged v gave.
+            h_e[on] = effective_channel(ch[on], v[on])
             w, omega[on] = update_w_omega(h_e[on], f[on], scen)
             g = wmmse_objective(h_e[on], f[on], w, omega[on], scen)
         f_new, degenerate = update_f(h_e[on], w, omega[on], scen)

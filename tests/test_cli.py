@@ -129,7 +129,8 @@ class TestSweep:
         cfg_path = _write(tmp_path, "bad.cfg", SWEEP_CS)
         _break_paths(monkeypatch)
         out = tmp_path / "fail.csv"
-        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+        assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                     "--workers", "1"]) == 2
         assert "nan" in out.read_text()
         assert "failed" in capsys.readouterr().err
 

@@ -357,11 +357,11 @@ class TestPipeline:
 
     @pytest.mark.parametrize("grids, t, cfg, k, flops", [
         ((16, 8, 4, 4, 64, 64, 16, 16), 60, CsEstConfig(2, 2, t1=15), 2,
-         (319320, 1029760, 9712640, 11061720)),
+         (319320, 1029760, 4600832, 5949912)),
         ((16, 8, 4, 4, 128, 128, 32, 16), 60, CsEstConfig(2, 2, t1=15), 2,
-         (626520, 2012800, 18887680, 21527000)),
+         (626520, 2012800, 8664064, 11303384)),
         ((36, 16, 6, 6, 64, 64, 16, 16), 500, CsEstConfig(3, 3), 3,
-         (8382000, 29380032, 237776160, 275538192)),
+         (8382000, 29380032, 185355552, 223117584)),
     ], ids=["desk", "desk-fine", "paper"])
     def test_flops_pinned(self, grids, t, cfg, k, flops):
         # The counts follow from the shapes alone: 8 flops per complex

@@ -280,7 +280,7 @@ class TestRunTrial:
         monkeypatch.setattr(harness, "simulate_uplink", counted)
         cfg = ExperimentConfig(algorithm="cs_est", t=20, t1=8, trials=3,
                                sweep_values=(20.0,), **SMALL_KW)
-        sweep(cfg)
+        sweep(cfg, workers=1)
         assert calls == [0, 1, 2]
 
     @pytest.mark.parametrize("master_seed, point, seed", [
@@ -361,7 +361,7 @@ class TestSweep:
         cfg = ExperimentConfig(algorithm="mo_est", sweep_values=(20.0,),
                                trials=2, **SMALL_KW)
         monkeypatch.setattr(harness, "sample_paths", _raise)
-        records, failures = sweep(cfg)
+        records, failures = sweep(cfg, workers=1)
         assert failures == 2
         assert all(math.isnan(r.nmse) and math.isnan(r.se_bits_s_hz)
                    for r in records)
@@ -466,7 +466,7 @@ class TestChunks:
         monkeypatch.setattr(harness, "_CHUNK_TRIALS", 3)
         cfg = ExperimentConfig(algorithm=algorithm, trials=7, **self.BASE)
         assert harness._chunk_size(cfg) == 3
-        records, failures = sweep(cfg)
+        records, failures = sweep(cfg, workers=1)
         assert failures == 0
         assert to_csv(records) == to_csv([run_trial(cfg, 0, seed)
                                           for seed in range(cfg.trials)])
@@ -517,9 +517,9 @@ class TestChunks:
         cfg = dataclasses.replace(PAPER_PRESET, algorithm=algorithm,
                                   sweep_axis="SNR", sweep_values=(10.0,),
                                   trials=3)
-        clean, _ = sweep(cfg)
+        clean, _ = sweep(cfg, workers=1)
         monkeypatch.setattr(channel, "cascaded", _raise)
-        records, failures = sweep(cfg)
+        records, failures = sweep(cfg, workers=1)
         assert failures == 0
         assert to_csv(records) == to_csv(clean)
 
@@ -533,7 +533,7 @@ class TestChunks:
 
         monkeypatch.setattr(channel, "cascaded", counted)
         cfg = ExperimentConfig(algorithm="cs_est", trials=3, **self.BASE)
-        assert sweep(cfg)[1] == 0
+        assert sweep(cfg, workers=1)[1] == 0
         # The true channel and the estimate of each trial, never a stack.
         assert ndims == [2] * 6
 
@@ -557,7 +557,7 @@ class TestChunks:
                                       sweep_values=(20.0,), trials=trials)
             assert len(calls) == 1
             calls.clear()
-            assert sweep(cfg)[1] == 0
+            assert sweep(cfg, workers=1)[1] == 0
             counts.append(len(calls))
         # 17 trials run in two chunks: 16 and 1. The config built its
         # one point, so the sweep builds nothing.
@@ -593,9 +593,9 @@ class TestChunks:
                                               monkeypatch):
         cfg = ExperimentConfig(algorithm=algorithm, trials=5, **self.BASE)
         assert harness._chunk_size(cfg) >= cfg.trials
-        clean, _ = sweep(cfg)
+        clean, _ = sweep(cfg, workers=1)
         inject(monkeypatch)
-        records, failures = sweep(cfg)
+        records, failures = sweep(cfg, workers=1)
         assert failures == 1
         assert math.isnan(records[2].se_bits_s_hz)
         assert [r.seed for r in records] == list(range(5))
@@ -608,7 +608,7 @@ class TestChunks:
         cfg = ExperimentConfig(algorithm="perfect_csi", trials=5,
                                timings=True, **self.BASE)
         _break_paths(_raise)(monkeypatch)
-        records, failures = sweep(cfg)
+        records, failures = sweep(cfg, workers=1)
         assert failures == 1
         assert math.isnan(records[2].nmse) and records[2].wall_ms == 0.0
         assert all(r.wall_ms > 0.0 for r in records[:2] + records[3:])
