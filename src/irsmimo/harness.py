@@ -142,7 +142,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One CSV row, columns in field order; (t, pnr_db, snr_db, k_hat)
     name the sweep point. nmse and se_bits_s_hz are nan when the trial

@@ -32,9 +32,13 @@ Sepulchre ("Fixed-rank matrix factorizations and Riemannian low-rank
 optimization", Comput. Stat. 2014; Manopt's
 fixedrankfactory_2factors_preconditioned). A tangent vector is a factor
 pair of the same shapes, the retraction adds it, and the only matrices
-the ops invert are r x r Gram matrices, by pseudo-inverse, so a
-rank-deficient or zero factor stays finite (Burer and Monteiro, Math.
-Program. 2003).
+the ops invert are r x r Gram matrices. project_tangent takes their
+pseudo-inverses from one eigh of both Gram stacks, dropping each matrix's
+eigenvalues at or below 1e-15 times its largest (np.linalg.pinv's
+cutoff), so a rank-deficient or zero factor stays finite (Burer and
+Monteiro, Math. Program. 2003) and no row's cutoff depends on another's.
+A cost need never form the dense l @ r^H: only its ambient gradient j
+enters the projection (Vandereycken, SIAM J. Optim. 2013).
 """
 
 import math
@@ -145,15 +149,33 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return herm(a) @ a
 
 
+# Eigenvalues at or below this times the largest magnitude of their matrix
+# count as zero in psd_pinv, as in np.linalg.pinv.
+_PINV_RCOND = 1e-15
+
+
+def psd_pinv(grams: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of each Hermitian matrix of a stack, as
+    np.linalg.pinv(grams, hermitian=True) computes it to rounding, from one
+    eigh: eigenvalues of magnitude at most 1e-15 times the largest of their
+    own matrix invert to zero. An all-zero matrix gives zero, and each
+    matrix gets the same bits alone as in a stack."""
+    w, u = np.linalg.eigh(grams)
+    mag = np.abs(w)
+    large = mag > _PINV_RCOND * mag.max(axis=-1, keepdims=True)
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=large)
+    return (u * inv[..., None, :]) @ herm(u)
+
+
 def project_tangent(x: FixedRankPoint, j: np.ndarray) -> FixedRankPoint:
     """Riemannian gradient at x of a cost whose conjugate Euclidean
     gradient in l @ r^H is the ambient matrix j:
-    (j r (r^H r)^+, j^H l (l^H l)^+). Stacks project row by row."""
+    (j r (r^H r)^+, j^H l (l^H l)^+). Stacks project row by row; both
+    Gram stacks are inverted by one psd_pinv."""
     if j.shape[-2:] != x.shape:
         raise ValueError(f"ambient shape {j.shape} does not match {x.shape}")
-    return FixedRankPoint(
-        j @ x.r @ np.linalg.pinv(_gram(x.r), hermitian=True),
-        herm(j) @ x.l @ np.linalg.pinv(_gram(x.l), hermitian=True))
+    pinv_r, pinv_l = psd_pinv(np.stack((_gram(x.r), _gram(x.l))))
+    return FixedRankPoint(j @ x.r @ pinv_r, herm(j) @ x.l @ pinv_l)
 
 
 def transport(x: FixedRankPoint, x_new: FixedRankPoint,

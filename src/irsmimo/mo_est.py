@@ -11,6 +11,19 @@ from a spectral start read from the pilots (Candes, Li and Soltanolkotabi,
 with the number of unknowns per observation (Bickel, Ritov and Tsybakov,
 Ann. Stat. 2009), so short training blocks are regularized harder.
 
+Inside the CG both subproblems run on the factor pairs and on statistics
+formed once per outer round, never on a dense g or h against the training
+block (Mishra, Meyer, Bonnabel and Sepulchre, Comput. Stat. 2014). With
+f = v . (h s) fixed, the g-subproblem's data term is
+||r||^2 + Re<x, x F - 2 R> with R = r f^H and F = f f^H, so its CG sums
+over no training slot. With g = l_g r_g^H fixed, the h-subproblem's
+residual is l_g u - r with u = r_g^H (v . (l_h (r_h^H s))), so it reads
+l_g^H l_g and l_g^H r. Both costs add ||r||^2 to terms of nearly its size
+and opposite sign, so they hold to rounding relative to ||r||^2 (about
+1e-16 t in the normalized problem), far below the CG's threshold of 1e-3
+on the decrease. objective_f, egrad_g and egrad_h are the dense oracles,
+from the residual; the trace is objective_f's.
+
 The solver internally rescales the observations to unit average slot power
 (r' = r / c, c = ||r||_F / sqrt(t)) and folds c back into the returned
 g_hat. This keeps the inner CG threshold on the objective decrease
@@ -88,10 +101,7 @@ class MoEstResult:
 def _phase(z: np.ndarray) -> np.ndarray:
     """Entrywise z/|z| with entries below DELTA0 mapped to zero."""
     mag = np.abs(z)
-    out = np.zeros_like(z)
-    nz = mag >= DELTA0
-    out[nz] = z[nz] / mag[nz]
-    return out
+    return np.divide(z, mag, out=np.zeros_like(z), where=mag >= DELTA0)
 
 
 def _check_dicts(dicts: Dictionaries) -> None:
@@ -137,27 +147,30 @@ def _spectral_start(s: np.ndarray, v: np.ndarray, r: np.ndarray,
 # operand order of the one-problem formula: numpy's complex multiply is not
 # commutative bit for bit, and `a * (b @ c)` with a temporary of 256 KiB or
 # more is computed in place as `(b @ c) * a`, so stacks use np.multiply.
+# Inside the CG, g and h enter as factor pairs (l, r): no cost or gradient
+# forms a dense l @ r^H product with the training block.
 
-def _fit_l1(x: np.ndarray, resid: np.ndarray, back, mu: np.ndarray,
+def _fit_l1(x: np.ndarray, fit: np.ndarray, grad, mu: np.ndarray,
             a: np.ndarray, b: np.ndarray):
-    """Subproblem costs ||resid||_F^2 + mu ||vec(a^H x b)||_1, one float
-    per row, and egrad(keep=None), the conjugate Euclidean gradients
-    back(resid, keep) + (mu/2) a y b^H of rows keep (all for None), with y
-    the phase of a^H x b. The gradient reuses resid and a^H x b."""
+    """Subproblem costs fit + mu ||vec(a^H x b)||_1, one float per row of
+    the dense stack x, and egrad(keep=None), the conjugate Euclidean
+    gradients grad(keep) + (mu/2) a y b^H of rows keep (all for None),
+    with grad(keep) the data term's gradients and y the phase of
+    a^H x b. The gradient reuses a^H x b."""
     z = a.conj().T @ x @ b
-    cost = (sq_norms(resid) + mu * matrix_sums(np.abs(z))).tolist()
+    cost = (fit + mu * matrix_sums(np.abs(z))).tolist()
 
     def egrad(keep=None) -> np.ndarray:
         sel = _ALL if keep is None else keep
-        grad = back(resid[sel], keep)
+        out = grad(keep)
         w = 0.5 * mu[sel]
         on = w > 0
         if on.all():
-            grad = grad + w[:, None, None] * (a @ _phase(z[sel]) @ herm(b))
+            out = out + w[:, None, None] * (a @ _phase(z[sel]) @ herm(b))
         elif on.any():
-            grad[on] = grad[on] + w[on, None, None] * (
-                a @ _phase(z[sel][on]) @ herm(b))
-        return grad
+            out = out.copy()
+            out[on] += w[on, None, None] * (a @ _phase(z[sel][on]) @ herm(b))
+        return out
 
     return cost, egrad
 
@@ -169,49 +182,98 @@ def _conj(a: np.ndarray, rows) -> np.ndarray:
                                                                     out=out)
 
 
-def _cost_grad_g(x: np.ndarray, r_mat: np.ndarray, f_mat: np.ndarray,
-                 mu: np.ndarray, dicts: Dictionaries, rows=_ALL):
-    """g-subproblem ||r_mat - x f_mat||_F^2 + mu ||vec(a_bs^H x a_i)||_1 of
-    a stack x whose rows are rows `rows` of the data stacks; see _fit_l1.
-    Rows of the data are gathered only for the products that need them,
-    so the gradient's closure holds no copy of the data."""
-    resid = x @ f_mat[rows]
-    resid -= r_mat[rows]
-    return _fit_l1(x, resid,
-                   lambda e, keep: e @ _conj(f_mat, pick_rows(rows, keep))
-                   .swapaxes(-1, -2),
+def _g_stats(h: FixedRankPoint, s: np.ndarray, v: np.ndarray,
+             r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The g-subproblem's data at fixed h, ||r||_F^2, r f^H and f f^H with
+    f = v . (l_h (r_h^H s)), per row of the stacks: the only sums over the
+    training block that the g-subproblem needs, formed once per outer
+    round."""
+    f = h.l @ (herm(h.r) @ s)
+    f = np.multiply(v, f, out=f)
+    return sq_norms(r), r @ herm(f), f @ herm(f)
+
+
+def _h_stats(g: FixedRankPoint, r: np.ndarray,
+             rr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The h-subproblem's data at fixed g, (rr, l_g^H l_g, l_g^H r) with
+    rr = ||r||_F^2, per row of the stacks."""
+    lh = herm(g.l)
+    return rr, lh @ g.l, lh @ r
+
+
+def _cost_grad_g(x: FixedRankPoint, stats, mu: np.ndarray,
+                 dicts: Dictionaries, rows=_ALL):
+    """g-subproblem ||r - x f||_F^2 + mu ||vec(a_bs^H x a_i)||_1 of a
+    stack x whose rows are rows `rows` of the data stacks, from
+    stats = _g_stats(...) = (||r||^2, R = r f^H, F = f f^H): the cost is
+    ||r||^2 + Re<x, x F - 2 R> and the data term's gradient x F - R; see
+    _fit_l1."""
+    rr, rf, ff = (a[rows] for a in stats)
+    dense = x.dense
+    j = x.l @ (herm(x.r) @ ff)
+    j -= rf
+    fit = rr + matrix_sums(dense.conj() * (j - rf)).real
+    return _fit_l1(dense, fit, lambda keep: j if keep is None else j[keep],
                    mu[rows], dicts.a_bs, dicts.a_i)
 
 
-def _h_back(e: np.ndarray, g: np.ndarray, s: np.ndarray, v: np.ndarray,
-            at) -> np.ndarray:
-    """(v^* . (g^H e)) s^H at rows `at` of the data stacks g, s and v, the
-    h-subproblem's gradient of its residual e."""
-    out = herm(g[at]) @ e
-    return (np.multiply(_conj(v, at), out, out=out)
+def _h_back(ge: np.ndarray, s: np.ndarray, v: np.ndarray, at) -> np.ndarray:
+    """(v^* . ge) s^H at rows `at` of the data stacks s and v, the
+    h-subproblem's data-term gradient from ge = g^H e, e its residual;
+    ge is overwritten."""
+    return (np.multiply(_conj(v, at), ge, out=ge)
             @ _conj(s, at).swapaxes(-1, -2))
 
 
-def _cost_grad_h(h: np.ndarray, g: np.ndarray, s: np.ndarray, v: np.ndarray,
-                 r: np.ndarray, mu: np.ndarray, dicts: Dictionaries,
+def _cost_grad_h(h: FixedRankPoint, g: FixedRankPoint, stats, s: np.ndarray,
+                 v: np.ndarray, mu: np.ndarray, dicts: Dictionaries,
                  rows=_ALL):
     """h-subproblem sum_t ||r_t - g diag(v_t) h s_t||^2
     + mu ||vec(a_i^H h a_ue)||_1 of a stack h whose rows are rows `rows`
-    of the data stacks; see _cost_grad_g."""
-    hs = h @ s[rows]
-    resid = g[rows] @ np.multiply(v[rows], hs, out=hs)
+    of the data stacks, run through the factors of g = l_g r_g^H, from
+    stats = _h_stats(...) = (||r||^2, l_g^H l_g, l_g^H r). With
+    u = r_g^H (v . (l_h (r_h^H s))), the residual is l_g u - r, so the
+    cost is ||r||^2 + Re<u, l_g^H l_g u - 2 l_g^H r> and g^H of the
+    residual is r_g (l_g^H l_g u - l_g^H r); see _fit_l1. Rows of the data
+    are gathered only for the products that need them, so the gradient's
+    closure holds no copy of the data."""
+    rr, gram, lr = (a[rows] for a in stats)
+    u = h.l @ (herm(h.r) @ s[rows])
+    u = herm(g.r[rows]) @ np.multiply(v[rows], u, out=u)
+    e = gram @ u
+    e -= lr
+    fit = rr + matrix_sums(u.conj() * (e - lr)).real
+
+    def grad(keep):
+        at = pick_rows(rows, keep)
+        return _h_back(g.r[at] @ (e if keep is None else e[keep]), s, v, at)
+
+    return _fit_l1(h.dense, fit, grad, mu[rows], dicts.a_i, dicts.a_ue)
+
+
+# The functions below are the dense oracles of the two subproblems: each
+# takes dense g and h and sums over the training block.
+
+def _fit_h(h: np.ndarray, g: np.ndarray, s: np.ndarray, v: np.ndarray,
+           r: np.ndarray, mu: np.ndarray, dicts: Dictionaries):
+    """h-subproblem sum_t ||r_t - g diag(v_t) h s_t||^2
+    + mu ||vec(a_i^H h a_ue)||_1 of dense stacks, from the residual; see
+    _fit_l1. Its egrad gives every row's gradient, whatever keep asks."""
+    hs = h @ s
+    resid = g @ np.multiply(v, hs, out=hs)
     del hs
-    resid -= r[rows]
-    return _fit_l1(h, resid,
-                   lambda e, keep: _h_back(e, g, s, v, pick_rows(rows, keep)),
-                   mu[rows], dicts.a_i, dicts.a_ue)
+    resid -= r
+    return _fit_l1(h, sq_norms(resid),
+                   lambda keep: _h_back(herm(g) @ resid, s, v, _ALL),
+                   mu, dicts.a_i, dicts.a_ue)
 
 
 def _objective(g: np.ndarray, h: np.ndarray, s: np.ndarray, v: np.ndarray,
                r: np.ndarray, mu_g: np.ndarray, mu_h: np.ndarray,
                dicts: Dictionaries) -> list[float]:
-    """The h-subproblem's cost plus the g-subproblem's l1 term, per row."""
-    cost_h = np.array(_cost_grad_h(h, g, s, v, r, mu_h, dicts)[0])
+    """The h-subproblem's cost plus the g-subproblem's l1 term, per row of
+    dense stacks."""
+    cost_h = np.array(_fit_h(h, g, s, v, r, mu_h, dicts)[0])
     return (cost_h + mu_g * matrix_sums(np.abs(dicts.a_bs.conj().T @ g
                                         @ dicts.a_i))).tolist()
 
@@ -233,18 +295,22 @@ def objective_f(g_hat: np.ndarray, h_hat: np.ndarray, pilots: PilotBlock,
 def egrad_g(x: np.ndarray, r_mat: np.ndarray, f_mat: np.ndarray,
             mu_g: float, dicts: Dictionaries) -> np.ndarray:
     """Conjugate Euclidean gradient of the g-subproblem objective
-    ||r_mat - x f_mat||_F^2 + mu_g ||vec(a_bs^H x a_i)||_1."""
-    return _cost_grad_g(_one(x), _one(r_mat), _one(f_mat), _one(mu_g),
-                        dicts)[1]()[0]
+    ||r_mat - x f_mat||_F^2 + mu_g ||vec(a_bs^H x a_i)||_1, from the
+    residual x f_mat - r_mat."""
+    x, f_mat = _one(x), _one(f_mat)
+    resid = x @ f_mat
+    resid -= _one(r_mat)
+    return _fit_l1(x, sq_norms(resid), lambda keep: resid @ herm(f_mat),
+                   _one(mu_g), dicts.a_bs, dicts.a_i)[1]()[0]
 
 
 def egrad_h(h_hat: np.ndarray, g_hat: np.ndarray, pilots: PilotBlock,
             mu_h: float, dicts: Dictionaries) -> np.ndarray:
     """Conjugate Euclidean gradient of the h-subproblem objective
-    sum_t ||r_t - g diag(v_t) h s_t||^2 + mu_h ||vec(a_i^H h a_ue)||_1."""
-    return _cost_grad_h(_one(h_hat), _one(g_hat), _one(pilots.s),
-                        _one(pilots.v), _one(pilots.r), _one(mu_h),
-                        dicts)[1]()[0]
+    sum_t ||r_t - g diag(v_t) h s_t||^2 + mu_h ||vec(a_i^H h a_ue)||_1,
+    from the residual."""
+    return _fit_h(_one(h_hat), _one(g_hat), _one(pilots.s), _one(pilots.v),
+                  _one(pilots.r), _one(mu_h), dicts)[1]()[0]
 
 
 def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
@@ -333,14 +399,15 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
 
     for it in range(1, cfg.max_outer + 1):
         g_prev, h_prev = g_hat, h_hat
-        f_mat = np.multiply(v, h_hat.dense @ s)
-        g_hat = solve(lambda x, rows: _cost_grad_g(
-            x.dense, r, f_mat, mu, dicts, rows), g_hat)
-        del f_mat
-        g_dense = g_hat.dense
-        h_hat = solve(lambda x, rows: _cost_grad_h(
-            x.dense, g_dense, s, v, r, mu, dicts, rows), h_hat)
-        h_dense = h_hat.dense
+        g_data = _g_stats(h_hat, s, v, r)
+        g_hat = solve(lambda x, rows: _cost_grad_g(x, g_data, mu, dicts,
+                                                   rows), g_hat)
+        h_data = _h_stats(g_hat, r, g_data[0])
+        del g_data
+        h_hat = solve(lambda x, rows: _cost_grad_h(x, g_hat, h_data, s, v, mu,
+                                                   dicts, rows), h_hat)
+        del h_data
+        g_dense, h_dense = g_hat.dense, h_hat.dense
         obj = _objective(g_dense, h_dense, s, v, r, mu, mu, dicts)
 
         keep = []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -190,6 +191,18 @@ class TestCsv:
 
     def test_roundtrip_exact(self):
         assert parse_csv(to_csv(self.RECORDS)) == self.RECORDS
+
+    def test_record_has_slots_and_pickles(self):
+        # A pooled sweep's parent holds every record it unpickles; slots
+        # keep each one free of an instance dict.
+        rec = self.RECORDS[1]
+        assert not hasattr(rec, "__dict__")
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec and back.to_csv_row() == rec.to_csv_row()
+        assert dataclasses.replace(back, wall_ms=0.0).to_csv_row() == \
+            "1,cs_est,60,-5.0,7.5,4,1e-11,3.25,6,0.0"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.seed = 2
 
     def test_header_validated(self):
         with pytest.raises(ValueError, match="header"):

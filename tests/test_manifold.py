@@ -1,9 +1,12 @@
 """Fixed-rank / complex-circle manifold and CG solver tests.
 
 Oracles: the factor-space formulas of the two-factor geometry, dense
-products for the retraction, the Eckart-Young optimum for CG convergence,
-and central finite differences for the gradient convention.
+products for the retraction, np.linalg.pinv for the Gram pseudo-inverse,
+the Eckart-Young optimum for CG convergence, and central finite
+differences for the gradient convention.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +17,8 @@ from conftest import cgauss
 from irsmimo.manifold import (CgOptions, CgResult, CircleManifold,
                               FixedRankManifold, FixedRankPoint, cg_minimize,
                               circle_project, circle_retract,
-                              project_tangent, random_fixed_rank, retract,
-                              transport)
+                              project_tangent, psd_pinv, random_fixed_rank,
+                              retract, transport)
 from irsmimo.numerics import random_unit_modulus
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -174,6 +177,35 @@ def test_zero_point_has_zero_gradient_and_cg_stops():
     res = cg_minimize(FixedRankManifold, _sq_dist(b), zero, CgOptions())
     assert (res.reason, res.iters) == ("zero_grad", 0)
     assert res.trace == [float(np.linalg.norm(b) ** 2)]
+
+
+def test_psd_pinv_is_numpys_hermitian_pinv():
+    # A well-conditioned Gram, one with an eigenvalue of 1e-20 (below the
+    # 1e-15 relative cutoff, so it inverts to zero), an all-zero one, and
+    # a well-conditioned one at 1e-18 scale, whose cutoff is its own.
+    rng = np.random.default_rng(27)
+    q, _ = np.linalg.qr(cgauss(rng, (3, 3)))
+    grams = np.stack([(q * d) @ q.conj().T
+                      for d in ([2.0, 1.0, 0.5], [1.0, 0.3, 1e-20], [0.0] * 3,
+                                [2e-18, 1e-18, 5e-19])])
+    pinv = psd_pinv(grams)
+    for got, gram in zip(pinv, grams):
+        want = np.linalg.pinv(gram, hermitian=True)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.linalg.matrix_rank(pinv[1]) == 2 and not pinv[2].any()
+    assert np.linalg.matrix_rank(pinv[3], tol=1e15) == 3
+    # Each matrix gets the same bits alone as in the stack.
+    for k, gram in enumerate(grams):
+        assert np.array_equal(psd_pinv(gram[None])[0], pinv[k])
+        assert np.array_equal(psd_pinv(gram), pinv[k])
+
+
+def test_psd_pinv_of_zero_rows_raises_no_warning():
+    # pytest turns RuntimeWarning into an error; check it here too, so the
+    # test holds under any warning filter.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not psd_pinv(np.zeros((4, 2, 3, 3), complex)).any()
 
 
 def test_cg_is_invariant_to_the_factor_gauge():

@@ -9,7 +9,9 @@ from irsmimo.channel import (PilotBlock, SystemGeometry, build_dictionaries,
 from irsmimo.harness import ExperimentConfig, nmse, pnr_to_sigma2, sweep
 from irsmimo.manifold import (FixedRankManifold, FixedRankPoint,
                               project_tangent)
-from irsmimo.mo_est import MoEstConfig, egrad_g, egrad_h, mo_est, objective_f
+from irsmimo.mo_est import (MoEstConfig, _cost_grad_g, _cost_grad_h,
+                            _g_stats, _h_stats, egrad_g, egrad_h, mo_est,
+                            objective_f)
 from irsmimo.numerics import khatri_rao, truncated_svd
 
 from conftest import cgauss
@@ -18,6 +20,8 @@ SMALL = SystemGeometry(8, 4, 4, 2, 8, 4, 4, 2)
 SMALL_DICTS = build_dictionaries(SMALL)
 DESK = SystemGeometry()
 DESK_DICTS = build_dictionaries(DESK.unitary())
+PAPER = SystemGeometry(36, 16, 6, 6, 36, 16, 6, 6)
+PAPER_DICTS = build_dictionaries(PAPER)
 
 
 def _random_problem(rng, t=10):
@@ -145,6 +149,62 @@ class TestEuclideanGradients:
             fd = (f(eps) - f(-eps)) / (2 * eps)
             assert 2 * FixedRankManifold.inner(x, grad, xi) == pytest.approx(
                 fd, rel=1e-5)
+
+
+class TestFactorForms:
+    """The CG's subproblem costs and gradients, run on the factors and on
+    Gram statistics, against the dense oracles objective_f, egrad_g and
+    egrad_h."""
+
+    @staticmethod
+    def _factors(a, rank):
+        u, sig, w = truncated_svd(a, rank)
+        return FixedRankPoint(u * np.sqrt(sig), w * np.sqrt(sig))
+
+    @pytest.mark.parametrize("geom, dicts, t", [(DESK, DESK_DICTS, 100),
+                                                (PAPER, PAPER_DICTS, 300)])
+    @pytest.mark.parametrize("pnr_db", [0.0, 30.0])
+    @pytest.mark.parametrize("near", [True, False])
+    def test_match_dense_oracles(self, geom, dicts, t, pnr_db, near):
+        # Near the truth the residual is at noise level, 1e-3 of the
+        # training power at 30 dB, so the Gram forms cancel most there.
+        ch, pil = _physical_problem(
+            seed=31, t=t, k=3, geom=geom,
+            sigma2=pnr_to_sigma2(pnr_db, geom.d_bi, geom.d_iu))
+        rng = np.random.default_rng(32)
+        if near:
+            g0, h0 = ch.g, ch.h
+        else:
+            g0 = np.abs(ch.g).max() * cgauss(rng, ch.g.shape)
+            h0 = np.abs(ch.h).max() * cgauss(rng, ch.h.shape)
+        g, h = self._factors(g0, 3), self._factors(h0, 3)
+        rr = float(np.sum(np.abs(pil.r) ** 2))
+        mu_g = 1e-3 * rr / np.abs(dicts.a_bs.conj().T @ g.dense
+                                  @ dicts.a_i).sum()
+        mu_h = 1e-3 * rr / np.abs(dicts.a_i.conj().T @ h.dense
+                                  @ dicts.a_ue).sum()
+        # Stacks of one, as mo_est runs a single trial.
+        s, v, r = (a[None] for a in (pil.s, pil.v, pil.r))
+        gx, hx = (FixedRankPoint(x.l[None], x.r[None]) for x in (g, h))
+        g_data = _g_stats(hx, s, v, r)
+        cost_g, grad_g = _cost_grad_g(gx, g_data, np.array([mu_g]), dicts)
+        cost_h, grad_h = _cost_grad_h(hx, gx, _h_stats(gx, r, g_data[0]),
+                                      s, v, np.array([mu_h]), dicts)
+        # Dense scales of the cancelling terms: the cost's ||r||^2 and the
+        # gradients at the zero point.
+        f_mat = pil.v * (h.dense @ pil.s)
+        scale_g = np.abs(egrad_g(np.zeros_like(g0), pil.r, f_mat, 0.0,
+                                 dicts)).max()
+        scale_h = np.abs(egrad_h(np.zeros_like(h0), g.dense, pil, 0.0,
+                                 dicts)).max()
+        assert abs(cost_g[0] - objective_f(g.dense, h.dense, pil, dicts,
+                                           mu_g, 0.0)) <= 1e-12 * rr
+        assert abs(cost_h[0] - objective_f(g.dense, h.dense, pil, dicts,
+                                           0.0, mu_h)) <= 1e-12 * rr
+        assert np.abs(grad_g()[0] - egrad_g(g.dense, pil.r, f_mat, mu_g,
+                                            dicts)).max() <= 1e-12 * scale_g
+        assert np.abs(grad_h()[0] - egrad_h(h.dense, g.dense, pil, mu_h,
+                                            dicts)).max() <= 1e-12 * scale_h
 
 
 class TestEstimator:
