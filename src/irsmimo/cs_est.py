@@ -10,10 +10,13 @@ and reassembles
 
 held as channel factors (see stage3_gains).
 
-The stage-3 sensing matrix has Kronecker-structured row blocks, so it is
-never formed: KronSensing applies its adjoint as a contraction of the
-factors and builds only the columns OMP selects. Its size is therefore
-not capped.
+OMP runs in the Gram domain (Batch-OMP): it correlates the atoms with
+the observation once, psi0 = theta^H obs, and then works on psi0 and
+the Gram columns theta^H theta[:, j] of the atoms it selects, never on
+a residual of the observation's size. The stage-3 sensing matrix has
+Kronecker-structured row blocks, so it is never formed: KronSensing
+applies its adjoint and forms Gram columns as contractions of the
+factors. Its size is therefore not capped.
 
 All dictionary/gain scale factors are absorbed by the least-squares refits,
 so only atom identities matter in stages 1-2.
@@ -52,12 +55,12 @@ class CsEstConfig:
 @dataclass
 class OmpResult:
     """Greedy selection output: support order, final LS coefficients, and
-    the residual Frobenius-norm trace (observation norm first)."""
+    the residual Frobenius-norm trace (observation norm first), from the
+    least-squares identity in omp_mmv."""
 
     support: list[int]
     coeffs: np.ndarray
     res_trace: list[float]
-    residual: np.ndarray
 
 
 @dataclass
@@ -78,7 +81,8 @@ class KronSensing:
 
     Row block t (n_bs rows) is kron(c_all[:, t], kron(su[t], a_bs_bar)), so
     column gi*kk + q*p_hat + p, with kk = q_hat*p_hat, holds
-    c_all[gi, t] * su[t, q] * a_bs_bar[:, p] in block t.
+    c_all[gi, t] * su[t, q] * a_bs_bar[:, p] in block t. The conjugated
+    factors and the BS atoms' Gram matrix are formed once, here.
 
     Args:
         c_all: (g_i, t) IRS-grid responses a_i.T @ v.
@@ -88,31 +92,41 @@ class KronSensing:
 
     def __init__(self, c_all: np.ndarray, su: np.ndarray,
                  a_bs_bar: np.ndarray):
-        self.c_all, self.su, self.a_bs_bar = c_all, su, a_bs_bar
+        self.c_all, self.su = c_all, su
+        self.c_conj, self.su_conj = c_all.conj(), su.conj()
+        self.a_bs_h = a_bs_bar.conj().T
+        self.bs_gram = self.a_bs_h @ a_bs_bar                  # (p, p)
         n_bs, p_hat = a_bs_bar.shape
         g_i, t = c_all.shape
         self.shape = (n_bs * t, g_i * su.shape[1] * p_hat)
 
     def adjoint(self, res: np.ndarray) -> np.ndarray:
         """theta^H res for res of shape (rows, L), as (cols, L)."""
-        n_bs, p_hat = self.a_bs_bar.shape
+        p_hat, n_bs = self.a_bs_h.shape
         g_i, t = self.c_all.shape
         kk = self.su.shape[1] * p_hat
         n_obs = res.shape[1]
-        y = self.a_bs_bar.conj().T @ res.reshape(t, n_bs, n_obs)  # (t, p, L)
-        z = self.su.conj()[:, :, None, None] * y[:, None]       # (t, q, p, L)
-        psi = self.c_all.conj() @ z.reshape(t, kk * n_obs)
+        y = self.a_bs_h @ res.reshape(t, n_bs, n_obs)             # (t, p, L)
+        z = self.su_conj[:, :, None, None] * y[:, None]         # (t, q, p, L)
+        psi = self.c_conj @ z.reshape(t, kk * n_obs)
         return psi.reshape(g_i * kk, n_obs)
 
-    def columns(self, idx: list[int]) -> np.ndarray:
-        """The selected columns, multiplied in np.kron's order so they are
-        bit-identical to the columns of the formed matrix."""
-        p_hat = self.a_bs_bar.shape[1]
-        gi, qp = np.divmod(idx, self.su.shape[1] * p_hat)
+    def gram_columns(self, idx: list[int]) -> np.ndarray:
+        """theta^H theta[:, idx], as (cols, len(idx)).
+
+        Entry (gi', q', p') of the column of atom (gi, q, p) is
+        bs_gram[p', p] * sum_t conj(c_all[gi', t] su[t, q'])
+        c_all[gi, t] su[t, q]: one (g_i, t) @ (t, q_hat) product per atom.
+        """
+        p_hat = self.bs_gram.shape[0]
+        (g_i, t), q_hat = self.c_all.shape, self.su.shape[1]
+        gi, qp = np.divmod(idx, q_hat * p_hat)
         q, p = np.divmod(qp, p_hat)
-        b = self.su[:, None, q] * self.a_bs_bar[None, :, p]    # (t, n_bs, k)
-        cols = self.c_all[gi].T[:, None, :] * b
-        return cols.reshape(self.shape[0], len(idx))
+        cols = self.c_all[gi].T * self.su[:, q]                 # (t, k)
+        w = self.su_conj[:, :, None] * cols[:, None]            # (t, q', k)
+        m = self.c_conj @ w.reshape(t, q_hat * len(idx))
+        return (m.reshape(g_i, q_hat, 1, len(idx))
+                * self.bs_gram[:, p]).reshape(self.shape[1], len(idx))
 
 
 class _DenseSensing:
@@ -120,26 +134,35 @@ class _DenseSensing:
 
     def __init__(self, theta: np.ndarray):
         self.theta, self.shape = theta, theta.shape
+        self.theta_h = theta.conj().T
 
     def adjoint(self, res: np.ndarray) -> np.ndarray:
-        return self.theta.conj().T @ res
+        return self.theta_h @ res
 
-    def columns(self, idx: list[int]) -> np.ndarray:
-        return self.theta[:, idx]
+    def gram_columns(self, idx: list[int]) -> np.ndarray:
+        return self.theta_h @ self.theta[:, idx]
 
 
 def omp_mmv(theta: np.ndarray | KronSensing, obs: np.ndarray,
             k: int) -> OmpResult:
-    """Orthogonal matching pursuit with multiple measurement vectors.
+    """Orthogonal matching pursuit with multiple measurement vectors, in
+    the Gram domain (Batch-OMP; Rubinstein, Zibulevsky and Elad, 2008).
 
-    Each iteration correlates all atoms with the residual, picks the row
-    of psi = theta^H res with the largest energy (ties to the lowest
-    index), then refits all selected atoms against the original
-    observation by least squares.
+    Each iteration picks the row of psi = theta^H res with the largest
+    energy (ties to the lowest index), then refits all selected atoms
+    against the original observation by least squares. The residual is
+    never formed: with G = theta^H theta, psi0 = theta^H obs and the
+    refit's coefficients C on support S,
+
+        psi = psi0 - G[:, S] @ C,
+        ||res||^2 = ||obs||^2 - Re sum(conj(C) * psi0[S])
+
+    (the second holds at the least-squares optimum, and is clipped at 0).
 
     theta is a dense array or an operator with `shape`, `adjoint(res)`
-    (theta^H res) and `columns(idx)` (theta[:, idx]); OMP touches the
-    sensing matrix only through these two operations.
+    (theta^H res) and `gram_columns(idx)` (theta^H theta[:, idx]); OMP
+    touches the sensing matrix only through these two operations, the
+    adjoint once and one Gram column per step.
 
     Raises:
         np.linalg.LinAlgError: selected atoms are numerically collinear
@@ -155,23 +178,26 @@ def omp_mmv(theta: np.ndarray | KronSensing, obs: np.ndarray,
         raise ValueError(f"k={k} outside [1, {theta.shape[1]}]")
 
     support: list[int] = []
-    res = obs
-    res_trace = [float(np.sqrt(sq_norms(obs)))]
+    obs_sq = float(sq_norms(obs))
+    res_trace = [float(np.sqrt(obs_sq))]
+    psi0 = psi = theta.adjoint(obs)
+    gram_cols = np.empty((theta.shape[1], k), dtype=complex)
     coeffs = np.zeros((0, obs.shape[1]), dtype=complex)
-    for _ in range(k):
-        psi = theta.adjoint(res)
+    for j in range(k):
         metric = np.sum(np.abs(psi) ** 2, axis=1)
         metric[support] = -1.0
         support.append(int(np.argmax(metric)))
-        sel = theta.columns(support)
-        gram = sel.conj().T @ sel
+        gram_cols[:, j:j + 1] = theta.gram_columns(support[-1:])
+        gram = gram_cols[support, :j + 1]
         if np.linalg.cond(gram) > GRAM_COND_LIMIT:
             raise np.linalg.LinAlgError(
                 f"selected atoms nearly collinear (support {support})")
-        coeffs = np.linalg.solve(gram, sel.conj().T @ obs)
-        res = obs - sel @ coeffs
-        res_trace.append(float(np.sqrt(sq_norms(res))))
-    return OmpResult(support, coeffs, res_trace, res)
+        corr = psi0[support]
+        coeffs = np.linalg.solve(gram, corr)
+        psi = psi0 - gram_cols[:, :j + 1] @ coeffs
+        res_sq = obs_sq - float(np.sum(coeffs.conj() * corr).real)
+        res_trace.append(float(np.sqrt(max(res_sq, 0.0))))
+    return OmpResult(support, coeffs, res_trace)
 
 
 def stage1_ue_aods(pilots: PilotBlock, dicts: Dictionaries,
@@ -280,23 +306,29 @@ def _flops(pilots: PilotBlock, dicts: Dictionaries,
     """Each stage's flops from the problem's shapes, at 8 per complex
     multiply-add (8*m*k*n for an (m, k) x (k, n) product).
 
-    OMP step j costs one adjoint, gather*j to build the j selected columns,
-    and rows*j*(j + 2L) multiply-adds for their Gram matrix, their
-    correlation with the L observation columns and the residual update.
+    OMP costs one adjoint, then at step j one Gram column and cols*j*L
+    multiply-adds for the update psi = psi0 - G[:, S] @ C of the cols
+    atoms' correlations with the L observation columns. The gathers, the
+    j x j solve and the residual-norm identity are not counted.
     """
-    def omp(rows, n_obs, k, adjoint, gather=0):
-        return sum(adjoint + gather * j + rows * j * (j + 2 * n_obs)
-                   for j in range(1, k + 1))
+    def omp(cols, n_obs, k, adjoint, gram):
+        return adjoint + sum(gram + cols * j * n_obs
+                             for j in range(1, k + 1))
 
     n_bs, t = pilots.r.shape
     (n_ue, g_ue), g_bs = dicts.a_ue.shape, dicts.a_bs.shape[1]
     (m, g_i), kk = dicts.a_i.shape, cfg.p_hat * cfg.q_hat
     t1, p, q = resolve_t1(cfg.t1, t), cfg.p_hat, cfg.q_hat
     macs = {
-        "stage1": t1 * n_ue * g_ue + omp(t1, n_bs, q, g_ue * t1 * n_bs),
-        "stage2": omp(n_bs, t, p, g_bs * n_bs * t),
-        "stage3": t * (g_i * m + n_ue * q) + kk * g_i * m
-        + omp(n_bs * t, 1, kk, t * (p * n_bs + kk + g_i * kk), n_bs * t)}
+        "stage1": t1 * n_ue * g_ue
+        + omp(g_ue, n_bs, q, g_ue * t1 * n_bs, g_ue * t1),
+        "stage2": omp(g_bs, t, p, g_bs * n_bs * t, g_bs * n_bs),
+        # c_all, su, the estimate's w and the BS atoms' Gram matrix; a Gram
+        # column is t*(q + 1) elementwise products, one (g_i, t) @ (t, q)
+        # product and its outer product with a column of that matrix.
+        "stage3": t * (g_i * m + n_ue * q) + kk * g_i * m + p * n_bs * p
+        + omp(g_i * kk, 1, kk, t * (p * n_bs + kk + g_i * kk),
+              t * (q + 1) + g_i * t * q + g_i * kk)}
     flops = {name: 8.0 * v for name, v in macs.items()}
     flops["total"] = sum(flops.values())
     return flops

@@ -29,19 +29,27 @@ row. Wall-clock columns are written as 0.0 unless timings=true; then
 each row holds its chunk's wall time divided by the chunk's trial count
 (a rerun trial is a chunk of one, a nan row 0.0).
 
-sweep runs its chunks in worker processes (pool.py), one BLAS thread
-each, as many as the CPUs this process may use and never more than the
-chunks, and puts their records back in chunk order. A sweep of one
-chunk, or with workers=1, runs in this process with its default BLAS
-threads. Most rows do not depend on the thread count; paper-scale mo_est
-rows, and desk mo_est rows at some T, do, so a multi-chunk sweep of
-those gives the rows that run_trial gives under OPENBLAS_NUM_THREADS=1.
+sweep runs its chunks in worker processes (pool.py), as many as the
+CPUs this process may use and never more than the chunks, and puts their
+records back in chunk order; a sweep of one chunk, or with workers=1,
+runs them in this process. Every chunk runs at one BLAS thread wherever
+it runs: products that sum over the training length round differently
+at other thread counts. _run_chunk sets numpy's bundled OpenBLAS to one
+thread and restores the caller's count on exit, so run_trial, a
+one-chunk sweep and a pooled sweep give the same rows. On a numpy
+without that OpenBLAS (see _openblas_threads) an in-process chunk runs at
+the caller's thread count, and mo_est and cs_est rows may then depend
+on it.
 """
 
+import contextlib
+import ctypes
+import functools
 import os
 import time
 import typing
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -322,11 +330,53 @@ def _chunk_size(cfg: ExperimentConfig) -> int:
     return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (16 * entries)))
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, as
+    ctypes functions, or None where no library beside numpy's package
+    exports scipy_openblas_{get,set}_num_threads64_ (a numpy built on
+    another BLAS)."""
+    pkg = Path(np.__file__).parent
+    for lib in sorted([*pkg.parent.glob("numpy.libs/*openblas*"),
+                       *pkg.glob(".dylibs/*openblas*")]):
+        try:
+            dll = ctypes.CDLL(str(lib))
+            get = dll.scipy_openblas_get_num_threads64_
+            set_ = dll.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body at one OpenBLAS thread and restore the caller's count
+    on exit, raised or not; without _openblas_threads, run it as is. The
+    count is process-wide, so Python threads of one process that run
+    chunks at once would race on it; the harness starts none."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@_one_blas_thread()
 def _run_chunk(cfg: ExperimentConfig, point: _Point,
                seeds: list[int]) -> list[TrialRecord]:
-    """The records of trials `seeds` of `point`, in seed order. The first
-    exception of any step propagates, whether the step runs per trial or
-    on the stack; sweep then reruns the chunk one trial at a time.
+    """The records of trials `seeds` of `point`, in seed order, computed
+    at one BLAS thread (_one_blas_thread). The first exception of any
+    step propagates, whether the step runs per trial or on the stack;
+    sweep then reruns the chunk one trial at a time.
 
     Per trial, in seed order: the generators, the path draw, pilots and
     uplink (pilots alone for a CSI-free arm), and cs_est. Stacked over the
@@ -460,11 +510,11 @@ def sweep(cfg: ExperimentConfig,
     one trial at a time, so its rows carry their own wall time and a trial
     that still raises becomes a nan row. Returns (records, failures).
 
-    The chunks run in min(workers, chunks) worker processes (pool.py),
-    each with one BLAS thread; workers=None takes the CPUs this process
-    may use. When that count is 1 they run here, in this process, with
-    its BLAS threads. Raises ValueError for workers < 1, and RuntimeError
-    if a worker process dies.
+    The chunks run in min(workers, chunks) worker processes (pool.py);
+    workers=None takes the CPUs this process may use. When that count is
+    1 they run here, in this process. Either way each chunk runs at one
+    BLAS thread. Raises ValueError for workers < 1, and RuntimeError if a
+    worker process dies.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -6,7 +6,9 @@ visible in captured pytest runs.
 """
 
 import numpy as np
+import pytest
 
+from irsmimo import harness
 from irsmimo.channel import ChannelRealization
 
 ACCEPTANCE_LINES: list[str] = []
@@ -43,3 +45,21 @@ def dense_channel(h_c: np.ndarray, n_bs: int, n_ue: int) -> ChannelRealization:
     lead = h_c.shape[:-2]
     return ChannelRealization(np.broadcast_to(g, lead + g.shape),
                               np.broadcast_to(h, lead + h.shape), h_c)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Run the test with numpy's OpenBLAS at 2 threads, and restore the
+    count after it; yields the count's getter. Skips where numpy's BLAS
+    exports no thread-count setter (harness._openblas_threads)."""
+    blas = harness._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exports no "
+                    "scipy_openblas_set_num_threads64_")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(before)

@@ -352,6 +352,32 @@ class TestRunTrial:
         assert rp_wins >= 9
 
 
+class TestBlasThreads:
+    CFG = ExperimentConfig(algorithm="perfect_csi", trials=2)
+
+    def test_chunk_runs_at_one_thread_and_restores_the_callers(
+            self, two_blas_threads, monkeypatch):
+        real, seen = harness.alt_wmmse, []
+
+        def spy(*args, **kwargs):
+            seen.append(two_blas_threads())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "alt_wmmse", spy)
+        harness._run_chunk(self.CFG, self.CFG._points[0], [0, 1])
+        assert seen == [1] and two_blas_threads() == 2
+
+    def test_raising_chunk_restores_the_callers_threads(
+            self, two_blas_threads, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "alt_wmmse", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            harness._run_chunk(self.CFG, self.CFG._points[0], [0, 1])
+        assert two_blas_threads() == 2
+
+
 class TestSweep:
     def test_single_point_single_trial(self):
         cfg = ExperimentConfig(algorithm="perfect_csi", sweep_axis="SNR",

@@ -72,6 +72,19 @@ def test_paper_workers_give_the_in_process_bytes(started):
     assert to_csv(records) == to_csv(sweep(cfg, workers=1)[0])
 
 
+def test_in_process_chunk_gives_the_pooled_rows(two_blas_threads, started):
+    # Paper mo_est rows at T = 300 round differently at 1 and 2 BLAS
+    # threads. 4 trials run as chunks of 3 and 1 in worker processes; 3
+    # trials are one chunk, run in this process, whose caller runs 2.
+    cfg = dataclasses.replace(PAPER_PRESET, algorithm="mo_est", trials=4,
+                              sweep_values=(300.0,))
+    pooled, failures = sweep(cfg, workers=2)
+    assert failures == 0 and len(started) == 2
+    alone, failures = sweep(dataclasses.replace(cfg, trials=3))
+    assert failures == 0 and len(started) == 2
+    assert alone == pooled[:3]
+
+
 def test_one_chunk_runs_in_process(started):
     cfg = ExperimentConfig(algorithm="perfect_csi", trials=2)
     assert sweep(cfg, workers=2)[1] == 0
