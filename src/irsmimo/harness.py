@@ -12,22 +12,19 @@ channels, pilots, and initial reflection vectors.
 A config checks its fields and builds its points once, at construction,
 or raises ConfigError. The points share one geometry and dictionaries;
 _point builds a point's noise powers, scenario and estimator settings,
-and owns the rules a point must meet. A sweep runs each point's
-trials in chunks of consecutive seeds: at most _CHUNK_TRIALS, whose
-stacked arrays take at most about _CHUNK_BYTES (16 trials of every desk
-arm and of a paper-scale CSI-free or cs_est arm, 3 of a paper-scale
-mo_est arm at T = 300). Every arm designs and is rated on channel
-factors (channel.ChannelRealization); no chunk stacks a cascaded
-channel. Each trial draws its paths, pilots and estimate on its own;
-channel synthesis, the beamformer's closed forms, the effective channel
-after each circle CG and the rate run once per chunk on arrays with a
-leading trial axis, which numpy computes bit-identically to one call per
-trial.
-run_trial is a chunk of one. A chunk in which any step raises runs again
-one trial at a time, and a trial that raises on its own becomes a nan
-row. Wall-clock columns are written as 0.0 unless timings=true; then
-each row holds its chunk's wall time divided by the chunk's trial count
-(a rerun trial is a chunk of one, a nan row 0.0).
+and owns the rules a point must meet. A sweep runs each point's trials
+in chunks of consecutive seeds, equal to within one trial, that _plan
+cuts to fit _CHUNK_BYTES and the worker count. Every arm designs and is
+rated on channel factors (channel.ChannelRealization); no chunk stacks a
+cascaded channel. Each trial draws its paths, pilots and estimate on its
+own; channel synthesis, the beamformer's closed forms, the effective
+channel after each circle CG and the rate run once per chunk on arrays
+with a leading trial axis, which numpy computes bit-identically to one
+call per trial. run_trial is a chunk of one. A chunk in which any step
+raises runs again one trial at a time, and a trial that raises on its
+own becomes a nan row. Wall-clock columns are written as 0.0 unless
+timings=true; then each row holds its chunk's wall time divided by the
+chunk's trial count (a rerun trial is a chunk of one, a nan row 0.0).
 
 sweep runs its chunks in worker processes (pool.py), as many as the
 CPUs this process may use and never more than the chunks, and puts their
@@ -68,13 +65,9 @@ CSV_HEADER = "seed,algorithm,T,pnr_db,snr_db,k_hat,nmse,se_bits_s_hz,outer_iters
 ALGORITHMS = ("mo_est", "cs_est", "perfect_csi", "random_phase_baseline")
 SWEEP_AXES = ("T", "PNR", "SNR", "K_hat")
 _ESTIMATORS = ("mo_est", "cs_est")
-# A chunk holds at most _CHUNK_TRIALS trials, whose stacked arrays take at
-# most about _CHUNK_BYTES (at least one trial per chunk; see _chunk_size):
-# 16 trials of every desk arm and of a paper-scale CSI-free or cs_est arm,
-# and 3 of a paper-scale mo_est arm at T = 300, whose stacked training
-# blocks bound it. More trials gain little and cost peak memory.
+# A chunk pays a fixed lock-step cost, so chunks hold as many trials as
+# keep their stacked arrays within about _CHUNK_BYTES (_chunk_size, _plan).
 _CHUNK_BYTES = 2 * 1024 * 1024
-_CHUNK_TRIALS = 16
 
 
 class ConfigError(ValueError):
@@ -311,8 +304,7 @@ def _point(cfg: ExperimentConfig, index: int, geom: SystemGeometry,
 
 
 def _chunk_size(cfg: ExperimentConfig) -> int:
-    """Trials per chunk: as many trials' stacked arrays as fit in
-    _CHUNK_BYTES, at most _CHUNK_TRIALS and at least one.
+    """Most trials per chunk: as many as fit in _CHUNK_BYTES, at least one.
 
     A trial stacks, in complex entries: its channel factors g and h, twice
     for an estimator arm (the true channel and the estimate, which is no
@@ -327,7 +319,21 @@ def _chunk_size(cfg: ExperimentConfig) -> int:
     if cfg.algorithm == "mo_est":
         entries += (geom.n_ue + geom.m + geom.n_bs) * max(
             p.scen.t_used for p in cfg._points)
-    return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (16 * entries)))
+    return max(1, _CHUNK_BYTES // (16 * entries))
+
+
+def _plan(points: int, trials: int, size: int,
+          workers: int) -> list[tuple[int, list[int]]]:
+    """The chunks (point, seeds) of a sweep, in sweep order: each point's
+    seeds in k consecutive runs, sizes equal to within one, k the fewest
+    runs of at most `size` trials or, past one chunk, the least k <= trials
+    above that which makes points*k a multiple of `workers`, if any."""
+    k = -(-trials // size)
+    if points * k > 1:
+        k = next((j for j in range(k, trials + 1)
+                  if points * j % workers == 0), k)
+    return [(point, list(range(trials * i // k, trials * (i + 1) // k)))
+            for point in range(points) for i in range(k)]
 
 
 @functools.cache
@@ -503,8 +509,8 @@ def _sweep_chunk(cfg: ExperimentConfig, point: int,
 
 def sweep(cfg: ExperimentConfig,
           workers: int | None = None) -> tuple[list[TrialRecord], int]:
-    """All (point, seed) trials in (point-major, seed-minor) order, each
-    point's trials in chunks of _chunk_size consecutive seeds.
+    """All (point, seed) trials in (point-major, seed-minor) order, run in
+    the chunks of consecutive seeds that _plan cuts.
 
     cfg's points serve all their chunks. A chunk that raises runs again
     one trial at a time, so its rows carry their own wall time and a trial
@@ -518,23 +524,17 @@ def sweep(cfg: ExperimentConfig,
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    size = _chunk_size(cfg)
-    chunks = [(point.index, list(range(start, min(start + size, cfg.trials))))
-              for point in cfg._points
-              for start in range(0, cfg.trials, size)]
-    workers = min(_usable_cpus() if workers is None else workers,
-                  len(chunks))
+    workers = _usable_cpus() if workers is None else workers
+    chunks = _plan(len(cfg._points), cfg.trials, _chunk_size(cfg), workers)
+    workers = min(workers, len(chunks))
     if workers == 1:
         replies = [_sweep_chunk(cfg, *chunk) for chunk in chunks]
     else:
         # Only a sweep that starts workers loads the process machinery.
         from .pool import run_chunks
         replies = run_chunks(cfg, chunks, workers)
-    records, failures = [], 0
-    for chunk_records, chunk_failures in replies:
-        records += chunk_records
-        failures += chunk_failures
-    return records, failures
+    return ([r for records, _ in replies for r in records],
+            sum(failures for _, failures in replies))
 
 
 def to_csv(records: list[TrialRecord]) -> str:

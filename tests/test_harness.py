@@ -6,6 +6,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsmimo import channel, harness
 from irsmimo.channel import pathloss, sample_paths, synth_channels
@@ -483,39 +485,66 @@ class TestChunks:
         sizes = {alg: harness._chunk_size(
                      dataclasses.replace(DESK_PRESET, algorithm=alg))
                  for alg in ALGORITHMS}
-        assert sizes == {"mo_est": 16, "cs_est": 16, "perfect_csi": 16,
-                         "random_phase_baseline": 16}
-        # Paper scale: no arm stacks a cascaded channel, so the CSI-free
-        # arms and cs_est fill the trial cap; mo_est's stacked training
-        # block bounds it, at the config's largest T.
+        assert sizes == {"mo_est": 23, "cs_est": 85, "perfect_csi": 113,
+                         "random_phase_baseline": 113}
+        # Paper scale: no arm stacks a cascaded channel; mo_est's stacked
+        # training block bounds it most, at the config's largest T.
         paper = {alg: harness._chunk_size(
                      dataclasses.replace(PAPER_PRESET, algorithm=alg,
                                          sweep_values=(300.0,)))
                  for alg in ALGORITHMS}
-        assert paper == {"mo_est": 3, "cs_est": 16, "perfect_csi": 16,
-                         "random_phase_baseline": 16}
+        assert paper == {"mo_est": 3, "cs_est": 18, "perfect_csi": 24,
+                         "random_phase_baseline": 24}
         assert harness._chunk_size(PAPER_PRESET) == 2
         assert harness._chunk_size(dataclasses.replace(
             DESK_PRESET, sweep_values=(100.0, 500.0))) == 6
 
+    @given(points=st.integers(1, 6), trials=st.integers(1, 300),
+           size=st.integers(1, 150), workers=st.integers(1, 8))
+    @settings(deadline=None, max_examples=300)
+    def test_plan(self, points, trials, size, workers):
+        chunks = harness._plan(points, trials, size, workers)
+        # Every (point, seed) once, in sweep order.
+        assert [(p, s) for p, seeds in chunks for s in seeds] == \
+            [(p, s) for p in range(points) for s in range(trials)]
+        fewest = -(-trials // size)
+        k = len(chunks) // points
+        for p in range(points):
+            sizes = [len(seeds) for q, seeds in chunks if q == p]
+            assert len(sizes) == k
+            assert 1 <= min(sizes) and max(sizes) <= min(size, min(sizes) + 1)
+        # A one-chunk sweep stays one chunk; otherwise the fewest runs
+        # per point that make the chunk count a multiple of the workers,
+        # or the fewest runs if no count up to `trials` does.
+        if points * fewest == 1:
+            assert len(chunks) == 1
+        else:
+            fits = [j for j in range(fewest, trials + 1)
+                    if points * j % workers == 0]
+            assert k == (fits[0] if fits else fewest)
+            if fits:
+                assert len(chunks) % workers == 0
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_chunked_sweep_equals_single_trials(self, algorithm,
                                                 monkeypatch):
-        # Chunks of 3, 3 and 1 trials.
-        monkeypatch.setattr(harness, "_CHUNK_TRIALS", 3)
+        # Chunks of 2, 2 and 3 trials.
+        monkeypatch.setattr(harness, "_chunk_size", lambda cfg: 3)
         cfg = ExperimentConfig(algorithm=algorithm, trials=7, **self.BASE)
-        assert harness._chunk_size(cfg) == 3
+        assert [len(seeds) for _, seeds in harness._plan(1, 7, 3, 1)] == \
+            [2, 2, 3]
         records, failures = sweep(cfg, workers=1)
         assert failures == 0
         assert to_csv(records) == to_csv([run_trial(cfg, 0, seed)
                                           for seed in range(cfg.trials)])
 
-    # mo_est runs at T = 100: a chunk's stacked (16, 16, 100) complex
-    # training products then take 400 KiB, above the 256 KiB at which numpy
-    # elides temporaries and computes `a * (b @ c)` in place as
-    # `(b @ c) * a`, which rounds differently; the T = 20 stacks (80 KiB)
-    # stay below it. At 20 dB about 38% of desk trials hit alt_wmmse's
-    # round cap, so rows leave the stacked circle CG at different rounds.
+    # One chunk of the most trials _chunk_size allows. mo_est runs at
+    # T = 100: a chunk's stacked (23, 16, 100) complex training products
+    # then take 575 KiB, above the 256 KiB at which numpy elides
+    # temporaries and computes `a * (b @ c)` in place as `(b @ c) * a`,
+    # which rounds differently. At 20 dB about 38% of desk trials hit
+    # alt_wmmse's round cap, so rows leave the stacked circle CG at
+    # different rounds.
     @pytest.mark.parametrize("algorithm, desk_snr_db", [
         pytest.param(alg, None, id=alg)
         for alg in ("perfect_csi", "random_phase_baseline", "mo_est")] + [
@@ -523,26 +552,27 @@ class TestChunks:
     def test_full_chunks_equal_single_trials(self, algorithm, desk_snr_db):
         t = 100 if algorithm == "mo_est" else 20
         cfg = ExperimentConfig(**dict(self.BASE, algorithm=algorithm,
-                                      trials=17, t=t, sweep_values=(t,)))
+                                      t=t, sweep_values=(t,)))
         if desk_snr_db is not None:
             cfg = dataclasses.replace(DESK_PRESET, algorithm=algorithm,
-                                      trials=17, sweep_axis="SNR",
+                                      sweep_axis="SNR",
                                       sweep_values=(desk_snr_db,))
-        assert harness._chunk_size(cfg) == 16
+        cfg = dataclasses.replace(cfg, trials=harness._chunk_size(cfg))
+        assert cfg.trials == (23 if algorithm == "mo_est" else 113)
         records, _ = sweep(cfg)
         assert to_csv(records) == to_csv([run_trial(cfg, 0, seed)
                                           for seed in range(cfg.trials)])
 
-    # A full paper chunk stacks (16, 36, 36) complex g factors, 331 KB,
-    # above the 256 KiB at which numpy elides temporaries (see
+    # A full paper chunk stacks (18, 36, 36) complex g factors, 373 KB, or
+    # more, above the 256 KiB at which numpy elides temporaries (see
     # test_full_chunks_equal_single_trials).
-    @pytest.mark.parametrize("algorithm, chunk", [("perfect_csi", 16),
-                                                  ("cs_est", 16)])
+    @pytest.mark.parametrize("algorithm, chunk", [("perfect_csi", 24),
+                                                  ("cs_est", 18)])
     def test_paper_chunks_equal_single_trials(self, algorithm, chunk):
-        # One full chunk and one more trial.
+        # One full chunk.
         cfg = dataclasses.replace(PAPER_PRESET, algorithm=algorithm,
                                   sweep_values=(100.0,), t=100,
-                                  trials=chunk + 1)
+                                  trials=chunk)
         assert harness._chunk_size(cfg) == chunk
         records, failures = sweep(cfg)
         assert failures == 0
@@ -590,7 +620,10 @@ class TestChunks:
 
     def test_point_built_once_for_all_chunks(self, calls):
         counts = []
-        for trials in (1, 17):
+        # 86 trials run in two chunks, 43 and 43, one more than the 85
+        # that fit in one. The config built its one point, so the sweep
+        # builds nothing.
+        for trials in (1, 86):
             calls.clear()
             cfg = dataclasses.replace(DESK_PRESET, algorithm="cs_est",
                                       sweep_values=(20.0,), trials=trials)
@@ -598,9 +631,7 @@ class TestChunks:
             calls.clear()
             assert sweep(cfg, workers=1)[1] == 0
             counts.append(len(calls))
-        # 17 trials run in two chunks: 16 and 1. The config built its
-        # one point, so the sweep builds nothing.
-        assert harness._chunk_size(cfg) == 16
+        assert harness._chunk_size(cfg) == 85
         assert counts[0] == counts[1] == 0
 
     @pytest.mark.parametrize("algorithm, builds", [
@@ -616,12 +647,14 @@ class TestChunks:
         if algorithm == "mo_est":
             assert cfg._points[0].dicts.unitary
 
-    def test_timed_rows_share_their_chunk_time(self):
-        cfg = ExperimentConfig(algorithm="random_phase_baseline", trials=17,
+    def test_timed_rows_share_their_chunk_time(self, monkeypatch):
+        # Chunks of 2 and 3 trials.
+        monkeypatch.setattr(harness, "_chunk_size", lambda cfg: 3)
+        cfg = ExperimentConfig(algorithm="random_phase_baseline", trials=5,
                                timings=True, **self.BASE)
-        walls = [r.wall_ms for r in sweep(cfg)[0]]
-        assert len(set(walls[:16])) == 1 and walls[0] > 0.0
-        assert walls[16] > 0.0
+        walls = [r.wall_ms for r in sweep(cfg, workers=1)[0]]
+        assert len(set(walls[:2])) == 1 and walls[0] > 0.0
+        assert len(set(walls[2:])) == 1 and walls[2] > 0.0
 
     @pytest.mark.parametrize("algorithm, inject", [
         ("perfect_csi", _break_paths(_raise)),

@@ -37,8 +37,9 @@ def _assert_reaped(procs):
 
 
 def _desk_chunks(algorithm, monkeypatch):
-    """Two desk points of 6 trials in chunks of 4 and 2."""
-    monkeypatch.setattr(harness, "_CHUNK_TRIALS", 4)
+    """Two desk points of 6 trials in chunks of at most 4: 3 and 3 each at
+    one or two workers."""
+    monkeypatch.setattr(harness, "_chunk_size", lambda cfg: 4)
     return dataclasses.replace(DESK_PRESET, algorithm=algorithm, trials=6,
                                sweep_values=(60.0, 100.0))
 
@@ -58,15 +59,26 @@ def test_more_workers_than_cores_keep_chunk_order(started, monkeypatch):
     cfg = _desk_chunks("random_phase_baseline", monkeypatch)
     workers = harness._usable_cpus() + 2
     records, _ = sweep(cfg, workers=workers)
-    assert len(started) == min(workers, 4)
+    assert len(started) == min(workers, len(harness._plan(2, 6, 4, workers)))
     assert to_csv(records) == to_csv(sweep(cfg, workers=1)[0])
 
 
+def test_desk_mo_est_bytes_do_not_depend_on_the_workers(started):
+    # 2 points of 5 trials: 2 chunks of 5 in process and at 2 workers, 6
+    # chunks of 1, 2 and 2 trials at 3 workers.
+    cfg = dataclasses.replace(DESK_PRESET, trials=5,
+                              sweep_values=(60.0, 100.0))
+    runs = {n: sweep(cfg, workers=n) for n in (1, 2, 3)}
+    assert len(started) == 2 + 3
+    assert all(failures == 0 for _, failures in runs.values())
+    assert len({to_csv(records) for records, _ in runs.values()}) == 1
+
+
 def test_paper_workers_give_the_in_process_bytes(started):
-    # Chunks of 16 and 1.
+    # One more trial than the 24 of a full chunk: chunks of 12 and 13.
     cfg = dataclasses.replace(PAPER_PRESET, algorithm="perfect_csi",
                               sweep_axis="SNR", sweep_values=(10.0,),
-                              trials=17)
+                              trials=25)
     records, failures = sweep(cfg, workers=2)
     assert failures == 0 and len(started) == 2
     assert to_csv(records) == to_csv(sweep(cfg, workers=1)[0])
@@ -74,7 +86,7 @@ def test_paper_workers_give_the_in_process_bytes(started):
 
 def test_in_process_chunk_gives_the_pooled_rows(two_blas_threads, started):
     # Paper mo_est rows at T = 300 round differently at 1 and 2 BLAS
-    # threads. 4 trials run as chunks of 3 and 1 in worker processes; 3
+    # threads. 4 trials run as chunks of 2 and 2 in worker processes; 3
     # trials are one chunk, run in this process, whose caller runs 2.
     cfg = dataclasses.replace(PAPER_PRESET, algorithm="mo_est", trials=4,
                               sweep_values=(300.0,))
@@ -102,7 +114,7 @@ def test_dead_worker_raises_naming_its_chunk(started, monkeypatch):
     monkeypatch.setattr(pool, "worker_command",
                         lambda: [sys.executable, "-c", "raise SystemExit(3)"])
     cfg = _desk_chunks("perfect_csi", monkeypatch)
-    with pytest.raises(RuntimeError, match=r"exit code 3 .* seeds [04]-"):
+    with pytest.raises(RuntimeError, match=r"exit code 3 .* seeds [03]-"):
         sweep(cfg, workers=2)
     _assert_reaped(started)
 
@@ -140,7 +152,7 @@ UNGUARDED = """
 import dataclasses
 from irsmimo import harness
 cfg = dataclasses.replace(harness.DESK_PRESET, algorithm="perfect_csi",
-                          trials=17)
+                          trials=114)
 records, failures = harness.sweep(cfg, workers=2)
 print(len(records), failures)
 """
@@ -157,7 +169,7 @@ def test_unguarded_script_runs_a_pooled_sweep(tmp_path, as_file):
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "17 0\n"
+    assert proc.stdout == "114 0\n"
 
 
 def test_cli_workers_flag(tmp_path, capsys, started, monkeypatch):
