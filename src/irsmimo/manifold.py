@@ -185,10 +185,10 @@ def transport(x: FixedRankPoint, x_new: FixedRankPoint,
     return t
 
 
-def retract(x: FixedRankPoint, d: FixedRankPoint, steps):
-    """x + step * d, for a stack x with one step per row. Returns
-    (x_new, None): no row leaves the factor space."""
-    return x + d * steps, None
+def retract(x: FixedRankPoint, d: FixedRankPoint, steps) -> FixedRankPoint:
+    """x + step * d, for a stack x with one step per row: every factor pair
+    is a point of the factor space."""
+    return x + d * steps
 
 
 def circle_project(v: np.ndarray, egrad: np.ndarray) -> np.ndarray:
@@ -198,21 +198,16 @@ def circle_project(v: np.ndarray, egrad: np.ndarray) -> np.ndarray:
     return egrad - (egrad * v.conj()).real * v
 
 
-def circle_retract(v: np.ndarray, t: np.ndarray, steps):
-    """Entrywise normalization of v + step * t back onto the circle, for a
-    stack v with one positive step per row.
+def circle_retract(v: np.ndarray, t: np.ndarray, steps) -> np.ndarray:
+    """Entrywise normalization of w = v + step * t back onto the circle, for
+    a stack v with one step per row (Absil, Mahony and Sepulchre 2008;
+    Manopt's complexcirclefactory).
 
-    Returns (v_new, bad): bad is None when every row stays on the circle,
-    else a list with bad[i] True where an entry of row i vanishes; its
-    row of v_new is meaningless.
+    No entry of w vanishes: t is tangent at v, Re(conj(v_k) t_k) = 0, so
+    |w_k|^2 = 1 + step^2 |t_k|^2 >= 1.
     """
     w = v + np.asarray(steps)[:, None] * t
-    mag = np.abs(w)
-    bad = (mag < 1e-14).any(axis=-1)
-    if not bad.any():
-        return w / mag, None
-    mag[bad] = 1.0
-    return w / mag, bad.tolist()
+    return w / np.abs(w)
 
 
 class FixedRankManifold:
@@ -282,13 +277,12 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
 
     Each iteration searches every live row along its direction: Armijo
     backtracking in rounds, each round retracting the rows still
-    searching, each at its own step, evaluating the cost of those that
-    stay on the manifold, and keeping the ones that meet the decrease
-    test; the others halve their step. Rows that fail search again along
-    steepest descent once. An accepted row's gradient is taken in the
-    round that accepts it, so no round's cost cache outlives the round.
-    The rows of problems that stopped leave the stacks; no row is copied
-    while every row is live.
+    searching, each at its own step, evaluating their costs, and keeping
+    the ones that meet the decrease test; the others halve their step.
+    Rows that fail search again along steepest descent once. An accepted
+    row's gradient is taken in the round that accepts it, so no round's
+    cost cache outlives the round. The rows of problems that stopped
+    leave the stacks; no row is copied while every row is live.
     """
     f, egrad = cost_grad(x, _ALL)
     f = [float(v) for v in f]
@@ -340,50 +334,41 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
         for retry in (False, True):
             for _ in range(_MAX_BACKTRACKS):
                 if len(cur) == b:         # row k of y is row k's
-                    y, bad = ops.retract(x, d, steps)
-                    x_new, at, probs = y, cur, _ALL if len(rows) == n else rows
+                    y = ops.retract(x, d, steps)
+                    x_new, probs = y, _ALL if len(rows) == n else rows
                 else:
-                    y, bad = ops.retract(x[cur], d[cur],
-                                         [steps[k] for k in cur])
-                    at, probs = cur, [rows[k] for k in cur]
-                if bad is not None:
-                    ok = [j for j, v in enumerate(bad) if not v]
-                    at = [cur[j] for j in ok]
-                    probs = [rows[k] for k in at]
-                    if ok:
-                        y = y[ok]
-                if at:
-                    costs, egrad = cost_grad(y, probs)
-                    acc, want = [], []
-                    for e, k in enumerate(at):
-                        fe = costs[e]
-                        if not fe <= f[k] + (_SUFFICIENT_DECREASE * steps[k]
-                                             * (2.0 * half[k])):
-                            continue
-                        acc.append(e)
-                        f_new[k] = fe
-                        q = rows[k]
-                        traces[q].append(fe)
-                        if f[k] - fe > stop_eps:
-                            want.append(e)
-                            keep.append(k)
-                            steps[k] = min(_INITIAL_STEP, 2.0 * steps[k])
-                        else:
-                            out[q] = CgResult(
-                                y[e], traces[q], it,
-                                "converged" if f[k] - fe <= eps
-                                else "max_iters")
-                    if want:
-                        grads.append(egrad() if len(want) == len(at)
-                                     else egrad(want))
-                    del egrad
-                    if acc:
-                        if x_new is not y:
-                            x_new[[at[e] for e in acc]] = y[acc]
-                        if len(acc) == len(cur):
-                            cur = ()
-                            break
-                        cur = [k for k in cur if f_new[k] is None]
+                    y = ops.retract(x[cur], d[cur], [steps[k] for k in cur])
+                    probs = [rows[k] for k in cur]
+                costs, egrad = cost_grad(y, probs)
+                acc, want = [], []
+                for e, k in enumerate(cur):
+                    fe = costs[e]
+                    if not fe <= f[k] + (_SUFFICIENT_DECREASE * steps[k]
+                                         * (2.0 * half[k])):
+                        continue
+                    acc.append(e)
+                    f_new[k] = fe
+                    q = rows[k]
+                    traces[q].append(fe)
+                    if f[k] - fe > stop_eps:
+                        want.append(e)
+                        keep.append(k)
+                        steps[k] = min(_INITIAL_STEP, 2.0 * steps[k])
+                    else:
+                        out[q] = CgResult(
+                            y[e], traces[q], it,
+                            "converged" if f[k] - fe <= eps else "max_iters")
+                if want:
+                    grads.append(egrad() if len(want) == len(cur)
+                                 else egrad(want))
+                del egrad
+                if acc:
+                    if x_new is not y:
+                        x_new[[cur[e] for e in acc]] = y[acc]
+                    if len(acc) == len(cur):
+                        cur = ()
+                        break
+                    cur = [k for k in cur if f_new[k] is None]
                 for k in cur:
                     steps[k] *= _CONTRACTION
             if retry or not cur:
@@ -435,12 +420,12 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions):
 
     Args:
         manifold: ops object on stacks of points and tangent vectors:
-            project(x, egrad), retract(x, d, steps) -> (x_new, bad) with
-            one step per row, transport(x, x_new, t) of t from x to
-            x_new, inner(x, t1, t2) -> one float per row, scale(t,
-            factors) with one factor per row, and stacked(x), true when x
-            is a stack. Tangent vectors hold no base point; each op that
-            needs one takes it.
+            project(x, egrad), retract(x, d, steps) -> x_new along a
+            tangent d with one step per row, transport(x, x_new, t) of t
+            from x to x_new, inner(x, t1, t2) -> one float per row,
+            scale(t, factors) with one factor per row, and stacked(x),
+            true when x is a stack. Tangent vectors hold no base point;
+            each op that needs one takes it.
         cost_grad: cost_grad(x, rows) takes a stack x whose row i belongs
             to problem rows[i] (rows is slice(None) when x holds every
             problem in order) and returns a list of one float cost per row

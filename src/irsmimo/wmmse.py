@@ -231,12 +231,12 @@ def alt_wmmse(scen: DownlinkScenario, ch: ChannelRealization,
     iteration on the live trials, for the closed forms. The cascaded
     channel is never formed.
 
-    A stacked ch with one generator per trial returns one solution per
-    trial. The trials iterate in lock-step: the start, the CG (one
-    cg_minimize call on the stack per round), the effective channel after
-    the CG and the closed forms act on the stack of trials that have not
-    stopped, and each trial stops on its own test, so its solution is
-    bit-identical to the one it gets alone.
+    A stacked ch takes a list of generators, one generator per trial, and
+    returns one solution per trial. The trials iterate in lock-step: the
+    start, the CG (one cg_minimize call on the stack per round), the
+    effective channel after the CG and the closed forms act on the stack
+    of trials that have not stopped, and each trial stops on its own
+    test, so its solution is bit-identical to the one it gets alone.
     """
     stacked = ch.g.ndim == 3
     if not stacked:
@@ -245,6 +245,8 @@ def alt_wmmse(scen: DownlinkScenario, ch: ChannelRealization,
     if (ch.g.shape[-2], ch.h.shape[-1]) != (geom.n_bs, geom.n_ue):
         raise ValueError("channel inconsistent with geometry")
     trials = len(ch.g)
+    if len(rng) != trials:
+        raise ValueError(f"{len(rng)} generators for {trials} trials")
     v = np.stack([random_unit_modulus(geom.m, r) for r in rng])
     h_e = effective_channel(ch, v)
     _, _, vh = np.linalg.svd(h_e, full_matrices=False)

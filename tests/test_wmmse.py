@@ -402,3 +402,11 @@ class TestScenarioValidation:
             DownlinkScenario(GEOM_M4, 1.0, 5)
         with pytest.raises(ValueError, match="t_used"):
             DownlinkScenario(GEOM_M4, 1.0, 1, t_used=2000, t_tot=2000)
+
+    @pytest.mark.parametrize("gens", [1, 5])
+    def test_one_generator_per_trial(self, gens):
+        ch = stack_channels([_channel(seed) for seed in range(3)])
+        rngs = [np.random.default_rng(k) for k in range(gens)]
+        with pytest.raises(ValueError,
+                           match=f"{gens} generators for 3 trials"):
+            alt_wmmse(DESK, ch, rngs)
