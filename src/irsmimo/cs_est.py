@@ -16,7 +16,9 @@ the Gram columns theta^H theta[:, j] of the atoms it selects, never on
 a residual of the observation's size. The stage-3 sensing matrix has
 Kronecker-structured row blocks, so it is never formed: KronSensing
 applies its adjoint and forms Gram columns as contractions of the
-factors. Its size is therefore not capped.
+factors, through the m IRS elements rather than the g_i grid points.
+Its size is therefore not capped. Stage 2 runs on the observation's row
+space, an (n_bs, min(t, n_bs)) matrix with the same r r^H as r.
 
 All dictionary/gain scale factors are absorbed by the least-squares refits,
 so only atom identities matter in stages 1-2.
@@ -79,52 +81,59 @@ class CsEstResult:
 class KronSensing:
     """Stage-3 sensing matrix, never formed.
 
-    Row block t (n_bs rows) is kron(c_all[:, t], kron(su[t], a_bs_bar)), so
-    column gi*kk + q*p_hat + p, with kk = q_hat*p_hat, holds
-    c_all[gi, t] * su[t, q] * a_bs_bar[:, p] in block t. The conjugated
-    factors and the BS atoms' Gram matrix are formed once, here.
+    Row block t (n_bs rows) is kron(c[:, t], kron(su[t], a_bs_bar)) with
+    c = a_i.T @ v the (g_i, t) IRS-grid response, so column
+    gi*kk + q*p_hat + p, with kk = q_hat*p_hat, holds
+    c[gi, t] * su[t, q] * a_bs_bar[:, p] in block t. The grid response is
+    not formed either: every product with conj(c) runs through the m IRS
+    elements as a_i^H @ (conj(v) @ x) (Kronecker compressive sensing;
+    Duarte and Baraniuk, 2012), so no array has g_i * t entries. The
+    conjugated factors and the BS atoms' Gram matrix are formed once, here.
 
     Args:
-        c_all: (g_i, t) IRS-grid responses a_i.T @ v.
+        a_i: (m, g_i) IRS dictionary.
+        v: (m, t) reflection vectors.
         su: (t, q_hat) pilot responses s.T @ conj(a_ue_bar).
         a_bs_bar: (n_bs, p_hat) selected BS atoms.
     """
 
-    def __init__(self, c_all: np.ndarray, su: np.ndarray,
+    def __init__(self, a_i: np.ndarray, v: np.ndarray, su: np.ndarray,
                  a_bs_bar: np.ndarray):
-        self.c_all, self.su = c_all, su
-        self.c_conj, self.su_conj = c_all.conj(), su.conj()
+        self.a_i, self.v, self.su = a_i, v, su
+        self.a_i_h, self.v_conj = a_i.conj().T, v.conj()
+        self.su_conj = su.conj()
         self.a_bs_h = a_bs_bar.conj().T
         self.bs_gram = self.a_bs_h @ a_bs_bar                  # (p, p)
         n_bs, p_hat = a_bs_bar.shape
-        g_i, t = c_all.shape
+        g_i, t = a_i.shape[1], v.shape[1]
         self.shape = (n_bs * t, g_i * su.shape[1] * p_hat)
 
     def adjoint(self, res: np.ndarray) -> np.ndarray:
         """theta^H res for res of shape (rows, L), as (cols, L)."""
         p_hat, n_bs = self.a_bs_h.shape
-        g_i, t = self.c_all.shape
+        t = self.v.shape[1]
         kk = self.su.shape[1] * p_hat
         n_obs = res.shape[1]
         y = self.a_bs_h @ res.reshape(t, n_bs, n_obs)             # (t, p, L)
         z = self.su_conj[:, :, None, None] * y[:, None]         # (t, q, p, L)
-        psi = self.c_conj @ z.reshape(t, kk * n_obs)
-        return psi.reshape(g_i * kk, n_obs)
+        psi = self.a_i_h @ (self.v_conj @ z.reshape(t, kk * n_obs))
+        return psi.reshape(self.shape[1], n_obs)
 
     def gram_columns(self, idx: list[int]) -> np.ndarray:
         """theta^H theta[:, idx], as (cols, len(idx)).
 
         Entry (gi', q', p') of the column of atom (gi, q, p) is
-        bs_gram[p', p] * sum_t conj(c_all[gi', t] su[t, q'])
-        c_all[gi, t] su[t, q]: one (g_i, t) @ (t, q_hat) product per atom.
+        bs_gram[p', p] * sum_t conj(c[gi', t] su[t, q']) c[gi, t] su[t, q]:
+        the atom's response row a_i[:, gi].T @ v, then one product through
+        the IRS elements per atom.
         """
         p_hat = self.bs_gram.shape[0]
-        (g_i, t), q_hat = self.c_all.shape, self.su.shape[1]
+        g_i, t, q_hat = self.a_i.shape[1], self.v.shape[1], self.su.shape[1]
         gi, qp = np.divmod(idx, q_hat * p_hat)
         q, p = np.divmod(qp, p_hat)
-        cols = self.c_all[gi].T * self.su[:, q]                 # (t, k)
+        cols = (self.v.T @ self.a_i[:, gi]) * self.su[:, q]     # (t, k)
         w = self.su_conj[:, :, None] * cols[:, None]            # (t, q', k)
-        m = self.c_conj @ w.reshape(t, q_hat * len(idx))
+        m = self.a_i_h @ (self.v_conj @ w.reshape(t, q_hat * len(idx)))
         return (m.reshape(g_i, q_hat, 1, len(idx))
                 * self.bs_gram[:, p]).reshape(self.shape[1], len(idx))
 
@@ -216,8 +225,18 @@ def stage1_ue_aods(pilots: PilotBlock, dicts: Dictionaries,
 
 def stage2_bs_aoas(pilots: PilotBlock, dicts: Dictionaries,
                    cfg: CsEstConfig) -> tuple[np.ndarray, OmpResult]:
-    """BS arrival-atom selection: r = a_bs gamma + noise over all slots."""
-    res = omp_mmv(dicts.a_bs, pilots.r, cfg.p_hat)
+    """BS arrival-atom selection: r = a_bs gamma + noise over all slots.
+
+    OMP runs on the observation's row space: with r^H = Q R, the
+    (n_bs, min(t, n_bs)) matrix R^H has the same r r^H as r (the l1-SVD
+    reduction; Malioutov, Cetin and Willsky, 2005). OMP picks atoms by the
+    row energies of a_bs^H (I - P_S) r, which the unitary Q^H on the right
+    leaves unchanged, so the support and res_trace are those of r, while
+    the returned coeffs are those of the compressed observation R^H. Only
+    the support is used downstream.
+    """
+    r_row = np.linalg.qr(pilots.r.conj().T, mode="r").conj().T
+    res = omp_mmv(dicts.a_bs, r_row, cfg.p_hat)
     return dicts.a_bs[:, res.support], res
 
 
@@ -251,8 +270,9 @@ def stage3_gains(pilots: PilotBlock, a_ue_bar: np.ndarray,
 
     Slot t contributes r_t = (kron(c_t.T, b_t)) lam with c_t = a_i.T v_t
     and b_t = kron(s_t.T conj(a_ue_bar), a_bs_bar); the slots stack into
-    one tall system, held as a KronSensing operator and never formed,
-    solved by omp_mmv with k = p_hat * q_hat.
+    one tall system, held as a KronSensing operator on a_i and v and never
+    formed (nor is the grid response c), solved by omp_mmv with
+    k = p_hat * q_hat.
 
     Returns (lam, estimate, omp_result). The estimate holds h_c_hat as
     factors with K = p_hat * q_hat: column i*p_hat + j pairs UE atom i with
@@ -263,9 +283,8 @@ def stage3_gains(pilots: PilotBlock, a_ue_bar: np.ndarray,
     g_i = dicts.a_i.shape[1]
     kk = a_ue_bar.shape[1] * a_bs_bar.shape[1]
 
-    c_all = dicts.a_i.T @ pilots.v                             # (g_i, t)
     su = pilots.s.T @ a_ue_bar.conj()                          # (t, q_hat)
-    theta = KronSensing(c_all, su, a_bs_bar)
+    theta = KronSensing(dicts.a_i, pilots.v, su, a_bs_bar)
     obs = pilots.r.reshape(-1, order="F")
 
     res = omp_mmv(theta, obs, kk)
@@ -310,6 +329,11 @@ def _flops(pilots: PilotBlock, dicts: Dictionaries,
     multiply-adds for the update psi = psi0 - G[:, S] @ C of the cols
     atoms' correlations with the L observation columns. The gathers, the
     j x j solve and the residual-norm identity are not counted.
+
+    Stage 2 counts the Householder R of the (t, n_bs) matrix r^H as
+    k0**2 * k1 - k0**3 // 3 multiply-adds, k0 = min(t, n_bs) and
+    k1 = max(t, n_bs) (n_bs**2 * (t - n_bs/3) for t >= n_bs, its third
+    rounded down), then OMP on k0 observation columns.
     """
     def omp(cols, n_obs, k, adjoint, gram):
         return adjoint + sum(gram + cols * j * n_obs
@@ -319,16 +343,22 @@ def _flops(pilots: PilotBlock, dicts: Dictionaries,
     (n_ue, g_ue), g_bs = dicts.a_ue.shape, dicts.a_bs.shape[1]
     (m, g_i), kk = dicts.a_i.shape, cfg.p_hat * cfg.q_hat
     t1, p, q = resolve_t1(cfg.t1, t), cfg.p_hat, cfg.q_hat
+    k0, k1 = min(t, n_bs), max(t, n_bs)
     macs = {
         "stage1": t1 * n_ue * g_ue
         + omp(g_ue, n_bs, q, g_ue * t1 * n_bs, g_ue * t1),
-        "stage2": omp(g_bs, t, p, g_bs * n_bs * t, g_bs * n_bs),
-        # c_all, su, the estimate's w and the BS atoms' Gram matrix; a Gram
-        # column is t*(q + 1) elementwise products, one (g_i, t) @ (t, q)
-        # product and its outer product with a column of that matrix.
-        "stage3": t * (g_i * m + n_ue * q) + kk * g_i * m + p * n_bs * p
-        + omp(g_i * kk, 1, kk, t * (p * n_bs + kk + g_i * kk),
-              t * (q + 1) + g_i * t * q + g_i * kk)}
+        "stage2": k0 * k0 * k1 - k0 ** 3 // 3
+        + omp(g_bs, k0, p, g_bs * n_bs * k0, g_bs * n_bs),
+        # su, the estimate's w and the BS atoms' Gram matrix. The adjoint
+        # runs a_bs^H and su over the slots, then conj(v) and a_i^H over
+        # the m IRS elements. A Gram column is the atom's response row
+        # (m*t), t*(q + 1) elementwise products, a (m, t) @ (t, q) and a
+        # (g_i, m) @ (m, q) product, and the outer product with a column
+        # of the BS Gram matrix.
+        "stage3": t * n_ue * q + kk * g_i * m + p * n_bs * p
+        + omp(g_i * kk, 1, kk, t * (p * n_bs + kk) + m * t * kk
+              + g_i * m * kk,
+              m * t + t * (q + 1) + m * t * q + g_i * m * q + g_i * kk)}
     flops = {name: 8.0 * v for name, v in macs.items()}
     flops["total"] = sum(flops.values())
     return flops
