@@ -309,9 +309,10 @@ def _chunk_size(cfg: ExperimentConfig) -> int:
     A trial stacks, in complex entries: its channel factors g and h, twice
     for an estimator arm (the true channel and the estimate, which is no
     larger); the beamformer's reduced channel p, (n_ue*n_s, m), twice in a
-    circle-CG round (p and one gather of its live rows); and for mo_est
-    the training block, (n_ue + m + n_bs) x T at the config's largest T.
-    The cascaded channel is never stacked."""
+    circle-CG round (p of the trials still running and the CG's gather of
+    its live rows); and for mo_est the training block, (n_ue + m + n_bs)
+    x T at the config's largest T. Not counted: the factors of the running
+    trials, which the beamformer gathers once a trial stops."""
     geom = cfg._points[0].scen.geom
     factors = geom.m * (geom.n_bs + geom.n_ue)
     entries = (factors * (2 if cfg.algorithm in _ESTIMATORS else 1)

@@ -123,14 +123,12 @@ def update_f(h_e: np.ndarray, w: np.ndarray, omega: np.ndarray,
     degenerate = (psi <= 0.0) | ~rhs.any(axis=(-2, -1))
     a = (hw @ omega @ herm(hw)
          + (scen.sigma2_d * psi)[:, None, None] * np.eye(n_bs))
-    if degenerate.any():
-        a[degenerate] = np.eye(n_bs)    # keeps the stacked solve regular
+    a[degenerate] = np.eye(n_bs)        # keeps the stacked solve regular
     f_tilde = np.linalg.solve(a, rhs)
     norm = np.sqrt(sq_norms(f_tilde))
     degenerate |= norm == 0.0
-    if degenerate.any():
-        norm[degenerate] = 1.0
-        f_tilde[degenerate] = 0.0
+    norm[degenerate] = 1.0
+    f_tilde[degenerate] = 0.0
     return f_tilde / norm[:, None, None], degenerate
 
 
@@ -218,7 +216,8 @@ def alt_wmmse(scen: DownlinkScenario, ch: ChannelRealization,
     omega) update, where it equals n_s + ln|e_mmse|; recording there
     (rather than after the f update, whose normalization re-scales the
     implicit receiver) is what makes the trace provably non-increasing.
-    Stops when the decrease drops to _EPS3 or below.
+    Stops when the decrease drops to _EPS3 or below, or after max_outer
+    rounds; a max_outer below 1 raises ValueError.
 
     With optimize_v False the random start stays in place and (w, omega)
     keep their start values: the one iteration records the start objective
@@ -232,12 +231,15 @@ def alt_wmmse(scen: DownlinkScenario, ch: ChannelRealization,
     channel is never formed.
 
     A stacked ch takes a list of generators, one generator per trial, and
-    returns one solution per trial. The trials iterate in lock-step: the
-    start, the CG (one cg_minimize call on the stack per round), the
-    effective channel after the CG and the closed forms act on the stack
-    of trials that have not stopped, and each trial stops on its own
-    test, so its solution is bit-identical to the one it gets alone.
+    returns one solution per trial. The trials iterate in lock-step on
+    stacks of the trials still running (the start, one cg_minimize call
+    per round, the effective channel and the closed forms). Each trial
+    stops on its own test, so its solution is bit-identical to the one it
+    gets alone; its rows leave the stacks in the round it stops, where its
+    rate and solution are formed.
     """
+    if max_outer < 1:
+        raise ValueError(f"max_outer={max_outer} below 1")
     stacked = ch.g.ndim == 3
     if not stacked:
         ch, rng = ch[None], [rng]
@@ -254,17 +256,14 @@ def alt_wmmse(scen: DownlinkScenario, ch: ChannelRealization,
     w, omega = update_w_omega(h_e, f, scen)
     g = wmmse_objective(h_e, f, w, omega, scen)
 
+    live = list(range(trials))            # trial of each row
     g_trace = [[x] for x in g.tolist()]
-    iters = np.zeros(trials, dtype=int)
-    stalled = np.zeros(trials, dtype=bool)
-    converged = np.zeros(trials, dtype=bool)
-    active = np.arange(trials)
+    stalled = set()                       # trials whose CG ever stalled
+    out: list[BeamformingSolution | None] = [None] * trials
     for it in range(1, max_outer + 1):
-        # Fancy indexing copies, so a full stack is sliced instead.
-        on = active if len(active) < trials else slice(None)
         if optimize_v:
-            p = _reduced_channel(ch[on], f[on])
-            omega_inv = np.linalg.inv(omega[on])
+            p = _reduced_channel(ch, f)
+            omega_inv = np.linalg.inv(omega)
 
             def cost_grad(x, rows):
                 return _g1_cost_grad(x, p, omega_inv, scen.sigma2_d, rows)
@@ -272,34 +271,34 @@ def alt_wmmse(scen: DownlinkScenario, ch: ChannelRealization,
             # One trial runs the single-point form, whose CgResult the
             # tracer (perfbench/tracer.py) reads, until it reads lists
             # (ROADMAP.md, item 2).
-            res = (cg_minimize(CircleManifold, cost_grad, v[on], _INNER_OPTS)
+            res = (cg_minimize(CircleManifold, cost_grad, v, _INNER_OPTS)
                    if stacked else
                    [cg_minimize(CircleManifold, cost_grad, v[0], _INNER_OPTS)])
-            v[on] = [r.x for r in res]
+            v = np.stack([r.x for r in res])
             # The round's reduced channels go before the closed forms and
             # the next round's are built.
             p = None
-            stalled[on] |= [r.stalled for r in res]
-            # A stopped trial's row keeps the value its unchanged v gave.
-            h_e[on] = effective_channel(ch[on], v[on])
-            w, omega[on] = update_w_omega(h_e[on], f[on], scen)
-            g = wmmse_objective(h_e[on], f[on], w, omega[on], scen)
-        f_new, degenerate = update_f(h_e[on], w, omega[on], scen)
-        if degenerate.any():
-            f_new[degenerate] = f[on][degenerate]
-        f[on] = f_new
-        iters[active] = it
-        for b, x in zip(active, g.tolist()):
-            g_trace[b].append(x)
-        converged[active] = [g_trace[b][-2] - g_trace[b][-1] <= _EPS3
-                             for b in active]
-        active = active[~converged[active]]
-        if not len(active):
-            break
-
-    se = spectral_efficiency(h_e, f, scen)
-    sols = [BeamformingSolution(
-        f[b], v[b], g_trace[b], float(se[b]), int(iters[b]),
-        "converged" if converged[b] else "max_outer", bool(stalled[b]))
-        for b in range(trials)]
-    return sols if stacked else sols[0]
+            stalled.update(q for q, r in zip(live, res) if r.stalled)
+            h_e = effective_channel(ch, v)
+            w, omega = update_w_omega(h_e, f, scen)
+            g = wmmse_objective(h_e, f, w, omega, scen)
+        f_new, degenerate = update_f(h_e, w, omega, scen)
+        f = np.where(degenerate[:, None, None], f, f_new)
+        for q, x in zip(live, g.tolist()):
+            g_trace[q].append(x)
+        reason = ["converged" if g_trace[q][-2] - g_trace[q][-1] <= _EPS3
+                  else "max_outer" if it == max_outer else "" for q in live]
+        done = [k for k, why in enumerate(reason) if why]
+        if done:
+            se = spectral_efficiency(h_e[done], f[done], scen).tolist()
+            for k, rate in zip(done, se):
+                q = live[k]
+                out[q] = BeamformingSolution(f[k], v[k], g_trace[q], rate,
+                                             it, reason[k], q in stalled)
+            keep = [k for k, why in enumerate(reason) if not why]
+            if not keep:
+                break
+            live = [live[k] for k in keep]
+            ch, v, h_e, f, w, omega, g = (a[keep] for a in
+                                          (ch, v, h_e, f, w, omega, g))
+    return out if stacked else out[0]

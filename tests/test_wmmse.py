@@ -340,22 +340,23 @@ def test_stacked_closed_forms_equal_per_matrix_calls():
                                                           omega[i], DESK))
 
 
-def _assert_stacked_equals_single_runs(scen, optimize_v):
+def _assert_stacked_equals_single_runs(scen, optimize_v, max_outer=50):
     ch = stack_channels([_channel(seed, scen.geom) for seed in range(4)])
     rngs = [np.random.default_rng(700 + i) for i in range(4)]
-    stacked = alt_wmmse(scen, ch, rngs, optimize_v=optimize_v)
+    stacked = alt_wmmse(scen, ch, rngs, max_outer, optimize_v)
     for i, sol in enumerate(stacked):
         one = alt_wmmse(scen, ch[i], np.random.default_rng(700 + i),
-                        optimize_v=optimize_v)
+                        max_outer, optimize_v)
         assert np.array_equal(sol.f, one.f)
         assert np.array_equal(sol.v_d, one.v_d)
         assert (sol.g_trace, sol.se, sol.iterations, sol.reason,
                 sol.stalled) == (one.g_trace, one.se, one.iterations,
                                  one.reason, one.stalled)
     if optimize_v:
-        # The trials stop after different rounds, so the lock-step loop
-        # drops trials from the stack.
-        assert len({sol.iterations for sol in stacked}) > 1
+        # The trials stop after different rounds or by different rules,
+        # so the lock-step loop retires rows on their own.
+        assert len({(sol.iterations, sol.reason) for sol in stacked}) > 1
+    return stacked
 
 
 @pytest.mark.parametrize("optimize_v", [True, False])
@@ -366,6 +367,30 @@ def test_stacked_alt_wmmse_equals_single_runs(optimize_v):
 @pytest.mark.parametrize("optimize_v", [True, False])
 def test_stacked_alt_wmmse_equals_single_runs_paper(optimize_v):
     _assert_stacked_equals_single_runs(PAPER, optimize_v)
+
+
+@pytest.mark.parametrize("scen, max_outer, converged_at_cap", [
+    (DESK, 8, False), (PAPER, 6, False), (DESK, 6, True),
+], ids=["desk-8", "paper-6", "desk-6"])
+def test_stacked_rows_stop_by_both_rules(scen, max_outer, converged_at_cap):
+    # Some rows converge and the others reach the cap; at DESK with
+    # max_outer = 6 one row converges in the cap round, and converged wins.
+    stacked = _assert_stacked_equals_single_runs(scen, True, max_outer)
+    assert {sol.reason for sol in stacked} == {"converged", "max_outer"}
+    for sol in stacked:
+        capped = sol.g_trace[-2] - sol.g_trace[-1] > wmmse._EPS3
+        assert sol.reason == ("max_outer" if capped else "converged")
+        assert sol.iterations <= max_outer
+        if capped:
+            assert sol.iterations == max_outer
+    assert any(sol.reason == "converged" and sol.iterations == max_outer
+               for sol in stacked) == converged_at_cap
+
+
+@pytest.mark.parametrize("max_outer", [0, -1])
+def test_max_outer_below_one_refused(max_outer):
+    with pytest.raises(ValueError, match=f"max_outer={max_outer}"):
+        alt_wmmse(DESK, _channel(0), np.random.default_rng(0), max_outer)
 
 
 def test_fixed_reflection_takes_the_start_closed_form(monkeypatch):
