@@ -17,8 +17,8 @@ a residual of the observation's size. The stage-3 sensing matrix has
 Kronecker-structured row blocks, so it is never formed: KronSensing
 applies its adjoint and forms Gram columns as contractions of the
 factors, through the m IRS elements rather than the g_i grid points.
-Its size is therefore not capped. Stage 2 runs on the observation's row
-space, an (n_bs, min(t, n_bs)) matrix with the same r r^H as r.
+Stage 2 runs on the observation's row space, an (n_bs, min(t, n_bs))
+matrix with the same r r^H as r.
 
 All dictionary/gain scale factors are absorbed by the least-squares refits,
 so only atom identities matter in stages 1-2.

@@ -281,8 +281,10 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
     the ones that meet the decrease test; the others halve their step.
     Rows that fail search again along steepest descent once. An accepted
     row's gradient is taken in the round that accepts it, so no round's
-    cost cache outlives the round. The rows of problems that stopped
-    leave the stacks; no row is copied while every row is live.
+    cost cache outlives the round, and lands in that row's slot of one
+    row-indexed buffer, as its accepted point does. The rows of problems
+    that stopped leave the stacks; no row is copied while every row is
+    live.
     """
     f, egrad = cost_grad(x, _ALL)
     f = [float(v) for v in f]
@@ -327,9 +329,9 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
 
         # f_new[k] is row k's accepted cost, steps[k] its step until then
         # and its next first step after; keep lists the accepted rows that
-        # go on, grads their gradients, one stack per round, both in the
-        # order of acceptance.
-        f_new, steps, grads, keep = [None] * b, step[:], [], []
+        # go on, and row k of egrad_new holds row k's gradient once keep
+        # holds k.
+        f_new, steps, keep, egrad_new = [None] * b, step[:], [], None
         cur = range(b)                    # rows still searching
         for retry in (False, True):
             for _ in range(_MAX_BACKTRACKS):
@@ -359,16 +361,18 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
                             y[e], traces[q], it,
                             "converged" if f[k] - fe <= eps else "max_iters")
                 if want:
-                    grads.append(egrad() if len(want) == len(cur)
-                                 else egrad(want))
+                    part = egrad() if len(want) == len(cur) else egrad(want)
+                    if egrad_new is None:
+                        egrad_new = np.empty((b,) + part.shape[1:],
+                                             part.dtype)
+                    egrad_new[[cur[e] for e in want]] = part
                 del egrad
                 if acc:
                     if x_new is not y:
                         x_new[[cur[e] for e in acc]] = y[acc]
-                    if len(acc) == len(cur):
-                        cur = ()
-                        break
                     cur = [k for k in cur if f_new[k] is None]
+                    if not cur:
+                        break
                 for k in cur:
                     steps[k] *= _CONTRACTION
             if retry or not cur:
@@ -391,20 +395,10 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
         if not keep:
             break
 
-        # The rows of one round are accepted in ascending order.
-        if len(grads) == 1:
-            egrad_new = grads[0]
-        else:
-            at = np.argsort(np.argsort(keep))
-            keep.sort()
-            egrad_new = np.empty((len(keep),) + grads[0].shape[1:],
-                                 grads[0].dtype)
-            for part in grads:
-                egrad_new[at[:len(part)]] = part
-                at = at[len(part):]
-        del grads
         if len(keep) < b:
+            keep.sort()
             x, x_new, g, d = x[keep], x_new[keep], g[keep], d[keep]
+            egrad_new = egrad_new[keep]
             gg, f_new, steps, rows = ([a[k] for k in keep]
                                       for a in (gg, f_new, steps, rows))
         g_new = ops.project(x_new, egrad_new)

@@ -156,30 +156,18 @@ def _fit_l1(x: np.ndarray, fit: np.ndarray, grad, mu: np.ndarray,
     the dense stack x, and egrad(keep=None), the conjugate Euclidean
     gradients grad(keep) + (mu/2) a y b^H of rows keep (all for None),
     with grad(keep) the data term's gradients and y the phase of
-    a^H x b. The gradient reuses a^H x b."""
+    a^H x b. The gradient reuses a^H x b. A row whose weight is zero gets
+    exactly its data term's gradient: |y| <= 1 and a, b are finite, so
+    the l1 term adds exactly zero."""
     z = a.conj().T @ x @ b
     cost = (fit + mu * matrix_sums(np.abs(z))).tolist()
 
     def egrad(keep=None) -> np.ndarray:
         sel = _ALL if keep is None else keep
-        out = grad(keep)
-        w = 0.5 * mu[sel]
-        on = w > 0
-        if on.all():
-            out = out + w[:, None, None] * (a @ _phase(z[sel]) @ herm(b))
-        elif on.any():
-            out = out.copy()
-            out[on] += w[on, None, None] * (a @ _phase(z[sel][on]) @ herm(b))
-        return out
+        return grad(keep) + (0.5 * mu[sel])[:, None, None] * (
+            a @ _phase(z[sel]) @ herm(b))
 
     return cost, egrad
-
-
-def _conj(a: np.ndarray, rows) -> np.ndarray:
-    """conj(a[rows]), conjugating a gathered copy in place."""
-    out = a[rows]
-    return out.conj() if isinstance(rows, slice) else np.conjugate(out,
-                                                                    out=out)
 
 
 def _g_stats(h: FixedRankPoint, s: np.ndarray, v: np.ndarray,
@@ -221,8 +209,8 @@ def _h_back(ge: np.ndarray, s: np.ndarray, v: np.ndarray, at) -> np.ndarray:
     """(v^* . ge) s^H at rows `at` of the data stacks s and v, the
     h-subproblem's data-term gradient from ge = g^H e, e its residual;
     ge is overwritten."""
-    return (np.multiply(_conj(v, at), ge, out=ge)
-            @ _conj(s, at).swapaxes(-1, -2))
+    return (np.multiply(v[at].conj(), ge, out=ge)
+            @ s[at].conj().swapaxes(-1, -2))
 
 
 def _cost_grad_h(h: FixedRankPoint, g: FixedRankPoint, stats, s: np.ndarray,

@@ -570,6 +570,49 @@ def test_circle_stack_equals_each_problem_alone():
         (31, "converged"), (0, "zero_grad")]
 
 
+@given(seed=seeds, circle=st.booleans(),
+       scales=st.lists(st.integers(0, 8), min_size=2, max_size=6))
+@settings(deadline=None, max_examples=30)
+def test_random_stack_equals_each_problem_alone(seed, circle, scales):
+    # Row i's cost 2^scales[i] ||X - B_i||^2 scales its gradient by the same
+    # factor, so its unit first step overshoots and is accepted after about
+    # scales[i] halvings: the rows of one iteration are accepted in
+    # different backtracking rounds, in no fixed order, and stop at
+    # different iterations.
+    rng = np.random.default_rng(seed)
+    n = len(scales)
+    w = 2.0 ** np.asarray(scales, dtype=float)
+    if circle:
+        manifold, starts = CircleManifold, np.stack(
+            [random_unit_modulus(9, rng) for _ in range(n)])
+        targets = cgauss(rng, (n, 9))
+    else:
+        manifold = FixedRankManifold
+        starts = FixedRankPoint.stack(
+            [random_fixed_rank(7, 5, 2, rng) for _ in range(n)])
+        targets = cgauss(rng, (n, 7, 5))
+    opts = CgOptions(epsilon=1e-6, max_iters=20)
+
+    def stacked(x, rows):
+        e = (x if circle else x.dense) - targets[rows]
+        we = w[rows].reshape((-1,) + (1,) * (e.ndim - 1)) * e
+        return ([float(np.vdot(a, b).real) for a, b in zip(e, we)],
+                lambda keep=None: we if keep is None else we[keep])
+
+    res = cg_minimize(manifold, stacked, starts, opts)
+    for i, row in enumerate(res):
+        alone = cg_minimize(manifold,
+                            lambda x, rows, i=i: stacked(x, [i]),
+                            starts[i], opts)
+        if circle:
+            assert np.array_equal(row.x, alone.x)
+        else:
+            assert np.array_equal(row.x.l, alone.x.l)
+            assert np.array_equal(row.x.r, alone.x.r)
+        assert (row.trace, row.iters, row.reason) == \
+            (alone.trace, alone.iters, alone.reason)
+
+
 def test_stack_rows_stall_while_another_loses_its_gradient():
     # In iteration 1 every cost of problem 3 is nan, which no decrease test
     # accepts; its direction is steepest descent, so it stalls with no
