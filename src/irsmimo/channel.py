@@ -13,7 +13,7 @@ each trial of a stacked call is bit-identical to the unstacked call on
 that trial alone.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,13 +90,6 @@ class PathSet:
         return self.beta.shape[-1]
 
 
-def stack_paths(paths: list[PathSet]) -> PathSet:
-    """The path sets of several trials as one PathSet whose arrays carry a
-    leading trial axis, for stacked synthesis."""
-    return PathSet(*(np.stack([getattr(p, f.name) for p in paths])
-                     for f in fields(PathSet)))
-
-
 @dataclass
 class ChannelRealization:
     """A channel as factors whose cascaded channel is khatri_rao(h.T, g) @ w,
@@ -120,15 +113,6 @@ class ChannelRealization:
         """Trials `rows` of a stack (None adds a trial axis)."""
         return ChannelRealization(*(None if a is None else a[rows]
                                     for a in (self.g, self.h, self.w)))
-
-
-def stack_channels(chans: list[ChannelRealization]) -> ChannelRealization:
-    """The channels of several trials, all with the same K, as one stacked
-    realization."""
-    return ChannelRealization(*(
-        None if getattr(chans[0], f.name) is None
-        else np.stack([getattr(c, f.name) for c in chans])
-        for f in fields(ChannelRealization)))
 
 
 @dataclass(frozen=True)
@@ -325,7 +309,7 @@ def synth_channels(geom: SystemGeometry, paths: PathSet) -> ChannelRealization:
         g = sqrt(n_bs*m/p) * sum_p alpha_p a_bs(theta_r) a_irs(aod)^H
         h = sqrt(n_ue*m/q) * sum_q beta_q a_irs(aoa) a_ue(psi_t)^H
 
-    Paths stacked by stack_paths give channels stacked the same way.
+    Paths stacked by numerics.stack give channels stacked the same way.
     """
     g = _sum_of_paths(paths.alpha, steering_ula(paths.u_bs, geom.n_bs),
                       _steering_irs_uv(paths.u_irs_aod, geom.m_y, geom.m_z))

@@ -119,7 +119,7 @@ def _selftest_checks():
         res = manifold.cg_minimize(
             manifold.FixedRankManifold,
             lambda p, rows: (numerics.sq_norms(p.dense - target).tolist(),
-                             lambda keep=None: p.dense - target),
+                             lambda keep=manifold._ALL: p.dense - target),
             x, manifold.CgOptions(epsilon=1e-12, max_iters=200))
         assert res.trace[-1] < 1e-8
         assert all(a >= b - 1e-12 for a, b in zip(res.trace, res.trace[1:]))

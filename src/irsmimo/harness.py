@@ -53,12 +53,12 @@ import numpy as np
 from .channel import (ChannelRealization, Dictionaries, SystemGeometry,
                       build_dictionaries, check_paths, effective_channel,
                       make_pilots, pathloss, sample_paths, simulate_uplink,
-                      stack_channels, stack_paths, synth_channels)
+                      synth_channels)
 from .cs_est import CsEstConfig, cs_est, resolve_t1
 from .mo_est import MoEstConfig, mo_est
 # khatri_rao is no longer called here, but perfbench/tracer.py patches
 # harness.khatri_rao by name.
-from .numerics import khatri_rao, sq_norms  # noqa: F401
+from .numerics import khatri_rao, sq_norms, stack  # noqa: F401
 from .wmmse import DownlinkScenario, alt_wmmse, spectral_efficiency
 
 CSV_HEADER = "seed,algorithm,T,pnr_db,snr_db,k_hat,nmse,se_bits_s_hz,outer_iters,wall_ms"
@@ -397,7 +397,7 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
     rngs = [[np.random.default_rng(np.random.SeedSequence(
         cfg.master_seed, spawn_key=(point.index, seed, k)))
         for k in (0, 1, 3)] for seed in seeds]
-    ch = synth_channels(geom, stack_paths(
+    ch = synth_channels(geom, stack(
         [sample_paths(geom, cfg.k_true, rng[0], on_grid=cfg.on_grid)
          for rng in rngs]))
 
@@ -417,14 +417,13 @@ def _run_chunk(cfg: ExperimentConfig, point: _Point,
                       point.dicts, point.est_cfg)
                if len(seeds) > 1 else
                [mo_est(training(0, rngs[0][1]), point.dicts, point.est_cfg)])
-        design = stack_channels([ChannelRealization(x.g_hat.dense,
-                                                    x.h_hat.dense)
-                                 for x in est])
+        design = stack([ChannelRealization(x.g_hat.dense, x.h_hat.dense)
+                        for x in est])
         iters = [x.iterations for x in est]
     elif cfg.algorithm == "cs_est":
         est = [cs_est(training(i, rng[1]), point.dicts, point.est_cfg)
                for i, rng in enumerate(rngs)]
-        design = stack_channels([x.estimate for x in est])
+        design = stack([x.estimate for x in est])
         iters = [len(x.support_ue) + len(x.support_bs) + len(x.support_gain)
                  for x in est]
     elif t > 0:

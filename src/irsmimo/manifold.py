@@ -71,12 +71,6 @@ class FixedRankPoint:
     def dense(self) -> np.ndarray:
         return self.l @ herm(self.r)
 
-    @staticmethod
-    def stack(points: list["FixedRankPoint"]) -> "FixedRankPoint":
-        """The stack of points of one shape and rank, in order."""
-        return FixedRankPoint(np.stack([x.l for x in points]),
-                              np.stack([x.r for x in points]))
-
     def __len__(self) -> int:
         return len(self.l)
 
@@ -268,6 +262,7 @@ class CircleManifold:
         return np.asarray(c)[:, None] * t
 
 
+# The row selection of every row of a stack, in order; it indexes a view.
 _ALL = slice(None)
 
 
@@ -360,7 +355,9 @@ def _lockstep(ops, cost_grad, x, n: int, opts: CgOptions) -> list[CgResult]:
                         out[q] = CgResult(
                             y[e], traces[q], it,
                             "converged" if f[k] - fe <= eps else "max_iters")
-                if want:
+                if len(want) == b:        # every row, in order: as x_new = y
+                    egrad_new = egrad()
+                elif want:
                     part = egrad() if len(want) == len(cur) else egrad(want)
                     if egrad_new is None:
                         egrad_new = np.empty((b,) + part.shape[1:],
@@ -421,12 +418,12 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions):
             true when x is a stack. Tangent vectors hold no base point;
             each op that needs one takes it.
         cost_grad: cost_grad(x, rows) takes a stack x whose row i belongs
-            to problem rows[i] (rows is slice(None) when x holds every
-            problem in order) and returns a list of one float cost per row
-            and egrad(keep=None), the conjugate Euclidean gradients of rows
-            keep of x (of every row for None). A single point x0 runs as
-            the stack x0[None], so its cost_grad sees only rows =
-            slice(None) and egrad(). A point that meets the decrease test
+            to problem rows[i] (rows is _ALL = slice(None) when x holds
+            every problem in order) and returns a list of one float cost
+            per row and egrad(keep=_ALL), the conjugate Euclidean gradients
+            of rows keep of x (a list, or _ALL for every row). A single
+            point x0 runs as the stack x0[None], so its cost_grad sees only
+            rows = _ALL and egrad(). A point that meets the decrease test
             or the iteration cap is returned without its gradient.
         x0: starting point on the manifold, or a stack of the starting
             points of n problems.
@@ -447,11 +444,11 @@ def cg_minimize(manifold, cost_grad, x0, opts: CgOptions):
 
 
 def pick_rows(rows, keep):
-    """The entries `keep` of the row selection `rows` (all for None); a
-    slice rows selects every row."""
-    if keep is None:
-        return rows
-    return keep if isinstance(rows, slice) else [rows[k] for k in keep]
+    """The entries `keep` (a slice or a list) of the row selection `rows`;
+    a slice rows selects every row."""
+    if isinstance(rows, slice):
+        return keep
+    return rows[keep] if isinstance(keep, slice) else [rows[k] for k in keep]
 
 
 def random_fixed_rank(n: int, m: int, r: int, rng: np.random.Generator):

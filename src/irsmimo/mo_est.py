@@ -51,9 +51,10 @@ from typing import ClassVar
 import numpy as np
 
 from .channel import Dictionaries, PilotBlock
-from .manifold import (CgOptions, FixedRankManifold, FixedRankPoint,
+from .manifold import (_ALL, CgOptions, FixedRankManifold, FixedRankPoint,
                        cg_minimize, pick_rows)
-from .numerics import herm, khatri_rao, matrix_sums, sq_norms, truncated_svd
+from .numerics import (herm, khatri_rao, matrix_sums, sq_norms, stack,
+                       truncated_svd)
 
 # Angular coefficients below this magnitude contribute subgradient zero to
 # the l1 phase matrix.
@@ -64,7 +65,6 @@ _INNER_OPTS = CgOptions(epsilon=1e-3, max_iters=50)
 # h_c by at most _SETTLE * sqrt(sigma2 / (c^2 * t)) * ||h_c||_F, with
 # c = ||r||_F / sqrt(t).
 _SETTLE = 0.9
-_ALL = slice(None)
 
 
 @dataclass(frozen=True)
@@ -153,19 +153,18 @@ def _spectral_start(s: np.ndarray, v: np.ndarray, r: np.ndarray,
 def _fit_l1(x: np.ndarray, fit: np.ndarray, grad, mu: np.ndarray,
             a: np.ndarray, b: np.ndarray):
     """Subproblem costs fit + mu ||vec(a^H x b)||_1, one float per row of
-    the dense stack x, and egrad(keep=None), the conjugate Euclidean
-    gradients grad(keep) + (mu/2) a y b^H of rows keep (all for None),
-    with grad(keep) the data term's gradients and y the phase of
+    the dense stack x, and egrad(keep=_ALL), the conjugate Euclidean
+    gradients grad(keep) + (mu/2) a y b^H of rows keep (a slice or a
+    list), with grad(keep) the data term's gradients and y the phase of
     a^H x b. The gradient reuses a^H x b. A row whose weight is zero gets
     exactly its data term's gradient: |y| <= 1 and a, b are finite, so
     the l1 term adds exactly zero."""
     z = a.conj().T @ x @ b
     cost = (fit + mu * matrix_sums(np.abs(z))).tolist()
 
-    def egrad(keep=None) -> np.ndarray:
-        sel = _ALL if keep is None else keep
-        return grad(keep) + (0.5 * mu[sel])[:, None, None] * (
-            a @ _phase(z[sel]) @ herm(b))
+    def egrad(keep=_ALL) -> np.ndarray:
+        return grad(keep) + (0.5 * mu[keep])[:, None, None] * (
+            a @ _phase(z[keep]) @ herm(b))
 
     return cost, egrad
 
@@ -201,8 +200,8 @@ def _cost_grad_g(x: FixedRankPoint, stats, mu: np.ndarray,
     j = x.l @ (herm(x.r) @ ff)
     j -= rf
     fit = rr + matrix_sums(dense.conj() * (j - rf)).real
-    return _fit_l1(dense, fit, lambda keep: j if keep is None else j[keep],
-                   mu[rows], dicts.a_bs, dicts.a_i)
+    return _fit_l1(dense, fit, lambda keep: j[keep], mu[rows], dicts.a_bs,
+                   dicts.a_i)
 
 
 def _h_back(ge: np.ndarray, s: np.ndarray, v: np.ndarray, at) -> np.ndarray:
@@ -234,7 +233,7 @@ def _cost_grad_h(h: FixedRankPoint, g: FixedRankPoint, stats, s: np.ndarray,
 
     def grad(keep):
         at = pick_rows(rows, keep)
-        return _h_back(g.r[at] @ (e if keep is None else e[keep]), s, v, at)
+        return _h_back(g.r[at] @ e[keep], s, v, at)
 
     return _fit_l1(h.dense, fit, grad, mu[rows], dicts.a_i, dicts.a_ue)
 
@@ -360,7 +359,7 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
     if len({(x.shape, y.shape, z.shape) for x, y, z in zip(s, v, r)}) != 1:
         raise ValueError("need pilot blocks, all of one shape")
     s, v, r = np.stack(s), np.stack(v), np.stack(r)
-    g_hat, h_hat = FixedRankPoint.stack(g_hat), FixedRankPoint.stack(h_hat)
+    g_hat, h_hat = stack(g_hat), stack(h_hat)
     n_bs, t = r.shape[1:]
     m, n_ue = v.shape[1], s.shape[1]
     dof = (cfg.p_hat * (n_bs + m - cfg.p_hat)
@@ -383,7 +382,7 @@ def mo_est(pilots: PilotBlock | Iterable[PilotBlock], dicts: Dictionaries,
                cg_minimize(FixedRankManifold, cost_grad, x0, _INNER_OPTS))
         for q, x in zip(live, res):
             stalled[q] = stalled[q] or x.stalled
-        return FixedRankPoint.stack([x.x for x in res])
+        return stack([x.x for x in res])
 
     for it in range(1, cfg.max_outer + 1):
         g_prev, h_prev = g_hat, h_hat

@@ -6,6 +6,8 @@ Conventions used throughout the package:
   * complex arrays are numpy complex128; shapes follow the docstrings.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
 
@@ -31,6 +33,16 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"column-count mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     return (a[..., :, None, :] * b[..., None, :, :]).reshape(
         a.shape[:-2] + (a.shape[-2] * b.shape[-2], a.shape[-1]))
+
+
+def stack(records: list):
+    """The same-type dataclass records of several trials, in order, as one
+    record whose array fields carry a leading trial axis; a field that is
+    None in the first record stays None."""
+    first = records[0]
+    return type(first)(*(None if getattr(first, f.name) is None
+                         else np.stack([getattr(x, f.name) for x in records])
+                         for f in fields(first)))
 
 
 def herm(a: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, SystemGeometry, effective_channel
-from .manifold import CgOptions, CircleManifold, cg_minimize, pick_rows
+from .manifold import _ALL, CgOptions, CircleManifold, cg_minimize, pick_rows
 from .numerics import herm, khatri_rao, random_unit_modulus, sq_norms
 
 
@@ -142,10 +142,10 @@ def _reduced_channel(ch: ChannelRealization, f: np.ndarray) -> np.ndarray:
 
 
 def _g1_cost_grad(v: np.ndarray, p: np.ndarray, omega_inv: np.ndarray,
-                  sigma2_d: float, rows=slice(None)):
+                  sigma2_d: float, rows=_ALL):
     """g1 of a stack v whose rows are rows `rows` of the stacks p and
-    omega_inv, one float per row, and egrad(keep=None), the gradients of
-    rows keep (all for None); see g1_objective and egrad_v.
+    omega_inv, one float per row, and egrad(keep=_ALL), the gradients of
+    rows keep (a slice or a list); see g1_objective and egrad_v.
 
     p is _reduced_channel(ch, f), built once for a fixed f, so the cost
     needs only h_e f = p @ v and the gradient is
@@ -156,9 +156,8 @@ def _g1_cost_grad(v: np.ndarray, p: np.ndarray, omega_inv: np.ndarray,
     hf = (p[rows] @ v[..., None]).reshape(len(v), -1, o_inv.shape[-1])
     t_inv = np.linalg.inv(o_inv + (o_inv @ herm(hf) @ hf) / sigma2_d)
 
-    def egrad(keep=None) -> np.ndarray:
-        sel = slice(None) if keep is None else keep
-        y = hf[sel] @ t_inv[sel] @ t_inv[sel] @ o_inv[sel]
+    def egrad(keep=_ALL) -> np.ndarray:
+        y = hf[keep] @ t_inv[keep] @ t_inv[keep] @ o_inv[keep]
         return -(y.reshape(len(y), 1, -1).conj()
                  @ p[pick_rows(rows, keep)])[:, 0].conj() / sigma2_d
 

@@ -18,9 +18,9 @@ from irsmimo.channel import (ChannelRealization, PathSet, SystemGeometry,
                              angular_coefficients, build_dictionaries,
                              cascaded, effective_channel, make_pilots,
                              pathloss, sample_paths, simulate_uplink,
-                             stack_paths, steering_irs, steering_ula,
-                             synth_channels)
-from irsmimo.numerics import khatri_rao, kron, mat, random_unit_modulus
+                             steering_irs, steering_ula, synth_channels)
+from irsmimo.numerics import (khatri_rao, kron, mat, random_unit_modulus,
+                              stack)
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -381,7 +381,7 @@ def test_factored_channel_with_w_matches_its_cascade(k):
 def test_stacked_synthesis_equals_per_trial_calls(geom):
     rng = np.random.default_rng(21)
     paths = [sample_paths(geom, 3, rng) for _ in range(5)]
-    stacked = synth_channels(geom, stack_paths(paths))
+    stacked = synth_channels(geom, stack(paths))
     v = np.stack([random_unit_modulus(geom.m, rng) for _ in paths])
     h_e = effective_channel(stacked, v)
     # The same trials in the factor form of a cs_est estimate (K = 9 with

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cgauss
@@ -19,7 +19,7 @@ from irsmimo.manifold import (CgOptions, CgResult, CircleManifold,
                               circle_project, circle_retract,
                               project_tangent, psd_pinv, random_fixed_rank,
                               retract, transport)
-from irsmimo.numerics import random_unit_modulus
+from irsmimo.numerics import random_unit_modulus, stack
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -44,11 +44,11 @@ def test_fixed_rank_point_contracts():
     with pytest.raises(ValueError):
         project_tangent(x, cgauss(rng, (8, 3)))
     y = random_fixed_rank(8, 6, 3, rng)
-    xs = FixedRankPoint.stack([x, y, x])
+    xs = stack([x, y, x])
     assert len(xs) == 3 and FixedRankManifold.stacked(xs)
     assert not FixedRankManifold.stacked(x)
     assert np.array_equal(xs[1].dense, y.dense)
-    xs[[0, 2]] = FixedRankPoint.stack([y, y])
+    xs[[0, 2]] = stack([y, y])
     assert all(np.array_equal(xs.dense[k], y.dense) for k in range(3))
 
 
@@ -103,7 +103,7 @@ def test_tangent_vector_arithmetic():
                     (-t1, -t1.l, -t1.r)):
         assert np.array_equal(t.l, l) and np.array_equal(t.r, r)
     # A stack scales each row by its own factor.
-    scaled = FixedRankManifold.scale(FixedRankPoint.stack([t1, t2]),
+    scaled = FixedRankManifold.scale(stack([t1, t2]),
                                      [2.0, -0.5])
     assert np.array_equal(scaled.l, np.stack([2.0 * t1.l, -0.5 * t2.l]))
     assert np.array_equal(scaled.r, np.stack([2.0 * t1.r, -0.5 * t2.r]))
@@ -510,7 +510,7 @@ def test_stack_equals_each_problem_alone():
     opts = CgOptions(epsilon=1e-6, max_iters=25)
     one, stacked = _fit_costs(targets)
     res = cg_minimize(FixedRankManifold, stacked,
-                      FixedRankPoint.stack(starts), opts)
+                      stack(starts), opts)
     for i, (row, x0) in enumerate(zip(res, starts)):
         alone = cg_minimize(FixedRankManifold, one(i), x0, opts)
         assert np.array_equal(row.x.l, alone.x.l)
@@ -572,13 +572,16 @@ def test_circle_stack_equals_each_problem_alone():
 
 @given(seed=seeds, circle=st.booleans(),
        scales=st.lists(st.integers(0, 8), min_size=2, max_size=6))
+@example(seed=0, circle=True, scales=[0, 0, 0])
+@example(seed=0, circle=False, scales=[0, 0, 0])
 @settings(deadline=None, max_examples=30)
 def test_random_stack_equals_each_problem_alone(seed, circle, scales):
     # Row i's cost 2^scales[i] ||X - B_i||^2 scales its gradient by the same
     # factor, so its unit first step overshoots and is accepted after about
     # scales[i] halvings: the rows of one iteration are accepted in
     # different backtracking rounds, in no fixed order, and stop at
-    # different iterations.
+    # different iterations. With every scale 0 the first round accepts
+    # every row, whose gradients then pass to the next iteration whole.
     rng = np.random.default_rng(seed)
     n = len(scales)
     w = 2.0 ** np.asarray(scales, dtype=float)
@@ -588,7 +591,7 @@ def test_random_stack_equals_each_problem_alone(seed, circle, scales):
         targets = cgauss(rng, (n, 9))
     else:
         manifold = FixedRankManifold
-        starts = FixedRankPoint.stack(
+        starts = stack(
             [random_fixed_rank(7, 5, 2, rng) for _ in range(n)])
         targets = cgauss(rng, (n, 7, 5))
     opts = CgOptions(epsilon=1e-6, max_iters=20)
@@ -651,9 +654,9 @@ def test_stack_rows_stall_while_another_loses_its_gradient():
 
         return cg_minimize(FixedRankManifold, cost_grad, x0, opts)
 
-    res = run(FixedRankPoint.stack(starts), np.arange(4))
+    res = run(stack(starts), np.arange(4))
     for i, (row, x0) in enumerate(zip(res, starts)):
-        alone = run(FixedRankPoint.stack([x0]), np.array([i]))[0]
+        alone = run(stack([x0]), np.array([i]))[0]
         assert np.array_equal(row.x.l, alone.x.l)
         assert np.array_equal(row.x.r, alone.x.r)
         assert (row.trace, row.stalled, row.iters, row.reason) == \

@@ -1,14 +1,18 @@
 """Linear-algebra helper tests against numpy/analytic oracles."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cgauss
+from irsmimo.channel import ChannelRealization, PathSet
+from irsmimo.manifold import random_fixed_rank
 from irsmimo.numerics import (commutation_matrix, khatri_rao, kron, mat,
-                              random_unit_modulus, sq_norms, truncated_svd,
-                              vec)
+                              random_unit_modulus, sq_norms, stack,
+                              truncated_svd, vec)
 
 dims = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -83,6 +87,28 @@ def test_sq_norms_match_linalg_norm(shape):
 def test_sq_norms_of_zeros_are_zero():
     assert sq_norms(np.zeros((4, 3), dtype=complex)) == 0.0
     assert np.array_equal(sq_norms(np.zeros((2, 4, 3))), [0.0, 0.0])
+
+
+def test_stack_stacks_each_array_field_in_order():
+    rng = np.random.default_rng(4)
+    paths = [PathSet(cgauss(rng, (3,)), cgauss(rng, (2,)), rng.random(3),
+                     rng.random((3, 2)), rng.random((2, 2)), rng.random(2))
+             for _ in range(3)]
+    chans = [ChannelRealization(cgauss(rng, (4, 5)), cgauss(rng, (5, 2)))
+             for _ in range(2)]
+    chans_w = [ChannelRealization(cgauss(rng, (4, 3)), cgauss(rng, (3, 2)),
+                                  cgauss(rng, (3, 6))) for _ in range(4)]
+    points = [random_fixed_rank(6, 4, 2, rng) for _ in range(3)]
+    for records in (paths, chans, chans_w, points):
+        out = stack(records)
+        assert type(out) is type(records[0])
+        for f in fields(out):
+            if getattr(records[0], f.name) is None:
+                assert getattr(out, f.name) is None
+            else:
+                assert np.array_equal(getattr(out, f.name), np.stack(
+                    [getattr(x, f.name) for x in records]))
+    assert stack(chans).w is None and stack(chans_w).w.shape == (4, 3, 6)
 
 
 def test_commutation_matrix_2x2_frozen():

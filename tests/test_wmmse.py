@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from irsmimo.channel import (ChannelRealization, SystemGeometry, cascaded,
-                             effective_channel, sample_paths, stack_channels,
-                             synth_channels)
+                             effective_channel, sample_paths, synth_channels)
 from irsmimo.harness import pnr_to_sigma2
 from irsmimo.manifold import circle_project
-from irsmimo.numerics import random_unit_modulus, sq_norms
+from irsmimo.numerics import random_unit_modulus, sq_norms, stack
 from irsmimo import wmmse
 from irsmimo.wmmse import (DownlinkScenario, alt_wmmse, egrad_v,
                            g1_objective, mse_matrix, spectral_efficiency,
@@ -312,7 +311,7 @@ def _update_f_one(h_e, w, omega, scen):
 def test_stacked_closed_forms_equal_per_matrix_calls():
     rng = np.random.default_rng(30)
     trials = 6
-    ch = stack_channels([_channel(seed) for seed in range(trials)])
+    ch = stack([_channel(seed) for seed in range(trials)])
     v = np.stack([random_unit_modulus(GEOM_DESK.m, rng)
                   for _ in range(trials)])
     h_e = effective_channel(ch, v)
@@ -341,7 +340,7 @@ def test_stacked_closed_forms_equal_per_matrix_calls():
 
 
 def _assert_stacked_equals_single_runs(scen, optimize_v, max_outer=50):
-    ch = stack_channels([_channel(seed, scen.geom) for seed in range(4)])
+    ch = stack([_channel(seed, scen.geom) for seed in range(4)])
     rngs = [np.random.default_rng(700 + i) for i in range(4)]
     stacked = alt_wmmse(scen, ch, rngs, max_outer, optimize_v)
     for i, sol in enumerate(stacked):
@@ -430,7 +429,7 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("gens", [1, 5])
     def test_one_generator_per_trial(self, gens):
-        ch = stack_channels([_channel(seed) for seed in range(3)])
+        ch = stack([_channel(seed) for seed in range(3)])
         rngs = [np.random.default_rng(k) for k in range(gens)]
         with pytest.raises(ValueError,
                            match=f"{gens} generators for 3 trials"):
